@@ -1,9 +1,10 @@
 """Counting quiver representations over small finite fields.
 
-Everything here is exact: isomorphism classes come from a full orbit
-sweep under the base-change group, automorphism orders from the orbit
-sizes, and the stacky count sum(1/|Aut|) always collapses to the closed
-form q^(sum of arrow blocks) / product |GL|. Subobject counts of the
+Everything here is exact: isomorphism classes come from an orbit sweep
+that closes each orbit under generators of the base-change group
+(transvections and one diagonal matrix per vertex), automorphism orders
+from |GL| divided by the orbit sizes, and the stacky count sum(1/|Aut|)
+always collapses to the closed form q^(sum of arrow blocks) / product |GL|. Subobject counts of the
 one-vertex quiver are Gaussian binomials, and the Hall product built
 from subobject counting is associative but visibly not commutative.
 

@@ -1,8 +1,9 @@
 """Shared exception types.
 
-Both exceptions map to dedicated CLI exit codes, so library code raises
-them instead of bare ValueError whenever the condition is one a user can
-hit through an input file or a size cap.
+SpecError and CapExceeded map to dedicated CLI exit codes, so library
+code raises them instead of bare ValueError whenever the condition is one
+a user can hit through an input file or a size cap. InvariantError marks
+a broken internal invariant: a bug in the library, not in the input.
 """
 
 
@@ -12,3 +13,8 @@ class SpecError(ValueError):
 
 class CapExceeded(RuntimeError):
     """A configured enumeration cap was exceeded (CLI exit code 3)."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant a result relies on does not hold. Raised by
+    explicit checks that, unlike assert, also run under python -O."""

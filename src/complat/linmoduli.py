@@ -3,8 +3,10 @@ combinatorics of dimension vectors.
 
 The counting side is exact and brute-force: field arithmetic is
 table-driven, every representation of a dimension vector is enumerated,
-isomorphism classes come from a full orbit sweep, and Hall numbers count
-actual subrepresentations. Everything is guarded by caps and enumerated in
+isomorphism classes come from an orbit sweep that closes each orbit under
+a generating set of the base-change group (transvections plus one
+diagonal matrix per vertex), and Hall numbers count actual
+subrepresentations. Everything is guarded by caps and enumerated in
 lexicographic order, so results are deterministic and independent of the
 process.
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import CapExceeded, SpecError
+from .errors import CapExceeded, InvariantError, SpecError
 from .jsonio import canonical_json, document_digest
 
 SWEEP_CAP = 10_000_000
@@ -343,14 +345,52 @@ def all_reps(quiver: Quiver, gamma: Sequence[int], q: int) -> Iterator[Rep]:
         yield combo
 
 
+def _identity(n: int) -> GFMatrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _with_entry(n: int, i: int, j: int, a: int) -> GFMatrix:
+    """The identity matrix with entry (i, j) replaced by a."""
+    return tuple(
+        tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n)
+    )
+
+
+def _primitive_element(F: GF) -> int:
+    """The least element generating the multiplicative group of F."""
+
+    def order(w):
+        k, x = 1, w
+        while x != 1:
+            k, x = k + 1, F.mul(x, w)
+        return k
+
+    return next(w for w in range(1, F.q) if order(w) == F.q - 1)
+
+
 @lru_cache(maxsize=None)
-def _general_linear(q: int, n: int) -> tuple[tuple[GFMatrix, GFMatrix], ...]:
-    """All of GL_n(F_q) as (matrix, inverse) pairs, lexicographically."""
+def _gl_generators(q: int, n: int) -> tuple[tuple[GFMatrix, GFMatrix], ...]:
+    """A generating set of GL_n(F_q) as (matrix, inverse) pairs.
+
+    The transvections I + a*E_ij (i != j), with a running over the
+    additive basis 1, p, ..., p^(k-1) of F_q over F_p, generate SL_n(F_q);
+    diag(w, 1, ..., 1) for a primitive element w adds the determinants
+    and is left out for q = 2, where it is the identity.
+    """
     F = gf(q)
-    out = []
-    for m in _all_matrices(q, n, n):
-        if gf_invertible(F, m):
-            out.append((m, gf_inverse(F, m)))
+    basis = [1]
+    while basis[-1] * F.p < q:
+        basis.append(basis[-1] * F.p)
+    out = [
+        (_with_entry(n, i, j, a), _with_entry(n, i, j, F.neg(a)))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        for a in basis
+    ]
+    if n and q > 2:
+        w = _primitive_element(F)
+        out.append((_with_entry(n, 0, 0, w), _with_entry(n, 0, 0, F.inv(w))))
     return tuple(out)
 
 
@@ -462,14 +502,45 @@ class IsoClasses:
     class_of: dict
 
 
+def _end_dim(quiver: Quiver, F: GF, gamma: DimVector, rep: Rep) -> int:
+    """Dimension of the endomorphism algebra of a representation: the
+    tuples of vertex matrices (phi_v) with phi_t m = m phi_s on every
+    arrow s -> t with matrix m."""
+    offsets = list(itertools.accumulate((n * n for n in gamma), initial=0))
+    equations = []
+    for m, (s, t) in zip(rep, quiver.arrows):
+        for r in range(gamma[t]):
+            for c in range(gamma[s]):
+                row = [0] * offsets[-1]
+                for k in range(gamma[t]):  # (phi_t m)[r][c]
+                    x = offsets[t] + r * gamma[t] + k
+                    row[x] = F.add(row[x], m[k][c])
+                for k in range(gamma[s]):  # (m phi_s)[r][c]
+                    x = offsets[s] + k * gamma[s] + c
+                    row[x] = F.sub(row[x], m[r][k])
+                equations.append(row)
+    return offsets[-1] - len(gf_rref(F, equations, offsets[-1])[1])
+
+
 @lru_cache(maxsize=None)
 def iso_classes(quiver: Quiver, gamma: DimVector, q: int, cap: int = SWEEP_CAP) -> IsoClasses:
-    """Full orbit sweep of the base-change action.
+    """Orbit sweep of the base-change action by generators.
 
-    The cost is (number of representations) x (group order), checked
-    against the cap before starting. The mass of the classes, each
-    weighted by 1/|Aut|, must equal the stacky count; that identity is
-    asserted on every sweep.
+    Representations are visited lexicographically; each one not yet
+    classified starts a new class and its orbit is closed breadth-first
+    under a generating set of the group (the generators of GL(gamma_v, F_q)
+    at each vertex), so the work is (number of representations) x (number
+    of generators). The cap is still checked against (number of
+    representations) x (group order) before starting, so the same requests
+    are refused as by a sweep over the whole group.
+
+    Each class is checked explicitly, so the checks also run under
+    python -O: its representative is the lex-least member, its orbit size
+    divides the group order, and the automorphism order it implies fits
+    inside the endomorphism algebra (an orbit closed under too few
+    generators comes out too small and fails this). The mass of the
+    classes, each weighted by 1/|Aut|, must equal the stacky count.
+    Failures raise InvariantError.
     """
     gamma = _check_gamma(quiver, gamma)
     F = gf(q)
@@ -484,7 +555,13 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int, cap: int = SWEEP_CAP) 
     cached = _cache_load(quiver, gamma, q)
     if cached is not None:
         return cached
-    per_vertex = [_general_linear(q, g) for g in gamma]
+    ident = [(_identity(n), _identity(n)) for n in gamma]
+    generators = [
+        tuple(ident[:v]) + (pair,) + tuple(ident[v + 1 :])
+        for v, n in enumerate(gamma)
+        for pair in _gl_generators(q, n)
+    ]
+    where = f"gamma={list(gamma)} q={q}"
     class_of: dict = {}
     reps: list[Rep] = []
     orbit_sizes: list[int] = []
@@ -493,15 +570,39 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int, cap: int = SWEEP_CAP) 
         if rep in class_of:
             continue
         idx = len(reps)
-        orbit = {_act(quiver, F, g, rep) for g in itertools.product(*per_vertex)}
+        orbit = [rep]
+        seen = {rep}
+        for member in orbit:  # the list grows while it is scanned
+            for g in generators:
+                image = _act(quiver, F, g, member)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
         for member in orbit:
             class_of[member] = idx
-        assert min(orbit) == rep
-        assert group_order % len(orbit) == 0
+        if min(orbit) != rep:
+            raise InvariantError(f"{where}: {rep} is not lex-least in its orbit")
+        if group_order % len(orbit):
+            raise InvariantError(
+                f"{where}: orbit of {rep} has {len(orbit)} members, "
+                f"which does not divide the group order {group_order}"
+            )
+        aut_order = group_order // len(orbit)
+        end_size = q ** _end_dim(quiver, F, gamma, rep)
+        if aut_order > end_size:
+            raise InvariantError(
+                f"{where}: orbit of {rep} has {len(orbit)} members, so |Aut| = {aut_order} "
+                f"exceeds the {end_size} elements of its endomorphism algebra"
+            )
         reps.append(rep)
         orbit_sizes.append(len(orbit))
-        aut_orders.append(group_order // len(orbit))
-    assert sum(Fraction(1, a) for a in aut_orders) == stacky_count(quiver, gamma, q)
+        aut_orders.append(aut_order)
+    mass = sum(Fraction(1, a) for a in aut_orders)
+    if mass != stacky_count(quiver, gamma, q):
+        raise InvariantError(
+            f"{where}: class mass {mass} differs from the stacky count "
+            f"{stacky_count(quiver, gamma, q)}"
+        )
     out = IsoClasses(
         quiver, gamma, q, tuple(reps), tuple(orbit_sizes), tuple(aut_orders), group_order, class_of
     )

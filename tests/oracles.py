@@ -6,7 +6,9 @@ counting), so agreement is meaningful.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
+from math import prod
 
 from complat.qlinalg import dot, kernel, primitive, qvec, vec_neg
 
@@ -77,24 +79,59 @@ def gl_order(n, q):
     return out
 
 
+@lru_cache(maxsize=None)
+def general_linear(q, n):
+    """All of GL_n(F_q) as (matrix, inverse) pairs, lexicographically, by
+    filtering every n x n matrix for invertibility."""
+    from complat.linmoduli import _all_matrices, gf, gf_inverse, gf_invertible
+
+    F = gf(q)
+    return tuple(
+        (m, gf_inverse(F, m)) for m in _all_matrices(q, n, n) if gf_invertible(F, m)
+    )
+
+
 def burnside_class_count(quiver, gamma, q):
     """Number of isomorphism classes of representations by Burnside's
     lemma: average over the base-change group of the number of fixed
     representations. No orbits are ever built."""
-    import itertools
-
-    from complat.linmoduli import _act, _general_linear, all_reps, gf
+    from complat.linmoduli import _act, all_reps, gf
 
     F = gf(q)
-    per_vertex = [_general_linear(q, g) for g in gamma]
+    per_vertex = [general_linear(q, g) for g in gamma]
     reps = list(all_reps(quiver, gamma, q))
     total = 0
     group_order = 0
-    for g in itertools.product(*per_vertex):
+    for g in product(*per_vertex):
         group_order += 1
         total += sum(1 for r in reps if _act(quiver, F, g, r) == r)
     assert total % group_order == 0
     return total // group_order
+
+
+def full_group_iso_classes(quiver, gamma, q):
+    """Isomorphism classes by acting with every element of the base-change
+    group on the lex-least representation of each class not yet seen."""
+    from complat.linmoduli import IsoClasses, _act, all_reps, gf
+
+    F = gf(q)
+    per_vertex = [general_linear(q, g) for g in gamma]
+    group_order = prod(len(pairs) for pairs in per_vertex)
+    class_of = {}
+    reps, orbit_sizes, aut_orders = [], [], []
+    for rep in all_reps(quiver, gamma, q):
+        if rep in class_of:
+            continue
+        orbit = {_act(quiver, F, g, rep) for g in product(*per_vertex)}
+        for member in orbit:
+            class_of[member] = len(reps)
+        reps.append(rep)
+        orbit_sizes.append(len(orbit))
+        aut_orders.append(group_order // len(orbit))
+    return IsoClasses(
+        quiver, tuple(gamma), q, tuple(reps), tuple(orbit_sizes), tuple(aut_orders),
+        group_order, class_of,
+    )
 
 
 def sample_sign_vectors(arr, rng, count):

@@ -309,15 +309,18 @@ def test_cache_directory_from_environment(tmp_path):
 def test_cached_classes_round_trip(tmp_path):
     quiver = lm.load_quiver({"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"]]})
     lm.set_cache_dir(str(tmp_path))
-    lm.iso_classes.cache_clear()
-    fresh = lm.iso_classes(quiver, (1, 1), 3)
-    lm.iso_classes.cache_clear()
-    loaded = lm.iso_classes(quiver, (1, 1), 3)
+    try:
+        lm.iso_classes.cache_clear()
+        fresh = lm.iso_classes(quiver, (1, 1), 3)
+        lm.iso_classes.cache_clear()
+        loaded = lm.iso_classes(quiver, (1, 1), 3)
+    finally:
+        lm.set_cache_dir(None)
+        lm.iso_classes.cache_clear()
     assert loaded.reps == fresh.reps
     assert loaded.orbit_sizes == fresh.orbit_sizes
     assert loaded.aut_orders == fresh.aut_orders
     assert loaded.class_of == fresh.class_of
-    lm.iso_classes.cache_clear()
 
 
 def test_documents_can_come_from_stdin():

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from complat import linmoduli as lm
-from complat.errors import CapExceeded, SpecError
+from complat.errors import CapExceeded, InvariantError, SpecError
 
 from oracles import (
     burnside_class_count,
+    full_group_iso_classes,
     gaussian_binomial,
+    general_linear,
     gl_order,
     integer_partitions,
 )
@@ -128,7 +130,7 @@ def test_subspace_enumeration_matches_gaussian_binomials(q, n):
 
 def test_general_linear_enumeration_matches_the_order_formula():
     for q, n in [(2, 1), (2, 2), (3, 2), (2, 3)]:
-        pairs = lm._general_linear(q, n)
+        pairs = general_linear(q, n)
         assert len(pairs) == gl_order(n, q) == lm.gl_order(n, q)
         F = lm.gf(q)
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -138,6 +140,24 @@ def test_general_linear_enumeration_matches_the_order_formula():
     assert lm.gl_order(2, 3) == 48
     assert lm.gl_order(3, 2) == 168
     assert lm.gl_order(3, 3) == 11232
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2), (5, 1)])
+def test_generators_close_to_the_whole_general_linear_group(q, n):
+    F = lm.gf(q)
+    ident = lm._identity(n)
+    generators = lm._gl_generators(q, n)
+    for m, minv in generators:
+        assert lm.gf_mat_mul(F, m, minv) == ident
+    group = [ident]
+    seen = {ident}
+    for g in group:
+        for m, _ in generators:
+            h = lm.gf_mat_mul(F, g, m)
+            if h not in seen:
+                seen.add(h)
+                group.append(h)
+    assert seen == {m for m, _ in general_linear(q, n)}
 
 
 # -- quiver documents -------------------------------------------------------------
@@ -229,6 +249,55 @@ def test_class_representatives_are_lex_least(a2):
     assert sorted(classes.class_of.values()) == sorted(
         i for i, size in enumerate(classes.orbit_sizes) for _ in range(size)
     )
+
+
+@pytest.mark.parametrize(
+    "doc,gamma,q",
+    [
+        (ONE_VERTEX, (2,), 3),
+        (ONE_VERTEX, (2,), 4),
+        (ONE_VERTEX, (3,), 2),
+        (A2, (1, 1), 4),
+        (A2, (2, 1), 3),
+        (A2, (2, 2), 2),
+        (KRONECKER, (1, 1), 3),
+        (KRONECKER, (1, 2), 2),
+        (JORDAN, (2,), 3),
+        (JORDAN, (2,), 4),
+        (JORDAN, (3,), 2),
+    ],
+)
+def test_generator_sweep_matches_the_full_group_sweep(monkeypatch, doc, gamma, q):
+    monkeypatch.setattr(lm, "_CACHE_DIR", None)
+    quiver = lm.load_quiver(doc)
+    fast = lm.iso_classes.__wrapped__(quiver, gamma, q)
+    slow = full_group_iso_classes(quiver, gamma, q)
+    assert fast.reps == slow.reps
+    assert fast.orbit_sizes == slow.orbit_sizes
+    assert fast.aut_orders == slow.aut_orders
+    assert fast.group_order == slow.group_order
+    assert fast.class_of == slow.class_of
+
+
+@pytest.mark.parametrize(
+    "doc,gamma", [(A2, (1, 1)), (A2, (2, 2)), (KRONECKER, (1, 1)), (JORDAN, (2,))]
+)
+def test_a_generating_set_that_is_too_small_is_caught(monkeypatch, doc, gamma):
+    # Without diag(w, 1, ..., 1) only determinant-one base changes act, and
+    # over F_3 some orbits of these dimension vectors split in two.
+    full = lm._gl_generators
+
+    def without_diagonal(q, n):
+        return tuple(
+            (m, minv)
+            for m, minv in full(q, n)
+            if any(m[i][j] for i in range(n) for j in range(n) if i != j)
+        )
+
+    monkeypatch.setattr(lm, "_gl_generators", without_diagonal)
+    monkeypatch.setattr(lm, "_CACHE_DIR", None)
+    with pytest.raises(InvariantError):
+        lm.iso_classes.__wrapped__(lm.load_quiver(doc), gamma, 3)
 
 
 def test_oversized_sweeps_are_refused(one_vertex):
