@@ -5,7 +5,9 @@ chamber of that face's wall arrangement relative to the sub-arrangement
 cut by the source; composing means nudging out of the smaller face in
 the direction the chamber remembers, which is the first-nonzero
 composition of sign vectors. Associativity of that rule is checked
-exhaustively over every composable triple.
+exhaustively over every composable triple. The category is a
+complat.category.FiniteCategory: morphisms are indexed in sorted order,
+`by_source` lists them per source object, and `compose` reads the table.
 
 Run from the repository root:  python3 demos/03_hall_category.py
 """
@@ -44,8 +46,8 @@ def main():
     composable = [
         (i, j)
         for i, m1 in enumerate(cat.morphisms)
-        for j, m2 in enumerate(cat.morphisms)
-        if m1.target == m2.source and m1.source != m1.target != m2.target
+        for j in cat.by_source[m1.target]
+        if m1.source != m1.target != cat.morphisms[j].target
     ]
     i, j = composable[0]
     k = cat.compose(i, j)

@@ -44,13 +44,13 @@ def main():
 
     # the finite direct-sum category on tuples of dimension vectors
     cat = lm.hall_category_lms(1, 3)
-    ident = cat.identification
+    ident = lm.identification(cat.objects)
     print(
         f"\ntuple category, one vertex, total <= 3: {len(cat.objects)} objects, "
         f"{len(cat.morphisms)} morphisms"
     )
     print(
-        f"  identification hook (report only): {ident['identification_classes']} classes, "
+        f"  forgetting the order (report only): {ident['identification_classes']} classes, "
         f"{ident['would_merge']} objects would merge, applied: {ident['applied']}"
     )
 

@@ -9,7 +9,8 @@ Three subcommands over JSON documents (linear_quotient or quiver):
 Output is canonical JSON by default (sorted keys, rationals as "num/den"
 strings) and always carries the sha256 digest of the parsed input
 document. Exit codes: 0 success, 1 a verified property failed, 2 invalid
-input, 3 an enumeration cap was exceeded.
+input, 3 an enumeration cap was exceeded, 4 an internal invariant broke
+(a bug in complat, not in the input).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 from . import linmoduli as lm
 from . import stackmodel as sm
 from .arrangement import flats
-from .errors import CapExceeded, SpecError
+from .errors import CapExceeded, InvariantError, SpecError
 from .jsonio import document_digest, jsonable, load_document
 
 
@@ -189,8 +190,8 @@ def _cmd_verify(args) -> dict:
         return {**base, "q": args.q, "max_total": args.max_dim, **report}
     if args.suite == "finiteness":
         cat = lm.hall_category_lms(quiver.n_vertices, args.max_dim)
-        laws = lm.verify_lms_category(cat)
-        out = {**base, "max_total": args.max_dim, **laws, "identification": cat.identification}
+        out = {**base, "max_total": args.max_dim, **lm.verify_lms_category(cat)}
+        out["identification"] = lm.identification(cat.objects)
         out["objects"] = len(cat.objects)
         out["morphisms"] = len(cat.morphisms)
         return out
@@ -297,6 +298,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if cache:
         lm.set_cache_dir(cache)
     try:
+        for flag in ("samples", "max_dim"):
+            if getattr(args, flag, 1) < 1:
+                raise SpecError(f"--{flag.replace('_', '-')} must be at least 1")
         report = _COMMANDS[args.command](args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -304,6 +308,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"invariant broken: {exc}", file=sys.stderr)
+        return 4
     _emit(report, args.output)
     return 0 if report.get("ok", True) else 1
 

@@ -1,9 +1,9 @@
 """Shared exception types.
 
-SpecError and CapExceeded map to dedicated CLI exit codes, so library
-code raises them instead of bare ValueError whenever the condition is one
-a user can hit through an input file or a size cap. InvariantError marks
-a broken internal invariant: a bug in the library, not in the input.
+Each maps to a dedicated CLI exit code. Library code raises SpecError and
+CapExceeded instead of bare ValueError whenever the condition is one a
+user can hit through an input file or a size cap. InvariantError marks a
+broken internal invariant: a bug in the library, not in the input.
 """
 
 
@@ -16,5 +16,6 @@ class CapExceeded(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """An internal invariant a result relies on does not hold. Raised by
-    explicit checks that, unlike assert, also run under python -O."""
+    """An internal invariant a result relies on does not hold (CLI exit
+    code 4). Raised by explicit checks that, unlike assert, also run under
+    python -O."""

@@ -27,8 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from .category import FiniteCategory, check_laws
 from .errors import CapExceeded, InvariantError, SpecError
 from .jsonio import canonical_json, document_digest
 
@@ -372,21 +373,20 @@ def _primitive_element(F: GF) -> int:
 def _gl_generators(q: int, n: int) -> tuple[tuple[GFMatrix, GFMatrix], ...]:
     """A generating set of GL_n(F_q) as (matrix, inverse) pairs.
 
-    The transvections I + a*E_ij (i != j), with a running over the
-    additive basis 1, p, ..., p^(k-1) of F_q over F_p, generate SL_n(F_q);
-    diag(w, 1, ..., 1) for a primitive element w adds the determinants
-    and is left out for q = 2, where it is the identity.
+    The transvections I + E_ij (i != j) and diag(w, 1, ..., 1) for a
+    primitive element w; the diagonal is left out for q = 2, where it is
+    the identity. Conjugating I + E_1j by powers of diag(w, 1, ..., 1)
+    gives I + w^k*E_1j (likewise for E_i1), and products of these give
+    I + a*E_1j for every a in F_q, since sums of powers of w cover F_q.
+    Commutators of those give every I + a*E_ij, which generate SL_n(F_q);
+    the diagonal adds the determinants.
     """
     F = gf(q)
-    basis = [1]
-    while basis[-1] * F.p < q:
-        basis.append(basis[-1] * F.p)
     out = [
-        (_with_entry(n, i, j, a), _with_entry(n, i, j, F.neg(a)))
+        (_with_entry(n, i, j, 1), _with_entry(n, i, j, F.neg(1)))
         for i in range(n)
         for j in range(n)
         if i != j
-        for a in basis
     ]
     if n and q > 2:
         w = _primitive_element(F)
@@ -834,14 +834,7 @@ def multiset_decompositions(gamma: Sequence[int]) -> tuple[tuple[DimVector, ...]
     return tuple(sorted(rec(gamma, gamma)))
 
 
-def special_face_decompositions(gamma: Sequence[int]) -> tuple[tuple[DimVector, ...], ...]:
-    """The special faces of the stack of representations with dimension
-    vector gamma, in their combinatorial form: a face splits the
-    representation into a multiset of nonzero summands."""
-    return multiset_decompositions(gamma)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LmsMorphism:
     """An ordered refinement: for each source index, the ordered tuple of
     target indices whose dimension vectors sum to it."""
@@ -851,30 +844,13 @@ class LmsMorphism:
     orders: tuple[tuple[int, ...], ...]
 
 
-@dataclass
-class LmsCategory:
-    objects: tuple[tuple[DimVector, ...], ...]
-    morphisms: tuple[LmsMorphism, ...]
-    identities: tuple[int, ...]
-    composition: dict
-    identification: dict
-
-    def compose(self, first: int, then: int) -> int:
-        return self.composition[(first, then)]
-
-
-def hall_category_lms(
-    n_vertices: int,
-    max_total: int,
-    identify: Optional[Callable[[tuple[DimVector, ...]], object]] = None,
-) -> LmsCategory:
+def hall_category_lms(n_vertices: int, max_total: int) -> FiniteCategory:
     """The category of ordered tuples of nonzero dimension vectors with
     total dimension at most max_total.
 
     A morphism refines each source entry into an ordered run of target
-    entries; composition concatenates runs. Objects are never merged; the
-    identification report says how many objects the `identify` key (by
-    default: forgetting the order of the tuple) would merge.
+    entries; composition concatenates runs. Objects are never merged;
+    `identification` reports how many of them forgetting order would merge.
     """
     vectors = [v for t in range(1, max_total + 1) for v in dim_vectors(n_vertices, t)]
     vectors = [v for v in vectors if any(v)]
@@ -905,55 +881,34 @@ def hall_category_lms(
                     continue
                 for orders in itertools.product(*(itertools.permutations(blk) for blk in blocks)):
                     morphisms.append(LmsMorphism(si, ti, tuple(orders)))
-    morphisms.sort(key=lambda m: (m.source, m.target, m.orders))
-    index = {(m.source, m.target, m.orders): i for i, m in enumerate(morphisms)}
 
-    identities = tuple(
-        index[(oi, oi, tuple((j,) for j in range(len(obj))))] for oi, obj in enumerate(objects)
+    def compose(m1: LmsMorphism, m2: LmsMorphism) -> LmsMorphism:
+        orders = tuple(tuple(k for jj in blk for k in m2.orders[jj]) for blk in m1.orders)
+        return LmsMorphism(m1.source, m2.target, orders)
+
+    return FiniteCategory.build(
+        objects,
+        morphisms,
+        lambda oi: LmsMorphism(oi, oi, tuple((j,) for j in range(len(objects[oi])))),
+        compose,
     )
 
-    composition: dict = {}
-    for i, m1 in enumerate(morphisms):
-        for j, m2 in enumerate(morphisms):
-            if m1.target != m2.source:
-                continue
-            orders = tuple(
-                tuple(k for jj in blk for k in m2.orders[jj]) for blk in m1.orders
-            )
-            composition[(i, j)] = index[(m1.source, m2.target, orders)]
 
-    key = identify if identify is not None else (lambda obj: tuple(sorted(obj)))
-    classes = len({key(o) for o in objects})
-    identification = {
+def identification(objects: Sequence[tuple[DimVector, ...]]) -> dict:
+    """How many of the tuple category's objects forgetting the order of a
+    tuple would merge. Reported only: the category never merges them."""
+    classes = len({tuple(sorted(obj)) for obj in objects})
+    return {
         "objects": len(objects),
         "identification_classes": classes,
         "would_merge": len(objects) - classes,
         "applied": False,
     }
-    return LmsCategory(tuple(objects), tuple(morphisms), identities, composition, identification)
 
 
-def verify_lms_category(cat: LmsCategory) -> dict:
+def verify_lms_category(cat: FiniteCategory) -> dict:
     """Exhaustive unit and associativity check of the refinement category."""
-    for i, m in enumerate(cat.morphisms):
-        if cat.compose(cat.identities[m.source], i) != i:
-            return {"ok": False, "law": "left unit", "morphism": i}
-        if cat.compose(i, cat.identities[m.target]) != i:
-            return {"ok": False, "law": "right unit", "morphism": i}
-    triples = 0
-    for (i, j), ij in cat.composition.items():
-        for k, m3 in enumerate(cat.morphisms):
-            if m3.source != cat.morphisms[j].target:
-                continue
-            triples += 1
-            if cat.compose(ij, k) != cat.compose(i, cat.compose(j, k)):
-                return {"ok": False, "law": "associativity", "triple": (i, j, k)}
-    return {
-        "ok": True,
-        "objects": len(cat.objects),
-        "morphisms": len(cat.morphisms),
-        "triples": triples,
-    }
+    return check_laws(cat)
 
 
 # -- cross-model comparison ---------------------------------------------------------

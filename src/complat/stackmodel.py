@@ -49,6 +49,7 @@ from .arrangement import (
     sign_vector_of,
     witness_point,
 )
+from .category import FiniteCategory, check_laws
 from .errors import CapExceeded, SpecError
 from .qlinalg import (
     IntVec,
@@ -486,10 +487,12 @@ def constancy_check(
     that the graded and filtered signatures are constant on it.
 
     Points are strictly positive rational combinations of the chamber's
-    pointed extreme rays plus arbitrary lineality components, with
-    coefficients from a seeded PRNG over denominators <= 64. Every
-    constraint covector vanishes on the lineality, so such points are
-    always interior. Returns a JSON-able report.
+    pointed extreme rays plus lineality components with a random sign,
+    with coefficients from a seeded PRNG over numerators and denominators
+    in [1, 64]. Every constraint covector vanishes on the lineality, so
+    such points are always interior; no coefficient is zero, so a chamber
+    that is pure lineality never yields the origin. Returns a JSON-able
+    report.
     """
     carrier = flat.subspace
     arr_f = restrict(global_arrangement(spec), carrier)
@@ -517,7 +520,7 @@ def constancy_check(
                 for j, x in enumerate(r):
                     v[j] += c * x
             for b in lin_basis:
-                c = Fraction(rng.randint(-64, 64), rng.randint(1, 64))
+                c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 64), rng.randint(1, 64))
                 for j, x in enumerate(b):
                     v[j] += c * x
             v = tuple(v)
@@ -563,7 +566,7 @@ def surjection_invariance_check(
 # -- Hall category -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HallMorphism:
     """A morphism of the Hall category: a Weyl-twisted embedding of one
     special-face representative in another, together with a chamber of the
@@ -581,22 +584,11 @@ class HallMorphism:
     sub_covectors: tuple[IntVec, ...]
 
 
-@dataclass
-class HallCategory:
-    objects: tuple[FaceOrbit, ...]
-    morphisms: tuple[HallMorphism, ...]
-    identities: tuple[int, ...]
-    composition: dict[tuple[int, int], int]
-
-    def compose(self, first: int, then: int) -> int:
-        return self.composition[(first, then)]
-
-
 def _identity_rows(k: int) -> tuple[Vec, ...]:
     return tuple(tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
 
 
-def hall_category(spec: QuotientStackSpec) -> HallCategory:
+def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
     """The category of special-face orbits.
 
     Morphisms A -> B: an embedding matrix (image of A's representative
@@ -618,33 +610,19 @@ def hall_category(spec: QuotientStackSpec) -> HallCategory:
                 continue
             embeddings = set()
             for g in spec.weyl_group:
-                rows = []
-                for v in a.basis:
-                    c = b.coords_in(mat_vec(g, v))
-                    if c is None:
-                        break
-                    rows.append(c)
-                else:
-                    embeddings.add(tuple(rows))
+                rows = tuple(b.coords_in(mat_vec(g, v)) for v in a.basis)
+                if None not in rows:
+                    embeddings.add(rows)
             for emb in sorted(embeddings):
                 sub = tuple(w for w in cot[ti].covectors if all(dot(w, row) == 0 for row in emb))
                 for ch in chambers(HyperplaneArrangement(sub, b.dim)):
                     morphisms.append(HallMorphism(si, ti, emb, ch, sub))
-    morphisms.sort(key=lambda m: (m.source, m.target, m.embedding, m.chamber))
-    index = {(m.source, m.target, m.embedding, m.chamber): i for i, m in enumerate(morphisms)}
-
-    identities = tuple(index[(oi, oi, _identity_rows(s.dim), ())] for oi, s in enumerate(reps))
-
-    composition: dict[tuple[int, int], int] = {}
-    for i, m1 in enumerate(morphisms):
-        for j, m2 in enumerate(morphisms):
-            if m1.target != m2.source:
-                continue
-            c = _compose_morphisms(m1, m2, cot[m2.target])
-            k = index.get((c.source, c.target, c.embedding, c.chamber))
-            assert k is not None, "composite fell outside the morphism set"
-            composition[(i, j)] = k
-    return HallCategory(objects, tuple(morphisms), identities, composition)
+    return FiniteCategory.build(
+        objects,
+        morphisms,
+        lambda oi: HallMorphism(oi, oi, _identity_rows(reps[oi].dim), (), ()),
+        lambda m1, m2: _compose_morphisms(m1, m2, cot[m2.target]),
+    )
 
 
 def _compose_morphisms(
@@ -667,41 +645,13 @@ def _compose_morphisms(
     return HallMorphism(m1.source, m2.target, emb, tuple(signs), sub)
 
 
-def verify_hall_category(cat: HallCategory) -> dict:
+def verify_hall_category(cat: FiniteCategory) -> dict:
     """Exhaustively check unit laws and associativity of the table."""
-    pairs = 0
-    triples = 0
-    for (i, j), k in cat.composition.items():
-        pairs += 1
-        assert cat.morphisms[k].source == cat.morphisms[i].source
-        assert cat.morphisms[k].target == cat.morphisms[j].target
-    for i, m1 in enumerate(cat.morphisms):
-        if cat.compose(cat.identities[m1.source], i) != i:
-            return {"ok": False, "law": "left unit", "morphism": i}
-        if cat.compose(i, cat.identities[m1.target]) != i:
-            return {"ok": False, "law": "right unit", "morphism": i}
-        for j, m2 in enumerate(cat.morphisms):
-            if m1.target != m2.source:
-                continue
-            ij = cat.compose(i, j)
-            for k, m3 in enumerate(cat.morphisms):
-                if m2.target != m3.source:
-                    continue
-                triples += 1
-                if cat.compose(ij, k) != cat.compose(i, cat.compose(j, k)):
-                    return {"ok": False, "law": "associativity", "triple": (i, j, k)}
-    return {
-        "ok": True,
-        "objects": len(cat.objects),
-        "morphisms": len(cat.morphisms),
-        "pairs": pairs,
-        "triples": triples,
-    }
+    return {**check_laws(cat), "pairs": len(cat.composition)}
 
 
-def _morphism_cone_ambient(cat: HallCategory, idx: int) -> tuple[IntVec, ...]:
+def _morphism_cone_ambient(cat: FiniteCategory, m: HallMorphism) -> tuple[IntVec, ...]:
     """Extreme rays, in Q^rank, of a morphism's closed chamber cone."""
-    m = cat.morphisms[idx]
     carrier = cat.objects[m.target].flat.subspace
     rays = rays_of_constraints(
         [], [vec_scale(s, w) for w, s in zip(m.sub_covectors, m.chamber)], carrier.dim
@@ -709,7 +659,7 @@ def _morphism_cone_ambient(cat: HallCategory, idx: int) -> tuple[IntVec, ...]:
     return tuple(sorted(primitive(carrier.lift(qvec(r))) for r in rays))
 
 
-def hall_composition_weight_identity(spec: QuotientStackSpec, cat: HallCategory) -> bool:
+def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategory) -> bool:
     """Check, on every composable pair, that the composite's one-sided
     tangent data splits into the part the first chamber sees and the part
     that degenerates to the second:
@@ -719,17 +669,18 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: HallCategory)
 
     as multisets of weights, and likewise for roots.
     """
+    cones = [_morphism_cone_ambient(cat, m) for m in cat.morphisms]
     for (i, j), k in cat.composition.items():
         m2 = cat.morphisms[j]
         mid_carrier = cat.objects[cat.morphisms[i].target].flat.subspace
         out_carrier = cat.objects[m2.target].flat.subspace
         pushed = []
-        for r in _morphism_cone_ambient(cat, i):
+        for r in cones[i]:
             c = mid_carrier.coords_in(qvec(r))
             assert c is not None
             pushed.append(out_carrier.lift(covector_times_mat(c, m2.embedding)))
-        second = _morphism_cone_ambient(cat, j)
-        comp = _morphism_cone_ambient(cat, k)
+        second = cones[j]
+        comp = cones[k]
 
         def split_ok(vectors) -> bool:
             whole = Counter(v for v in vectors if all(dot(v, r) >= 0 for r in comp))

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from complat import linmoduli as lm
+from complat import stackmodel as sm
 from complat.cli import main
+from complat.errors import InvariantError
 from complat.jsonio import canonical_json, document_digest, jsonable
 
 REPO = Path(__file__).resolve().parent.parent
@@ -243,6 +245,33 @@ def test_suite_and_document_type_must_agree(capsys, spec, suite):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "a1_gm.json", "--suite", "constancy", "--samples", 0),
+        ("verify", "a1_gm.json", "--suite", "constancy", "--samples", -5),
+        ("verify", "one_vertex.json", "--suite", "associativity", "--max-dim", 0),
+        ("verify", "one_vertex.json", "--suite", "finiteness", "--max-dim", -1),
+        ("verify", "a2_quiver.json", "--suite", "crosscheck", "--max-dim", 0),
+        ("faces", "a2_quiver.json", "--max-dim", -1),
+    ],
+)
+def test_requests_that_would_check_nothing_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], SPECS / argv[1], *argv[2:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "must be at least 1" in err
+
+
+def test_a_broken_invariant_exits_4(capsys, monkeypatch):
+    def broken(spec):
+        raise InvariantError("composite fell outside the morphism set")
+
+    monkeypatch.setattr(sm, "hall_category", broken)
+    code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "hall")
+    assert code == 4 and out == ""
+    assert err == "invariant broken: composite fell outside the morphism set\n"
+
+
 def test_unreadable_and_malformed_documents_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "faces", SPECS / "missing.json")
     assert code == 2 and "cannot read" in err
@@ -337,3 +366,36 @@ def test_subprocess_output_is_stable_across_processes():
     second = spawn(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# -- the external tracer of the benchmark ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,triples_key",
+    [
+        (("specs/a2_gl2.json", "--suite", "hall"), "stackmodel.verify_hall_category.triples"),
+        (
+            ("specs/one_vertex.json", "--suite", "finiteness", "--max-dim", "3"),
+            "linmoduli.verify_lms_category.triples",
+        ),
+    ],
+)
+def test_the_benchmark_tracer_still_hooks_both_categories(tmp_path, argv, triples_key):
+    # perfbench/tracer.py wraps hall_category, verify_hall_category,
+    # hall_category_lms and verify_lms_category by name and counts triples
+    # from the verifiers' reports
+    out = tmp_path / "trace.json"
+    result = subprocess.run(
+        [sys.executable, "perfbench/tracer.py", str(out), "0", "--", "verify", *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    laws = report.get("category", report)
+    counters = json.loads(out.read_text())["counters"]
+    assert laws["triples"] > 0
+    assert counters[triples_key] == laws["triples"]

@@ -5,13 +5,15 @@ small examples (two weights and one root pair in rank 2, one weight in
 rank 1, the rank-3 root arrangement) before the implementation existed.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complat.arrangement import cells, chambers, sign_vector_of, witness_point
+from complat.arrangement import cells, chambers, flats, sign_vector_of, witness_point
 from complat.errors import SpecError
 from complat.qlinalg import mat_vec, qvec, span
 from complat.stackmodel import (
@@ -31,6 +33,8 @@ from complat.stackmodel import (
     special_face_closure,
     surjection_invariance_check,
 )
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 A2_GL2 = {
     "type": "linear_quotient",
@@ -391,6 +395,19 @@ def test_constancy_on_the_rank3_mixed_example():
     assert full.dim == 3
     report = constancy_check(spec, full.flat, samples=15, seed=3)
     assert report["ok"]
+
+
+@pytest.mark.parametrize(
+    "name", ["a1_gm", "a2_gl2", "b_gl2", "b_gl3", "b_gl4", "b_gm", "rank3_mixed"]
+)
+def test_constancy_never_raises_a_false_alarm_on_the_shipped_specs(name):
+    # chambers that are pure lineality once sampled the origin whenever
+    # every lineality coefficient came out zero (seeds 0, 2, 4, 5 on b_*)
+    spec = load_spec(json.loads((SPECS / f"{name}.json").read_text()))
+    for seed in range(6):
+        for fl in flats(global_arrangement(spec)):
+            report = constancy_check(spec, fl, samples=50, seed=seed)
+            assert report["ok"], (seed, report["discrepancies"])
 
 
 # -- determinism ------------------------------------------------------------------
