@@ -5,24 +5,27 @@ it live:
 
 - sign vectors and the (finitely many) realizable cells,
 - flats (intersections of hyperplanes) with maximal hyperplane sets,
-- closed polyhedral cones cut out by covector constraints, held in both
-  descriptions at once: saturated constraint sets and extreme rays,
+- closed polyhedral cones, held in both descriptions at once: saturated
+  constraint sets and extreme rays,
 - the Tits composition x ↑ y of sign vectors.
 
-Cone conversion between constraints and rays is the classical incremental
-double description method, run on Fractions so every answer is exact. The
-lineality part of a cone is returned as +/- pairs of rays; the pointed
-part is extreme modulo lineality and reduced to a canonical representative,
-so two equal cones always carry the identical ray tuple.
+Every cone takes one path. The kernel dd_cone, the classical incremental
+double description method run on Fractions, turns constraints into a
+lineality basis and pointed rays. canonical_rays turns those into the
+canonical extreme-ray tuple: lineality as +/- pairs, pointed rays reduced
+modulo lineality, so two equal cones always carry the identical tuple.
+rays_of_constraints is these two steps in one. saturated_cone tests every
+covector of an arrangement against the rays and returns the ArrCone.
+split_rays and signed_constraints translate between ray tuples, sign
+vectors and constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InvariantError
 from .qlinalg import (
     IntVec,
     Scalar,
@@ -38,6 +41,7 @@ from .qlinalg import (
     span,
     vec_neg,
     vec_scale,
+    vec_str,
     vec_sub,
     zero_vec,
 )
@@ -268,8 +272,9 @@ def _adjacent_combos(a: Vec, pos: list[Vec], neg: list[Vec], rays: list[Vec], ti
     return combos
 
 
-def _canonical_ray_form(lin: list[Vec], rays: list[Vec], dim: int) -> tuple[tuple[IntVec, ...], Subspace]:
-    """Canonical extreme-ray tuple: +/- primitive lineality basis rows plus
+def canonical_rays(lin: Sequence[Vec], rays: Sequence[Vec], dim: int) -> tuple[IntVec, ...]:
+    """Canonical extreme-ray tuple of span(lin) + cone(rays), for rays
+    irredundant modulo span(lin): +/- primitive lineality basis rows plus
     pointed rays reduced modulo the lineality space, sorted."""
     lspace = span(lin, dim)
     out: set[IntVec] = set()
@@ -279,9 +284,41 @@ def _canonical_ray_form(lin: list[Vec], rays: list[Vec], dim: int) -> tuple[tupl
         out.add(vec_neg(p))
     for r in rays:
         rr = lspace.reduce(r)
-        assert not is_zero_vec(rr), "pointed ray collapsed into the lineality space"
+        if is_zero_vec(rr):
+            raise InvariantError(
+                f"pointed ray {vec_str(r)} of rays {vec_str(*rays)} collapsed "
+                f"into the lineality space spanned by {vec_str(*lspace.basis)}"
+            )
         out.add(primitive(rr))
-    return tuple(sorted(out)), lspace
+    return tuple(sorted(out))
+
+
+def rays_of_constraints(
+    equalities: Sequence[Sequence[Scalar]],
+    inequalities: Sequence[Sequence[Scalar]],
+    dim: int,
+) -> tuple[IntVec, ...]:
+    """Canonical extreme-ray tuple of {v : a.v = 0 for equalities,
+    a.v >= 0 for inequalities}. The functionals are raw, so they need not
+    be covectors of an arrangement."""
+    return canonical_rays(*dd_cone(equalities, inequalities, dim), dim)
+
+
+def split_rays(rays: Sequence[IntVec]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """(lineality, pointed) parts of a canonical ray tuple: a ray whose
+    negative is also present spans lineality."""
+    present = set(rays)
+    lin = tuple(r for r in rays if vec_neg(r) in present)
+    return lin, tuple(r for r in rays if vec_neg(r) not in present)
+
+
+def signed_constraints(
+    covectors: Sequence[IntVec], signs: Sequence[int]
+) -> tuple[list[IntVec], list[Vec]]:
+    """(equalities, inequalities) of the closed cell with the given signs:
+    w = 0 where the sign is 0, s * w >= 0 elsewhere."""
+    eqs = [w for w, s in zip(covectors, signs) if s == 0]
+    return eqs, [vec_scale(s, w) for w, s in zip(covectors, signs) if s != 0]
 
 
 @dataclass(frozen=True)
@@ -302,13 +339,11 @@ class ArrCone:
 
     @property
     def lineality_rays(self) -> tuple[IntVec, ...]:
-        rays = set(self.extreme_rays)
-        return tuple(r for r in self.extreme_rays if vec_neg(r) in rays)
+        return split_rays(self.extreme_rays)[0]
 
     @property
     def pointed_rays(self) -> tuple[IntVec, ...]:
-        rays = set(self.extreme_rays)
-        return tuple(r for r in self.extreme_rays if vec_neg(r) not in rays)
+        return split_rays(self.extreme_rays)[1]
 
     def contains_point(self, arr: HyperplaneArrangement, v: Sequence[Scalar]) -> bool:
         return all(dot(arr.covectors[i], v) == 0 for i in self.zero_set) and all(
@@ -316,7 +351,10 @@ class ArrCone:
         )
 
 
-def _saturate(arr: HyperplaneArrangement, rays: tuple[IntVec, ...]) -> tuple[IntVec, tuple[tuple[int, int], ...]]:
+def saturated_cone(arr: HyperplaneArrangement, rays: Sequence[IntVec]) -> ArrCone:
+    """ArrCone of the cone generated by canonical rays (as produced by
+    canonical_rays or rays_of_constraints). Every covector is tested
+    against every ray, so the constraint sets come out saturated."""
     zero, nn = [], []
     for i, w in enumerate(arr.covectors):
         vals = [dot(w, r) for r in rays]
@@ -326,66 +364,10 @@ def _saturate(arr: HyperplaneArrangement, rays: tuple[IntVec, ...]) -> tuple[Int
             nn.append((i, 1))
         elif all(v <= 0 for v in vals):
             nn.append((i, -1))
-    return tuple(zero), tuple(nn)
-
-
-def cone_from_signed_constraints(
-    arr: HyperplaneArrangement,
-    zero_idx: Iterable[int],
-    nonneg_pairs: Iterable[tuple[int, int]],
-) -> ArrCone:
-    """Cone {v : w_i.v = 0 (i in zero), s*w_i.v >= 0 ((i,s) in pairs)},
-    saturated against the whole arrangement."""
-    eqs = [arr.covectors[i] for i in zero_idx]
-    ineqs = [vec_scale(s, arr.covectors[i]) for i, s in nonneg_pairs]
-    lin, rays = dd_cone(eqs, ineqs, arr.dim)
-    canon, lspace = _canonical_ray_form(lin, rays, arr.dim)
-    zero, nn = _saturate(arr, canon)
-    d = span(canon, arr.dim).dim
-    return ArrCone(zero, nn, canon, d)
-
-
-def cone_from_constraints(
-    arr: HyperplaneArrangement,
-    zero_set: Iterable[int],
-    nonneg_set: Iterable[int | tuple[int, int]],
-) -> ArrCone:
-    """Public constraint form: bare indices mean the canonical covector
-    taken with + sign; (index, sign) pairs flip it."""
-    pairs = []
-    for item in nonneg_set:
-        if isinstance(item, tuple):
-            pairs.append(item)
-        else:
-            pairs.append((item, 1))
-    return cone_from_signed_constraints(arr, zero_set, pairs)
-
-
-def minimal_cone_containing(arr: HyperplaneArrangement, rays: Sequence[Sequence[Scalar]]) -> ArrCone:
-    """Smallest cone of the +/- half-space arrangement containing the rays.
-
-    Every covector pairing >= 0 (either sign) with all input rays becomes a
-    constraint; covectors vanishing on all rays become equalities.
-    """
-    zero, pairs = [], []
-    for i, w in enumerate(arr.covectors):
-        vals = [dot(w, r) for r in rays]
-        if all(v == 0 for v in vals):
-            zero.append(i)
-        elif all(v >= 0 for v in vals):
-            pairs.append((i, 1))
-        elif all(v <= 0 for v in vals):
-            pairs.append((i, -1))
-    return cone_from_signed_constraints(arr, zero, pairs)
+    return ArrCone(tuple(zero), tuple(nn), tuple(rays), span(rays, arr.dim).dim)
 
 
 # -- cells -------------------------------------------------------------------
-
-
-def _cell_dd(covectors: Sequence[IntVec], s: SignVector, dim: int):
-    eqs = [w for w, si in zip(covectors, s) if si == 0]
-    ineqs = [vec_scale(si, w) for w, si in zip(covectors, s) if si != 0]
-    return dd_cone(eqs, ineqs, dim)
 
 
 def _strict_witness(covectors: Sequence[IntVec], s: SignVector, dim: int) -> Optional[Vec]:
@@ -395,21 +377,14 @@ def _strict_witness(covectors: Sequence[IntVec], s: SignVector, dim: int) -> Opt
     cell is nonempty iff every strict constraint is positive on some extreme
     ray, and then the sum of the pointed rays is a witness.
     """
-    lin, rays = _cell_dd(covectors, s, dim)
-    canon, lspace = _canonical_ray_form(lin, rays, dim)
-    pointed = []
-    seen = set(canon)
-    for r in canon:
-        if vec_neg(r) not in seen:
-            pointed.append(r)
+    _, pointed = split_rays(rays_of_constraints(*signed_constraints(covectors, s), dim))
     for w, si in zip(covectors, s):
         if si != 0 and not any(si * dot(w, r) > 0 for r in pointed):
             return None
-    total = zero_vec(dim)
-    for r in pointed:
-        total = tuple(a + b for a, b in zip(total, qvec(r)))
-    for w, si in zip(covectors, s):
-        assert sign(dot(w, total)) == si
+    total = qvec(map(sum, zip(*pointed))) if pointed else zero_vec(dim)
+    got = tuple(sign(dot(w, total)) for w in covectors)
+    if got != tuple(s):
+        raise InvariantError(f"witness {vec_str(total)} of sign vector {s} has signs {got}")
     return total
 
 
@@ -460,33 +435,6 @@ def witness_point(arr: HyperplaneArrangement, s: SignVector) -> Vec:
     if w is None:
         raise ValueError(f"sign vector {s} is not realizable")
     return w
-
-
-def rays_of_constraints(
-    equalities: Sequence[Sequence[Scalar]],
-    inequalities: Sequence[Sequence[Scalar]],
-    dim: int,
-) -> tuple[IntVec, ...]:
-    """Canonical extreme-ray tuple of the cone cut by raw functionals.
-
-    Unlike cone_from_constraints this takes the functionals themselves, so
-    callers can impose constraints that are not covectors of an arrangement
-    (or carry signs of their own).
-    """
-    lin, rays = dd_cone(equalities, inequalities, dim)
-    canon, _ = _canonical_ray_form(lin, rays, dim)
-    return canon
-
-
-def saturated_cone(arr: HyperplaneArrangement, rays: Sequence[IntVec]) -> ArrCone:
-    """ArrCone description of the cone generated by canonical rays.
-
-    The rays must already be the canonical extreme-ray form of their cone
-    (as produced by rays_of_constraints); this only fills in the maximal
-    constraint sets relative to the arrangement.
-    """
-    zero, nn = _saturate(arr, tuple(rays))
-    return ArrCone(zero, nn, tuple(rays), span(rays, arr.dim).dim)
 
 
 # -- Tits composition --------------------------------------------------------

@@ -47,10 +47,6 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
     return total
 
 
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
 
@@ -62,6 +58,11 @@ def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
 
 def vec_neg(v: Sequence[Scalar]) -> tuple:
     return tuple(-x for x in v)
+
+
+def vec_str(*vecs: Sequence[Scalar]) -> str:
+    """Readable form of vectors for error messages, e.g. (1, -2/3), (0, 1)."""
+    return ", ".join("(" + ", ".join(map(str, v)) + ")" for v in vecs)
 
 
 def is_zero_vec(v: Sequence[Scalar]) -> bool:
@@ -85,11 +86,7 @@ def primitive(entries: Sequence[Scalar]) -> IntVec:
 
 def canonical_covector(entries: Sequence[Scalar]) -> IntVec:
     """Primitive integer form with the first nonzero entry positive."""
-    p = primitive(entries)
-    for x in p:
-        if x != 0:
-            return p if x > 0 else vec_neg(p)
-    raise ValueError("unreachable: zero covector")  # pragma: no cover
+    return canonical_covector_signed(entries)[0]
 
 
 def canonical_covector_signed(entries: Sequence[Scalar]) -> tuple[IntVec, int]:

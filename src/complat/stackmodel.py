@@ -38,19 +38,21 @@ from .arrangement import (
     Flat,
     HyperplaneArrangement,
     SignVector,
+    canonical_rays,
     cells,
     chambers,
     flats,
-    minimal_cone_containing,
     minimal_flat_containing,
     rays_of_constraints,
     restrict,
     saturated_cone,
     sign_vector_of,
+    signed_constraints,
+    split_rays,
     witness_point,
 )
 from .category import FiniteCategory, check_laws
-from .errors import CapExceeded, SpecError
+from .errors import CapExceeded, InvariantError, SpecError
 from .qlinalg import (
     IntVec,
     Scalar,
@@ -68,7 +70,7 @@ from .qlinalg import (
     qvec,
     span,
     vec_neg,
-    vec_scale,
+    vec_str,
 )
 
 WEYL_CAP = 100_000
@@ -233,8 +235,11 @@ class AttractorSignature:
     def __post_init__(self):
         fixed = Counter(self.levi_part.fixed_weights)
         attr = Counter(self.attractor_weights)
-        assert not fixed - attr, "fixed weights of the span must attract"
-        assert set(self.levi_part.levi_roots) <= set(self.parabolic_roots)
+        if fixed - attr or not set(self.levi_part.levi_roots) <= set(self.parabolic_roots):
+            raise InvariantError(
+                f"cone with rays {self.ambient_rays}: a weight or root vanishing on its span "
+                "is missing from its attractor or parabolic"
+            )
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +325,8 @@ def enumerate_special_faces(spec: QuotientStackSpec) -> tuple[FaceOrbit, ...]:
         seen.update(orbit)
         rep = orbit[0]
         rep_flat = minimal_flat_containing(arr, rep)
-        assert rep_flat.subspace == rep, "weyl image of a flat must be a flat"
+        if rep_flat.subspace != rep:
+            raise InvariantError(f"weyl image {vec_str(*rep.basis)} of a flat is not a flat")
         orbits.append(FaceOrbit(rep_flat, len(orbit), component_signature(spec, rep)))
     orbits.sort(key=lambda o: (-o.dim, _subspace_key(o.flat.subspace)))
     return tuple(orbits)
@@ -340,7 +346,8 @@ def cell_orbits(spec: QuotientStackSpec) -> tuple[tuple[SignVector, ...], ...]:
             continue
         point = witness_point(arr, s)
         orbit = {sign_vector_of(arr, mat_vec(g, point)) for g in spec.weyl_group}
-        assert s in orbit, "identity must fix the cell"
+        if s not in orbit:
+            raise InvariantError(f"cell {s} is not in its own orbit (witness {vec_str(point)})")
         seen.update(orbit)
         orbits.append(tuple(sorted(orbit)))
     return tuple(sorted(orbits, key=lambda o: (len(o), o)))
@@ -374,17 +381,17 @@ def special_cone_closure(
     rays = [qvec(r) for r in rays]
     flat = special_face_closure(spec, Face.from_vectors(rays, spec.rank))
     carrier = flat.subspace
-    coords = []
-    for r in rays:
-        c = carrier.coords_in(r)
-        assert c is not None, "closure must contain the rays"
-        coords.append(c)
+    coords = [carrier.coords_in(r) for r in rays]
+    if None in coords:
+        raise InvariantError(f"closure {vec_str(*carrier.basis)} misses rays {vec_str(*rays)}")
     ineqs = []
     for l in _signed_restrictions(spec, carrier):
         vals = [dot(l, c) for c in coords]
-        assert any(vals) or not any(any(c) for c in coords), (
-            "restricted functional vanishing on the rays contradicts flat minimality"
-        )
+        if not any(vals) and any(any(c) for c in coords):
+            raise InvariantError(
+                f"restricted functional {l} vanishes on rays {vec_str(*rays)}, "
+                "so their special face closure is not minimal"
+            )
         if all(v >= 0 for v in vals):
             ineqs.append(l)
     cone_rays = rays_of_constraints([], ineqs, carrier.dim)
@@ -419,16 +426,15 @@ class ConeOrbit:
 def _act_cone(
     spec: QuotientStackSpec, ambient_rays: tuple[IntVec, ...], g: Matrix
 ) -> tuple[IntVec, ...]:
-    """Canonical ambient rays of the image cone. Mapping rays pointwise is
-    not enough: the canonical form reduces pointed rays mod lineality, so
-    the image set must be re-canonicalized through its own carrier."""
+    """Canonical ambient rays of the image cone. g permutes the weights and
+    roots (load_spec checks it), so the moved rays are the image's extreme
+    rays; only their reduction mod lineality is redone, in their carrier."""
     if not ambient_rays:
         return ambient_rays
     moved = [mat_vec(g, r) for r in ambient_rays]
     carrier = span(moved, spec.rank)
-    arr_f = restrict(global_arrangement(spec), carrier)
-    cone = minimal_cone_containing(arr_f, [carrier.coords_in(v) for v in moved])
-    return tuple(sorted(primitive(carrier.lift(r)) for r in cone.extreme_rays))
+    rays = canonical_rays(*split_rays([carrier.coords_in(v) for v in moved]), carrier.dim)
+    return tuple(sorted(primitive(carrier.lift(r)) for r in rays))
 
 
 def enumerate_special_cones(
@@ -463,12 +469,14 @@ def enumerate_special_cones(
         if ambient in seen:
             continue
         orbit = {_act_cone(spec, ambient, g) for g in spec.weyl_group}
-        assert orbit <= set(found), "weyl image of a special cone must be special"
+        if not orbit <= set(found):
+            raise InvariantError(f"a weyl image of the special cone with rays {ambient} is not special")
         seen.update(orbit)
         rep = min(orbit)
         rep_rays = [qvec(r) for r in rep] or [qvec((0,) * spec.rank)]
         sig = special_cone_closure(spec, rep_rays)
-        assert sig.ambient_rays == rep, "a special cone is the closure of its own rays"
+        if sig.ambient_rays != rep:
+            raise InvariantError(f"special cone with rays {rep} has closure rays {sig.ambient_rays}")
         orbits.append(ConeOrbit(sig, len(orbit)))
     orbits.sort(key=lambda o: (-o.dim, o.signature.ambient_rays))
     return tuple(orbits)
@@ -505,12 +513,10 @@ def constancy_check(
         "discrepancies": [],
     }
     for ch in chambers(arr_f):
-        cone_rays = rays_of_constraints(
-            [], [vec_scale(s, w) for w, s in zip(arr_f.covectors, ch)], carrier.dim
+        lin, pointed = split_rays(
+            rays_of_constraints(*signed_constraints(arr_f.covectors, ch), carrier.dim)
         )
-        ray_set = set(cone_rays)
-        pointed = [r for r in cone_rays if vec_neg(r) not in ray_set]
-        lin_basis = [r for r in cone_rays if vec_neg(r) in ray_set and r < vec_neg(r)]
+        lin_basis = [r for r in lin if r < vec_neg(r)]
         seen_comp: set[ComponentSignature] = set()
         seen_attr: set[AttractorSignature] = set()
         for _ in range(samples):
@@ -524,7 +530,8 @@ def constancy_check(
                 for j, x in enumerate(b):
                     v[j] += c * x
             v = tuple(v)
-            assert sign_vector_of(arr_f, v) == ch, "interior sample left its chamber"
+            if sign_vector_of(arr_f, v) != ch:
+                raise InvariantError(f"sample {vec_str(v)} left chamber {ch} of flat {flat.hyperplanes}")
             p = carrier.lift(v)
             seen_comp.add(component_signature(spec, span([p], spec.rank)))
             seen_attr.add(special_cone_closure(spec, [p]))
@@ -653,9 +660,7 @@ def verify_hall_category(cat: FiniteCategory) -> dict:
 def _morphism_cone_ambient(cat: FiniteCategory, m: HallMorphism) -> tuple[IntVec, ...]:
     """Extreme rays, in Q^rank, of a morphism's closed chamber cone."""
     carrier = cat.objects[m.target].flat.subspace
-    rays = rays_of_constraints(
-        [], [vec_scale(s, w) for w, s in zip(m.sub_covectors, m.chamber)], carrier.dim
-    )
+    rays = rays_of_constraints(*signed_constraints(m.sub_covectors, m.chamber), carrier.dim)
     return tuple(sorted(primitive(carrier.lift(qvec(r))) for r in rays))
 
 
@@ -677,7 +682,8 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
         pushed = []
         for r in cones[i]:
             c = mid_carrier.coords_in(qvec(r))
-            assert c is not None
+            if c is None:
+                raise InvariantError(f"ray {r} of morphism {i} lies outside its target flat")
             pushed.append(out_carrier.lift(covector_times_mat(c, m2.embedding)))
         second = cones[j]
         comp = cones[k]

@@ -42,6 +42,34 @@ def brute_force_pointed_rays(eqs, ineqs, dim):
     return found, lin
 
 
+def zaslavsky_face_count(covectors, dim):
+    """Number of relatively open cells of a central arrangement, from its
+    lattice of flats alone (Zaslavsky 1975).
+
+    The flats are the kernels of every subset of covectors, each keyed by
+    the set of covectors vanishing on it. The regions of the restriction to
+    a flat X number the sum of |mu(X, Y)| over the flats Y inside X, and
+    every cell is a region of the restriction to its own span.
+    """
+    covectors = [tuple(w) for w in covectors]
+    flats = set()
+    for size in range(len(covectors) + 1):
+        for subset in combinations(covectors, size):
+            basis = kernel(list(subset), dim).basis
+            through = (i for i, w in enumerate(covectors) if all(dot(w, b) == 0 for b in basis))
+            flats.add(frozenset(through))
+    # Y lies inside X iff every hyperplane through X passes through Y
+    order = sorted(flats, key=len)
+    total = 0
+    for x in order:
+        mu = {}
+        for y in order:
+            if x <= y:
+                mu[y] = 1 if y == x else -sum(m for z, m in mu.items() if z < y)
+        total += sum(abs(m) for m in mu.values())
+    return total
+
+
 def gaussian_binomial(n, k, q):
     """Number of k-dim subspaces of F_q^n, by the product formula."""
     if k < 0 or k > n:

@@ -1,27 +1,33 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import complat.arrangement as arrangement
 from complat.arrangement import (
+    canonical_rays,
     cells,
     chambers,
-    cone_from_constraints,
     dd_cone,
     flats,
     from_vectors,
-    minimal_cone_containing,
     minimal_flat_containing,
+    rays_of_constraints,
     realizable,
     restrict,
+    saturated_cone,
     sign_vector_of,
+    split_rays,
     tits_compose,
     witness_point,
 )
-from complat.errors import CapExceeded
-from complat.qlinalg import dot, primitive, qvec, span
+from complat.errors import CapExceeded, InvariantError
+from complat.qlinalg import dot, primitive, qvec, span, vec_scale
+from complat.stackmodel import global_arrangement, load_spec
 
-from oracles import brute_force_pointed_rays, sample_sign_vectors
+from oracles import brute_force_pointed_rays, sample_sign_vectors, zaslavsky_face_count
 
 # the three concurrent lines x=0, y=0, x=y in Q^2
 ARR3 = from_vectors([(1, 0), (0, 1), (1, -1)], 2)
@@ -86,6 +92,31 @@ def test_cells_cap():
         cells(arr)
 
 
+def _shipped(name):
+    path = Path(__file__).resolve().parent.parent / "specs" / f"{name}.json"
+    return global_arrangement(load_spec(json.loads(path.read_text())))
+
+
+BRAID5 = from_vectors(
+    [tuple(int(k == i) - int(k == j) for k in range(5)) for i in range(5) for j in range(i + 1, 5)], 5
+)
+
+
+@pytest.mark.parametrize(
+    "arr, count",
+    [
+        pytest.param(ARR3, 13, id="three_lines"),
+        pytest.param(_shipped("a2_gl2"), 13, id="a2_gl2"),
+        pytest.param(_shipped("rank3_mixed"), 71, id="rank3_mixed"),
+        pytest.param(_shipped("b_gl4"), 75, id="b_gl4"),
+        pytest.param(BRAID5, 541, id="braid5"),
+    ],
+)
+def test_cells_match_the_zaslavsky_count(arr, count):
+    assert zaslavsky_face_count(arr.covectors, arr.dim) == count
+    assert len(cells(arr)) == count
+
+
 def test_flats_three_lines():
     fl = flats(ARR3)
     assert len(fl) == 5
@@ -125,59 +156,74 @@ def test_restrict_to_line():
 # -- cones -------------------------------------------------------------------
 
 
-def test_minimal_cone_of_interior_sector_ray():
-    cone = minimal_cone_containing(ARR3, [qvec((1, 2))])
-    assert set(cone.extreme_rays) == {(0, 1), (1, 1)}
-    assert cone.zero_set == ()
-    assert cone.dim == 2
-    assert set(cone.nonneg_set) == {(0, 1), (1, 1), (2, -1)}
-
-
-def test_minimal_cone_of_zero():
-    cone = minimal_cone_containing(ARR3, [qvec((0, 0))])
-    assert cone.extreme_rays == () and cone.dim == 0
-    assert cone.zero_set == (0, 1, 2)
-
-
-def test_minimal_cone_positively_spanning_rays_gives_ambient():
-    cone = minimal_cone_containing(ARR3, [qvec((1, 0)), qvec((-1, 1)), qvec((0, -1))])
-    assert cone.zero_set == () and cone.nonneg_set == ()
-    assert set(cone.extreme_rays) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
-    assert cone.dim == 2
+def cone3(eqs, ineqs):
+    return saturated_cone(ARR3, rays_of_constraints(eqs, ineqs, 2))
 
 
 def test_cone_from_constraints_sector():
-    cone = cone_from_constraints(ARR3, [], [0, 1, (2, -1)])
+    # x >= 0, y >= 0, x - y <= 0
+    cone = cone3([], [(1, 0), (0, 1), (-1, 1)])
     assert set(cone.extreme_rays) == {(0, 1), (1, 1)}
     assert cone.pointed_rays == cone.extreme_rays
+    assert cone.zero_set == () and cone.dim == 2
+    assert set(cone.nonneg_set) == {(0, 1), (1, 1), (2, -1)}
 
 
 def test_cone_saturation_moves_opposed_pair_to_zero():
-    cone = cone_from_constraints(ARR3, [], [(0, 1), (0, -1)])
+    cone = cone3([], [(1, 0), (-1, 0)])
     assert cone.zero_set == (0,)
     assert set(cone.extreme_rays) == {(0, 1), (0, -1)}
     assert cone.dim == 1
     assert cone.lineality_rays == cone.extreme_rays
+    assert split_rays(cone.extreme_rays) == (cone.extreme_rays, ())
 
 
 def test_cone_axis_halfline():
-    cone = cone_from_constraints(ARR3, [0], [1])
+    cone = cone3([(1, 0)], [(0, 1)])
     assert cone.extreme_rays == ((0, 1),)
     assert cone.zero_set == (0,)
     # y and y-x are both >= 0 along the nonnegative y-axis
     assert set(cone.nonneg_set) == {(1, 1), (2, -1)}
 
 
-def test_cone_idempotence_under_minimal_cone():
-    # rebuilding a saturated cone from its own rays gives it back
+def test_cone_zero_and_ambient():
+    zero = cone3(list(ARR3.covectors), [])
+    assert zero.extreme_rays == () and zero.dim == 0
+    assert zero.zero_set == (0, 1, 2)
+    ambient = cone3([], [])
+    assert ambient.zero_set == () and ambient.nonneg_set == ()
+    assert set(ambient.extreme_rays) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert ambient.dim == 2
+
+
+def test_cone_round_trip_through_saturated_constraints():
+    # rebuilding a cone from its own saturated constraint sets gives it back
     for cone in (
-        cone_from_constraints(ARR3, [], [0, 1, (2, -1)]),
-        cone_from_constraints(ARR3, [0], [1]),
-        cone_from_constraints(ARR3, [], []),
-        cone_from_constraints(ARR3, [0, 1, 2], []),
+        cone3([], [(1, 0), (0, 1), (-1, 1)]),
+        cone3([(1, 0)], [(0, 1)]),
+        cone3([], []),
+        cone3(list(ARR3.covectors), []),
     ):
-        again = minimal_cone_containing(ARR3, [qvec(r) for r in cone.extreme_rays])
-        assert again == cone
+        eqs = [ARR3.covectors[i] for i in cone.zero_set]
+        ineqs = [vec_scale(s, ARR3.covectors[i]) for i, s in cone.nonneg_set]
+        assert cone3(eqs, ineqs) == cone
+
+
+def test_canonical_rays_reduces_pointed_rays_mod_lineality():
+    # the same half-plane y >= 0 from two different generating sets
+    assert canonical_rays([qvec((1, 0))], [qvec((3, 2))], 2) == ((-1, 0), (0, 1), (1, 0))
+    assert canonical_rays([qvec((-2, 0))], [qvec((-1, 1))], 2) == ((-1, 0), (0, 1), (1, 0))
+    with pytest.raises(InvariantError, match=r"pointed ray \(2, 0\)"):
+        canonical_rays([qvec((1, 0))], [qvec((2, 0))], 2)
+
+
+def test_a_witness_with_the_wrong_signs_is_an_invariant_error(monkeypatch):
+    # rays of a cone too large for the cell x > 0, y > 0, x < y: every
+    # strict constraint is positive on one of them, but their sum lies on x = y
+    too_large = ((0, 1), (1, 0))
+    monkeypatch.setattr(arrangement, "rays_of_constraints", lambda eqs, ineqs, dim: too_large)
+    with pytest.raises(InvariantError, match=r"witness \(1, 1\) of sign vector \(1, 1, -1\)"):
+        realizable(ARR3, (1, 1, -1))
 
 
 def test_dd_against_brute_force_random():

@@ -12,9 +12,11 @@ import pytest
 
 from complat import linmoduli as lm
 from complat import stackmodel as sm
+from complat.arrangement import Flat
 from complat.cli import main
 from complat.errors import InvariantError
 from complat.jsonio import canonical_json, document_digest, jsonable
+from complat.qlinalg import span
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
@@ -270,6 +272,15 @@ def test_a_broken_invariant_exits_4(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "hall")
     assert code == 4 and out == ""
     assert err == "invariant broken: composite fell outside the morphism set\n"
+
+
+def test_a_cone_closure_outside_its_carrier_exits_4(capsys, monkeypatch):
+    # a special face closure that misses the ray breaks special_cone_closure
+    wrong = Flat(span([(1, 0)], 2), (1,))
+    monkeypatch.setattr(sm, "special_face_closure", lambda spec, face: wrong)
+    code, out, err = run_cli(capsys, "closure", SPECS / "a2_gl2.json", "--ray", "1,2")
+    assert code == 4 and out == ""
+    assert err == "invariant broken: closure (1, 0) misses rays (1, 2)\n"
 
 
 def test_unreadable_and_malformed_documents_exit_2(capsys, tmp_path):

@@ -1,0 +1,18 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "complat"
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so an invariant written as one
+    # silently stops being checked; raise InvariantError instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -13,11 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complat.arrangement import cells, chambers, flats, sign_vector_of, witness_point
+from complat.arrangement import (
+    cells,
+    chambers,
+    flats,
+    rays_of_constraints,
+    restrict,
+    saturated_cone,
+    sign_vector_of,
+    witness_point,
+)
 from complat.errors import SpecError
-from complat.qlinalg import mat_vec, qvec, span
+from complat.qlinalg import mat_vec, primitive, qvec, span, vec_scale
 from complat.stackmodel import (
     Face,
+    _act_cone,
     central_rank,
     component_signature,
     constancy_check,
@@ -346,6 +356,31 @@ def test_special_cone_orbits_rank2(a2gl2):
     assert table[((0, 1),)] == (1, 2)
     assert table[()] == (0, 1)
     assert table[((-1, 0), (0, -1), (0, 1), (1, 0))] == (2, 1)  # the whole plane
+
+
+def _act_cone_by_saturation(spec, ambient_rays, g):
+    # the minimal cone of the restricted arrangement containing the moved
+    # rays, by a second double description over their saturated constraints
+    moved = [mat_vec(g, r) for r in ambient_rays]
+    carrier = span(moved, spec.rank)
+    arr_f = restrict(global_arrangement(spec), carrier)
+    sat = saturated_cone(arr_f, [carrier.coords_in(v) for v in moved])
+    eqs = [arr_f.covectors[i] for i in sat.zero_set]
+    ineqs = [vec_scale(s, arr_f.covectors[i]) for i, s in sat.nonneg_set]
+    rays = rays_of_constraints(eqs, ineqs, carrier.dim)
+    return tuple(sorted(primitive(carrier.lift(r)) for r in rays))
+
+
+def test_weyl_action_on_cones_matches_the_saturation_route(a2gl2, bgl3):
+    for spec in (a2gl2, bgl3):
+        for orbit in enumerate_special_cones(spec):
+            rep = orbit.signature.ambient_rays
+            if not rep:
+                continue
+            images = {_act_cone(spec, rep, g) for g in spec.weyl_group}
+            assert len(images) == orbit.orbit_size
+            for g in spec.weyl_group:
+                assert _act_cone(spec, rep, g) == _act_cone_by_saturation(spec, rep, g)
 
 
 def test_cone_closure_is_idempotent_and_extensive(anyspec):
