@@ -160,6 +160,41 @@ def cone3(eqs, ineqs):
     return saturated_cone(ARR3, rays_of_constraints(eqs, ineqs, 2))
 
 
+def minimal_cone3(rays):
+    """Smallest cone of the +/- half-spaces of ARR3 containing the rays."""
+    eqs, ineqs = [], []
+    for w in ARR3.covectors:
+        vals = [dot(w, r) for r in rays]
+        if all(v == 0 for v in vals):
+            eqs.append(w)
+        elif all(v >= 0 for v in vals):
+            ineqs.append(w)
+        elif all(v <= 0 for v in vals):
+            ineqs.append(vec_scale(-1, w))
+    return cone3(eqs, ineqs)
+
+
+def test_minimal_cone_of_interior_sector_ray():
+    cone = minimal_cone3([qvec((1, 2))])
+    assert set(cone.extreme_rays) == {(0, 1), (1, 1)}
+    assert cone.zero_set == ()
+    assert cone.dim == 2
+    assert set(cone.nonneg_set) == {(0, 1), (1, 1), (2, -1)}
+
+
+def test_minimal_cone_of_zero():
+    cone = minimal_cone3([qvec((0, 0))])
+    assert cone.extreme_rays == () and cone.dim == 0
+    assert cone.zero_set == (0, 1, 2)
+
+
+def test_minimal_cone_positively_spanning_rays_gives_ambient():
+    cone = minimal_cone3([qvec((1, 0)), qvec((-1, 1)), qvec((0, -1))])
+    assert cone.zero_set == () and cone.nonneg_set == ()
+    assert set(cone.extreme_rays) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert cone.dim == 2
+
+
 def test_cone_from_constraints_sector():
     # x >= 0, y >= 0, x - y <= 0
     cone = cone3([], [(1, 0), (0, 1), (-1, 1)])
