@@ -10,19 +10,25 @@ it live:
 - the Tits composition x ↑ y of sign vectors.
 
 Every cone takes one path. The kernel dd_cone, the classical incremental
-double description method run on Fractions, turns constraints into a
-lineality basis and pointed rays. canonical_rays turns those into the
-canonical extreme-ray tuple: lineality as +/- pairs, pointed rays reduced
-modulo lineality, so two equal cones always carry the identical tuple.
-rays_of_constraints is these two steps in one. saturated_cone tests every
-covector of an arrangement against the rays and returns the ArrCone.
-split_rays and signed_constraints translate between ray tuples, sign
-vectors and constraints.
+double description method run in exact integer arithmetic, turns
+constraints into a lineality basis and pointed rays, all primitive integer
+vectors. canonical_rays turns those into the canonical extreme-ray tuple:
+lineality as +/- pairs, pointed rays reduced modulo lineality, so two
+equal cones always carry the identical tuple. rays_of_constraints is these
+two steps in one. saturated_cone tests every covector of an arrangement
+against the rays and returns the ArrCone. split_rays and
+signed_constraints translate between ray tuples, sign vectors and
+constraints.
+
+cells inserts one hyperplane at a time and keeps each cell's double
+description, so a new hyperplane costs a double description only on the
+cells it actually splits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, InvariantError
@@ -40,10 +46,7 @@ from .qlinalg import (
     sign,
     span,
     vec_neg,
-    vec_scale,
     vec_str,
-    vec_sub,
-    zero_vec,
 )
 
 CELL_COVECTOR_CAP = 20
@@ -167,109 +170,86 @@ def minimal_flat_containing(arr: HyperplaneArrangement, space: Subspace) -> Flat
 # -- double description -----------------------------------------------------
 
 
-def _project_along(a: Sequence[Scalar], pivot: Vec, vecs: list[Vec]) -> list[Vec]:
-    # send v to its image on {a = 0} along the pivot direction
-    ap = dot(a, pivot)
-    out = []
-    for v in vecs:
-        av = dot(a, v)
-        out.append(v if av == 0 else vec_sub(v, vec_scale(av / ap, pivot)))
-    return out
+def _int_dot(a: IntVec, v: IntVec) -> int:
+    return sum(map(mul, a, v))
+
+
+def _project(a: IntVec, h: IntVec, ah: int, v: IntVec) -> IntVec:
+    """Primitive image of v on {a = 0} along h, a positive multiple of
+    v - (a.v / a.h) h: |a.h| v - sign(a.h) (a.v) h."""
+    av = _int_dot(a, v)
+    if av == 0:
+        return v
+    c, d = abs(ah), av if ah > 0 else -av
+    return primitive([c * x - d * y for x, y in zip(v, h)])
 
 
 def dd_cone(
     equalities: Sequence[Sequence[Scalar]],
     inequalities: Sequence[Sequence[Scalar]],
     dim: int,
-) -> tuple[list[Vec], list[Vec]]:
+) -> tuple[list[IntVec], list[IntVec]]:
     """Double description of {v : a.v = 0 for eqs, a.v >= 0 for ineqs}.
 
-    Returns (lineality_basis, pointed_rays): the cone is the span of the
-    first list plus nonnegative combinations of the second, and the second
-    is irredundant modulo the lineality space.
+    Returns (lineality_basis, pointed_rays), both primitive int tuples: the
+    cone is the span of the first list plus nonnegative combinations of the
+    second, and the second is irredundant modulo the lineality space.
+
+    Each pointed ray carries the bitmask of the inequalities processed so
+    far that vanish on it, set when the ray is made. Two rays are adjacent
+    iff no third ray is tight wherever both are; every processed
+    inequality vanishes on the lineality, so the test holds modulo it.
     """
-    lin: list[Vec] = [qvec(row) for row in _identity(dim)]
-    rays: list[Vec] = []
-    processed: list[Vec] = []
-
-    def tight(r: Vec) -> frozenset[int]:
-        return frozenset(i for i, a in enumerate(processed) if dot(a, r) == 0)
-
+    lin: list[IntVec] = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     for raw in equalities:
-        a = qvec(raw)
-        if is_zero_vec(a):
-            continue
-        hit_i = next((i for i, l in enumerate(lin) if dot(a, l) != 0), None)
-        if hit_i is not None:
-            hit = lin.pop(hit_i)
-            lin = _project_along(a, hit, lin)
-            rays = _dedupe([_normalize_ray(r) for r in _project_along(a, hit, rays)])
-        else:
-            pos = [r for r in rays if dot(a, r) > 0]
-            neg = [r for r in rays if dot(a, r) < 0]
-            zero = [r for r in rays if dot(a, r) == 0]
-            combos = _adjacent_combos(a, pos, neg, rays, tight)
-            rays = _dedupe(zero + combos)
+        if not is_zero_vec(raw):
+            # no inequality has run yet, so the cone is still the span of lin
+            a = primitive(raw)
+            hit = next((l for l in lin if _int_dot(a, l)), None)
+            if hit is not None:
+                lin.remove(hit)
+                ah = _int_dot(a, hit)
+                lin = [_project(a, hit, ah, l) for l in lin]
 
+    tight: dict[IntVec, int] = {}  # pointed ray -> its tight-set bitmask
+    bit = 1  # of the next nonzero inequality
     for raw in inequalities:
-        a = qvec(raw)
-        if is_zero_vec(a):
+        if is_zero_vec(raw):
             continue
-        hit_i = next((i for i, l in enumerate(lin) if dot(a, l) != 0), None)
-        if hit_i is not None:
-            hit = lin.pop(hit_i)
-            if dot(a, hit) < 0:
-                hit = vec_neg(hit)
-            lin = _project_along(a, hit, lin)
-            rays = [_normalize_ray(r) for r in _project_along(a, hit, rays)]
-            rays.append(_normalize_ray(hit))
-            rays = _dedupe(rays)
+        a = primitive(raw)
+        hit = next((l for l in lin if _int_dot(a, l)), None)
+        if hit is not None:
+            # a cuts the lineality: hit turns into a pointed ray (tight on
+            # every earlier constraint), the rest moves onto {a = 0}
+            lin.remove(hit)
+            ah = _int_dot(a, hit)
+            if ah < 0:
+                hit, ah = vec_neg(hit), -ah
+            lin = [_project(a, hit, ah, l) for l in lin]
+            new = {_project(a, hit, ah, r): t | bit for r, t in tight.items()}
+            new.setdefault(hit, bit - 1)
         else:
-            pos = [r for r in rays if dot(a, r) > 0]
-            neg = [r for r in rays if dot(a, r) < 0]
-            zero = [r for r in rays if dot(a, r) == 0]
-            combos = _adjacent_combos(a, pos, neg, rays, tight)
-            rays = _dedupe(pos + zero + combos)
-        processed.append(a)
-
-    return lin, rays
-
-
-def _identity(n: int):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _normalize_ray(r: Vec) -> Vec:
-    if is_zero_vec(r):
-        return r
-    return qvec(primitive(r))
-
-
-def _dedupe(rays: list[Vec]) -> list[Vec]:
-    out, seen = [], set()
-    for r in rays:
-        if is_zero_vec(r):
-            continue
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
-
-
-def _adjacent_combos(a: Vec, pos: list[Vec], neg: list[Vec], rays: list[Vec], tight) -> list[Vec]:
-    combos = []
-    for p in pos:
-        tp = tight(p)
-        for n in neg:
-            common = tp & tight(n)
-            blocked = any(
-                r is not p and r is not n and common <= tight(r) for r in rays
-            )
-            if blocked:
-                continue
-            w = vec_sub(vec_scale(dot(a, p), n), vec_scale(dot(a, n), p))
-            combos.append(_normalize_ray(w))
-    return combos
+            pos, neg, new = [], [], {}
+            for r, t in tight.items():
+                ar = _int_dot(a, r)
+                if ar > 0:
+                    pos.append((r, ar))
+                    new[r] = t
+                elif ar < 0:
+                    neg.append((r, ar))
+                else:
+                    new[r] = t | bit
+            for p, ap in pos:
+                tp = tight[p]
+                for n, an in neg:
+                    common = tp & tight[n]
+                    if any(common & ~t == 0 for r, t in tight.items() if r is not p and r is not n):
+                        continue
+                    w = primitive([ap * y - an * x for x, y in zip(p, n)])
+                    new.setdefault(w, common | bit)
+        tight = new
+        bit <<= 1
+    return lin, list(tight)
 
 
 def canonical_rays(lin: Sequence[Vec], rays: Sequence[Vec], dim: int) -> tuple[IntVec, ...]:
@@ -314,11 +294,11 @@ def split_rays(rays: Sequence[IntVec]) -> tuple[tuple[IntVec, ...], tuple[IntVec
 
 def signed_constraints(
     covectors: Sequence[IntVec], signs: Sequence[int]
-) -> tuple[list[IntVec], list[Vec]]:
+) -> tuple[list[IntVec], list[IntVec]]:
     """(equalities, inequalities) of the closed cell with the given signs:
     w = 0 where the sign is 0, s * w >= 0 elsewhere."""
     eqs = [w for w, s in zip(covectors, signs) if s == 0]
-    return eqs, [vec_scale(s, w) for w, s in zip(covectors, signs) if s != 0]
+    return eqs, [w if s > 0 else vec_neg(w) for w, s in zip(covectors, signs) if s != 0]
 
 
 @dataclass(frozen=True)
@@ -370,6 +350,18 @@ def saturated_cone(arr: HyperplaneArrangement, rays: Sequence[IntVec]) -> ArrCon
 # -- cells -------------------------------------------------------------------
 
 
+def _checked_witness(
+    covectors: Sequence[IntVec], s: SignVector, pointed: Sequence[IntVec], dim: int
+) -> IntVec:
+    """The sum of the pointed rays of the closed cell with signs s, which
+    must have exactly those signs."""
+    total = tuple(map(sum, zip(*pointed))) if pointed else (0,) * dim
+    got = tuple(sign(_int_dot(w, total)) for w in covectors)
+    if got != tuple(s):
+        raise InvariantError(f"witness {vec_str(total)} of sign vector {s} has signs {got}")
+    return total
+
+
 def _strict_witness(covectors: Sequence[IntVec], s: SignVector, dim: int) -> Optional[Vec]:
     """Interior point with exactly the prescribed signs, or None.
 
@@ -381,11 +373,7 @@ def _strict_witness(covectors: Sequence[IntVec], s: SignVector, dim: int) -> Opt
     for w, si in zip(covectors, s):
         if si != 0 and not any(si * dot(w, r) > 0 for r in pointed):
             return None
-    total = qvec(map(sum, zip(*pointed))) if pointed else zero_vec(dim)
-    got = tuple(sign(dot(w, total)) for w in covectors)
-    if got != tuple(s):
-        raise InvariantError(f"witness {vec_str(total)} of sign vector {s} has signs {got}")
-    return total
+    return qvec(_checked_witness(covectors, s, pointed, dim))
 
 
 def realizable(arr: HyperplaneArrangement, s: SignVector) -> bool:
@@ -398,30 +386,40 @@ def realizable(arr: HyperplaneArrangement, s: SignVector) -> bool:
 
 
 def cells(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[SignVector, ...]:
-    """All realizable sign vectors, by incremental hyperplane insertion.
+    """All realizable sign vectors, by splitting cells one covector at a time.
 
-    Each existing cell is split against the next covector; candidate signs
-    other than the witness's own are kept only if exactly realizable.
+    Each cell carries the double description (lineality, pointed rays) of
+    its closure and an interior witness, the sum of the pointed rays. The
+    next covector w either takes both signs on the closed cell, which then
+    splits into three nonempty children (w < 0, w = 0, w > 0) with one
+    double description each; or the rays force its sign ({w = 0} meets
+    the closed cell in a proper face), and the cell carries over under
+    that sign with its rays and witness.
     """
     if arr.size > cap:
         raise CapExceeded(f"cells: {arr.size} covectors exceeds cap {cap}")
-    state: list[tuple[SignVector, Vec]] = [((), zero_vec(arr.dim))]
-    for k in range(arr.size):
+    state = [((), *dd_cone([], [], arr.dim), (0,) * arr.dim)]
+    for k, w in enumerate(arr.covectors):
         covs = arr.covectors[: k + 1]
-        w = arr.covectors[k]
-        nxt: list[tuple[SignVector, Vec]] = []
-        for s, p in state:
-            e = sign(dot(w, p))
-            nxt.append((s + (e,), p))
-            for e2 in (-1, 0, 1):
-                if e2 == e:
-                    continue
-                s2 = s + (e2,)
-                witness = _strict_witness(covs, s2, arr.dim)
-                if witness is not None:
-                    nxt.append((s2, witness))
+        nxt = []
+        for s, lin, pointed, witness in state:
+            vals = [_int_dot(w, r) for r in pointed]
+            if any(_int_dot(w, l) for l in lin) or (vals and max(vals) > 0 > min(vals)):
+                for e in (-1, 0, 1):
+                    child = s + (e,)
+                    clin, cpointed = dd_cone(*signed_constraints(covs, child), arr.dim)
+                    witness = _checked_witness(covs, child, cpointed, arr.dim)
+                    nxt.append((child, clin, cpointed, witness))
+                continue
+            e = sign(sum(vals))
+            if sign(_int_dot(w, witness)) != e:
+                raise InvariantError(
+                    f"witness {vec_str(witness)} of sign vector {s} is off the sign {e} "
+                    f"that the rays {vec_str(*pointed)} force on covector {w}"
+                )
+            nxt.append((s + (e,), lin, pointed, witness))
         state = nxt
-    return tuple(sorted(s for s, _ in state))
+    return tuple(sorted(s for s, *_ in state))
 
 
 def chambers(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[SignVector, ...]:

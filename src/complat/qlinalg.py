@@ -2,7 +2,9 @@
 
 Conventions shared by the whole package:
 
-- points and rays are tuples of ``fractions.Fraction``,
+- points are tuples of ``fractions.Fraction``,
+- rays out of the double description (``arrangement.dd_cone``) and the
+  canonical ray tuples built from them are primitive integer tuples,
 - covectors (linear functionals) are primitive integer tuples: gcd of the
   entries is 1 and the first nonzero entry is positive, so equal
   hyperplanes compare equal bitwise,
@@ -33,22 +35,14 @@ def qvec(entries: Iterable[Scalar]) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    total = ZERO
+    total = 0
     for a, b in zip(u, v):
         if a and b:
-            total += Fraction(a) * Fraction(b)
-    return total
-
-
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
+            total += a * b
+    return total if type(total) is Fraction else Fraction(total)
 
 
 def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
@@ -75,13 +69,16 @@ def primitive(entries: Sequence[Scalar]) -> IntVec:
     The zero vector is rejected: primitive vectors are direction data and
     a zero direction is always a caller bug.
     """
-    vals = [Fraction(e) for e in entries]
-    if all(v == 0 for v in vals):
-        raise ValueError("zero vector has no primitive form")
-    mult = lcm(*(v.denominator for v in vals)) if vals else 1
-    ints = [int(v * mult) for v in vals]
+    if all(type(e) is int for e in entries):
+        ints = entries
+    else:
+        vals = [Fraction(e) for e in entries]
+        mult = lcm(*(v.denominator for v in vals))
+        ints = [int(v * mult) for v in vals]
     g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
 def canonical_covector(entries: Sequence[Scalar]) -> IntVec:

@@ -249,12 +249,20 @@ def global_arrangement(spec: QuotientStackSpec) -> HyperplaneArrangement:
     return HyperplaneArrangement(tuple(sorted(vecs)), spec.rank)
 
 
+@lru_cache(maxsize=None)
+def restricted_arrangement(spec: QuotientStackSpec, subspace: Subspace) -> HyperplaneArrangement:
+    """The global arrangement restricted to a subspace, in its basis
+    coordinates. Carriers repeat across samples and morphisms, so the
+    restriction is computed once per (spec, subspace)."""
+    return restrict(global_arrangement(spec), subspace)
+
+
 def cotangent_arrangement(spec: QuotientStackSpec, face: Face) -> HyperplaneArrangement:
     """Weights and roots restricted to an injective face, deduped, in the
     face's basis coordinates."""
     if face.as_map is not None:
         raise SpecError("face is in map form: reduce with nondegenerate_quotient")
-    return restrict(global_arrangement(spec), face.subspace)
+    return restricted_arrangement(spec, face.subspace)
 
 
 def component_signature(spec: QuotientStackSpec, face: Face | Subspace) -> ComponentSignature:
@@ -402,7 +410,7 @@ def _signature_from_cone_rays(
     spec: QuotientStackSpec, flat: Flat, cone_rays: tuple[IntVec, ...]
 ) -> AttractorSignature:
     carrier = flat.subspace
-    arr_f = restrict(global_arrangement(spec), carrier)
+    arr_f = restricted_arrangement(spec, carrier)
     cone = saturated_cone(arr_f, cone_rays)
     ambient = tuple(sorted(primitive(carrier.lift(r)) for r in cone_rays))
     attractor = tuple(w for w in spec.weights if all(dot(w, a) >= 0 for a in ambient))
@@ -503,7 +511,7 @@ def constancy_check(
     report.
     """
     carrier = flat.subspace
-    arr_f = restrict(global_arrangement(spec), carrier)
+    arr_f = restricted_arrangement(spec, carrier)
     rng = random.Random(seed)
     report = {
         "flat_basis": [[str(x) for x in row] for row in carrier.basis],
@@ -607,8 +615,7 @@ def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
     """
     objects = enumerate_special_faces(spec)
     reps = [o.flat.subspace for o in objects]
-    arr = global_arrangement(spec)
-    cot = [restrict(arr, s) for s in reps]
+    cot = [restricted_arrangement(spec, s) for s in reps]
 
     morphisms: list[HallMorphism] = []
     for si, a in enumerate(reps):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,45 @@ BRAID5 = from_vectors(
 def test_cells_match_the_zaslavsky_count(arr, count):
     assert zaslavsky_face_count(arr.covectors, arr.dim) == count
     assert len(cells(arr)) == count
+
+
+def _random_arrangement(rng, dim, size):
+    # random covectors, some of them sums of earlier ones, so that flats of
+    # every codimension and dependent triples occur
+    vecs = []
+    while len(vecs) < size:
+        if len(vecs) >= 2 and rng.random() < 0.3:
+            u, v = rng.sample(vecs, 2)
+            vecs.append(tuple(a + rng.choice((-1, 1)) * b for a, b in zip(u, v)))
+        else:
+            vecs.append(tuple(rng.randint(-2, 2) for _ in range(dim)))
+    return from_vectors(vecs, dim)
+
+
+def test_cells_are_the_realizable_sign_vectors_of_random_arrangements():
+    rng = random.Random(20261018)
+    for _ in range(24):
+        arr = _random_arrangement(rng, rng.randint(2, 4), rng.randint(1, 6))
+        got = cells(arr)
+        want = {s for s in product((-1, 0, 1), repeat=arr.size) if realizable(arr, s)}
+        assert set(got) == want, arr
+        assert len(got) == zaslavsky_face_count(arr.covectors, arr.dim), arr
+
+
+def test_a_split_child_with_too_large_a_cone_is_an_invariant_error(monkeypatch):
+    # the cell x > 0, y > 0, x < y splits off the open quadrant; a double
+    # description that answers with the whole quadrant gives the witness
+    # (1, 1), which lies on x = y
+    real_dd = arrangement.dd_cone
+
+    def too_large(eqs, ineqs, dim):
+        if not eqs and list(map(tuple, ineqs)) == [(1, 0), (0, 1), (-1, 1)]:
+            return [], [(0, 1), (1, 0)]
+        return real_dd(eqs, ineqs, dim)
+
+    monkeypatch.setattr(arrangement, "dd_cone", too_large)
+    with pytest.raises(InvariantError, match=r"witness \(1, 1\) of sign vector \(1, 1, -1\)"):
+        cells(ARR3)
 
 
 def test_flats_three_lines():
@@ -261,7 +301,26 @@ def test_a_witness_with_the_wrong_signs_is_an_invariant_error(monkeypatch):
         realizable(ARR3, (1, 1, -1))
 
 
+def test_dd_returns_primitive_int_tuples():
+    rng = random.Random(5)
+    for _ in range(60):
+        dim = rng.randint(2, 4)
+        eqs = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))]
+        ineqs = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(rng.randint(0, 6))]
+        lin, rays = dd_cone(eqs[: rng.randint(0, 1)], ineqs, dim)
+        for v in lin + rays:
+            assert type(v) is tuple and all(type(x) is int for x in v), (eqs, ineqs, v)
+            assert primitive(v) == v, (eqs, ineqs, v)
+
+
 def test_dd_against_brute_force_random():
+    # the same cones from constraints scaled by positive rationals, and
+    # equalities also by a negative one
+    for scale in (1, Fraction(1, 3), Fraction(-2, 5)):
+        _dd_against_brute_force_random(scale)
+
+
+def _dd_against_brute_force_random(scale):
     rng = random.Random(20240817)
     for trial in range(160):
         dim = rng.randint(2, 4)
@@ -275,7 +334,9 @@ def test_dd_against_brute_force_random():
         ]
         eqs = [e for e in eqs if any(e)]
         ineqs = [a for a in ineqs if any(a)]
-        lin, rays = dd_cone(eqs, ineqs, dim)
+        lin, rays = dd_cone(
+            [vec_scale(scale, e) for e in eqs], [vec_scale(abs(scale), a) for a in ineqs], dim
+        )
         want_rays, want_lin = brute_force_pointed_rays(eqs, ineqs, dim)
         lspace = span(lin, dim)
         assert lspace == want_lin, (eqs, ineqs)
