@@ -4,7 +4,8 @@ An arrangement is an ordered list of canonical covectors in Q^n. On top of
 it live:
 
 - sign vectors and the (finitely many) realizable cells,
-- flats (intersections of hyperplanes) with maximal hyperplane sets,
+- flats, each held as its closed hyperplane set (the matroid closure
+  of any hyperplanes cutting it out) together with its subspace,
 - closed polyhedral cones, held in both descriptions at once: saturated
   constraint sets and extreme rays,
 - the Tits composition x ↑ y of sign vectors.
@@ -118,7 +119,7 @@ def restrict(arr: HyperplaneArrangement, space: Subspace) -> HyperplaneArrangeme
 @dataclass(frozen=True)
 class Flat:
     """Intersection of hyperplanes: the subspace plus the maximal set of
-    hyperplane indices containing it."""
+    hyperplane indices containing it, a closed set of the matroid."""
 
     subspace: Subspace
     hyperplanes: IntVec
@@ -128,28 +129,37 @@ class Flat:
         return self.subspace.dim
 
 
-def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
-    """All flats, including the ambient space, by intersection closure."""
-    from .qlinalg import full_space, intersect
+def _through(arr: HyperplaneArrangement, space: Subspace) -> IntVec:
+    """Indices of the hyperplanes containing the subspace."""
+    return tuple(i for i, w in enumerate(arr.covectors) if all(dot(w, b) == 0 for b in space.basis))
 
-    hyper = [kernel([w], arr.dim) for w in arr.covectors]
-    found = {full_space(arr.dim)}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for h in hyper:
-                g = intersect(f, h)
-                if g not in found:
-                    found.add(g)
+
+def closure(arr: HyperplaneArrangement, hyperplanes: Iterable[int]) -> Flat:
+    """The flat cut out by the given hyperplanes, carrying every hyperplane
+    that contains it: the matroid closure of the index set."""
+    sub = kernel([arr.covectors[i] for i in hyperplanes], arr.dim)
+    return Flat(sub, _through(arr, sub))
+
+
+def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
+    """All flats, including the ambient space, by decreasing dimension,
+    then basis. Built rank by rank: the covers of a flat F are the closures
+    of F + (i,), i outside F, and they partition the hyperplanes outside F;
+    skipping the i of known covers makes every closure taken a new flat."""
+    level = [closure(arr, ())]
+    out = list(level)
+    while level:
+        nxt: list[Flat] = []
+        for f in level:
+            own = set(f.hyperplanes)
+            covered = own.union(*(g.hyperplanes for g in nxt if own.issubset(g.hyperplanes)))
+            for i in range(arr.size):
+                if i not in covered:
+                    g = closure(arr, f.hyperplanes + (i,))
+                    covered.update(g.hyperplanes)
                     nxt.append(g)
-        frontier = nxt
-    out = []
-    for s in found:
-        containing = tuple(
-            i for i, w in enumerate(arr.covectors) if all(dot(w, b) == 0 for b in s.basis)
-        )
-        out.append(Flat(s, containing))
+        out += nxt
+        level = nxt
     out.sort(key=lambda f: (-f.dim, tuple(x for row in f.subspace.basis for x in row)))
     return tuple(out)
 
@@ -160,11 +170,8 @@ def minimal_flat_containing(arr: HyperplaneArrangement, space: Subspace) -> Flat
     Hyperplanes containing the flat are exactly those containing the
     subspace, so no closure iteration is needed.
     """
-    containing = tuple(
-        i for i, w in enumerate(arr.covectors) if all(dot(w, b) == 0 for b in space.basis)
-    )
-    sub = kernel([arr.covectors[i] for i in containing], arr.dim)
-    return Flat(sub, containing)
+    containing = _through(arr, space)
+    return Flat(kernel([arr.covectors[i] for i in containing], arr.dim), containing)
 
 
 # -- double description -----------------------------------------------------

@@ -614,11 +614,12 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int, cap: int = SWEEP_CAP) 
 
 
 def subrep_spaces(
-    quiver: Quiver, rep: Rep, gamma: DimVector, q: int
+    quiver: Quiver, rep: Rep, gamma: DimVector, q: int, sub: DimVector
 ) -> Iterator[tuple[GFSubspace, ...]]:
-    """All invariant tuples of subspaces (one per vertex) of a representation."""
+    """All invariant tuples of subspaces (one per vertex) of a
+    representation with dimension vector sub."""
     F = gf(q)
-    per_vertex = [all_subspaces(q, g) for g in gamma]
+    per_vertex = [[sp for sp in all_subspaces(q, n) if len(sp[0]) == k] for n, k in zip(gamma, sub)]
     for spaces in itertools.product(*per_vertex):
         ok = True
         for m, (s, t) in zip(rep, quiver.arrows):
@@ -631,10 +632,6 @@ def subrep_spaces(
                 break
         if ok:
             yield spaces
-
-
-def sub_gamma(spaces: Sequence[GFSubspace]) -> DimVector:
-    return tuple(len(rows) for rows, _ in spaces)
 
 
 def sub_rep(quiver: Quiver, rep: Rep, spaces: Sequence[GFSubspace], q: int) -> Rep:
@@ -677,10 +674,11 @@ def count_subreps_by_dim(quiver: Quiver, q: int, ref: ClassRef) -> dict[DimVecto
     binomial coefficients."""
     gamma, idx = ref
     classes = iso_classes(quiver, gamma, q)
-    out: Counter = Counter()
-    for spaces in subrep_spaces(quiver, classes.reps[idx], gamma, q):
-        out[sub_gamma(spaces)] += 1
-    return dict(out)
+    counts = {
+        sub: sum(1 for _ in subrep_spaces(quiver, classes.reps[idx], gamma, q, sub))
+        for sub in itertools.product(*(range(g + 1) for g in gamma))
+    }
+    return {sub: n for sub, n in counts.items() if n}
 
 
 def class_refs(quiver: Quiver, q: int, gamma: Sequence[int]) -> list[ClassRef]:
@@ -691,24 +689,7 @@ def class_refs(quiver: Quiver, q: int, gamma: Sequence[int]) -> list[ClassRef]:
 def hall_number(quiver: Quiver, q: int, whole: ClassRef, quot: ClassRef, sub: ClassRef) -> int:
     """The number of subrepresentations of `whole` isomorphic to `sub`
     with quotient isomorphic to `quot`."""
-    lgam, li = whole
-    mgam, mi = quot
-    ngam, ni = sub
-    if tuple(a + b for a, b in zip(mgam, ngam)) != lgam:
-        return 0
-    rep = iso_classes(quiver, lgam, q).reps[li]
-    subs = iso_classes(quiver, ngam, q)
-    quots = iso_classes(quiver, mgam, q)
-    count = 0
-    for spaces in subrep_spaces(quiver, rep, lgam, q):
-        if sub_gamma(spaces) != ngam:
-            continue
-        if subs.class_of[sub_rep(quiver, rep, spaces, q)] != ni:
-            continue
-        if quots.class_of[quotient_rep(quiver, lgam, rep, spaces, q)] != mi:
-            continue
-        count += 1
-    return count
+    return hall_product(quiver, q, {quot: 1}, {sub: 1}).get(whole, 0)
 
 
 def hall_product(quiver: Quiver, q: int, f: dict, g: dict) -> dict:
@@ -724,9 +705,7 @@ def hall_product(quiver: Quiver, q: int, f: dict, g: dict) -> dict:
             quots = iso_classes(quiver, df, q)
             for li, rep in enumerate(whole.reps):
                 total = 0
-                for spaces in subrep_spaces(quiver, rep, gamma, q):
-                    if sub_gamma(spaces) != dg:
-                        continue
+                for spaces in subrep_spaces(quiver, rep, gamma, q, dg):
                     sc = subs.class_of[sub_rep(quiver, rep, spaces, q)]
                     qc = quots.class_of[quotient_rep(quiver, gamma, rep, spaces, q)]
                     total += f.get((df, qc), 0) * g.get((dg, sc), 0)
@@ -787,19 +766,14 @@ def _count_flags(
     quots_b = iso_classes(quiver, rb[0], q)
     mid_gamma = tuple(a + b for a, b in zip(rb[0], rc[0]))
     count = 0
-    for spaces2 in subrep_spaces(quiver, rep, gamma, q):
-        g2 = sub_gamma(spaces2)
-        if g2 != mid_gamma:
-            continue
+    for spaces2 in subrep_spaces(quiver, rep, gamma, q, mid_gamma):
         if quots_a.class_of.get(quotient_rep(quiver, gamma, rep, spaces2, q)) != ra[1]:
             continue
         mid = sub_rep(quiver, rep, spaces2, q)
-        for spaces1 in subrep_spaces(quiver, mid, g2, q):
-            if sub_gamma(spaces1) != rc[0]:
-                continue
+        for spaces1 in subrep_spaces(quiver, mid, mid_gamma, q, rc[0]):
             if subs_c.class_of[sub_rep(quiver, mid, spaces1, q)] != rc[1]:
                 continue
-            if quots_b.class_of[quotient_rep(quiver, g2, mid, spaces1, q)] != rb[1]:
+            if quots_b.class_of[quotient_rep(quiver, mid_gamma, mid, spaces1, q)] != rb[1]:
                 continue
             count += 1
     return count

@@ -19,9 +19,11 @@ package computes about such a stack lives in Q^rank:
 - the Hall category has special-face orbits as objects and chambers of
   restricted sub-arrangements as morphisms, composed by the Tits rule.
 
-Weyl symmetry is handled by explicit enumeration of the group, which is
-assumed small (cap 100000); orbits of faces and cones are deduped by
-canonical representatives, so all outputs are deterministic.
+The Weyl group is enumerated explicitly and assumed small (cap 100000).
+An element permutes the weights and roots, hence the hyperplanes up to
+sign (weyl_permutations); flats and cells move by that signed permutation,
+cones by the matrix. Orbits are named by canonical representatives, so all
+outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .arrangement import (
     sign_vector_of,
     signed_constraints,
     split_rays,
-    witness_point,
 )
 from .category import FiniteCategory, check_laws
 from .errors import CapExceeded, InvariantError, SpecError
@@ -299,12 +300,42 @@ def is_special(spec: QuotientStackSpec, face: Face) -> bool:
 # -- Weyl orbits ---------------------------------------------------------------
 
 
-def _act_subspace(g: Matrix, s: Subspace) -> Subspace:
-    return span([mat_vec(g, b) for b in s.basis], s.ambient_dim)
+@lru_cache(maxsize=None)
+def weyl_permutations(spec: QuotientStackSpec) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One signed permutation of the global arrangement's covectors per
+    Weyl element g, in weyl_group order: entry j is (i, e) with
+    w_j o g = e * w_i, so g carries {w_i = 0} to {w_j = 0}."""
+    covectors = global_arrangement(spec).covectors
+    signed = {w: (i, 1) for i, w in enumerate(covectors)}
+    signed.update((vec_neg(w), (i, -1)) for i, w in enumerate(covectors))
+    out = []
+    for g in spec.weyl_group:
+        pulled = [covector_times_mat(w, g) for w in covectors]
+        stray = next((v for v in pulled if v not in signed), None)
+        if stray is not None:
+            raise InvariantError(
+                f"weyl element {g} pulls a covector back to {vec_str(stray)}, off the arrangement"
+            )
+        out.append(tuple(signed[v] for v in pulled))
+    return tuple(out)
 
 
-def _subspace_key(s: Subspace):
-    return tuple(x for row in s.basis for x in row)
+def _weyl_orbits(spec: QuotientStackSpec, members: Sequence, act, what: str) -> list:
+    """(first member, orbit) for each Weyl orbit on members, in their order;
+    act(perm, m) moves m by a signed permutation, and every image must be a
+    member again."""
+    perms = weyl_permutations(spec)
+    known = set(members)
+    seen: set = set()
+    out = []
+    for m in members:
+        if m not in seen:
+            orbit = {act(perm, m) for perm in perms}
+            if not orbit <= known:
+                raise InvariantError(f"weyl image {min(orbit - known)} of the {what} {m} is no {what}")
+            seen |= orbit
+            out.append((m, orbit))
+    return out
 
 
 @dataclass(frozen=True)
@@ -322,48 +353,35 @@ class FaceOrbit:
 
 
 def enumerate_special_faces(spec: QuotientStackSpec) -> tuple[FaceOrbit, ...]:
-    """All Weyl orbits of flats of the global arrangement."""
-    arr = global_arrangement(spec)
-    seen: set[Subspace] = set()
-    orbits = []
-    for fl in flats(arr):
-        if fl.subspace in seen:
-            continue
-        orbit = sorted({_act_subspace(g, fl.subspace) for g in spec.weyl_group}, key=_subspace_key)
-        seen.update(orbit)
-        rep = orbit[0]
-        rep_flat = minimal_flat_containing(arr, rep)
-        if rep_flat.subspace != rep:
-            raise InvariantError(f"weyl image {vec_str(*rep.basis)} of a flat is not a flat")
-        orbits.append(FaceOrbit(rep_flat, len(orbit), component_signature(spec, rep)))
-    orbits.sort(key=lambda o: (-o.dim, _subspace_key(o.flat.subspace)))
-    return tuple(orbits)
+    """All Weyl orbits of flats of the global arrangement.
+
+    A flat is its hyperplane set H, which moves to {j : i_j in H} under the
+    signed permutation (i_j, e_j). flats() comes sorted by dimension and
+    basis, so the first member of an orbit met names it.
+    """
+    by_set = {f.hyperplanes: f for f in flats(global_arrangement(spec))}
+    orbits = _weyl_orbits(
+        spec, list(by_set), lambda perm, h: tuple(j for j, (i, _) in enumerate(perm) if i in h), "flat"
+    )
+    return tuple(FaceOrbit(by_set[h], len(o), component_signature(spec, by_set[h].subspace)) for h, o in orbits)
 
 
 def cell_orbits(spec: QuotientStackSpec) -> tuple[tuple[SignVector, ...], ...]:
     """Weyl orbits of the relatively open cells of the global arrangement.
 
-    A group element carries a cell to the cell of the image of any interior
-    witness point; exact witnesses make this safe.
+    The signed permutation (i_j, e_j) carries the cell with sign vector s
+    to the one with signs (e_j * s_{i_j})_j.
     """
-    arr = global_arrangement(spec)
-    seen: set[SignVector] = set()
-    orbits = []
-    for s in cells(arr):
-        if s in seen:
-            continue
-        point = witness_point(arr, s)
-        orbit = {sign_vector_of(arr, mat_vec(g, point)) for g in spec.weyl_group}
-        if s not in orbit:
-            raise InvariantError(f"cell {s} is not in its own orbit (witness {vec_str(point)})")
-        seen.update(orbit)
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(sorted(orbits, key=lambda o: (len(o), o)))
+    orbits = _weyl_orbits(
+        spec, cells(global_arrangement(spec)), lambda perm, s: tuple(e * s[i] for i, e in perm), "cell"
+    )
+    return tuple(sorted((tuple(sorted(o)) for _, o in orbits), key=lambda o: (len(o), o)))
 
 
 # -- special cones -------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _signed_restrictions(spec: QuotientStackSpec, space: Subspace) -> tuple[IntVec, ...]:
     """Nonzero restrictions of the tangent functionals, keeping their own
     sign. Weights restrict one-sidedly; roots come in +/- pairs, so their

@@ -42,22 +42,31 @@ def brute_force_pointed_rays(eqs, ineqs, dim):
     return found, lin
 
 
+def brute_force_flats(covectors, dim):
+    """Every flat as (hyperplanes, subspace): the kernel of every subset of
+    covectors, keyed by the indices of the covectors vanishing on it."""
+    covectors = [tuple(w) for w in covectors]
+    out = set()
+    for size in range(len(covectors) + 1):
+        for subset in combinations(covectors, size):
+            sub = kernel(list(subset), dim)
+            through = tuple(
+                i for i, w in enumerate(covectors) if all(dot(w, b) == 0 for b in sub.basis)
+            )
+            out.add((through, sub))
+    return out
+
+
 def zaslavsky_face_count(covectors, dim):
     """Number of relatively open cells of a central arrangement, from its
     lattice of flats alone (Zaslavsky 1975).
 
-    The flats are the kernels of every subset of covectors, each keyed by
-    the set of covectors vanishing on it. The regions of the restriction to
-    a flat X number the sum of |mu(X, Y)| over the flats Y inside X, and
-    every cell is a region of the restriction to its own span.
+    The flats are those of brute_force_flats, each keyed by the set of
+    covectors vanishing on it. The regions of the restriction to a flat X
+    number the sum of |mu(X, Y)| over the flats Y inside X, and every cell
+    is a region of the restriction to its own span.
     """
-    covectors = [tuple(w) for w in covectors]
-    flats = set()
-    for size in range(len(covectors) + 1):
-        for subset in combinations(covectors, size):
-            basis = kernel(list(subset), dim).basis
-            through = (i for i, w in enumerate(covectors) if all(dot(w, b) == 0 for b in basis))
-            flats.add(frozenset(through))
+    flats = {frozenset(through) for through, _ in brute_force_flats(covectors, dim)}
     # Y lies inside X iff every hyperplane through X passes through Y
     order = sorted(flats, key=len)
     total = 0

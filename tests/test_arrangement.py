@@ -28,7 +28,12 @@ from complat.errors import CapExceeded, InvariantError
 from complat.qlinalg import dot, primitive, qvec, span, vec_scale
 from complat.stackmodel import global_arrangement, load_spec
 
-from oracles import brute_force_pointed_rays, sample_sign_vectors, zaslavsky_face_count
+from oracles import (
+    brute_force_flats,
+    brute_force_pointed_rays,
+    sample_sign_vectors,
+    zaslavsky_face_count,
+)
 
 # the three concurrent lines x=0, y=0, x=y in Q^2
 ARR3 = from_vectors([(1, 0), (0, 1), (1, -1)], 2)
@@ -36,6 +41,10 @@ ARR3 = from_vectors([(1, 0), (0, 1), (1, -1)], 2)
 COORD2 = from_vectors([(1, 0), (0, 1)], 2)
 COORD3 = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
 BRAID3 = from_vectors([(1, -1, 0), (1, 0, -1), (0, 1, -1)], 3)
+BRAID4 = from_vectors(
+    [tuple(int(k == i) - int(k == j) for k in range(4)) for i in range(4) for j in range(i + 1, 4)], 4
+)
+LINEAR_SPECS = ("a1_gm", "a2_gl2", "b_gl2", "b_gl3", "b_gl4", "b_gm", "rank3_mixed")
 
 
 def test_from_vectors_canonicalizes_and_dedupes():
@@ -131,10 +140,13 @@ def _random_arrangement(rng, dim, size):
     return from_vectors(vecs, dim)
 
 
-def test_cells_are_the_realizable_sign_vectors_of_random_arrangements():
+def _seeded_random_arrangements():
     rng = random.Random(20261018)
-    for _ in range(24):
-        arr = _random_arrangement(rng, rng.randint(2, 4), rng.randint(1, 6))
+    return [_random_arrangement(rng, rng.randint(2, 4), rng.randint(1, 6)) for _ in range(24)]
+
+
+def test_cells_are_the_realizable_sign_vectors_of_random_arrangements():
+    for arr in _seeded_random_arrangements():
         got = cells(arr)
         want = {s for s in product((-1, 0, 1), repeat=arr.size) if realizable(arr, s)}
         assert set(got) == want, arr
@@ -175,6 +187,27 @@ def test_flats_braid3():
     center = next(f for f in fl if f.dim == 1)
     assert center.hyperplanes == (0, 1, 2)
     assert center.subspace == span([(1, 1, 1)], 3)
+
+
+def _assert_flats_match_the_oracle(arr):
+    got = flats(arr)
+    assert len({f.hyperplanes for f in got}) == len(got), arr
+    assert {(f.hyperplanes, f.subspace) for f in got} == brute_force_flats(arr.covectors, arr.dim), arr
+    key = [(-f.dim, tuple(x for row in f.subspace.basis for x in row)) for f in got]
+    assert key == sorted(key), arr
+
+
+def test_flats_are_the_kernels_of_covector_subsets_on_random_arrangements():
+    for arr in _seeded_random_arrangements():
+        _assert_flats_match_the_oracle(arr)
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [pytest.param(BRAID4, id="braid4"), *(pytest.param(_shipped(n), id=n) for n in LINEAR_SPECS)],
+)
+def test_flats_are_the_kernels_of_covector_subsets(arr):
+    _assert_flats_match_the_oracle(arr)
 
 
 def test_minimal_flat_containing():

@@ -313,16 +313,20 @@ def test_oversized_sweeps_are_refused(one_vertex):
 def test_invariant_subspace_counts_on_the_path(a2):
     classes = lm.iso_classes(a2, (1, 1), 2)
     zero, nonzero = classes.reps
-    assert len(list(lm.subrep_spaces(a2, zero, (1, 1), 2))) == 4
-    assert len(list(lm.subrep_spaces(a2, nonzero, (1, 1), 2))) == 3
+
+    def invariant(rep, sub):
+        return len(list(lm.subrep_spaces(a2, rep, (1, 1), 2, sub)))
+
+    assert [invariant(zero, sub) for sub in ((0, 0), (0, 1), (1, 0), (1, 1))] == [1, 1, 1, 1]
+    assert [invariant(nonzero, sub) for sub in ((0, 0), (0, 1), (1, 0), (1, 1))] == [1, 1, 0, 1]
 
 
 def test_sub_and_quotient_dimensions_split_the_whole(a2):
     gamma = (2, 1)
     classes = lm.iso_classes(a2, gamma, 2)
-    for rep in classes.reps:
-        for spaces in lm.subrep_spaces(a2, rep, gamma, 2):
-            sg = lm.sub_gamma(spaces)
+    for rep, sg in itertools.product(classes.reps, itertools.product(range(3), range(2))):
+        for spaces in lm.subrep_spaces(a2, rep, gamma, 2, sg):
+            assert tuple(len(rows) for rows, _ in spaces) == sg
             sub = lm.sub_rep(a2, rep, spaces, 2)
             quot = lm.quotient_rep(a2, gamma, rep, spaces, 2)
             qg = tuple(a - b for a, b in zip(gamma, sg))

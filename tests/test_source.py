@@ -16,3 +16,16 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_no_floats_in_the_package():
+    # the core is exact: a float literal or a float() call anywhere in it
+    # would round where every comparison relies on equality being exact
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+    ]
+    assert not found, found

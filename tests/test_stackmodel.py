@@ -13,20 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complat import linmoduli as lm
 from complat.arrangement import (
     cells,
     chambers,
     flats,
+    minimal_flat_containing,
     rays_of_constraints,
     restrict,
     saturated_cone,
     sign_vector_of,
     witness_point,
 )
-from complat.errors import SpecError
+from complat.errors import InvariantError, SpecError
 from complat.qlinalg import mat_vec, primitive, qvec, span, vec_scale
 from complat.stackmodel import (
     Face,
+    QuotientStackSpec,
     _act_cone,
     central_rank,
     component_signature,
@@ -42,7 +45,10 @@ from complat.stackmodel import (
     special_cone_closure,
     special_face_closure,
     surjection_invariance_check,
+    weyl_permutations,
 )
+
+from oracles import brute_force_flats
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -71,6 +77,7 @@ RANK3_MIXED = {
 }
 
 ALL_DOCS = [B_GM, A1_GM, A2_GL2, B_GL3, RANK3_MIXED]
+LINEAR_SPECS = ("a1_gm", "a2_gl2", "b_gl2", "b_gl3", "b_gl4", "b_gm", "rank3_mixed")
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +230,69 @@ def test_special_face_orbit_representatives(a2gl2):
         ((1, 1),),
         (),
     ]
+
+
+def _braid_doc(n):
+    roots = [[int(k == i) - int(k == j) for k in range(n)] for i in range(n) for j in range(n) if i != j]
+    gens = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        gens.append([[int(c == swap.get(r, r)) for c in range(n)] for r in range(n)])
+    return {"type": "linear_quotient", "rank": n, "weights": [], "roots": roots, "weyl_generators": gens}
+
+
+def _weyl_route_cases():
+    cases = [(name, json.loads((SPECS / f"{name}.json").read_text())) for name in LINEAR_SPECS]
+    cases.append(("braid4", _braid_doc(4)))
+    a3 = {"type": "quiver", "vertices": ["a", "b", "c"], "arrows": [["a", "b"], ["b", "c"]]}
+    for qname, qdoc in (("a2", json.loads((SPECS / "a2_quiver.json").read_text())), ("a3", a3)):
+        quiver = lm.load_quiver(qdoc)
+        for total in range(1, 4):
+            for gamma in lm.dim_vectors(quiver.n_vertices, total):
+                cases.append((qname + "".join(map(str, gamma)), lm.quotient_spec_doc(quiver, gamma)))
+    return [pytest.param(doc, id=name) for name, doc in cases]
+
+
+def _face_orbits_by_geometry(spec):
+    # every flat from the brute-force oracle, moved by the matrices
+    arr = global_arrangement(spec)
+
+    def key(sub):
+        return tuple(x for row in sub.basis for x in row)
+
+    seen, out = set(), []
+    for _, sub in brute_force_flats(arr.covectors, arr.dim):
+        if sub in seen:
+            continue
+        orbit = {span([mat_vec(g, b) for b in sub.basis], spec.rank) for g in spec.weyl_group}
+        seen |= orbit
+        out.append((minimal_flat_containing(arr, min(orbit, key=key)), len(orbit)))
+    return sorted(out, key=lambda o: (-o[0].dim, key(o[0].subspace)))
+
+
+def _cell_orbits_by_witness(spec):
+    arr = global_arrangement(spec)
+    orbits = set()
+    for s in cells(arr):
+        p = witness_point(arr, s)
+        orbits.add(tuple(sorted({sign_vector_of(arr, mat_vec(g, p)) for g in spec.weyl_group})))
+    return tuple(sorted(orbits, key=lambda o: (len(o), o)))
+
+
+@pytest.mark.parametrize("doc", _weyl_route_cases())
+def test_weyl_permutations_move_flats_and_cells_as_the_matrices_do(doc):
+    spec = load_spec(doc)
+    faces = enumerate_special_faces(spec)
+    assert [(o.flat, o.orbit_size) for o in faces] == _face_orbits_by_geometry(spec)
+    assert cell_orbits(spec) == _cell_orbits_by_witness(spec)
+
+
+def test_a_weyl_element_that_does_not_permute_the_hyperplanes_is_an_invariant_error():
+    shear = ((1, 1), (0, 1))
+    spec = QuotientStackSpec(2, ((0, 1), (1, 0)), (), (shear,), (((1, 0), (0, 1)), shear))
+    for route in (weyl_permutations, enumerate_special_faces, cell_orbits):
+        with pytest.raises(InvariantError, match=r"pulls a covector back to \(1, 1\), off the arrangement"):
+            route(spec)
 
 
 # -- closure laws ---------------------------------------------------------------
@@ -432,9 +502,7 @@ def test_constancy_on_the_rank3_mixed_example():
     assert report["ok"]
 
 
-@pytest.mark.parametrize(
-    "name", ["a1_gm", "a2_gl2", "b_gl2", "b_gl3", "b_gl4", "b_gm", "rank3_mixed"]
-)
+@pytest.mark.parametrize("name", LINEAR_SPECS)
 def test_constancy_never_raises_a_false_alarm_on_the_shipped_specs(name):
     # chambers that are pure lineality once sampled the origin whenever
     # every lineality coefficient came out zero (seeds 0, 2, 4, 5 on b_*)
