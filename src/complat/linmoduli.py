@@ -290,10 +290,13 @@ def load_quiver(doc: dict) -> Quiver:
         raise SpecError("vertices must be a nonempty list of names")
     if len(set(verts)) != len(verts):
         raise SpecError("vertex names must be distinct")
+    if not isinstance(doc["arrows"], (list, tuple)):
+        raise SpecError("arrows must be a list")
     index = {v: i for i, v in enumerate(verts)}
     arrows = []
     for a in doc["arrows"]:
-        if not isinstance(a, (list, tuple)) or len(a) != 2 or any(v not in index for v in a):
+        ends = a if isinstance(a, (list, tuple)) else ()
+        if len(ends) != 2 or not all(isinstance(v, str) and v in index for v in ends):
             raise SpecError(f"arrow must be a pair of vertex names, got {a!r}")
         arrows.append((index[a[0]], index[a[1]]))
     return Quiver(tuple(verts), tuple(arrows))

@@ -150,8 +150,19 @@ class Subspace:
     ambient_dim: int
 
     def __post_init__(self):
-        redone, _ = rref(self.basis, self.ambient_dim)
-        if redone != self.basis:
+        """Check the RREF conditions directly: tuple rows of the right
+        length, each led by a 1 right of the previous row's pivot, and zero
+        in the other rows' pivot columns."""
+        n, last = self.ambient_dim, -1
+        for row in self.basis:
+            if len(row) != n:
+                raise ValueError(f"row of length {len(row)} in width-{n} matrix")
+        for row in self.basis:
+            p = next((j for j, x in enumerate(row) if x != 0), n)
+            if p <= last or p == n or row[p] != 1 or sum(r[p] != 0 for r in self.basis) > 1:
+                raise ValueError("basis is not in reduced row echelon form")
+            last = p
+        if not isinstance(self.basis, tuple) or not all(isinstance(r, tuple) for r in self.basis):
             raise ValueError("basis is not in reduced row echelon form")
 
     @property
@@ -269,19 +280,14 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
 
 def covector_times_mat(w: Sequence[Scalar], m: Sequence[Sequence[Scalar]]) -> tuple:
     """Row vector times matrix: the pullback of w along the map m."""
-    n = len(m[0]) if m else 0
-    return tuple(sum((Fraction(w[i]) * Fraction(m[i][j]) for i in range(len(m))), ZERO) for j in range(n))
+    return tuple(dot(w, col) for col in zip(*m))
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> tuple[Vec, ...]:
     """Product of rational matrices (rows-of-rows convention)."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch")
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))), ZERO) for j in range(cols))
-        for i in range(len(a))
-    )
+    return tuple(covector_times_mat(row, b) for row in a)
 
 
 def determinant(m: Sequence[Sequence[Scalar]]) -> Fraction:

@@ -21,9 +21,10 @@ package computes about such a stack lives in Q^rank:
 
 The Weyl group is enumerated explicitly and assumed small (cap 100000).
 An element permutes the weights and roots, hence the hyperplanes up to
-sign (weyl_permutations); flats and cells move by that signed permutation,
-cones by the matrix. Orbits are named by canonical representatives, so all
-outputs are deterministic.
+sign (weyl_permutations); flats, cells and special cones move by that
+signed permutation, and matrices act only in load_spec, weyl_permutations
+and the Hall category's embeddings. Orbits are named by canonical
+representatives, so all outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .arrangement import (
     Flat,
     HyperplaneArrangement,
     SignVector,
-    canonical_rays,
     cells,
     chambers,
     flats,
@@ -439,7 +439,8 @@ def _signature_from_cone_rays(
 
 @dataclass(frozen=True)
 class ConeOrbit:
-    """A Weyl orbit of special cones, named by its representative."""
+    """A Weyl orbit of special cones, named by its representative: the
+    member with the least ambient ray tuple."""
 
     signature: AttractorSignature
     orbit_size: int
@@ -447,20 +448,6 @@ class ConeOrbit:
     @property
     def dim(self) -> int:
         return self.signature.cone.dim
-
-
-def _act_cone(
-    spec: QuotientStackSpec, ambient_rays: tuple[IntVec, ...], g: Matrix
-) -> tuple[IntVec, ...]:
-    """Canonical ambient rays of the image cone. g permutes the weights and
-    roots (load_spec checks it), so the moved rays are the image's extreme
-    rays; only their reduction mod lineality is redone, in their carrier."""
-    if not ambient_rays:
-        return ambient_rays
-    moved = [mat_vec(g, r) for r in ambient_rays]
-    carrier = span(moved, spec.rank)
-    rays = canonical_rays(*split_rays([carrier.coords_in(v) for v in moved]), carrier.dim)
-    return tuple(sorted(primitive(carrier.lift(r)) for r in rays))
 
 
 def enumerate_special_cones(
@@ -472,9 +459,14 @@ def enumerate_special_cones(
     one-sided restricted tangent constraints; lower-dimensional cones of a
     flat occur as full-dimensional cones on a smaller flat. Enumerates
     constraint subsets per flat, so the constraint count is capped.
+
+    Global covectors cut out a special cone, so its saturated sign data,
+    a pair (>= 0 on every ray, <= 0 on every ray) per covector, is a key;
+    (i_j, e_j) moves it to (key_{i_j}, reversed if e_j < 0)_j. An orbit is
+    named by the least ambient ray tuple among its members.
     """
     arr = global_arrangement(spec)
-    found: dict[tuple[IntVec, ...], Flat] = {}
+    found: set[tuple[IntVec, ...]] = set()
     for fl in flats(arr):
         carrier = fl.subspace
         restr = _signed_restrictions(spec, carrier)
@@ -487,20 +479,22 @@ def enumerate_special_cones(
             cone_rays = rays_of_constraints([], ineqs, carrier.dim)
             if span(cone_rays, carrier.dim).dim != carrier.dim:
                 continue
-            ambient = tuple(sorted(primitive(carrier.lift(qvec(r))) for r in cone_rays))
-            found.setdefault(ambient, fl)
-    seen: set[tuple[IntVec, ...]] = set()
-    orbits = []
+            found.add(tuple(sorted(primitive(carrier.lift(qvec(r))) for r in cone_rays)))
+    by_key = {}
     for ambient in sorted(found):
-        if ambient in seen:
-            continue
-        orbit = {_act_cone(spec, ambient, g) for g in spec.weyl_group}
-        if not orbit <= set(found):
-            raise InvariantError(f"a weyl image of the special cone with rays {ambient} is not special")
-        seen.update(orbit)
-        rep = min(orbit)
-        rep_rays = [qvec(r) for r in rep] or [qvec((0,) * spec.rank)]
-        sig = special_cone_closure(spec, rep_rays)
+        vals = [[dot(w, a) for a in ambient] for w in arr.covectors]
+        key = tuple((all(x >= 0 for x in v), all(x <= 0 for x in v)) for v in vals)
+        if key in by_key:
+            raise InvariantError(
+                f"special cones with rays {by_key[key]} and {ambient} share their sign data"
+            )
+        by_key[key] = ambient
+    orbits = []
+    for _, orbit in _weyl_orbits(
+        spec, list(by_key), lambda perm, key: tuple(key[i][::e] for i, e in perm), "special cone"
+    ):
+        rep = min(by_key[key] for key in orbit)
+        sig = special_cone_closure(spec, [qvec(r) for r in rep] or [qvec((0,) * spec.rank)])
         if sig.ambient_rays != rep:
             raise InvariantError(f"special cone with rays {rep} has closure rays {sig.ambient_rays}")
         orbits.append(ConeOrbit(sig, len(orbit)))
@@ -682,13 +676,6 @@ def verify_hall_category(cat: FiniteCategory) -> dict:
     return {**check_laws(cat), "pairs": len(cat.composition)}
 
 
-def _morphism_cone_ambient(cat: FiniteCategory, m: HallMorphism) -> tuple[IntVec, ...]:
-    """Extreme rays, in Q^rank, of a morphism's closed chamber cone."""
-    carrier = cat.objects[m.target].flat.subspace
-    rays = rays_of_constraints(*signed_constraints(m.sub_covectors, m.chamber), carrier.dim)
-    return tuple(sorted(primitive(carrier.lift(qvec(r))) for r in rays))
-
-
 def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategory) -> bool:
     """Check, on every composable pair, that the composite's one-sided
     tangent data splits into the part the first chamber sees and the part
@@ -697,36 +684,33 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
       {w >= 0 on composite} = {w >= 0, not identically 0, on the embedded
       first chamber} + {w identically 0 on the first, >= 0 on the second}
 
-    as multisets of weights, and likewise for roots.
+    as multisets of weights, and likewise for roots. Each predicate
+    depends only on the vector, so this is an identity of bitmasks over
+    weights + roots, restricted to each object's basis. The second
+    morphism pulls them back along its embedding, so the first chamber's
+    integer rays are tested as they are, in its target's coordinates.
     """
-    cones = [_morphism_cone_ambient(cat, m) for m in cat.morphisms]
+    restricted = [
+        tuple(tuple(dot(v, b) for b in o.flat.subspace.basis) for v in spec.weights + spec.roots)
+        for o in cat.objects
+    ]
+    rays, nonneg, pulled = [], [], []
+    for m in cat.morphisms:
+        target = restricted[m.target]
+        cone = rays_of_constraints(
+            *signed_constraints(m.sub_covectors, m.chamber), cat.objects[m.target].dim
+        )
+        rays.append(cone)
+        nonneg.append(sum(1 << t for t, v in enumerate(target) if all(dot(v, r) >= 0 for r in cone)))
+        pulled.append(tuple(mat_vec(m.embedding, v) for v in target))
     for (i, j), k in cat.composition.items():
-        m2 = cat.morphisms[j]
-        mid_carrier = cat.objects[cat.morphisms[i].target].flat.subspace
-        out_carrier = cat.objects[m2.target].flat.subspace
-        pushed = []
-        for r in cones[i]:
-            c = mid_carrier.coords_in(qvec(r))
-            if c is None:
-                raise InvariantError(f"ray {r} of morphism {i} lies outside its target flat")
-            pushed.append(out_carrier.lift(covector_times_mat(c, m2.embedding)))
-        second = cones[j]
-        comp = cones[k]
-
-        def split_ok(vectors) -> bool:
-            whole = Counter(v for v in vectors if all(dot(v, r) >= 0 for r in comp))
-            seen_part = Counter(
-                v
-                for v in vectors
-                if all(dot(v, r) >= 0 for r in pushed) and any(dot(v, r) != 0 for r in pushed)
-            )
-            degen_part = Counter(
-                v
-                for v in vectors
-                if all(dot(v, r) == 0 for r in pushed) and all(dot(v, r) >= 0 for r in second)
-            )
-            return whole == seen_part + degen_part
-
-        if not split_ok(spec.weights) or not split_ok(spec.roots):
+        seen = degen = 0
+        for t, v in enumerate(pulled[j]):
+            vals = [dot(v, r) for r in rays[i]]
+            if all(x >= 0 for x in vals):
+                seen |= 1 << t
+                if not any(vals):
+                    degen |= 1 << t
+        if nonneg[k] != (seen & ~degen) | (degen & nonneg[j]):
             return False
     return True

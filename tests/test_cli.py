@@ -296,6 +296,19 @@ def test_unreadable_and_malformed_documents_exit_2(capsys, tmp_path):
     assert code == 2 and "JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "arrows",
+    [5, None, [[["a"], "a"]], [[{"a": 1}, "a"]]],
+    ids=["number", "null", "list-endpoint", "dict-endpoint"],
+)
+def test_malformed_quiver_arrows_exit_2(capsys, tmp_path, arrows):
+    doc = tmp_path / "quiver.json"
+    doc.write_text(json.dumps({"type": "quiver", "vertices": ["a"], "arrows": arrows}))
+    code, out, err = run_cli(capsys, "faces", doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_oversized_counting_requests_exit_3(capsys):
     code, out, err = run_cli(
         capsys, "verify", SPECS / "jordan.json", "--suite", "associativity", "--q", 2,

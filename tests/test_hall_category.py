@@ -7,6 +7,7 @@ through the image.
 """
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,29 @@ def test_composition_with_chamber_fallthrough(categories):
 def test_composition_weight_identity(categories, name):
     spec, cat = categories[name]
     assert hall_composition_weight_identity(spec, cat)
+
+
+def test_composition_weight_identity_rejects_a_swapped_composite(categories):
+    # the positive half of the axis line, embedded as (1, 0) into the plane
+    # with (0, 1) >= 0, composes to the sector where x, y and x - y are all
+    # positive; the opposite sector has the wrong sign on every weight that
+    # the embedded ray sees, so the identity must fail once it is swapped in
+    spec, cat = categories["a2gl2"]
+    ms = cat.morphisms
+    ray = next(i for i, m in enumerate(ms) if (m.source, m.target) == (3, 1) and m.chamber == (1,))
+    into_plane = next(
+        i
+        for i, m in enumerate(ms)
+        if (m.source, m.target) == (1, 0) and m.embedding == ((Fraction(1), Fraction(0)),) and m.chamber == (1,)
+    )
+    sector = ms[cat.compose(ray, into_plane)]
+    assert (sector.sub_covectors, sector.chamber) == (((0, 1), (1, -1), (1, 0)), (1, 1, 1))
+    opposite = next(
+        i for i, m in enumerate(ms) if (m.source, m.target) == (3, 0) and m.chamber == (-1, -1, -1)
+    )
+    swapped = replace(cat, composition={**cat.composition, (ray, into_plane): opposite})
+    assert hall_composition_weight_identity(spec, cat)
+    assert not hall_composition_weight_identity(spec, swapped)
 
 
 def test_category_is_deterministic():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,47 @@ def test_span_drops_dependent_rows():
 def test_subspace_rejects_non_rref_basis():
     with pytest.raises(ValueError):
         Subspace(((F(2), F(0)), (F(0), F(1))), 2)
+
+
+@pytest.mark.parametrize(
+    "basis,n",
+    [
+        (((F(1), F(0)), (F(0), F(0))), 2),  # a zero row
+        (((F(0), F(2)),), 2),  # a pivot that is not 1
+        (((F(0), F(1)), (F(1), F(0))), 2),  # decreasing pivots
+        (((F(1), F(0), F(1)), (F(0), F(1))), 3),  # a row of the wrong length
+        (((F(1), F(1)), (F(0), F(1))), 2),  # a nonzero entry above a pivot
+    ],
+)
+def test_subspace_rejects_each_broken_rref_condition(basis, n):
+    with pytest.raises(ValueError):
+        Subspace(basis, n)
+
+
+def test_subspace_accepts_exactly_the_bases_rref_reproduces():
+    # random small matrices, their RREFs, and RREFs with one entry changed
+    rng = random.Random(5)
+    values = [F(0), F(0), F(1), F(-1), F(2), F(1, 2)]
+    accepted = rejected = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        rows = [tuple(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        candidates = [tuple(rows), rref(rows, n)[0]]
+        if candidates[1]:
+            edited = [list(r) for r in candidates[1]]
+            edited[rng.randrange(len(edited))][rng.randrange(n)] = rng.choice(values)
+            candidates.append(tuple(map(tuple, edited)))
+        for basis in candidates:
+            is_rref = rref(basis, n)[0] == basis
+            try:
+                Subspace(basis, n)
+            except ValueError:
+                assert not is_rref, basis
+                rejected += 1
+            else:
+                assert is_rref, basis
+                accepted += 1
+    assert accepted > 300 and rejected > 300
 
 
 def test_kernel_of_difference_functional():

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complat import linmoduli as lm
+from complat import stackmodel as sm
 from complat.arrangement import (
+    HyperplaneArrangement,
     cells,
     chambers,
     flats,
@@ -30,7 +32,6 @@ from complat.qlinalg import mat_vec, primitive, qvec, span, vec_scale
 from complat.stackmodel import (
     Face,
     QuotientStackSpec,
-    _act_cone,
     central_rank,
     component_signature,
     constancy_check,
@@ -442,15 +443,26 @@ def _act_cone_by_saturation(spec, ambient_rays, g):
 
 
 def test_weyl_action_on_cones_matches_the_saturation_route(a2gl2, bgl3):
+    # the orbits that enumerate_special_cones finds by permuting sign data
+    # are the orbits of the matrices, closed up by a second double
+    # description: each has orbit_size images, and no image is shared
     for spec in (a2gl2, bgl3):
+        seen = set()
         for orbit in enumerate_special_cones(spec):
             rep = orbit.signature.ambient_rays
-            if not rep:
-                continue
-            images = {_act_cone(spec, rep, g) for g in spec.weyl_group}
+            images = {_act_cone_by_saturation(spec, rep, g) for g in spec.weyl_group}
             assert len(images) == orbit.orbit_size
-            for g in spec.weyl_group:
-                assert _act_cone(spec, rep, g) == _act_cone_by_saturation(spec, rep, g)
+            assert not images & seen
+            seen |= images
+
+
+def test_special_cones_sharing_their_sign_data_are_an_invariant_error(a2gl2, monkeypatch):
+    # with no covectors to tell them apart, every cone of the plane has the
+    # empty key
+    empty = HyperplaneArrangement((), 2)
+    monkeypatch.setattr(sm, "global_arrangement", lambda spec: empty)
+    with pytest.raises(InvariantError, match="share their sign data"):
+        enumerate_special_cones(a2gl2)
 
 
 def test_cone_closure_is_idempotent_and_extensive(anyspec):
