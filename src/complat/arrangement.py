@@ -29,7 +29,7 @@ cells it actually splits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, InvariantError
@@ -40,10 +40,12 @@ from .qlinalg import (
     Vec,
     canonical_covector,
     dot,
+    int_dot,
     is_zero_vec,
     kernel,
     primitive,
     qvec,
+    row_rank,
     sign,
     span,
     vec_neg,
@@ -130,8 +132,10 @@ class Flat:
 
 
 def _through(arr: HyperplaneArrangement, space: Subspace) -> IntVec:
-    """Indices of the hyperplanes containing the subspace."""
-    return tuple(i for i, w in enumerate(arr.covectors) if all(dot(w, b) == 0 for b in space.basis))
+    """Indices of the hyperplanes containing the subspace, tested on the
+    primitive integer multiples of its basis rows."""
+    rows = [primitive(b) for b in space.basis]
+    return tuple(i for i, w in enumerate(arr.covectors) if not any(int_dot(w, b) for b in rows))
 
 
 def closure(arr: HyperplaneArrangement, hyperplanes: Iterable[int]) -> Flat:
@@ -170,21 +174,24 @@ def minimal_flat_containing(arr: HyperplaneArrangement, space: Subspace) -> Flat
     Hyperplanes containing the flat are exactly those containing the
     subspace, so no closure iteration is needed.
     """
-    containing = _through(arr, space)
-    return Flat(kernel([arr.covectors[i] for i in containing], arr.dim), containing)
+    return _flat_cut_out(arr, _through(arr, space))
+
+
+@lru_cache(maxsize=None)
+def _flat_cut_out(arr: HyperplaneArrangement, hyperplanes: IntVec) -> Flat:
+    """The flat of a closed hyperplane set. Closures of samples and cones
+    land on few flats, so each kernel is computed once per (arrangement,
+    hyperplane set)."""
+    return Flat(kernel([arr.covectors[i] for i in hyperplanes], arr.dim), hyperplanes)
 
 
 # -- double description -----------------------------------------------------
 
 
-def _int_dot(a: IntVec, v: IntVec) -> int:
-    return sum(map(mul, a, v))
-
-
 def _project(a: IntVec, h: IntVec, ah: int, v: IntVec) -> IntVec:
     """Primitive image of v on {a = 0} along h, a positive multiple of
     v - (a.v / a.h) h: |a.h| v - sign(a.h) (a.v) h."""
-    av = _int_dot(a, v)
+    av = int_dot(a, v)
     if av == 0:
         return v
     c, d = abs(ah), av if ah > 0 else -av
@@ -212,10 +219,10 @@ def dd_cone(
         if not is_zero_vec(raw):
             # no inequality has run yet, so the cone is still the span of lin
             a = primitive(raw)
-            hit = next((l for l in lin if _int_dot(a, l)), None)
+            hit = next((l for l in lin if int_dot(a, l)), None)
             if hit is not None:
                 lin.remove(hit)
-                ah = _int_dot(a, hit)
+                ah = int_dot(a, hit)
                 lin = [_project(a, hit, ah, l) for l in lin]
 
     tight: dict[IntVec, int] = {}  # pointed ray -> its tight-set bitmask
@@ -224,12 +231,12 @@ def dd_cone(
         if is_zero_vec(raw):
             continue
         a = primitive(raw)
-        hit = next((l for l in lin if _int_dot(a, l)), None)
+        hit = next((l for l in lin if int_dot(a, l)), None)
         if hit is not None:
             # a cuts the lineality: hit turns into a pointed ray (tight on
             # every earlier constraint), the rest moves onto {a = 0}
             lin.remove(hit)
-            ah = _int_dot(a, hit)
+            ah = int_dot(a, hit)
             if ah < 0:
                 hit, ah = vec_neg(hit), -ah
             lin = [_project(a, hit, ah, l) for l in lin]
@@ -238,7 +245,7 @@ def dd_cone(
         else:
             pos, neg, new = [], [], {}
             for r, t in tight.items():
-                ar = _int_dot(a, r)
+                ar = int_dot(a, r)
                 if ar > 0:
                     pos.append((r, ar))
                     new[r] = t
@@ -262,15 +269,19 @@ def dd_cone(
 def canonical_rays(lin: Sequence[Vec], rays: Sequence[Vec], dim: int) -> tuple[IntVec, ...]:
     """Canonical extreme-ray tuple of span(lin) + cone(rays), for rays
     irredundant modulo span(lin): +/- primitive lineality basis rows plus
-    pointed rays reduced modulo the lineality space, sorted."""
-    lspace = span(lin, dim)
+    pointed rays reduced modulo the lineality space, sorted. Only the
+    rays' directions matter, so a positive multiple of a ray gives the same
+    tuple: a pointed ray is reduced as L times its reduction
+    (Subspace.scaled_reduce, integer on integer rays), and with no
+    lineality the tuple is the sorted primitive rays, with no span taken."""
+    lspace = span(lin, dim) if lin else Subspace((), dim)
     out: set[IntVec] = set()
     for b in lspace.basis:
         p = primitive(b)
         out.add(p)
         out.add(vec_neg(p))
     for r in rays:
-        rr = lspace.reduce(r)
+        rr = lspace.scaled_reduce(r) if lin else r
         if is_zero_vec(rr):
             raise InvariantError(
                 f"pointed ray {vec_str(r)} of rays {vec_str(*rays)} collapsed "
@@ -341,17 +352,20 @@ class ArrCone:
 def saturated_cone(arr: HyperplaneArrangement, rays: Sequence[IntVec]) -> ArrCone:
     """ArrCone of the cone generated by canonical rays (as produced by
     canonical_rays or rays_of_constraints). Every covector is tested
-    against every ray, so the constraint sets come out saturated."""
+    against every ray, so the constraint sets come out saturated. Only the
+    rays' directions matter, so a positive multiple of a ray gives the same
+    cone; on integer rays the dots and the rank (row_rank) are integer
+    arithmetic."""
     zero, nn = [], []
     for i, w in enumerate(arr.covectors):
-        vals = [dot(w, r) for r in rays]
+        vals = [int_dot(w, r) for r in rays]
         if all(v == 0 for v in vals):
             zero.append(i)
         elif all(v >= 0 for v in vals):
             nn.append((i, 1))
         elif all(v <= 0 for v in vals):
             nn.append((i, -1))
-    return ArrCone(tuple(zero), tuple(nn), tuple(rays), span(rays, arr.dim).dim)
+    return ArrCone(tuple(zero), tuple(nn), tuple(rays), row_rank(rays))
 
 
 # -- cells -------------------------------------------------------------------
@@ -363,7 +377,7 @@ def _checked_witness(
     """The sum of the pointed rays of the closed cell with signs s, which
     must have exactly those signs."""
     total = tuple(map(sum, zip(*pointed))) if pointed else (0,) * dim
-    got = tuple(sign(_int_dot(w, total)) for w in covectors)
+    got = tuple(sign(int_dot(w, total)) for w in covectors)
     if got != tuple(s):
         raise InvariantError(f"witness {vec_str(total)} of sign vector {s} has signs {got}")
     return total
@@ -410,8 +424,8 @@ def cells(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[Sig
         covs = arr.covectors[: k + 1]
         nxt = []
         for s, lin, pointed, witness in state:
-            vals = [_int_dot(w, r) for r in pointed]
-            if any(_int_dot(w, l) for l in lin) or (vals and max(vals) > 0 > min(vals)):
+            vals = [int_dot(w, r) for r in pointed]
+            if any(int_dot(w, l) for l in lin) or (vals and max(vals) > 0 > min(vals)):
                 for e in (-1, 0, 1):
                     child = s + (e,)
                     clin, cpointed = dd_cone(*signed_constraints(covs, child), arr.dim)
@@ -419,7 +433,7 @@ def cells(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[Sig
                     nxt.append((child, clin, cpointed, witness))
                 continue
             e = sign(sum(vals))
-            if sign(_int_dot(w, witness)) != e:
+            if sign(int_dot(w, witness)) != e:
                 raise InvariantError(
                     f"witness {vec_str(witness)} of sign vector {s} is off the sign {e} "
                     f"that the rays {vec_str(*pointed)} force on covector {w}"

@@ -2,9 +2,14 @@
 
 Conventions shared by the whole package:
 
-- points are tuples of ``fractions.Fraction``,
-- rays out of the double description (``arrangement.dd_cone``) and the
-  canonical ray tuples built from them are primitive integer tuples,
+- points given as input, and subspace bases, are tuples of
+  ``fractions.Fraction``,
+- where only a direction matters, a vector is held as a positive integer
+  multiple of itself, usually the primitive one: the rays out of the double
+  description (``arrangement.dd_cone``) and the canonical ray tuples built
+  from them, the rays of a special cone closure, the constancy samples and
+  the vectors the Hall weight identity pulls back; their dot products with
+  integer covectors are ``int_dot``s,
 - covectors (linear functionals) are primitive integer tuples: gcd of the
   entries is 1 and the first nonzero entry is positive, so equal
   hyperplanes compare equal bitwise,
@@ -20,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Scalar = int | Fraction
@@ -43,6 +50,13 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
         if a and b:
             total += a * b
     return total if type(total) is Fraction else Fraction(total)
+
+
+def int_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """Dot product without the checks and the Fraction result of dot: an
+    int on integer vectors. The lengths must match. On Fraction vectors dot
+    is the faster one, since it skips zero entries."""
+    return sum(map(mul, u, v))
 
 
 def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
@@ -72,9 +86,8 @@ def primitive(entries: Sequence[Scalar]) -> IntVec:
     if all(type(e) is int for e in entries):
         ints = entries
     else:
-        vals = [Fraction(e) for e in entries]
-        mult = lcm(*(v.denominator for v in vals))
-        ints = [int(v * mult) for v in vals]
+        mult = lcm(*(e.denominator for e in entries))
+        ints = [e.numerator * (mult // e.denominator) for e in entries]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
@@ -137,6 +150,21 @@ def rref(rows: Sequence[Sequence[Scalar]], width: int) -> tuple[tuple[Vec, ...],
     return out, tuple(pivots)
 
 
+def row_rank(rows: Iterable[Sequence[Scalar]]) -> int:
+    """Dimension of the span of the rows, by fraction-free elimination:
+    each row is cleared at the pivots of the rows kept before it by integer
+    cross-multiplication, and a row left nonzero is kept in primitive form."""
+    kept: list[tuple[int, IntVec]] = []  # (pivot, row vanishing at earlier pivots)
+    for r in rows:
+        for p, e in kept:
+            if r[p]:
+                r = [e[p] * x - r[p] * y for x, y in zip(r, e)]
+        pivot = next((j for j, x in enumerate(r) if x), None)
+        if pivot is not None:
+            kept.append((pivot, primitive(r)))
+    return len(kept)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^n in reduced row echelon form.
@@ -169,12 +197,28 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def pivots(self) -> IntVec:
-        piv = []
-        for row in self.basis:
-            piv.append(next(i for i, x in enumerate(row) if x != 0))
-        return tuple(piv)
+        return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.basis)
+
+    @cached_property
+    def _scaled_columns(self) -> tuple[int, tuple[IntVec, ...]]:
+        """(L, the columns of L times the basis), for L the lcm of the
+        basis' denominators; computed once per instance."""
+        scale = lcm(*(x.denominator for row in self.basis for x in row))
+        cols = tuple(tuple(int(row[j] * scale) for row in self.basis) for j in range(self.ambient_dim))
+        return scale, cols
+
+    def scaled_lift(self, coords: Sequence[Scalar]) -> tuple:
+        """L times lift(coords), for L the lcm of the basis' denominators:
+        an integer vector for integer coordinates."""
+        return tuple(int_dot(coords, col) for col in self._scaled_columns[1])
+
+    def scaled_reduce(self, v: Sequence[Scalar]) -> tuple:
+        """L times reduce(v), with the L of scaled_lift: an integer vector
+        for integer v, zero iff v lies in the subspace."""
+        scale = self._scaled_columns[0]
+        return tuple(scale * x - y for x, y in zip(v, self.scaled_lift([v[p] for p in self.pivots])))
 
     def reduce(self, v: Sequence[Scalar]) -> Vec:
         """Subtract the projection onto this subspace's pivot coordinates.

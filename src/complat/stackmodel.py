@@ -34,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .arrangement import (
@@ -48,7 +49,6 @@ from .arrangement import (
     rays_of_constraints,
     restrict,
     saturated_cone,
-    sign_vector_of,
     signed_constraints,
     split_rays,
 )
@@ -64,11 +64,15 @@ from .qlinalg import (
     covector_times_mat,
     determinant,
     dot,
+    int_dot,
+    is_zero_vec,
     kernel,
     mat_mul,
     mat_vec,
     primitive,
     qvec,
+    row_rank,
+    sign,
     span,
     vec_neg,
     vec_str,
@@ -273,6 +277,14 @@ def component_signature(spec: QuotientStackSpec, face: Face | Subspace) -> Compo
     return ComponentSignature(sub.dim, fixed, levi)
 
 
+def _signature_of_span(spec: QuotientStackSpec, vectors: Sequence[IntVec], dim: int) -> ComponentSignature:
+    """component_signature of the span of integer vectors, whose dimension
+    the caller knows, in integer dots."""
+    fixed = tuple(w for w in spec.weights if not any(int_dot(w, v) for v in vectors))
+    levi = tuple(r for r in spec.roots if not any(int_dot(r, v) for v in vectors))
+    return ComponentSignature(dim, fixed, levi)
+
+
 def special_face_closure(spec: QuotientStackSpec, face: Face) -> Flat:
     """Minimal flat of the global arrangement containing the face.
 
@@ -403,17 +415,26 @@ def special_cone_closure(
     the cone is cut by every restricted tangent functional that is
     nonnegative on all rays, each with its own sign. No restriction can
     vanish on all the rays: the carrier flat would not be minimal.
+
+    Only the rays' directions matter, so each ray is taken as its primitive
+    integer multiple and zero rays are dropped: a positive multiple of a
+    ray, such as a constancy sample (a positive integer multiple of the
+    drawn rational point), has the same closure. A ray's carrier
+    coordinates are its entries at the carrier's pivots, and it lies in the
+    carrier iff L times it equals the scaled lift of those coordinates (L
+    the lcm of the carrier basis' denominators); from there on every dot
+    product is an integer one.
     """
-    rays = [qvec(r) for r in rays]
+    rays = [primitive(r) for r in rays if not is_zero_vec(r)]
     flat = special_face_closure(spec, Face.from_vectors(rays, spec.rank))
     carrier = flat.subspace
-    coords = [carrier.coords_in(r) for r in rays]
-    if None in coords:
+    if any(any(carrier.scaled_reduce(r)) for r in rays):
         raise InvariantError(f"closure {vec_str(*carrier.basis)} misses rays {vec_str(*rays)}")
+    coords = [tuple(r[p] for p in carrier.pivots) for r in rays]
     ineqs = []
     for l in _signed_restrictions(spec, carrier):
-        vals = [dot(l, c) for c in coords]
-        if not any(vals) and any(any(c) for c in coords):
+        vals = [int_dot(l, c) for c in coords]
+        if rays and not any(vals):
             raise InvariantError(
                 f"restricted functional {l} vanishes on rays {vec_str(*rays)}, "
                 "so their special face closure is not minimal"
@@ -421,19 +442,11 @@ def special_cone_closure(
         if all(v >= 0 for v in vals):
             ineqs.append(l)
     cone_rays = rays_of_constraints([], ineqs, carrier.dim)
-    return _signature_from_cone_rays(spec, flat, cone_rays)
-
-
-def _signature_from_cone_rays(
-    spec: QuotientStackSpec, flat: Flat, cone_rays: tuple[IntVec, ...]
-) -> AttractorSignature:
-    carrier = flat.subspace
-    arr_f = restricted_arrangement(spec, carrier)
-    cone = saturated_cone(arr_f, cone_rays)
-    ambient = tuple(sorted(primitive(carrier.lift(r)) for r in cone_rays))
-    attractor = tuple(w for w in spec.weights if all(dot(w, a) >= 0 for a in ambient))
-    parabolic = tuple(r for r in spec.roots if all(dot(r, a) >= 0 for a in ambient))
-    levi = component_signature(spec, span(ambient, spec.rank))
+    cone = saturated_cone(restricted_arrangement(spec, carrier), cone_rays)
+    ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
+    attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
+    parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
+    levi = _signature_of_span(spec, ambient, cone.dim)
     return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
 
 
@@ -477,12 +490,12 @@ def enumerate_special_cones(
         for mask in range(1 << len(restr)):
             ineqs = [restr[i] for i in range(len(restr)) if mask >> i & 1]
             cone_rays = rays_of_constraints([], ineqs, carrier.dim)
-            if span(cone_rays, carrier.dim).dim != carrier.dim:
+            if row_rank(cone_rays) != carrier.dim:
                 continue
-            found.add(tuple(sorted(primitive(carrier.lift(qvec(r))) for r in cone_rays)))
+            found.add(tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays)))
     by_key = {}
     for ambient in sorted(found):
-        vals = [[dot(w, a) for a in ambient] for w in arr.covectors]
+        vals = [[int_dot(w, a) for a in ambient] for w in arr.covectors]
         key = tuple((all(x >= 0 for x in v), all(x <= 0 for x in v)) for v in vals)
         if key in by_key:
             raise InvariantError(
@@ -494,7 +507,7 @@ def enumerate_special_cones(
         spec, list(by_key), lambda perm, key: tuple(key[i][::e] for i, e in perm), "special cone"
     ):
         rep = min(by_key[key] for key in orbit)
-        sig = special_cone_closure(spec, [qvec(r) for r in rep] or [qvec((0,) * spec.rank)])
+        sig = special_cone_closure(spec, rep)
         if sig.ambient_rays != rep:
             raise InvariantError(f"special cone with rays {rep} has closure rays {sig.ambient_rays}")
         orbits.append(ConeOrbit(sig, len(orbit)))
@@ -521,6 +534,11 @@ def constancy_check(
     such points are always interior; no coefficient is zero, so a chamber
     that is pure lineality never yields the origin. Returns a JSON-able
     report.
+
+    Every signature depends only on the point's direction, so a sample is
+    the drawn point times the lcm of the drawn denominators, lifted by the
+    carrier's scaled_lift: a positive integer multiple of the drawn
+    rational point, in integer arithmetic throughout.
     """
     carrier = flat.subspace
     arr_f = restricted_arrangement(spec, carrier)
@@ -540,20 +558,19 @@ def constancy_check(
         seen_comp: set[ComponentSignature] = set()
         seen_attr: set[AttractorSignature] = set()
         for _ in range(samples):
-            v = [Fraction(0)] * carrier.dim
-            for r in pointed:
-                c = Fraction(rng.randint(1, 64), rng.randint(1, 64))
+            # (numerator, denominator, ray): the draw order fixes the samples of a seed
+            draws = [(rng.randint(1, 64), rng.randint(1, 64), r) for r in pointed]
+            draws += [(rng.choice((-1, 1)) * rng.randint(1, 64), rng.randint(1, 64), b) for b in lin_basis]
+            denom = lcm(*(d for _, d, _ in draws))
+            v = [0] * carrier.dim
+            for n, d, r in draws:
+                c = n * (denom // d)
                 for j, x in enumerate(r):
                     v[j] += c * x
-            for b in lin_basis:
-                c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 64), rng.randint(1, 64))
-                for j, x in enumerate(b):
-                    v[j] += c * x
-            v = tuple(v)
-            if sign_vector_of(arr_f, v) != ch:
+            if tuple(sign(int_dot(w, v)) for w in arr_f.covectors) != ch:
                 raise InvariantError(f"sample {vec_str(v)} left chamber {ch} of flat {flat.hyperplanes}")
-            p = carrier.lift(v)
-            seen_comp.add(component_signature(spec, span([p], spec.rank)))
+            p = carrier.scaled_lift(v)
+            seen_comp.add(_signature_of_span(spec, [p], 0 if is_zero_vec(p) else 1))
             seen_attr.add(special_cone_closure(spec, [p]))
         entry = {
             "signs": list(ch),
@@ -676,6 +693,11 @@ def verify_hall_category(cat: FiniteCategory) -> dict:
     return {**check_laws(cat), "pairs": len(cat.composition)}
 
 
+def _direction(v: Sequence[Scalar]) -> IntVec:
+    """The primitive integer multiple of v, same sign; zero stays zero."""
+    return primitive(v) if any(v) else (0,) * len(v)
+
+
 def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategory) -> bool:
     """Check, on every composable pair, that the composite's one-sided
     tangent data splits into the part the first chamber sees and the part
@@ -689,9 +711,12 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
     weights + roots, restricted to each object's basis. The second
     morphism pulls them back along its embedding, so the first chamber's
     integer rays are tested as they are, in its target's coordinates.
+    Only signs are read, so each restricted and each pulled vector is kept
+    as its primitive integer multiple, and every dot product is an
+    integer one.
     """
     restricted = [
-        tuple(tuple(dot(v, b) for b in o.flat.subspace.basis) for v in spec.weights + spec.roots)
+        tuple(_direction([dot(v, b) for b in o.flat.subspace.basis]) for v in spec.weights + spec.roots)
         for o in cat.objects
     ]
     rays, nonneg, pulled = [], [], []
@@ -701,12 +726,12 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
             *signed_constraints(m.sub_covectors, m.chamber), cat.objects[m.target].dim
         )
         rays.append(cone)
-        nonneg.append(sum(1 << t for t, v in enumerate(target) if all(dot(v, r) >= 0 for r in cone)))
-        pulled.append(tuple(mat_vec(m.embedding, v) for v in target))
+        nonneg.append(sum(1 << t for t, v in enumerate(target) if all(int_dot(v, r) >= 0 for r in cone)))
+        pulled.append(tuple(_direction(mat_vec(m.embedding, v)) for v in target))
     for (i, j), k in cat.composition.items():
         seen = degen = 0
         for t, v in enumerate(pulled[j]):
-            vals = [dot(v, r) for r in rays[i]]
+            vals = [int_dot(v, r) for r in rays[i]]
             if all(x >= 0 for x in vals):
                 seen |= 1 << t
                 if not any(vals):

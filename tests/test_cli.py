@@ -16,7 +16,7 @@ from complat.arrangement import Flat
 from complat.cli import main
 from complat.errors import InvariantError
 from complat.jsonio import canonical_json, document_digest, jsonable
-from complat.qlinalg import span
+from complat.qlinalg import span, vec_neg
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
@@ -281,6 +281,33 @@ def test_a_cone_closure_outside_its_carrier_exits_4(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "closure", SPECS / "a2_gl2.json", "--ray", "1,2")
     assert code == 4 and out == ""
     assert err == "invariant broken: closure (1, 0) misses rays (1, 2)\n"
+
+
+def test_a_restriction_vanishing_on_the_rays_exits_4(capsys, monkeypatch):
+    # (1, 1) lies on the root hyperplane, so the whole plane is not its
+    # minimal flat: the root restricts to a functional that vanishes on it
+    plane = Flat(span([(1, 0), (0, 1)], 2), ())
+    monkeypatch.setattr(sm, "special_face_closure", lambda spec, face: plane)
+    code, out, err = run_cli(capsys, "closure", SPECS / "a2_gl2.json", "--ray", "1,1")
+    assert code == 4 and out == ""
+    assert err == (
+        "invariant broken: restricted functional (-1, 1) vanishes on rays (1, 1), "
+        "so their special face closure is not minimal\n"
+    )
+
+
+def test_a_sample_outside_its_chamber_exits_4(capsys, monkeypatch):
+    # pointed rays handed back negated put every sample in the opposite chamber
+    split = sm.split_rays
+
+    def negated(rays):
+        lin, pointed = split(rays)
+        return lin, tuple(vec_neg(r) for r in pointed)
+
+    monkeypatch.setattr(sm, "split_rays", negated)
+    code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "constancy", "--samples", 2)
+    assert code == 4 and out == ""
+    assert err.startswith("invariant broken: sample (") and " left chamber (" in err
 
 
 def test_unreadable_and_malformed_documents_exit_2(capsys, tmp_path):

@@ -19,6 +19,7 @@ from complat.qlinalg import (
     primitive,
     qvec,
     restrict_covector,
+    row_rank,
     rref,
     span,
 )
@@ -84,6 +85,25 @@ def test_subspace_accepts_exactly_the_bases_rref_reproduces():
                 assert is_rref, basis
                 accepted += 1
     assert accepted > 300 and rejected > 300
+
+
+def test_row_rank_agrees_with_the_span():
+    # seeded integer matrices with zero, repeated and dependent rows
+    rng = random.Random(17)
+    ranks = set()
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        extra = [(0,) * n]
+        if rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+            extra += [a, tuple(c * x + d * y for x, y in zip(a, b))]
+        rows += rng.sample(extra, rng.randint(0, len(extra)))
+        rng.shuffle(rows)
+        assert row_rank(rows) == span(rows, n).dim, rows
+        ranks.add(row_rank(rows))
+    assert ranks == {0, 1, 2, 3, 4, 5}
 
 
 def test_kernel_of_difference_functional():

@@ -7,6 +7,7 @@ rank 1, the rank-3 root arrangement) before the implementation existed.
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,11 +26,14 @@ from complat.arrangement import (
     restrict,
     saturated_cone,
     sign_vector_of,
+    signed_constraints,
+    split_rays,
     witness_point,
 )
 from complat.errors import InvariantError, SpecError
-from complat.qlinalg import mat_vec, primitive, qvec, span, vec_scale
+from complat.qlinalg import dot, mat_vec, primitive, qvec, span, vec_neg, vec_scale
 from complat.stackmodel import (
+    AttractorSignature,
     Face,
     QuotientStackSpec,
     central_rank,
@@ -75,6 +79,15 @@ RANK3_MIXED = {
     "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
     "roots": [[1, -1, 0], [-1, 1, 0]],
     "weyl_generators": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]],
+}
+
+# weights whose flats have bases with denominators, e.g. (1, -1/2, 0)
+SKEW3 = {
+    "type": "linear_quotient",
+    "rank": 3,
+    "weights": [[1, 2, 0], [0, 1, 3], [2, 0, -1], [1, 1, 1]],
+    "roots": [],
+    "weyl_generators": [],
 }
 
 ALL_DOCS = [B_GM, A1_GM, A2_GL2, B_GL3, RANK3_MIXED]
@@ -481,6 +494,60 @@ def test_cone_closure_is_idempotent_and_extensive(anyspec):
         assert again.flat == sig.flat
 
 
+def _cone_closure_by_fractions(spec, rays):
+    # the Fraction route: span, minimal flat, coordinates in its basis,
+    # restrictions nonnegative on every ray, double description, saturation
+    rays = [qvec(r) for r in rays]
+    arr = global_arrangement(spec)
+    flat = minimal_flat_containing(arr, span(rays, spec.rank))
+    carrier = flat.subspace
+    coords = [carrier.coords_in(r) for r in rays]
+    restrictions = set()
+    for w in spec.weights + spec.roots:
+        vals = [dot(w, b) for b in carrier.basis]
+        if any(vals):
+            restrictions.add(primitive(vals))
+    ineqs = [l for l in sorted(restrictions) if all(dot(l, c) >= 0 for c in coords)]
+    cone_rays = rays_of_constraints([], ineqs, carrier.dim)
+    cone = saturated_cone(restrict(arr, carrier), cone_rays)
+    ambient = tuple(sorted(primitive(carrier.lift(r)) for r in cone_rays))
+    attractor = tuple(w for w in spec.weights if all(dot(w, a) >= 0 for a in ambient))
+    parabolic = tuple(r for r in spec.roots if all(dot(r, a) >= 0 for a in ambient))
+    levi = component_signature(spec, span(ambient, spec.rank))
+    return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
+
+
+def _random_ray(rng, spec, flat_bases):
+    kind = rng.choice(("zero", "int", "rational", "on_flat"))
+    if kind == "zero":
+        return (0,) * spec.rank
+    if kind == "int":
+        return tuple(rng.randint(-3, 3) for _ in range(spec.rank))
+    if kind == "rational":
+        return tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(spec.rank))
+    # a point of a random flat, so on every hyperplane through that flat
+    basis = rng.choice(flat_bases)
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+    return tuple(sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0)) for j in range(spec.rank))
+
+
+@pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3",))
+def test_cone_closure_matches_the_fraction_route_and_ignores_scaling(name):
+    doc = SKEW3 if name == "skew3" else json.loads((SPECS / f"{name}.json").read_text())
+    spec = load_spec(doc)
+    flat_bases = [f.subspace.basis for f in flats(global_arrangement(spec))]
+    if name == "skew3":
+        assert any(x.denominator > 1 for basis in flat_bases for row in basis for x in row)
+    rng = random.Random(59)
+    for _ in range(30):
+        rays = [_random_ray(rng, spec, flat_bases) for _ in range(rng.randint(1, 3))]
+        sig = special_cone_closure(spec, rays)
+        assert sig == _cone_closure_by_fractions(spec, rays), rays
+        scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in rays]
+        scaled = [[c * x for x in r] for c, r in zip(scales, rays)]
+        assert special_cone_closure(spec, scaled) == sig, rays
+
+
 def test_attractor_monotone_under_ray_growth(a2gl2):
     # adding rays can only shrink the attractor and parabolic
     rng = random.Random(41)
@@ -512,6 +579,42 @@ def test_constancy_on_the_rank3_mixed_example():
     assert full.dim == 3
     report = constancy_check(spec, full.flat, samples=15, seed=3)
     assert report["ok"]
+
+
+def test_constancy_samples_are_positive_multiples_of_the_drawn_points(monkeypatch):
+    # the sampler's rational points, drawn as constancy_check draws them,
+    # on a carrier whose basis has denominators
+    spec = load_spec(SKEW3)
+    fl = next(f for f in flats(global_arrangement(spec)) if f.dim == 2)
+    carrier = fl.subspace
+    assert any(x.denominator > 1 for row in carrier.basis for x in row)
+    arr_f = restrict(global_arrangement(spec), carrier)
+    rng = random.Random(13)
+    drawn = []
+    for ch in chambers(arr_f):
+        lin, pointed = split_rays(rays_of_constraints(*signed_constraints(arr_f.covectors, ch), carrier.dim))
+        for _ in range(4):
+            v = [Fraction(0)] * carrier.dim
+            for r in pointed:
+                c = Fraction(rng.randint(1, 64), rng.randint(1, 64))
+                v = [x + c * y for x, y in zip(v, r)]
+            for b in (r for r in lin if r < vec_neg(r)):
+                c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 64), rng.randint(1, 64))
+                v = [x + c * y for x, y in zip(v, b)]
+            drawn.append(carrier.lift(v))
+    sampled = []
+    closure = sm.special_cone_closure
+
+    def recording(spec, rays):
+        sampled.append(rays[0])
+        return closure(spec, rays)
+
+    monkeypatch.setattr(sm, "special_cone_closure", recording)
+    assert constancy_check(spec, fl, samples=4, seed=13)["ok"]
+    assert len(sampled) == len(drawn) > 4
+    for p, q in zip(sampled, drawn):
+        assert all(type(x) is int for x in p)
+        assert primitive(p) == primitive(q), (p, q)
 
 
 @pytest.mark.parametrize("name", LINEAR_SPECS)
