@@ -6,9 +6,13 @@ table-driven, every representation of a dimension vector is enumerated,
 isomorphism classes come from an orbit sweep that closes each orbit under
 a generating set of the base-change group (transvections plus one
 diagonal matrix per vertex), and Hall numbers count actual
-subrepresentations. Everything is guarded by caps and enumerated in
-lexicographic order, so results are deterministic and independent of the
-process.
+subrepresentations. Each class's subrepresentations are enumerated once
+per pair of dimension vectors and tabulated by the classes of sub and
+quotient, so a Hall product is a sparse sum over that table; the flag
+counts that check associativity enumerate chains once per triple of
+dimension vectors, independently of the products. Everything is guarded
+by caps and enumerated in lexicographic order, so results are
+deterministic and independent of the process.
 
 The combinatorial side mirrors the geometry of the moduli of objects: the
 special faces of the stack of representations with dimension vector gamma
@@ -150,31 +154,22 @@ def gf(q: int) -> GF:
 
 
 def gf_mat_vec(F: GF, m: GFMatrix, v: Sequence[int]) -> tuple[int, ...]:
+    add, mul = F._add, F._mul
     out = []
     for row in m:
         acc = 0
         for x, y in zip(row, v):
-            acc = F.add(acc, F.mul(x, y))
+            if x and y:
+                acc = add[acc][mul[x][y]]
         out.append(acc)
     return tuple(out)
 
 
 def gf_mat_mul(F: GF, a: GFMatrix, b: GFMatrix) -> GFMatrix:
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(
-            _dotcol(F, row, b, j)
-            for j in range(cols)
-        )
-        for row in a
-    )
-
-
-def _dotcol(F: GF, row, b, j):
-    acc = 0
-    for x, brow in zip(row, b):
-        acc = F.add(acc, F.mul(x, brow[j]))
-    return acc
+    """a times b, as a times each column of b."""
+    if not b or not b[0]:
+        return tuple(() for _ in a)
+    return tuple(zip(*(gf_mat_vec(F, a, col) for col in zip(*b))))
 
 
 def gf_rref(F: GF, rows: Sequence[Sequence[int]], width: int) -> GFSubspace:
@@ -645,7 +640,10 @@ def sub_rep(quiver: Quiver, rep: Rep, spaces: Sequence[GFSubspace], q: int) -> R
     for m, (s, t) in zip(rep, quiver.arrows):
         rows_s = spaces[s][0]
         piv_t = spaces[t][1]
-        cols = [tuple(gf_mat_vec(F, m, b)[p] for p in piv_t) for b in rows_s]
+        cols = []
+        for b in rows_s:
+            image = gf_mat_vec(F, m, b)
+            cols.append(tuple(image[p] for p in piv_t))
         out.append(tuple(tuple(col[i] for col in cols) for i in range(len(piv_t))))
     return tuple(out)
 
@@ -695,23 +693,55 @@ def hall_number(quiver: Quiver, q: int, whole: ClassRef, quot: ClassRef, sub: Cl
     return hall_product(quiver, q, {quot: 1}, {sub: 1}).get(whole, 0)
 
 
+def _class_index(classes: IsoClasses, rep: Rep, where: str) -> int:
+    """The class of a representation in the sweep of its dimension vector.
+    Every representation is in its sweep, so a miss is a broken sweep."""
+    idx = classes.class_of.get(rep)
+    if idx is None:
+        raise InvariantError(
+            f"{where}: representation {rep} is missing from the classes of "
+            f"gamma={list(classes.gamma)} q={classes.q}"
+        )
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _hall_table(quiver: Quiver, q: int, gamma: DimVector, sub: DimVector) -> tuple[Counter, ...]:
+    """For each class of gamma, its subrepresentations of dimension vector
+    sub counted by (quotient class, sub class), each an index into the
+    classes of its own dimension vector. One enumeration serves every
+    convolution of classes of these dimension vectors; callers must not
+    mutate the shared counters."""
+    quot = tuple(g - k for g, k in zip(gamma, sub))
+    whole = iso_classes(quiver, gamma, q)
+    subs = iso_classes(quiver, sub, q)
+    quots = iso_classes(quiver, quot, q)
+    where = f"Hall table of gamma={list(gamma)} sub={list(sub)} q={q}"
+    table = []
+    for rep in whole.reps:
+        counts: Counter = Counter()
+        for spaces in subrep_spaces(quiver, rep, gamma, q, sub):
+            sc = _class_index(subs, sub_rep(quiver, rep, spaces, q), where)
+            qc = _class_index(quots, quotient_rep(quiver, gamma, rep, spaces, q), where)
+            counts[qc, sc] += 1
+        table.append(counts)
+    return tuple(table)
+
+
 def hall_product(quiver: Quiver, q: int, f: dict, g: dict) -> dict:
     """Convolution of class functions: (f*g)(L) = sum over subreps S of L
     of f(L/S) * g(S). f and g map ClassRef -> value; zero results are
-    dropped."""
+    dropped. The subrepresentations are enumerated once per pair of
+    dimension vectors (_hall_table), so a call is a sparse sum over the
+    class pairs that occur."""
     out: dict = {}
     for df in sorted({ref[0] for ref in f}):
         for dg in sorted({ref[0] for ref in g}):
             gamma = tuple(a + b for a, b in zip(df, dg))
-            whole = iso_classes(quiver, gamma, q)
-            subs = iso_classes(quiver, dg, q)
-            quots = iso_classes(quiver, df, q)
-            for li, rep in enumerate(whole.reps):
+            for li, counts in enumerate(_hall_table(quiver, q, gamma, dg)):
                 total = 0
-                for spaces in subrep_spaces(quiver, rep, gamma, q, dg):
-                    sc = subs.class_of[sub_rep(quiver, rep, spaces, q)]
-                    qc = quots.class_of[quotient_rep(quiver, gamma, rep, spaces, q)]
-                    total += f.get((df, qc), 0) * g.get((dg, sc), 0)
+                for (qc, sc), n in counts.items():
+                    total += f.get((df, qc), 0) * g.get((dg, sc), 0) * n
                 if total:
                     ref = (gamma, li)
                     out[ref] = out.get(ref, 0) + total
@@ -729,19 +759,35 @@ def dim_vectors(n: int, total: int) -> list[DimVector]:
     return out
 
 
+def _triples_within(
+    refs: Sequence[ClassRef], max_total: int
+) -> Iterator[tuple[ClassRef, ClassRef, ClassRef]]:
+    """The triples of refs of total dimension at most max_total, in the
+    order of itertools.product; refs must be sorted by total dimension."""
+    sizes = [sum(ref[0]) for ref in refs]
+    for ra, na in zip(refs, sizes):
+        for rb, nb in zip(refs, sizes):
+            if na + nb > max_total:
+                break
+            for rc, nc in zip(refs, sizes):
+                if na + nb + nc > max_total:
+                    break
+                yield ra, rb, rc
+
+
 def verify_counting_hall(quiver: Quiver, q: int, max_total: int) -> dict:
     """Associativity of the convolution on every triple of classes with
     total dimension at most max_total, cross-checked against direct
-    two-step flag counts."""
+    two-step flag counts. Both sides enumerate subrepresentations once per
+    pair (products) or triple (flags) of dimension vectors, and the flags
+    are still counted independently: as chains, not through products."""
     refs: list[ClassRef] = []
     for total in range(max_total + 1):
         for gamma in dim_vectors(quiver.n_vertices, total):
             refs.extend(class_refs(quiver, q, gamma))
     triples = 0
     flag_checks = 0
-    for ra, rb, rc in itertools.product(refs, repeat=3):
-        if sum(sum(r[0]) for r in (ra, rb, rc)) > max_total:
-            continue
+    for ra, rb, rc in _triples_within(refs, max_total):
         triples += 1
         left = hall_product(quiver, q, hall_product(quiver, q, {ra: 1}, {rb: 1}), {rc: 1})
         right = hall_product(quiver, q, {ra: 1}, hall_product(quiver, q, {rb: 1}, {rc: 1}))
@@ -749,37 +795,50 @@ def verify_counting_hall(quiver: Quiver, q: int, max_total: int) -> dict:
             return {"ok": False, "triple": (ra, rb, rc), "left": left, "right": right}
         gamma = tuple(x + y + z for x, y, z in zip(ra[0], rb[0], rc[0]))
         whole = iso_classes(quiver, gamma, q)
-        for li, rep in enumerate(whole.reps):
-            flags = _count_flags(quiver, q, gamma, rep, ra, rb, rc)
+        for li in range(len(whole.reps)):
+            flags = _count_flags(quiver, q, li, ra, rb, rc)
             if flags != left.get((gamma, li), 0):
                 return {"ok": False, "triple": (ra, rb, rc), "class": (gamma, li), "flags": flags}
             flag_checks += 1
     return {"ok": True, "classes": len(refs), "triples": triples, "flag_checks": flag_checks}
 
 
-def _count_flags(
-    quiver: Quiver, q: int, gamma: DimVector, rep: Rep, ra: ClassRef, rb: ClassRef, rc: ClassRef
-) -> int:
-    """Chains S1 <= S2 <= rep with S1 of class rc, S2/S1 of class rb and
-    rep/S2 of class ra. Inner subspaces are enumerated inside S2 written
-    in its own basis, which identifies them with subspaces of the ambient
-    representation."""
-    quots_a = iso_classes(quiver, ra[0], q)
-    subs_c = iso_classes(quiver, rc[0], q)
-    quots_b = iso_classes(quiver, rb[0], q)
-    mid_gamma = tuple(a + b for a, b in zip(rb[0], rc[0]))
-    count = 0
-    for spaces2 in subrep_spaces(quiver, rep, gamma, q, mid_gamma):
-        if quots_a.class_of.get(quotient_rep(quiver, gamma, rep, spaces2, q)) != ra[1]:
-            continue
-        mid = sub_rep(quiver, rep, spaces2, q)
-        for spaces1 in subrep_spaces(quiver, mid, mid_gamma, q, rc[0]):
-            if subs_c.class_of[sub_rep(quiver, mid, spaces1, q)] != rc[1]:
-                continue
-            if quots_b.class_of[quotient_rep(quiver, mid_gamma, mid, spaces1, q)] != rb[1]:
-                continue
-            count += 1
-    return count
+@lru_cache(maxsize=None)
+def _flag_table(
+    quiver: Quiver, q: int, da: DimVector, db: DimVector, dc: DimVector
+) -> tuple[Counter, ...]:
+    """For each class L of da + db + dc, its chains S1 <= S2 <= L with S1
+    of dimension vector dc and S2/S1 of db, counted by the classes (a, b, c)
+    of L/S2, S2/S1 and S1. Inner subspaces are enumerated inside S2 written
+    in its own basis, which identifies them with subspaces of L. The
+    chains are enumerated directly, never through _hall_table."""
+    mid_gamma = tuple(b + c for b, c in zip(db, dc))
+    gamma = tuple(a + m for a, m in zip(da, mid_gamma))
+    whole = iso_classes(quiver, gamma, q)
+    quots_a = iso_classes(quiver, da, q)
+    subs_c = iso_classes(quiver, dc, q)
+    quots_b = iso_classes(quiver, db, q)
+    where = f"flag table of gamma={list(gamma)} q={q}"
+    table = []
+    for rep in whole.reps:
+        counts: Counter = Counter()
+        for spaces2 in subrep_spaces(quiver, rep, gamma, q, mid_gamma):
+            a = _class_index(quots_a, quotient_rep(quiver, gamma, rep, spaces2, q), where)
+            mid = sub_rep(quiver, rep, spaces2, q)
+            for spaces1 in subrep_spaces(quiver, mid, mid_gamma, q, dc):
+                c = _class_index(subs_c, sub_rep(quiver, mid, spaces1, q), where)
+                b = _class_index(quots_b, quotient_rep(quiver, mid_gamma, mid, spaces1, q), where)
+                counts[a, b, c] += 1
+        table.append(counts)
+    return tuple(table)
+
+
+def _count_flags(quiver: Quiver, q: int, li: int, ra: ClassRef, rb: ClassRef, rc: ClassRef) -> int:
+    """Chains S1 <= S2 <= L, for L the class li of the total dimension
+    vector, with S1 of class rc, S2/S1 of class rb and L/S2 of class ra.
+    Read from the flag table of the three dimension vectors, which counts
+    chains once per triple of dimension vectors and never by class."""
+    return _flag_table(quiver, q, ra[0], rb[0], rc[0])[li].get((ra[1], rb[1], rc[1]), 0)
 
 
 # -- decomposition combinatorics ---------------------------------------------------

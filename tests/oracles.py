@@ -182,3 +182,79 @@ def sample_sign_vectors(arr, rng, count):
         )
         out.add(sign_vector_of(arr, v))
     return out
+
+
+def naive_gf_mat_mul(F, a, b):
+    """a times b by the schoolbook triple loop over F.add and F.mul. A
+    matrix with no rows has no columns either, as in complat."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(cols):
+            acc = 0
+            for k in range(len(b)):
+                acc = F.add(acc, F.mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def naive_gf_mat_vec(F, m, v):
+    """m times v by the schoolbook double loop over F.add and F.mul."""
+    out = []
+    for row in m:
+        acc = 0
+        for k in range(len(v)):
+            acc = F.add(acc, F.mul(row[k], v[k]))
+        out.append(acc)
+    return tuple(out)
+
+
+def direct_hall_product(quiver, q, f, g):
+    """The convolution (f*g)(L) = sum over subrepresentations S of L of
+    f(L/S) * g(S), enumerating the subrepresentations of every class again
+    on each call instead of reading counts tabulated per pair of dimension
+    vectors."""
+    from complat.linmoduli import iso_classes, quotient_rep, sub_rep, subrep_spaces
+
+    out = {}
+    for df in sorted({ref[0] for ref in f}):
+        for dg in sorted({ref[0] for ref in g}):
+            gamma = tuple(a + b for a, b in zip(df, dg))
+            whole = iso_classes(quiver, gamma, q)
+            subs = iso_classes(quiver, dg, q)
+            quots = iso_classes(quiver, df, q)
+            for li, rep in enumerate(whole.reps):
+                total = 0
+                for spaces in subrep_spaces(quiver, rep, gamma, q, dg):
+                    sc = subs.class_of[sub_rep(quiver, rep, spaces, q)]
+                    qc = quots.class_of[quotient_rep(quiver, gamma, rep, spaces, q)]
+                    total += f.get((df, qc), 0) * g.get((dg, sc), 0)
+                if total:
+                    out[(gamma, li)] = out.get((gamma, li), 0) + total
+    return {k: v for k, v in out.items() if v}
+
+
+def direct_flag_count(quiver, q, gamma, rep, ra, rb, rc):
+    """Chains S1 <= S2 <= rep with S1 of class rc, S2/S1 of class rb and
+    rep/S2 of class ra, enumerated for this one class triple. Inner
+    subspaces are enumerated inside S2 written in its own basis."""
+    from complat.linmoduli import iso_classes, quotient_rep, sub_rep, subrep_spaces
+
+    quots_a = iso_classes(quiver, ra[0], q)
+    subs_c = iso_classes(quiver, rc[0], q)
+    quots_b = iso_classes(quiver, rb[0], q)
+    mid_gamma = tuple(b + c for b, c in zip(rb[0], rc[0]))
+    count = 0
+    for spaces2 in subrep_spaces(quiver, rep, gamma, q, mid_gamma):
+        if quots_a.class_of[quotient_rep(quiver, gamma, rep, spaces2, q)] != ra[1]:
+            continue
+        mid = sub_rep(quiver, rep, spaces2, q)
+        for spaces1 in subrep_spaces(quiver, mid, mid_gamma, q, rc[0]):
+            if subs_c.class_of[sub_rep(quiver, mid, spaces1, q)] != rc[1]:
+                continue
+            if quots_b.class_of[quotient_rep(quiver, mid_gamma, mid, spaces1, q)] != rb[1]:
+                continue
+            count += 1
+    return count

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: reports, exit codes, caching,
 deterministic output."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -308,6 +309,32 @@ def test_a_sample_outside_its_chamber_exits_4(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "constancy", "--samples", 2)
     assert code == 4 and out == ""
     assert err.startswith("invariant broken: sample (") and " left chamber (" in err
+
+
+def test_a_class_missing_from_its_sweep_exits_4(capsys, monkeypatch):
+    # the sweep of (1, 1) loses the nonzero map u -> v, which the Hall
+    # table of (1, 1) meets again as the subrepresentation on everything
+    sweep = lm.iso_classes
+
+    def lossy(quiver, gamma, q, cap=lm.SWEEP_CAP):
+        classes = sweep(quiver, gamma, q, cap)
+        if tuple(gamma) != (1, 1):
+            return classes
+        class_of = {rep: i for rep, i in classes.class_of.items() if rep != classes.reps[1]}
+        return dataclasses.replace(classes, class_of=class_of)
+
+    monkeypatch.setattr(lm, "iso_classes", lossy)
+    lm._hall_table.cache_clear()
+    lm._flag_table.cache_clear()
+    code, out, err = run_cli(
+        capsys, "verify", SPECS / "a2_quiver.json", "--suite", "associativity", "--q", 2,
+        "--max-dim", 2,
+    )
+    assert code == 4 and out == ""
+    assert err == (
+        "invariant broken: Hall table of gamma=[1, 1] sub=[1, 1] q=2: representation (((1,),),) "
+        "is missing from the classes of gamma=[1, 1] q=2\n"
+    )
 
 
 def test_unreadable_and_malformed_documents_exit_2(capsys, tmp_path):

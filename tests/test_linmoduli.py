@@ -2,7 +2,11 @@
 combinatorics of dimension vectors."""
 
 import itertools
+import json
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +15,18 @@ from complat.errors import CapExceeded, InvariantError, SpecError
 
 from oracles import (
     burnside_class_count,
+    direct_flag_count,
+    direct_hall_product,
     full_group_iso_classes,
     gaussian_binomial,
     general_linear,
     gl_order,
     integer_partitions,
+    naive_gf_mat_mul,
+    naive_gf_mat_vec,
 )
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 ONE_VERTEX = {"type": "quiver", "vertices": ["v"], "arrows": []}
 A2 = {"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"]]}
@@ -160,6 +170,21 @@ def test_generators_close_to_the_whole_general_linear_group(q, n):
                 seen.add(h)
                 group.append(h)
     assert seen == {m for m, _ in general_linear(q, n)}
+
+
+def test_matrix_kernels_match_the_schoolbook_loops():
+    # 300 seeded products over prime and non-prime fields; sides of length
+    # 0 give empty matrices, and every fifth left factor is zero
+    rng = random.Random(20261018)
+    for i in range(300):
+        q = (2, 3, 4, 9)[i % 4]
+        F = lm.gf(q)
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        a = tuple(tuple(0 if i % 5 == 0 else rng.randrange(q) for _ in range(k)) for _ in range(r))
+        b = tuple(tuple(rng.randrange(q) for _ in range(c)) for _ in range(k))
+        assert lm.gf_mat_mul(F, a, b) == naive_gf_mat_mul(F, a, b)
+        v = tuple(rng.randrange(q) for _ in range(k))
+        assert lm.gf_mat_vec(F, a, v) == naive_gf_mat_vec(F, a, v)
 
 
 # -- quiver documents -------------------------------------------------------------
@@ -391,6 +416,92 @@ def test_convolution_is_associative_with_a_loop(jordan):
     report = lm.verify_counting_hall(jordan, 2, 2)
     assert report["ok"]
     assert report["classes"] == 1 + 2 + 6
+
+
+def _refs_up_to(quiver, q, max_total):
+    return [
+        ref
+        for total in range(max_total + 1)
+        for gamma in lm.dim_vectors(quiver.n_vertices, total)
+        for ref in lm.class_refs(quiver, q, gamma)
+    ]
+
+
+TABLE_CASES = [
+    (ONE_VERTEX, 2),
+    (ONE_VERTEX, 3),
+    (A2, 2),
+    (A2, 3),
+    (KRONECKER, 2),
+    (KRONECKER, 3),
+    (JORDAN, 2),
+]
+TABLE_IDS = [f"{name}-q{q}" for name, q in zip(
+    ("one_vertex", "one_vertex", "a2", "a2", "kronecker", "kronecker", "jordan"),
+    (q for _, q in TABLE_CASES),
+)]
+
+
+@pytest.mark.parametrize("doc,q", TABLE_CASES, ids=TABLE_IDS)
+def test_hall_tables_match_products_enumerated_per_call(doc, q):
+    quiver = lm.load_quiver(doc)
+    refs = _refs_up_to(quiver, q, 3)
+    for ra, rb in itertools.product(refs, repeat=2):
+        if sum(ra[0]) + sum(rb[0]) > 3:
+            continue
+        direct = direct_hall_product(quiver, q, {ra: 1}, {rb: 1})
+        assert lm.hall_product(quiver, q, {ra: 1}, {rb: 1}) == direct
+        gamma = tuple(x + y for x, y in zip(ra[0], rb[0]))
+        table = lm._hall_table(quiver, q, gamma, rb[0])
+        for li, counts in enumerate(table):
+            assert counts[ra[1], rb[1]] == direct.get((gamma, li), 0)
+
+
+@pytest.mark.parametrize("doc,q", TABLE_CASES, ids=TABLE_IDS)
+def test_flag_tables_match_chains_enumerated_per_class_triple(doc, q):
+    quiver = lm.load_quiver(doc)
+    refs = _refs_up_to(quiver, q, 3)
+    for ra, rb, rc in itertools.product(refs, repeat=3):
+        if sum(ra[0]) + sum(rb[0]) + sum(rc[0]) > 3:
+            continue
+        gamma = tuple(x + y + z for x, y, z in zip(ra[0], rb[0], rc[0]))
+        for li, rep in enumerate(lm.iso_classes(quiver, gamma, q).reps):
+            expected = direct_flag_count(quiver, q, gamma, rep, ra, rb, rc)
+            assert lm._count_flags(quiver, q, li, ra, rb, rc) == expected
+
+
+def test_a_wrong_hall_table_is_caught_by_the_flag_counts(monkeypatch, a2):
+    # one extra subrepresentation of the zero map u -> v with sub S_v and
+    # quotient S_u: both bracketings read the same wrong count, so only the
+    # independently counted flags can see it
+    table = lm._hall_table
+
+    def bumped(quiver, q, gamma, sub):
+        out = table(quiver, q, gamma, sub)
+        if (gamma, sub) != ((1, 1), (0, 1)):
+            return out
+        return (out[0] + Counter({(0, 0): 1}),) + out[1:]
+
+    monkeypatch.setattr(lm, "_hall_table", bumped)
+    report = lm.verify_counting_hall(a2, 2, 2)
+    assert report["ok"] is False
+    assert report["class"] == ((1, 1), 0)
+    assert report["flags"] == 1
+
+
+@pytest.mark.parametrize(
+    "spec,q,max_total,expected",
+    [
+        ("a2_quiver", 2, 4, (22, 300, 600)),
+        ("a2_quiver", 3, 3, (13, 105, 171)),
+        ("jordan", 2, 3, (23, 159, 1901)),
+    ],
+)
+def test_counting_reports_of_the_benchmark_configurations(spec, q, max_total, expected):
+    quiver = lm.load_quiver(json.loads((SPECS / f"{spec}.json").read_text()))
+    report = lm.verify_counting_hall(quiver, q, max_total)
+    classes, triples, flag_checks = expected
+    assert report == {"ok": True, "classes": classes, "triples": triples, "flag_checks": flag_checks}
 
 
 # -- decompositions and the refinement category -------------------------------------
