@@ -45,6 +45,7 @@ from .qlinalg import (
     kernel,
     primitive,
     qvec,
+    restrict_covector,
     row_rank,
     sign,
     span,
@@ -108,8 +109,6 @@ def restrict(arr: HyperplaneArrangement, space: Subspace) -> HyperplaneArrangeme
     Covectors dying on the subspace are dropped; coinciding restrictions
     are merged. Order is inherited from the ambient arrangement.
     """
-    from .qlinalg import restrict_covector
-
     vecs = []
     for w in arr.covectors:
         r = restrict_covector(w, space)
@@ -131,18 +130,16 @@ class Flat:
         return self.subspace.dim
 
 
-def _through(arr: HyperplaneArrangement, space: Subspace) -> IntVec:
-    """Indices of the hyperplanes containing the subspace, tested on the
-    primitive integer multiples of its basis rows."""
-    rows = [primitive(b) for b in space.basis]
-    return tuple(i for i, w in enumerate(arr.covectors) if not any(int_dot(w, b) for b in rows))
+def _through(arr: HyperplaneArrangement, vectors: Sequence[Sequence[Scalar]]) -> IntVec:
+    """Indices of the hyperplanes containing every one of the vectors."""
+    return tuple(i for i, w in enumerate(arr.covectors) if not any(int_dot(w, v) for v in vectors))
 
 
 def closure(arr: HyperplaneArrangement, hyperplanes: Iterable[int]) -> Flat:
     """The flat cut out by the given hyperplanes, carrying every hyperplane
     that contains it: the matroid closure of the index set."""
     sub = kernel([arr.covectors[i] for i in hyperplanes], arr.dim)
-    return Flat(sub, _through(arr, sub))
+    return Flat(sub, _through(arr, sub.scaled_basis[1]))
 
 
 def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
@@ -168,13 +165,15 @@ def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
     return tuple(out)
 
 
-def minimal_flat_containing(arr: HyperplaneArrangement, space: Subspace) -> Flat:
-    """The smallest flat containing the subspace.
+def minimal_flat_containing(arr: HyperplaneArrangement, vectors: Sequence[Sequence[Scalar]]) -> Flat:
+    """The smallest flat containing the span of the vectors, which may be
+    any spanning set of it (a subspace's scaled_basis rows, or a cone's
+    rays), in any scaling.
 
     Hyperplanes containing the flat are exactly those containing the
-    subspace, so no closure iteration is needed.
+    span, so no closure iteration and no span are needed.
     """
-    return _flat_cut_out(arr, _through(arr, space))
+    return _flat_cut_out(arr, _through(arr, vectors))
 
 
 @lru_cache(maxsize=None)
@@ -392,7 +391,7 @@ def _strict_witness(covectors: Sequence[IntVec], s: SignVector, dim: int) -> Opt
     """
     _, pointed = split_rays(rays_of_constraints(*signed_constraints(covectors, s), dim))
     for w, si in zip(covectors, s):
-        if si != 0 and not any(si * dot(w, r) > 0 for r in pointed):
+        if si != 0 and not any(si * int_dot(w, r) > 0 for r in pointed):
             return None
     return qvec(_checked_witness(covectors, s, pointed, dim))
 

@@ -4,6 +4,10 @@ Conventions shared by the whole package:
 
 - points given as input, and subspace bases, are tuples of
   ``fractions.Fraction``,
+- subspaces are stored by their reduced row echelon basis, the unique
+  canonical form, so equal subspaces compare equal bitwise and are usable
+  as dict keys; covector tests, restrictions, lifts and reductions run in
+  integers on their one integer form, ``Subspace.scaled_basis``,
 - where only a direction matters, a vector is held as a positive integer
   multiple of itself, usually the primitive one: the rays out of the double
   description (``arrangement.dd_cone``) and the canonical ray tuples built
@@ -12,10 +16,11 @@ Conventions shared by the whole package:
   integer covectors are ``int_dot``s,
 - covectors (linear functionals) are primitive integer tuples: gcd of the
   entries is 1 and the first nonzero entry is positive, so equal
-  hyperplanes compare equal bitwise,
-- subspaces are stored by their reduced row echelon basis, the unique
-  canonical form, so equal subspaces compare equal bitwise and are usable
-  as dict keys.
+  hyperplanes compare equal bitwise.
+
+Fractions remain where a canonical basis is built or printed, and in the
+``Subspace`` methods that tests use as references (``reduce``, ``lift``,
+``coords_in``, ``contains``).
 
 No floats anywhere. Denominators grow as they like; everything downstream
 relies on these comparisons being exact.
@@ -202,22 +207,22 @@ class Subspace:
         return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.basis)
 
     @cached_property
-    def _scaled_columns(self) -> tuple[int, tuple[IntVec, ...]]:
-        """(L, the columns of L times the basis), for L the lcm of the
-        basis' denominators; computed once per instance."""
+    def scaled_basis(self) -> tuple[int, tuple[IntVec, ...]]:
+        """(L, the rows of L times the basis), for L the lcm of the
+        basis' denominators: the integer form, computed once per instance."""
         scale = lcm(*(x.denominator for row in self.basis for x in row))
-        cols = tuple(tuple(int(row[j] * scale) for row in self.basis) for j in range(self.ambient_dim))
-        return scale, cols
+        return scale, tuple(tuple(int(x * scale) for x in row) for row in self.basis)
 
     def scaled_lift(self, coords: Sequence[Scalar]) -> tuple:
-        """L times lift(coords), for L the lcm of the basis' denominators:
-        an integer vector for integer coordinates."""
-        return tuple(int_dot(coords, col) for col in self._scaled_columns[1])
+        """L times lift(coords), with the L of scaled_basis: an integer
+        vector for integer coordinates."""
+        rows = self.scaled_basis[1]
+        return tuple(int_dot(coords, col) for col in zip(*rows)) if rows else (0,) * self.ambient_dim
 
     def scaled_reduce(self, v: Sequence[Scalar]) -> tuple:
-        """L times reduce(v), with the L of scaled_lift: an integer vector
+        """L times reduce(v), with the L of scaled_basis: an integer vector
         for integer v, zero iff v lies in the subspace."""
-        scale = self._scaled_columns[0]
+        scale = self.scaled_basis[0]
         return tuple(scale * x - y for x, y in zip(v, self.scaled_lift([v[p] for p in self.pivots])))
 
     def reduce(self, v: Sequence[Scalar]) -> Vec:
@@ -273,11 +278,6 @@ def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
     return Subspace(rows, ambient_dim)
 
 
-def full_space(n: int) -> Subspace:
-    eye = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    return Subspace(eye, n)
-
-
 def kernel(covectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
     """Common kernel of the given functionals, as a canonical Subspace."""
     rows, pivots = rref(list(covectors), ambient_dim)
@@ -311,10 +311,8 @@ def restrict_covector(w: Sequence[Scalar], space: Subspace) -> Optional[IntVec]:
     Returns the canonical primitive covector, or None when w vanishes on
     the whole subspace (in particular for the zero subspace).
     """
-    vals = [dot(w, b) for b in space.basis]
-    if all(v == 0 for v in vals):
-        return None
-    return canonical_covector(vals)
+    vals = [int_dot(w, row) for row in space.scaled_basis[1]]
+    return canonical_covector(vals) if any(vals) else None
 
 
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
@@ -323,8 +321,9 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
 
 
 def covector_times_mat(w: Sequence[Scalar], m: Sequence[Sequence[Scalar]]) -> tuple:
-    """Row vector times matrix: the pullback of w along the map m."""
-    return tuple(dot(w, col) for col in zip(*m))
+    """Row vector times matrix: the pullback of w along the map m, an
+    integer vector for integer w and m."""
+    return tuple(int_dot(w, col) for col in zip(*m))
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> tuple[Vec, ...]:

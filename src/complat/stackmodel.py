@@ -32,7 +32,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -63,12 +62,9 @@ from .qlinalg import (
     canonical_covector_signed,
     covector_times_mat,
     determinant,
-    dot,
     int_dot,
     is_zero_vec,
-    kernel,
     mat_mul,
-    mat_vec,
     primitive,
     qvec,
     row_rank,
@@ -171,11 +167,9 @@ def load_spec(doc: dict) -> QuotientStackSpec:
 
     root_set = set(roots)
     for g in gens:
-        moved_w = sorted(tuple(int(x) for x in covector_times_mat(w, g)) for w in weights)
-        if tuple(moved_w) != weights:
+        if tuple(sorted(covector_times_mat(w, g) for w in weights)) != weights:
             raise SpecError(f"weyl generator {g} does not preserve the weight multiset")
-        moved_r = {tuple(int(x) for x in covector_times_mat(r, g)) for r in roots}
-        if moved_r != root_set:
+        if {covector_times_mat(r, g) for r in roots} != root_set:
             raise SpecError(f"weyl generator {g} does not preserve the root set")
 
     group = _enumerate_weyl(tuple(gens), rank)
@@ -270,16 +264,13 @@ def cotangent_arrangement(spec: QuotientStackSpec, face: Face) -> HyperplaneArra
     return restricted_arrangement(spec, face.subspace)
 
 
-def component_signature(spec: QuotientStackSpec, face: Face | Subspace) -> ComponentSignature:
+def component_signature(
+    spec: QuotientStackSpec, face: Face | Subspace | Sequence[Sequence[Scalar]]
+) -> ComponentSignature:
+    """Signature of a face, a subspace or the span of vectors, in integer
+    dots against the subspace's scaled_basis rows or the vectors."""
     sub = face.subspace if isinstance(face, Face) else face
-    fixed = tuple(w for w in spec.weights if all(dot(w, b) == 0 for b in sub.basis))
-    levi = tuple(r for r in spec.roots if all(dot(r, b) == 0 for b in sub.basis))
-    return ComponentSignature(sub.dim, fixed, levi)
-
-
-def _signature_of_span(spec: QuotientStackSpec, vectors: Sequence[IntVec], dim: int) -> ComponentSignature:
-    """component_signature of the span of integer vectors, whose dimension
-    the caller knows, in integer dots."""
+    vectors, dim = (sub.scaled_basis[1], sub.dim) if isinstance(sub, Subspace) else (sub, row_rank(sub))
     fixed = tuple(w for w in spec.weights if not any(int_dot(w, v) for v in vectors))
     levi = tuple(r for r in spec.roots if not any(int_dot(r, v) for v in vectors))
     return ComponentSignature(dim, fixed, levi)
@@ -291,17 +282,15 @@ def special_face_closure(spec: QuotientStackSpec, face: Face) -> Flat:
     Map-form faces are reduced first; the closure only sees the image.
     """
     face = nondegenerate_quotient(face)
-    return minimal_flat_containing(global_arrangement(spec), face.subspace)
+    return minimal_flat_containing(global_arrangement(spec), face.subspace.scaled_basis[1])
 
 
 def central_rank(spec: QuotientStackSpec, face: Face) -> int:
     """Dimension of the common kernel of the face's fixed weights and Levi
     roots. Always >= the face dimension, with equality iff the face is a
     flat (a special face)."""
-    face = nondegenerate_quotient(face)
-    sig = component_signature(spec, face)
-    cov = [w for w in sig.fixed_weights + sig.levi_roots if any(w)]
-    return kernel(cov, spec.rank).dim
+    sig = component_signature(spec, nondegenerate_quotient(face))
+    return spec.rank - row_rank(sig.fixed_weights + sig.levi_roots)
 
 
 def is_special(spec: QuotientStackSpec, face: Face) -> bool:
@@ -399,9 +388,10 @@ def _signed_restrictions(spec: QuotientStackSpec, space: Subspace) -> tuple[IntV
     sign. Weights restrict one-sidedly; roots come in +/- pairs, so their
     restrictions do too. Coinciding restrictions merge."""
     out = set()
+    rows = space.scaled_basis[1]
     for w in spec.weights + spec.roots:
-        vals = tuple(dot(w, b) for b in space.basis)
-        if any(v != 0 for v in vals):
+        vals = [int_dot(w, row) for row in rows]
+        if any(vals):
             out.add(primitive(vals))
     return tuple(sorted(out))
 
@@ -411,22 +401,22 @@ def special_cone_closure(
 ) -> AttractorSignature:
     """Minimal special cone containing the given rays, with its signature.
 
-    The carrier is the special face closure of the rays' span; inside it
-    the cone is cut by every restricted tangent functional that is
-    nonnegative on all rays, each with its own sign. No restriction can
-    vanish on all the rays: the carrier flat would not be minimal.
+    The carrier is the minimal flat containing the rays, found from the
+    rays themselves with no span taken; inside it the cone is cut by every
+    restricted tangent functional that is nonnegative on all rays, each
+    with its own sign. No restriction can vanish on all the rays: the
+    carrier flat would not be minimal.
 
     Only the rays' directions matter, so each ray is taken as its primitive
     integer multiple and zero rays are dropped: a positive multiple of a
     ray, such as a constancy sample (a positive integer multiple of the
     drawn rational point), has the same closure. A ray's carrier
     coordinates are its entries at the carrier's pivots, and it lies in the
-    carrier iff L times it equals the scaled lift of those coordinates (L
-    the lcm of the carrier basis' denominators); from there on every dot
-    product is an integer one.
+    carrier iff its scaled_reduce is zero; from there on every dot product
+    is an integer one.
     """
     rays = [primitive(r) for r in rays if not is_zero_vec(r)]
-    flat = special_face_closure(spec, Face.from_vectors(rays, spec.rank))
+    flat = minimal_flat_containing(global_arrangement(spec), rays)
     carrier = flat.subspace
     if any(any(carrier.scaled_reduce(r)) for r in rays):
         raise InvariantError(f"closure {vec_str(*carrier.basis)} misses rays {vec_str(*rays)}")
@@ -446,7 +436,7 @@ def special_cone_closure(
     ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
     attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
     parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
-    levi = _signature_of_span(spec, ambient, cone.dim)
+    levi = component_signature(spec, ambient)
     return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
 
 
@@ -570,7 +560,7 @@ def constancy_check(
             if tuple(sign(int_dot(w, v)) for w in arr_f.covectors) != ch:
                 raise InvariantError(f"sample {vec_str(v)} left chamber {ch} of flat {flat.hyperplanes}")
             p = carrier.scaled_lift(v)
-            seen_comp.add(_signature_of_span(spec, [p], 0 if is_zero_vec(p) else 1))
+            seen_comp.add(component_signature(spec, [p]))
             seen_attr.add(special_cone_closure(spec, [p]))
         entry = {
             "signs": list(ch),
@@ -616,20 +606,22 @@ class HallMorphism:
     special-face representative in another, together with a chamber of the
     sub-arrangement of target hyperplanes containing the embedded source.
 
-    The embedding is a source-dim x target-dim matrix in the bases of the
-    two representatives; sub_covectors lists the target cotangent
-    covectors vanishing on its image, in the chamber's coordinate order.
+    The embedding is a source-dim x target-dim integer matrix in the bases
+    of the two representatives, times the scale L of the source's
+    scaled_basis (an identity is L times the identity matrix);
+    sub_covectors lists the target cotangent covectors vanishing on its
+    image, in the chamber's coordinate order.
     """
 
     source: int
     target: int
-    embedding: tuple[Vec, ...]
+    embedding: tuple[IntVec, ...]
     chamber: SignVector
     sub_covectors: tuple[IntVec, ...]
 
 
-def _identity_rows(k: int) -> tuple[Vec, ...]:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
+def _identity_rows(k: int, scale: int) -> tuple[IntVec, ...]:
+    return tuple(tuple(scale * (i == j) for j in range(k)) for i in range(k))
 
 
 def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
@@ -640,11 +632,14 @@ def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
     plus a chamber of the hyperplanes of B's cotangent arrangement that
     contain the embedded copy. Composition embeds the first chamber and
     falls through to the second by the Tits rule; the table is verified
-    closed under composition.
+    closed under composition. A Weyl element moves the scaled_basis rows
+    of A to integer vectors; they lie in B iff B's scaled_reduce kills
+    them, and their entries at B's pivots are their coordinates.
     """
     objects = enumerate_special_faces(spec)
     reps = [o.flat.subspace for o in objects]
     cot = [restricted_arrangement(spec, s) for s in reps]
+    scales = [s.scaled_basis[0] for s in reps]
 
     morphisms: list[HallMorphism] = []
     for si, a in enumerate(reps):
@@ -653,33 +648,42 @@ def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
                 continue
             embeddings = set()
             for g in spec.weyl_group:
-                rows = tuple(b.coords_in(mat_vec(g, v)) for v in a.basis)
-                if None not in rows:
-                    embeddings.add(rows)
+                moved = [tuple(int_dot(row, v) for row in g) for v in a.scaled_basis[1]]
+                if not any(any(b.scaled_reduce(v)) for v in moved):
+                    embeddings.add(tuple(tuple(v[p] for p in b.pivots) for v in moved))
             for emb in sorted(embeddings):
-                sub = tuple(w for w in cot[ti].covectors if all(dot(w, row) == 0 for row in emb))
+                sub = tuple(w for w in cot[ti].covectors if not any(int_dot(w, row) for row in emb))
                 for ch in chambers(HyperplaneArrangement(sub, b.dim)):
                     morphisms.append(HallMorphism(si, ti, emb, ch, sub))
     return FiniteCategory.build(
         objects,
         morphisms,
-        lambda oi: HallMorphism(oi, oi, _identity_rows(reps[oi].dim), (), ()),
-        lambda m1, m2: _compose_morphisms(m1, m2, cot[m2.target]),
+        lambda oi: HallMorphism(oi, oi, _identity_rows(reps[oi].dim, scales[oi]), (), ()),
+        lambda m1, m2: _compose_morphisms(m1, m2, cot[m2.target], scales[m1.target]),
     )
 
 
 def _compose_morphisms(
-    m1: HallMorphism, m2: HallMorphism, target_arr: HyperplaneArrangement
+    m1: HallMorphism, m2: HallMorphism, target_arr: HyperplaneArrangement, middle_scale: int
 ) -> HallMorphism:
     """Tits composition: a hyperplane through the composite image either
     pulls back along the second embedding to a hyperplane through the
     first image (keep the first chamber's sign, corrected for the
-    canonicalization flip) or dies there (fall through to the second)."""
-    emb = mat_mul(m1.embedding, m2.embedding)
-    sub = tuple(w for w in target_arr.covectors if all(dot(w, row) == 0 for row in emb))
+    canonicalization flip) or dies there (fall through to the second).
+    The product of the embeddings carries the middle object's scale too,
+    so it is divided by middle_scale, which must go exactly."""
+    cols = tuple(zip(*m2.embedding))
+    product = [[int_dot(row, col) for col in cols] for row in m1.embedding]
+    if any(x % middle_scale for row in product for x in row):
+        raise InvariantError(
+            f"composite embedding {vec_str(*product)} of {vec_str(*m1.embedding)} and "
+            f"{vec_str(*m2.embedding)} is not divisible by {middle_scale}, the scale of object {m1.target}"
+        )
+    emb = tuple(tuple(x // middle_scale for x in row) for row in product)
+    sub = tuple(w for w in target_arr.covectors if not any(int_dot(w, row) for row in emb))
     signs = []
     for w in sub:
-        pull = tuple(dot(w, row) for row in m2.embedding)
+        pull = tuple(int_dot(w, row) for row in m2.embedding)
         if any(pull):
             canon, sgn = canonical_covector_signed(pull)
             signs.append(sgn * m1.chamber[m1.sub_covectors.index(canon)])
@@ -691,11 +695,6 @@ def _compose_morphisms(
 def verify_hall_category(cat: FiniteCategory) -> dict:
     """Exhaustively check unit laws and associativity of the table."""
     return {**check_laws(cat), "pairs": len(cat.composition)}
-
-
-def _direction(v: Sequence[Scalar]) -> IntVec:
-    """The primitive integer multiple of v, same sign; zero stays zero."""
-    return primitive(v) if any(v) else (0,) * len(v)
 
 
 def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategory) -> bool:
@@ -711,12 +710,13 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
     weights + roots, restricted to each object's basis. The second
     morphism pulls them back along its embedding, so the first chamber's
     integer rays are tested as they are, in its target's coordinates.
-    Only signs are read, so each restricted and each pulled vector is kept
-    as its primitive integer multiple, and every dot product is an
-    integer one.
+    Only signs are read, so restricting through each object's scaled_basis
+    rows and pulling back along the scaled embeddings, which give positive
+    integer multiples of the vectors, keeps every dot product an integer one.
     """
+    tangent = spec.weights + spec.roots
     restricted = [
-        tuple(_direction([dot(v, b) for b in o.flat.subspace.basis]) for v in spec.weights + spec.roots)
+        tuple(tuple(int_dot(v, row) for row in o.flat.subspace.scaled_basis[1]) for v in tangent)
         for o in cat.objects
     ]
     rays, nonneg, pulled = [], [], []
@@ -727,7 +727,7 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
         )
         rays.append(cone)
         nonneg.append(sum(1 << t for t, v in enumerate(target) if all(int_dot(v, r) >= 0 for r in cone)))
-        pulled.append(tuple(_direction(mat_vec(m.embedding, v)) for v in target))
+        pulled.append(tuple(tuple(int_dot(row, v) for row in m.embedding) for v in target))
     for (i, j), k in cat.composition.items():
         seen = degen = 0
         for t, v in enumerate(pulled[j]):

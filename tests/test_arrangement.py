@@ -211,11 +211,12 @@ def test_flats_are_the_kernels_of_covector_subsets(arr):
 
 
 def test_minimal_flat_containing():
+    # any spanning set, in any scaling, gives the same flat
     diag = span([(1, 1)], 2)
-    f = minimal_flat_containing(ARR3, diag)
-    assert f.subspace == diag and f.hyperplanes == (2,)
-    generic = span([(1, 2)], 2)
-    g = minimal_flat_containing(ARR3, generic)
+    for vectors in ([(1, 1)], [(Fraction(-1, 2), Fraction(-1, 2)), (0, 0)]):
+        f = minimal_flat_containing(ARR3, vectors)
+        assert f.subspace == diag and f.hyperplanes == (2,)
+    g = minimal_flat_containing(ARR3, [(1, 2)])
     assert g.dim == 2 and g.hyperplanes == ()
 
 

@@ -275,10 +275,23 @@ def test_a_broken_invariant_exits_4(capsys, monkeypatch):
     assert err == "invariant broken: composite fell outside the morphism set\n"
 
 
+def test_an_inexact_composite_embedding_exits_4(capsys, monkeypatch):
+    # embeddings carry their source's scale, and a composite is divided by
+    # the middle object's; a scale they do not carry leaves a remainder
+    compose = sm._compose_morphisms
+    monkeypatch.setattr(sm, "_compose_morphisms", lambda m1, m2, arr, scale: compose(m1, m2, arr, 2 * scale))
+    code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "hall")
+    assert code == 4 and out == ""
+    assert err == (
+        "invariant broken: composite embedding (1, 0), (0, 1) of (0, 1), (1, 0) and (0, 1), (1, 0) "
+        "is not divisible by 2, the scale of object 0\n"
+    )
+
+
 def test_a_cone_closure_outside_its_carrier_exits_4(capsys, monkeypatch):
-    # a special face closure that misses the ray breaks special_cone_closure
+    # a carrier flat that misses the ray breaks special_cone_closure
     wrong = Flat(span([(1, 0)], 2), (1,))
-    monkeypatch.setattr(sm, "special_face_closure", lambda spec, face: wrong)
+    monkeypatch.setattr(sm, "minimal_flat_containing", lambda arr, vectors: wrong)
     code, out, err = run_cli(capsys, "closure", SPECS / "a2_gl2.json", "--ray", "1,2")
     assert code == 4 and out == ""
     assert err == "invariant broken: closure (1, 0) misses rays (1, 2)\n"
@@ -288,7 +301,7 @@ def test_a_restriction_vanishing_on_the_rays_exits_4(capsys, monkeypatch):
     # (1, 1) lies on the root hyperplane, so the whole plane is not its
     # minimal flat: the root restricts to a functional that vanishes on it
     plane = Flat(span([(1, 0), (0, 1)], 2), ())
-    monkeypatch.setattr(sm, "special_face_closure", lambda spec, face: plane)
+    monkeypatch.setattr(sm, "minimal_flat_containing", lambda arr, vectors: plane)
     code, out, err = run_cli(capsys, "closure", SPECS / "a2_gl2.json", "--ray", "1,1")
     assert code == 4 and out == ""
     assert err == (

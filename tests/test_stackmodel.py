@@ -31,10 +31,23 @@ from complat.arrangement import (
     witness_point,
 )
 from complat.errors import InvariantError, SpecError
-from complat.qlinalg import dot, mat_vec, primitive, qvec, span, vec_neg, vec_scale
+from complat.category import FiniteCategory
+from complat.qlinalg import (
+    canonical_covector_signed,
+    dot,
+    mat_mul,
+    mat_vec,
+    primitive,
+    qvec,
+    span,
+    vec_neg,
+    vec_scale,
+)
 from complat.stackmodel import (
     AttractorSignature,
+    ComponentSignature,
     Face,
+    HallMorphism,
     QuotientStackSpec,
     central_rank,
     component_signature,
@@ -44,12 +57,15 @@ from complat.stackmodel import (
     cell_orbits,
     enumerate_special_faces,
     global_arrangement,
+    hall_category,
+    hall_composition_weight_identity,
     is_special,
     load_spec,
     nondegenerate_quotient,
     special_cone_closure,
     special_face_closure,
     surjection_invariance_check,
+    verify_hall_category,
     weyl_permutations,
 )
 
@@ -92,6 +108,17 @@ SKEW3 = {
 
 ALL_DOCS = [B_GM, A1_GM, A2_GL2, B_GL3, RANK3_MIXED]
 LINEAR_SPECS = ("a1_gm", "a2_gl2", "b_gl2", "b_gl3", "b_gl4", "b_gm", "rank3_mixed")
+
+
+def _named_spec(name):
+    return load_spec(SKEW3 if name == "skew3" else json.loads((SPECS / f"{name}.json").read_text()))
+
+
+def _signature_by_fractions(spec, sub):
+    # the weights and roots whose Fraction dot with every basis row is zero
+    fixed = tuple(w for w in spec.weights if all(dot(w, b) == 0 for b in sub.basis))
+    levi = tuple(r for r in spec.roots if all(dot(r, b) == 0 for b in sub.basis))
+    return ComponentSignature(sub.dim, fixed, levi)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +230,18 @@ def test_attractor_signatures_match_table(a2gl2):
         assert sig.ambient_rays == rays, p
 
 
+@pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3",))
+def test_component_signature_matches_fraction_dots_on_every_flat(name):
+    # as a face, a subspace, or the span of scaled spanning vectors
+    spec = _named_spec(name)
+    for fl in flats(global_arrangement(spec)):
+        sub = fl.subspace
+        expected = _signature_by_fractions(spec, sub)
+        spanning = [[3 * x for x in primitive(b)] for b in sub.basis] + [(0,) * spec.rank]
+        for face in (Face(sub), sub, spanning, [qvec(b) for b in sub.basis]):
+            assert component_signature(spec, face) == expected, (fl.hyperplanes, face)
+
+
 def test_fixed_weight_and_parabolic_sign_convention(a2gl2):
     # the ray (0,1): the weight pairing to 0 is fixed, the root pairing
     # nonnegatively ((-1,1), not its negative) generates the parabolic
@@ -280,7 +319,7 @@ def _face_orbits_by_geometry(spec):
             continue
         orbit = {span([mat_vec(g, b) for b in sub.basis], spec.rank) for g in spec.weyl_group}
         seen |= orbit
-        out.append((minimal_flat_containing(arr, min(orbit, key=key)), len(orbit)))
+        out.append((minimal_flat_containing(arr, min(orbit, key=key).basis), len(orbit)))
     return sorted(out, key=lambda o: (-o[0].dim, key(o[0].subspace)))
 
 
@@ -499,7 +538,7 @@ def _cone_closure_by_fractions(spec, rays):
     # restrictions nonnegative on every ray, double description, saturation
     rays = [qvec(r) for r in rays]
     arr = global_arrangement(spec)
-    flat = minimal_flat_containing(arr, span(rays, spec.rank))
+    flat = minimal_flat_containing(arr, span(rays, spec.rank).basis)
     carrier = flat.subspace
     coords = [carrier.coords_in(r) for r in rays]
     restrictions = set()
@@ -513,7 +552,7 @@ def _cone_closure_by_fractions(spec, rays):
     ambient = tuple(sorted(primitive(carrier.lift(r)) for r in cone_rays))
     attractor = tuple(w for w in spec.weights if all(dot(w, a) >= 0 for a in ambient))
     parabolic = tuple(r for r in spec.roots if all(dot(r, a) >= 0 for a in ambient))
-    levi = component_signature(spec, span(ambient, spec.rank))
+    levi = _signature_by_fractions(spec, span(ambient, spec.rank))
     return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
 
 
@@ -533,8 +572,7 @@ def _random_ray(rng, spec, flat_bases):
 
 @pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3",))
 def test_cone_closure_matches_the_fraction_route_and_ignores_scaling(name):
-    doc = SKEW3 if name == "skew3" else json.loads((SPECS / f"{name}.json").read_text())
-    spec = load_spec(doc)
+    spec = _named_spec(name)
     flat_bases = [f.subspace.basis for f in flats(global_arrangement(spec))]
     if name == "skew3":
         assert any(x.denominator > 1 for basis in flat_bases for row in basis for x in row)
@@ -626,6 +664,79 @@ def test_constancy_never_raises_a_false_alarm_on_the_shipped_specs(name):
         for fl in flats(global_arrangement(spec)):
             report = constancy_check(spec, fl, samples=50, seed=seed)
             assert report["ok"], (seed, report["discrepancies"])
+
+
+# -- Hall category on scaled embeddings -------------------------------------------
+
+
+def _hall_category_by_fractions(spec):
+    # the Fraction route: an embedding is the coordinates (coords_in) of the
+    # moved basis rows, a composite is the Fraction product (mat_mul) of
+    # the two embeddings, and the Tits rule reads Fraction dots
+    objects = enumerate_special_faces(spec)
+    reps = [o.flat.subspace for o in objects]
+    cot = [restrict(global_arrangement(spec), s) for s in reps]
+    morphisms = []
+    for si, a in enumerate(reps):
+        for ti, b in enumerate(reps):
+            if a.dim > b.dim:
+                continue
+            embeddings = set()
+            for g in spec.weyl_group:
+                rows = tuple(b.coords_in(v) for v in mat_mul(a.basis, tuple(zip(*g))))
+                if None not in rows:
+                    embeddings.add(rows)
+            for emb in sorted(embeddings):
+                sub = tuple(w for w in cot[ti].covectors if all(dot(w, row) == 0 for row in emb))
+                for ch in chambers(HyperplaneArrangement(sub, b.dim)):
+                    morphisms.append(HallMorphism(si, ti, emb, ch, sub))
+
+    def identity(oi):
+        k = reps[oi].dim
+        eye = tuple(tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
+        return HallMorphism(oi, oi, eye, (), ())
+
+    def compose(m1, m2):
+        emb = mat_mul(m1.embedding, m2.embedding)
+        sub = tuple(w for w in cot[m2.target].covectors if all(dot(w, row) == 0 for row in emb))
+        signs = []
+        for w in sub:
+            pull = [dot(w, row) for row in m2.embedding]
+            if any(pull):
+                canon, sgn = canonical_covector_signed(pull)
+                signs.append(sgn * m1.chamber[m1.sub_covectors.index(canon)])
+            else:
+                signs.append(m2.chamber[m2.sub_covectors.index(w)])
+        return HallMorphism(m1.source, m2.target, emb, tuple(signs), sub)
+
+    return FiniteCategory.build(objects, morphisms, identity, compose)
+
+
+def test_hall_category_with_scaled_embeddings_matches_the_fraction_route():
+    # skew3's flats have bases with denominators, so its embeddings carry
+    # scales above 1 and every composite through such an object divides
+    spec = load_spec(SKEW3)
+    cat = hall_category(spec)
+    scales = [o.flat.subspace.scaled_basis[0] for o in cat.objects]
+    assert {2, 3, 6} <= set(scales)
+    assert (len(cat.objects), len(cat.morphisms)) == (12, 118)
+    ref = _hall_category_by_fractions(spec)
+    assert len(ref.morphisms) == len(cat.morphisms)
+    for m, r in zip(cat.morphisms, ref.morphisms):
+        assert all(type(x) is int for row in m.embedding for x in row)
+        scaled = tuple(tuple(scales[r.source] * x for x in row) for row in r.embedding)
+        assert (m.source, m.target, m.embedding, m.chamber, m.sub_covectors) == (
+            r.source,
+            r.target,
+            scaled,
+            r.chamber,
+            r.sub_covectors,
+        )
+    assert cat.identities == ref.identities
+    assert cat.composition == ref.composition
+    assert verify_hall_category(cat) == verify_hall_category(ref)
+    assert verify_hall_category(cat)["ok"]
+    assert hall_composition_weight_identity(spec, cat) is hall_composition_weight_identity(spec, ref) is True
 
 
 # -- determinism ------------------------------------------------------------------
