@@ -887,6 +887,12 @@ def hall_category_lms(n_vertices: int, max_total: int) -> FiniteCategory:
     A morphism refines each source entry into an ordered run of target
     entries; composition concatenates runs. Objects are never merged;
     `identification` reports how many of them forgetting order would merge.
+
+    The morphisms out of each source are generated, not searched for: split
+    every source entry into an ordered composition of nonzero vectors, then
+    place all the parts at distinct target positions. The placement fixes
+    the target tuple and, for each source entry, the run of positions its
+    parts took, so every morphism arises exactly once and none is rejected.
     """
     vectors = [v for t in range(1, max_total + 1) for v in dim_vectors(n_vertices, t)]
     vectors = [v for v in vectors if any(v)]
@@ -902,21 +908,32 @@ def hall_category_lms(n_vertices: int, max_total: int) -> FiniteCategory:
         objects.extend(nxt)
         frontier = nxt
     objects.sort()
+    index = {obj: i for i, obj in enumerate(objects)}
+
+    splits: dict[DimVector, list[tuple[DimVector, ...]]] = {}
+
+    def compositions(v: DimVector) -> list[tuple[DimVector, ...]]:
+        """The ordered compositions of v into nonzero vectors."""
+        if v not in splits:
+            splits[v] = [(v,)] + [
+                (p,) + rest
+                for p in vectors
+                if p != v and all(x <= y for x, y in zip(p, v))
+                for rest in compositions(tuple(y - x for x, y in zip(p, v)))
+            ]
+        return splits[v]
 
     morphisms: list[LmsMorphism] = []
     for si, a in enumerate(objects):
-        for ti, b in enumerate(objects):
-            if len(b) < len(a):
-                continue
-            for assignment in itertools.product(range(len(a)), repeat=len(b)) if a else ([()] if not b else []):
-                blocks = [[j for j, x in enumerate(assignment) if x == i] for i in range(len(a))]
-                if any(
-                    tuple(sum(b[j][v] for j in blk) for v in range(n_vertices)) != a[i]
-                    for i, blk in enumerate(blocks)
-                ):
-                    continue
-                for orders in itertools.product(*(itertools.permutations(blk) for blk in blocks)):
-                    morphisms.append(LmsMorphism(si, ti, tuple(orders)))
+        for runs in itertools.product(*map(compositions, a)):
+            parts = [p for run in runs for p in run]
+            spans = list(itertools.pairwise(itertools.accumulate(map(len, runs), initial=0)))
+            for places in itertools.permutations(range(len(parts))):
+                target = tuple(p for _, p in sorted(zip(places, parts)))
+                ti = index.get(target)
+                if ti is None:
+                    raise InvariantError(f"refinement {target} of object {a} is not an object")
+                morphisms.append(LmsMorphism(si, ti, tuple(places[lo:hi] for lo, hi in spans)))
 
     def compose(m1: LmsMorphism, m2: LmsMorphism) -> LmsMorphism:
         orders = tuple(tuple(k for jj in blk for k in m2.orders[jj]) for blk in m1.orders)

@@ -64,11 +64,6 @@ def int_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(map(mul, u, v))
 
 
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in v)
-
-
 def vec_neg(v: Sequence[Scalar]) -> tuple:
     return tuple(-x for x in v)
 
@@ -313,11 +308,6 @@ def restrict_covector(w: Sequence[Scalar], space: Subspace) -> Optional[IntVec]:
     """
     vals = [int_dot(w, row) for row in space.scaled_basis[1]]
     return canonical_covector(vals) if any(vals) else None
-
-
-def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
-    """Matrix times column vector, exact."""
-    return tuple(dot(row, v) for row in m)
 
 
 def covector_times_mat(w: Sequence[Scalar], m: Sequence[Sequence[Scalar]]) -> tuple:

@@ -7,10 +7,21 @@ counting), so agreement is meaningful.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import prod
+from itertools import combinations, permutations, product
+from math import comb, factorial, prod
 
 from complat.qlinalg import dot, kernel, primitive, qvec, vec_neg
+
+
+def vec_scale(c, v):
+    """c times v, as Fractions."""
+    c = Fraction(c)
+    return tuple(c * Fraction(x) for x in v)
+
+
+def mat_vec(m, v):
+    """Matrix times column vector, exact."""
+    return tuple(dot(row, v) for row in m)
 
 
 def brute_force_pointed_rays(eqs, ineqs, dim):
@@ -258,3 +269,56 @@ def direct_flag_count(quiver, q, gamma, rep, ra, rb, rc):
                 continue
             count += 1
     return count
+
+
+def assignment_search_category(n_vertices, max_total):
+    """The category of ordered tuples of nonzero dimension vectors of total
+    at most max_total, built by search: for every ordered pair of objects,
+    try every assignment of target entries to source entries, keep those
+    whose blocks sum to their source entry, and order each block in every
+    way. Objects come from all tuples of every length, not by extension."""
+    from complat.category import FiniteCategory
+    from complat.linmoduli import LmsMorphism
+
+    vectors = [v for v in product(range(max_total + 1), repeat=n_vertices) if 0 < sum(v) <= max_total]
+    objects = sorted(
+        obj
+        for size in range(max_total + 1)
+        for obj in product(vectors, repeat=size)
+        if sum(map(sum, obj)) <= max_total
+    )
+    morphisms = []
+    for si, a in enumerate(objects):
+        for ti, b in enumerate(objects):
+            if len(b) < len(a):
+                continue
+            for assignment in product(range(len(a)), repeat=len(b)) if a else ([()] if not b else []):
+                blocks = [[j for j, x in enumerate(assignment) if x == i] for i in range(len(a))]
+                if any(
+                    tuple(sum(b[j][v] for j in blk) for v in range(n_vertices)) != a[i]
+                    for i, blk in enumerate(blocks)
+                ):
+                    continue
+                for orders in product(*(permutations(blk) for blk in blocks)):
+                    morphisms.append(LmsMorphism(si, ti, tuple(orders)))
+
+    def compose(m1, m2):
+        orders = tuple(tuple(k for jj in blk for k in m2.orders[jj]) for blk in m1.orders)
+        return LmsMorphism(m1.source, m2.target, orders)
+
+    return FiniteCategory.build(
+        objects,
+        morphisms,
+        lambda oi: LmsMorphism(oi, oi, tuple((j,) for j in range(len(objects[oi])))),
+        compose,
+    )
+
+
+def refinements_out_of(entries):
+    """The number of morphisms out of a one-vertex tuple of positive ints,
+    in closed form: choose a composition of each entry n into k parts
+    (C(n - 1, k - 1) ways), then place all the parts, (total parts)! ways."""
+    return sum(
+        prod(comb(n - 1, k - 1) for n, k in zip(entries, ks)) * factorial(sum(ks))
+        for ks in product(*(range(1, n + 1) for n in entries))
+    )

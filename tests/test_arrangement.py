@@ -25,13 +25,14 @@ from complat.arrangement import (
     witness_point,
 )
 from complat.errors import CapExceeded, InvariantError
-from complat.qlinalg import dot, primitive, qvec, span, vec_scale
+from complat.qlinalg import dot, primitive, qvec, span
 from complat.stackmodel import global_arrangement, load_spec
 
 from oracles import (
     brute_force_flats,
     brute_force_pointed_rays,
     sample_sign_vectors,
+    vec_scale,
     zaslavsky_face_count,
 )
 

@@ -2,6 +2,7 @@
 deterministic output."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -297,6 +298,15 @@ def test_a_cone_closure_outside_its_carrier_exits_4(capsys, monkeypatch):
     assert err == "invariant broken: closure (1, 0) misses rays (1, 2)\n"
 
 
+def test_a_refinement_that_is_not_an_object_exits_4(capsys, monkeypatch):
+    # without (2,) among the dimension vectors, splitting (3,) reaches ((1,), (2,))
+    dim_vectors = lm.dim_vectors
+    monkeypatch.setattr(lm, "dim_vectors", lambda n, total: [v for v in dim_vectors(n, total) if v != (2,)])
+    code, out, err = run_cli(capsys, "verify", SPECS / "one_vertex.json", "--suite", "finiteness", "--max-dim", 3)
+    assert code == 4 and out == ""
+    assert err == "invariant broken: refinement ((1,), (2,)) of object ((3,),) is not an object\n"
+
+
 def test_a_restriction_vanishing_on_the_rays_exits_4(capsys, monkeypatch):
     # (1, 1) lies on the root hyperplane, so the whole plane is not its
     # minimal flat: the root restricts to a functional that vanishes on it
@@ -441,6 +451,36 @@ def test_cached_classes_round_trip(tmp_path):
     assert loaded.orbit_sizes == fresh.orbit_sizes
     assert loaded.aut_orders == fresh.aut_orders
     assert loaded.class_of == fresh.class_of
+
+
+A3_QUIVER = {"type": "quiver", "vertices": ["a", "b", "c"], "arrows": [["a", "b"], ["b", "c"]]}
+
+
+@pytest.mark.parametrize(
+    "doc,argv,sha256",
+    [
+        (
+            A3_QUIVER,
+            ("--suite", "finiteness", "--max-dim", "3"),
+            "c07368a58c4f0c98860605634f890cc93be81f29844d3bd7c9643fb66b266ef6",
+        ),
+        (
+            None,
+            ("--suite", "finiteness", "--max-dim", "4"),
+            "51a177b8b49854fdd0bcf521fb8635ae303ca8a0fb6b4c7ff1a475b3703bc594",
+        ),
+    ],
+)
+def test_finiteness_reports_are_byte_identical_to_the_recorded_ones(capsys, tmp_path, doc, argv, sha256):
+    # the digests perfbench/workloads.py records for finiteness-a3_quiver
+    # and finiteness-one_vertex
+    path = SPECS / "one_vertex.json"
+    if doc is not None:
+        path = tmp_path / "a3_quiver.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    code, out, err = run_cli(capsys, "verify", path, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_documents_can_come_from_stdin():

@@ -14,6 +14,7 @@ from complat import linmoduli as lm
 from complat.errors import CapExceeded, InvariantError, SpecError
 
 from oracles import (
+    assignment_search_category,
     burnside_class_count,
     direct_flag_count,
     direct_hall_product,
@@ -24,6 +25,7 @@ from oracles import (
     integer_partitions,
     naive_gf_mat_mul,
     naive_gf_mat_vec,
+    refinements_out_of,
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -590,6 +592,26 @@ def test_refinement_composition_concatenates_orders():
     m1 = idx[(src, mid, ((0, 1),))]
     m2 = idx[(mid, tgt, ((2,), (0, 1)))]
     assert cat.compose(m1, m2) == idx[(src, tgt, ((2, 0, 1),))]
+
+
+@pytest.mark.parametrize(
+    "n_vertices,max_total",
+    [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)],
+)
+def test_refinement_category_matches_the_assignment_search(n_vertices, max_total):
+    cat = lm.hall_category_lms(n_vertices, max_total)
+    oracle = assignment_search_category(n_vertices, max_total)
+    assert cat.objects == oracle.objects
+    assert cat.morphisms == oracle.morphisms
+    assert cat.identities == oracle.identities
+    assert cat.composition == oracle.composition
+    assert cat.by_source == oracle.by_source
+
+
+def test_one_vertex_refinements_out_of_each_object_match_the_closed_form():
+    cat = lm.hall_category_lms(1, 5)
+    for obj, out in zip(cat.objects, cat.by_source):
+        assert len(out) == refinements_out_of([v for (v,) in obj]), obj
 
 
 # -- cross-model comparison ----------------------------------------------------------

@@ -36,12 +36,10 @@ from complat.qlinalg import (
     canonical_covector_signed,
     dot,
     mat_mul,
-    mat_vec,
     primitive,
     qvec,
     span,
     vec_neg,
-    vec_scale,
 )
 from complat.stackmodel import (
     AttractorSignature,
@@ -69,7 +67,7 @@ from complat.stackmodel import (
     weyl_permutations,
 )
 
-from oracles import brute_force_flats
+from oracles import brute_force_flats, mat_vec, vec_scale
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
