@@ -39,7 +39,9 @@ from .qlinalg import (
     Subspace,
     Vec,
     canonical_covector,
+    clear_pivots,
     dot,
+    echelon,
     int_dot,
     is_zero_vec,
     kernel,
@@ -48,7 +50,6 @@ from .qlinalg import (
     restrict_covector,
     row_rank,
     sign,
-    span,
     vec_neg,
     vec_str,
 )
@@ -267,24 +268,22 @@ def dd_cone(
 
 def canonical_rays(lin: Sequence[Vec], rays: Sequence[Vec], dim: int) -> tuple[IntVec, ...]:
     """Canonical extreme-ray tuple of span(lin) + cone(rays), for rays
-    irredundant modulo span(lin): +/- primitive lineality basis rows plus
-    pointed rays reduced modulo the lineality space, sorted. Only the
-    rays' directions matter, so a positive multiple of a ray gives the same
-    tuple: a pointed ray is reduced as L times its reduction
-    (Subspace.scaled_reduce, integer on integer rays), and with no
-    lineality the tuple is the sorted primitive rays, with no span taken."""
-    lspace = span(lin, dim) if lin else Subspace((), dim)
+    irredundant modulo span(lin): +/- the integer echelon rows of the
+    lineality (qlinalg.echelon) plus the pointed rays reduced modulo them,
+    sorted. Only the rays' directions matter, so a pointed ray is reduced
+    as a positive multiple (qlinalg.clear_pivots, integer on integer rays)
+    and a positive multiple of a ray gives the same tuple."""
+    ech = echelon(lin, dim)
     out: set[IntVec] = set()
-    for b in lspace.basis:
-        p = primitive(b)
-        out.add(p)
-        out.add(vec_neg(p))
+    for _, e in ech:
+        out.add(e)
+        out.add(vec_neg(e))
     for r in rays:
-        rr = lspace.scaled_reduce(r) if lin else r
+        rr = clear_pivots(r, ech)
         if is_zero_vec(rr):
             raise InvariantError(
                 f"pointed ray {vec_str(r)} of rays {vec_str(*rays)} collapsed "
-                f"into the lineality space spanned by {vec_str(*lspace.basis)}"
+                f"into the lineality space spanned by {vec_str(*(e for _, e in ech))}"
             )
         out.add(primitive(rr))
     return tuple(sorted(out))
@@ -341,11 +340,6 @@ class ArrCone:
     @property
     def pointed_rays(self) -> tuple[IntVec, ...]:
         return split_rays(self.extreme_rays)[1]
-
-    def contains_point(self, arr: HyperplaneArrangement, v: Sequence[Scalar]) -> bool:
-        return all(dot(arr.covectors[i], v) == 0 for i in self.zero_set) and all(
-            s * dot(arr.covectors[i], v) >= 0 for i, s in self.nonneg_set
-        )
 
 
 def saturated_cone(arr: HyperplaneArrangement, rays: Sequence[IntVec]) -> ArrCone:
@@ -445,14 +439,6 @@ def cells(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[Sig
 def chambers(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[SignVector, ...]:
     """Cells with no zero coordinate (full-dimensional cells)."""
     return tuple(s for s in cells(arr, cap) if 0 not in s)
-
-
-def witness_point(arr: HyperplaneArrangement, s: SignVector) -> Vec:
-    """A rational point with exactly the signs s (must be realizable)."""
-    w = _strict_witness(arr.covectors, s, arr.dim)
-    if w is None:
-        raise ValueError(f"sign vector {s} is not realizable")
-    return w
 
 
 # -- Tits composition --------------------------------------------------------

@@ -209,14 +209,6 @@ def gf_reduce(F: GF, rows: GFMatrix, pivots: Sequence[int], v: Sequence[int]) ->
     return tuple(w)
 
 
-def gf_invertible(F: GF, m: GFMatrix) -> bool:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        return False
-    _, pivots = gf_rref(F, m, n)
-    return len(pivots) == n
-
-
 def gf_inverse(F: GF, m: GFMatrix) -> GFMatrix:
     n = len(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]

@@ -4,6 +4,10 @@ Conventions shared by the whole package:
 
 - points given as input, and subspace bases, are tuples of
   ``fractions.Fraction``,
+- the one elimination is ``echelon``, an integer reduced echelon form:
+  ``rref`` divides its rows by their pivot entries, ``span`` and
+  ``kernel`` go through it, ``row_rank`` counts its pivots, and
+  ``clear_pivots`` reduces a vector modulo its rows,
 - subspaces are stored by their reduced row echelon basis, the unique
   canonical form, so equal subspaces compare equal bitwise and are usable
   as dict keys; covector tests, restrictions, lifts and reductions run in
@@ -18,9 +22,10 @@ Conventions shared by the whole package:
   entries is 1 and the first nonzero entry is positive, so equal
   hyperplanes compare equal bitwise.
 
-Fractions remain where a canonical basis is built or printed, and in the
+Fractions remain only in the RREF basis that is stored and printed, in the
 ``Subspace`` methods that tests use as references (``reduce``, ``lift``,
-``coords_in``, ``contains``).
+``coords_in``, ``contains``), and in ``determinant``, which runs when a spec
+is loaded.
 
 No floats anywhere. Denominators grow as they like; everything downstream
 relies on these comparisons being exact.
@@ -119,50 +124,61 @@ def sign(x: Scalar) -> int:
     return 0
 
 
-def rref(rows: Sequence[Sequence[Scalar]], width: int) -> tuple[tuple[Vec, ...], IntVec]:
-    """Reduced row echelon form with unit pivots.
+def clear_pivots(v: Sequence[Scalar], rows: Sequence[tuple[int, IntVec]]) -> Sequence[Scalar]:
+    """A positive multiple of v reduced modulo the echelon rows, given as
+    (pivot, row) pairs as echelon returns them: at each pivot p the row e
+    is cross-multiplied away, e[p] v - v[p] e with e[p] > 0. The result is
+    zero iff v lies in the span of the rows, and integer for integer v."""
+    for p, e in rows:
+        c = v[p]
+        if c:
+            d = e[p]
+            v = [d * x - c * y for x, y in zip(v, e)]
+    return v
+
+
+def echelon(rows: Iterable[Sequence[Scalar]], width: int) -> tuple[tuple[int, IntVec], ...]:
+    """Integer reduced echelon form: (pivot, row) pairs by increasing pivot.
+
+    Each row is primitive, positive at its pivot (its first nonzero
+    entry) and zero at the other pivots: the RREF rows scaled to primitive
+    integers, unique for the row space. An incoming row is cleared of
+    denominators and reduced by clear_pivots; a row kept clears its pivot
+    from the rows kept before it.
+    """
+    out: list[tuple[int, IntVec]] = []
+    for r in rows:
+        if len(r) != width:
+            raise ValueError(f"row of length {len(r)} in width-{width} matrix")
+        if not any(r):
+            continue
+        r = clear_pivots(primitive(r), out)
+        pivot = next((j for j, x in enumerate(r) if x), None)
+        if pivot is None:
+            continue
+        r = primitive(r)
+        if r[pivot] < 0:
+            r = vec_neg(r)
+        out = [(p, primitive(clear_pivots(e, ((pivot, r),))) if e[pivot] else e) for p, e in out]
+        out.append((pivot, r))
+    return tuple(sorted(out))
+
+
+def rref(rows: Iterable[Sequence[Scalar]], width: int) -> tuple[tuple[Vec, ...], IntVec]:
+    """Reduced row echelon form with unit pivots: the echelon rows divided
+    by their pivot entries.
 
     Returns (nonzero rows, pivot columns). The output is the canonical
     representative of the row space: unique regardless of input order.
     """
-    mat = [list(qvec(r)) for r in rows]
-    for r in mat:
-        if len(r) != width:
-            raise ValueError(f"row of length {len(r)} in width-{width} matrix")
-    pivots: list[int] = []
-    row = 0
-    for col in range(width):
-        sel = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        pv = mat[row][col]
-        mat[row] = [x / pv for x in mat[row]]
-        for i in range(len(mat)):
-            if i != row and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    out = tuple(tuple(r) for r in mat[:row])
-    return out, tuple(pivots)
+    ech = echelon(rows, width)
+    return tuple(tuple(Fraction(x, e[p]) for x in e) for p, e in ech), tuple(p for p, _ in ech)
 
 
 def row_rank(rows: Iterable[Sequence[Scalar]]) -> int:
-    """Dimension of the span of the rows, by fraction-free elimination:
-    each row is cleared at the pivots of the rows kept before it by integer
-    cross-multiplication, and a row left nonzero is kept in primitive form."""
-    kept: list[tuple[int, IntVec]] = []  # (pivot, row vanishing at earlier pivots)
-    for r in rows:
-        for p, e in kept:
-            if r[p]:
-                r = [e[p] * x - r[p] * y for x, y in zip(r, e)]
-        pivot = next((j for j, x in enumerate(r) if x), None)
-        if pivot is not None:
-            kept.append((pivot, primitive(r)))
-    return len(kept)
+    """Dimension of the span of the rows: the number of echelon pivots."""
+    rows = list(rows)
+    return len(echelon(rows, len(rows[0]) if rows else 0))
 
 
 @dataclass(frozen=True)
@@ -269,21 +285,28 @@ class Subspace:
 
 
 def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
-    rows, _ = rref(list(vectors), ambient_dim)
+    rows, _ = rref(vectors, ambient_dim)
     return Subspace(rows, ambient_dim)
 
 
 def kernel(covectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
-    """Common kernel of the given functionals, as a canonical Subspace."""
-    rows, pivots = rref(list(covectors), ambient_dim)
-    free = [j for j in range(ambient_dim) if j not in pivots]
+    """Common kernel of the given functionals, as a canonical Subspace.
+
+    Back-substitution in integers: for echelon rows e with pivots p and d
+    the lcm of their pivot entries, each free column f gives the kernel
+    vector with d at f, -(d / e[p]) e[f] at each pivot p, 0 elsewhere.
+    """
+    ech = echelon(covectors, ambient_dim)
+    d = lcm(*(e[p] for p, e in ech))
+    pivots = {p for p, _ in ech}
     basis = []
-    for f in free:
-        v = [ZERO] * ambient_dim
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        basis.append(v)
+    for f in range(ambient_dim):
+        if f not in pivots:
+            v = [0] * ambient_dim
+            v[f] = d
+            for p, e in ech:
+                v[p] = -(d // e[p]) * e[f]
+            basis.append(v)
     return span(basis, ambient_dim)
 
 

@@ -107,10 +107,7 @@ def _enumerate_weyl(generators: Sequence[Matrix], rank: int) -> tuple[Matrix, ..
         nxt = []
         for g in frontier:
             for h in generators:
-                prod = tuple(
-                    tuple(sum(g[i][k] * h[k][j] for k in range(rank)) for j in range(rank))
-                    for i in range(rank)
-                )
+                prod = mat_mul(g, h)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
-from complat.qlinalg import dot, kernel, primitive, qvec, vec_neg
+from complat.qlinalg import dot, is_zero_vec, kernel, primitive, qvec, vec_neg
 
 
 def vec_scale(c, v):
@@ -22,6 +22,83 @@ def vec_scale(c, v):
 def mat_vec(m, v):
     """Matrix times column vector, exact."""
     return tuple(dot(row, v) for row in m)
+
+
+def fraction_rref(rows, width):
+    """Reduced row echelon form with unit pivots, by Gauss-Jordan
+    elimination over Fractions: (nonzero rows, pivot columns)."""
+    mat = [list(qvec(r)) for r in rows]
+    for r in mat:
+        if len(r) != width:
+            raise ValueError(f"row of length {len(r)} in width-{width} matrix")
+    pivots: list[int] = []
+    row = 0
+    for col in range(width):
+        sel = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[row], mat[sel] = mat[sel], mat[row]
+        pv = mat[row][col]
+        mat[row] = [x / pv for x in mat[row]]
+        for i in range(len(mat)):
+            if i != row and mat[i][col] != 0:
+                c = mat[i][col]
+                mat[i] = [a - c * b for a, b in zip(mat[i], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    out = tuple(tuple(r) for r in mat[:row])
+    return out, tuple(pivots)
+
+
+def fraction_kernel(covectors, width):
+    """RREF basis of the common kernel, by Fraction back-substitution into
+    fraction_rref: a free column f gives the vector with 1 at f and minus
+    the rows' entries in column f at their pivots."""
+    rows, pivots = fraction_rref(covectors, width)
+    basis = []
+    for f in (j for j in range(width) if j not in pivots):
+        v = [Fraction(0)] * width
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return fraction_rref(basis, width)[0]
+
+
+def fraction_canonical_rays(lin, rays, dim):
+    """+/- the primitive RREF rows of span(lin) and the primitive forms of
+    the rays reduced modulo them over Fractions, sorted; None when a ray
+    reduces to zero."""
+    basis, pivots = fraction_rref(lin, dim)
+    out = {q for b in basis for q in (primitive(b), vec_neg(primitive(b)))}
+    for r in rays:
+        w = qvec(r)
+        for row, p in zip(basis, pivots):
+            w = tuple(x - w[p] * y for x, y in zip(w, row))
+        if is_zero_vec(w):
+            return None
+        out.add(primitive(w))
+    return tuple(sorted(out))
+
+
+def witness_point(arr, s):
+    """A rational point with exactly the signs s (must be realizable)."""
+    from complat.arrangement import _strict_witness
+
+    w = _strict_witness(arr.covectors, s, arr.dim)
+    if w is None:
+        raise ValueError(f"sign vector {s} is not realizable")
+    return w
+
+
+def cone_contains_point(cone, arr, v):
+    """Whether v meets every saturated constraint of the ArrCone cone,
+    whose indices refer to the covectors of arr."""
+    return all(dot(arr.covectors[i], v) == 0 for i in cone.zero_set) and all(
+        s * dot(arr.covectors[i], v) >= 0 for i, s in cone.nonneg_set
+    )
 
 
 def brute_force_pointed_rays(eqs, ineqs, dim):
@@ -127,11 +204,22 @@ def gl_order(n, q):
     return out
 
 
+def gf_invertible(F, m):
+    """Whether the square matrix m over F has full rank."""
+    from complat.linmoduli import gf_rref
+
+    n = len(m)
+    if any(len(row) != n for row in m):
+        return False
+    _, pivots = gf_rref(F, m, n)
+    return len(pivots) == n
+
+
 @lru_cache(maxsize=None)
 def general_linear(q, n):
     """All of GL_n(F_q) as (matrix, inverse) pairs, lexicographically, by
     filtering every n x n matrix for invertibility."""
-    from complat.linmoduli import _all_matrices, gf, gf_inverse, gf_invertible
+    from complat.linmoduli import _all_matrices, gf, gf_inverse
 
     F = gf(q)
     return tuple(

@@ -22,7 +22,6 @@ from complat.arrangement import (
     sign_vector_of,
     split_rays,
     tits_compose,
-    witness_point,
 )
 from complat.errors import CapExceeded, InvariantError
 from complat.qlinalg import dot, primitive, qvec, span
@@ -33,6 +32,7 @@ from oracles import (
     brute_force_pointed_rays,
     sample_sign_vectors,
     vec_scale,
+    witness_point,
     zaslavsky_face_count,
 )
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complat.arrangement import canonical_rays
+from complat.errors import InvariantError
 from complat.qlinalg import (
     Subspace,
     annihilator,
@@ -12,6 +14,7 @@ from complat.qlinalg import (
     canonical_covector_signed,
     determinant,
     dot,
+    echelon,
     intersect,
     kernel,
     mat_mul,
@@ -22,6 +25,8 @@ from complat.qlinalg import (
     rref,
     span,
 )
+
+from oracles import fraction_canonical_rays, fraction_kernel, fraction_rref
 
 F = Fraction
 
@@ -100,9 +105,56 @@ def test_row_rank_agrees_with_the_span():
             extra += [a, tuple(c * x + d * y for x, y in zip(a, b))]
         rows += rng.sample(extra, rng.randint(0, len(extra)))
         rng.shuffle(rows)
-        assert row_rank(rows) == span(rows, n).dim, rows
+        assert row_rank(rows) == len(fraction_rref(rows, n)[1]), rows
         ranks.add(row_rank(rows))
     assert ranks == {0, 1, 2, 3, 4, 5}
+
+
+def _rows_with_repeats(rng, width, values, count):
+    # random rows plus, at random, a zero row, a repeated row, a repeated
+    # row times -2 and a combination of two rows, shuffled
+    rows = [tuple(rng.choice(values) for _ in range(width)) for _ in range(count)]
+    extra = [(0,) * width]
+    if rows:
+        a, b = rng.choice(rows), rng.choice(rows)
+        extra += [a, tuple(-2 * x for x in a), tuple(x - F(3, 2) * y for x, y in zip(a, b))]
+    rows += rng.sample(extra, rng.randint(0, len(extra)))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_the_integer_echelon_form_agrees_with_the_fraction_rref():
+    # int and Fraction entries, zero and duplicate rows, negative leading
+    # entries, widths 0 to 6 and empty row lists, against Gauss-Jordan
+    # elimination over Fractions
+    rng = random.Random(41)
+    ints = [0, 0, 0, 1, -1, 2, -3, 5]
+    fracs = ints + [F(1, 2), F(-2, 3), F(5, 4)]
+    widths, collapsed, empty = set(), 0, 0
+    for _ in range(700):
+        n = rng.randint(0, 6)
+        values = rng.choice((ints, fracs))
+        rows = _rows_with_repeats(rng, n, values, rng.randint(0, 5))
+        want, pivots = fraction_rref(rows, n)
+        got = rref(rows, n)
+        assert got == (want, pivots), rows
+        assert all(type(x) is Fraction for row in got[0] for x in row)
+        # primitive rows, positive at their pivots
+        assert echelon(rows, n) == tuple(zip(pivots, map(primitive, want))), rows
+        assert span(rows, n).basis == want
+        assert kernel(rows, n).basis == fraction_kernel(rows, n), rows
+        assert row_rank(r for r in rows) == len(pivots)
+        rays = [tuple(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        expected = fraction_canonical_rays(rows, rays, n)
+        if expected is None:
+            collapsed += 1
+            with pytest.raises(InvariantError, match="collapsed"):
+                canonical_rays(rows, rays, n)
+        else:
+            assert canonical_rays(rows, rays, n) == expected, (rows, rays)
+        widths.add(n)
+        empty += not rows
+    assert widths == set(range(7)) and collapsed > 50 and empty > 20
 
 
 def test_kernel_of_difference_functional():

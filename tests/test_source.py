@@ -1,9 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "complat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "complat"
 
 
 def test_no_assert_statements_in_the_package():
@@ -29,3 +33,24 @@ def test_no_floats_in_the_package():
         or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
     ]
     assert not found, found
+
+
+def test_every_traced_name_is_a_function_of_its_module():
+    # perfbench/tracer.py looks up each name of LAYERS and COUNTED with
+    # getattr on its complat module when it installs its hooks, so renaming
+    # one of them away breaks every traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [
+        (layer, name)
+        for table in (tracer.LAYERS, tracer.COUNTED)
+        for layer, names in table.items()
+        for name in names
+    ]
+    missing = [
+        f"{layer}.{name}"
+        for layer, name in names
+        if not inspect.isfunction(inspect.unwrap(getattr(importlib.import_module("complat." + layer), name, None)))
+    ]
+    assert len(names) > 20 and not missing, missing
