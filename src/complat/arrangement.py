@@ -28,9 +28,8 @@ cells it actually splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, InvariantError
 from .qlinalg import (
@@ -59,23 +58,27 @@ CELL_COVECTOR_CAP = 20
 SignVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HyperplaneArrangement:
-    """Ordered, duplicate-free list of canonical covectors in Q^dim."""
-
+class _ArrangementFields(NamedTuple):
     covectors: tuple[IntVec, ...]
     dim: int
 
-    def __post_init__(self):
+
+class HyperplaneArrangement(_ArrangementFields):
+    """Ordered, duplicate-free list of canonical covectors in Q^dim."""
+
+    __slots__ = ()
+
+    def __new__(cls, covectors: tuple[IntVec, ...], dim: int):
         seen = set()
-        for w in self.covectors:
-            if len(w) != self.dim:
-                raise ValueError(f"covector {w} does not match dim {self.dim}")
+        for w in covectors:
+            if len(w) != dim:
+                raise ValueError(f"covector {w} does not match dim {dim}")
             if canonical_covector(w) != w:
                 raise ValueError(f"covector {w} is not canonical")
             if w in seen:
                 raise ValueError(f"duplicate covector {w}")
             seen.add(w)
+        return super().__new__(cls, covectors, dim)
 
     @property
     def size(self) -> int:
@@ -118,8 +121,7 @@ def restrict(arr: HyperplaneArrangement, space: Subspace) -> HyperplaneArrangeme
     return from_vectors(vecs, space.dim)
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """Intersection of hyperplanes: the subspace plus the maximal set of
     hyperplane indices containing it, a closed set of the matroid."""
 
@@ -317,8 +319,7 @@ def signed_constraints(
     return eqs, [w if s > 0 else vec_neg(w) for w, s in zip(covectors, signs) if s != 0]
 
 
-@dataclass(frozen=True)
-class ArrCone:
+class ArrCone(NamedTuple):
     """Closed cone cut out by covector constraints of an arrangement.
 
     zero_set: indices of covectors vanishing identically on the cone.

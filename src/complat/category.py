@@ -5,14 +5,12 @@ ordered tuples of dimension vectors (linmoduli)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .errors import InvariantError
 
 
-@dataclass
-class FiniteCategory:
+class FiniteCategory(NamedTuple):
     """A finite category whose morphisms are referred to by index."""
 
     objects: tuple

@@ -28,10 +28,9 @@ import itertools
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .category import FiniteCategory, check_laws
 from .errors import CapExceeded, InvariantError, SpecError
@@ -244,8 +243,7 @@ def all_subspaces(q: int, n: int) -> tuple[GFSubspace, ...]:
 # -- quivers and representations -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     """A finite quiver; arrows are (source, target) vertex indices and may
     repeat or loop."""
 
@@ -476,8 +474,7 @@ def _cache_store(classes: "IsoClasses") -> None:
         pass
 
 
-@dataclass
-class IsoClasses:
+class IsoClasses(NamedTuple):
     """The isomorphism classes of representations of one dimension vector:
     lexicographically least representatives, orbit and automorphism-group
     sizes, and a lookup from every representation to its class index."""
@@ -862,8 +859,7 @@ def multiset_decompositions(gamma: Sequence[int]) -> tuple[tuple[DimVector, ...]
     return tuple(sorted(rec(gamma, gamma)))
 
 
-@dataclass(frozen=True, order=True)
-class LmsMorphism:
+class LmsMorphism(NamedTuple):
     """An ordered refinement: for each source index, the ordered tuple of
     target indices whose dimension vectors sum to it."""
 

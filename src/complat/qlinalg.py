@@ -33,12 +33,11 @@ relies on these comparisons being exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Scalar = int | Fraction
 Vec = tuple[Fraction, ...]
@@ -181,33 +180,35 @@ def row_rank(rows: Iterable[Sequence[Scalar]]) -> int:
     return len(echelon(rows, len(rows[0]) if rows else 0))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class _SubspaceFields(NamedTuple):
+    basis: tuple[Vec, ...]
+    ambient_dim: int
+
+
+class Subspace(_SubspaceFields):
     """A linear subspace of Q^n in reduced row echelon form.
 
     Construct through span()/kernel(); the constructor validates that the
     basis really is RREF so that structural equality means equality of
-    subspaces.
+    subspaces. Instances keep a __dict__ for the cached integer form.
     """
 
-    basis: tuple[Vec, ...]
-    ambient_dim: int
-
-    def __post_init__(self):
+    def __new__(cls, basis: tuple[Vec, ...], ambient_dim: int):
         """Check the RREF conditions directly: tuple rows of the right
         length, each led by a 1 right of the previous row's pivot, and zero
         in the other rows' pivot columns."""
-        n, last = self.ambient_dim, -1
-        for row in self.basis:
+        n, last = ambient_dim, -1
+        for row in basis:
             if len(row) != n:
                 raise ValueError(f"row of length {len(row)} in width-{n} matrix")
-        for row in self.basis:
+        for row in basis:
             p = next((j for j, x in enumerate(row) if x != 0), n)
-            if p <= last or p == n or row[p] != 1 or sum(r[p] != 0 for r in self.basis) > 1:
+            if p <= last or p == n or row[p] != 1 or sum(r[p] != 0 for r in basis) > 1:
                 raise ValueError("basis is not in reduced row echelon form")
             last = p
-        if not isinstance(self.basis, tuple) or not all(isinstance(r, tuple) for r in self.basis):
+        if not isinstance(basis, tuple) or not all(isinstance(r, tuple) for r in basis):
             raise ValueError("basis is not in reduced row echelon form")
+        return super().__new__(cls, basis, ambient_dim)
 
     @property
     def dim(self) -> int:

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .arrangement import (
     ArrCone,
@@ -80,8 +79,7 @@ CONE_CONSTRAINT_CAP = 12
 Matrix = tuple[IntVec, ...]
 
 
-@dataclass(frozen=True)
-class QuotientStackSpec:
+class QuotientStackSpec(NamedTuple):
     """Combinatorial model of V/G on a rank-n maximal torus."""
 
     rank: int
@@ -173,8 +171,7 @@ def load_spec(doc: dict) -> QuotientStackSpec:
     return QuotientStackSpec(rank, weights, roots, tuple(gens), group)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face of the component lattice: a subspace of Q^rank, optionally
     remembered as the map that presented it (possibly non-injective)."""
 
@@ -200,13 +197,10 @@ class Face:
 
 def nondegenerate_quotient(face: Face) -> Face:
     """Replace a map-form face by its image, the induced injective face."""
-    if face.as_map is None:
-        return face
     return Face(face.subspace)
 
 
-@dataclass(frozen=True)
-class ComponentSignature:
+class ComponentSignature(NamedTuple):
     """Isomorphism data of a graded point: the face dimension, the multiset
     of weights fixed by the face, and the roots of its Levi."""
 
@@ -215,12 +209,7 @@ class ComponentSignature:
     levi_roots: tuple[IntVec, ...]
 
 
-@dataclass(frozen=True)
-class AttractorSignature:
-    """Isomorphism data of a filtered point: the cone inside its carrier
-    flat, the weights with nonnegative pairing (the attractor) and the
-    roots of the parabolic, plus the signature of the cone's span."""
-
+class _AttractorFields(NamedTuple):
     cone: ArrCone
     flat: Flat
     ambient_rays: tuple[IntVec, ...]
@@ -228,14 +217,23 @@ class AttractorSignature:
     parabolic_roots: tuple[IntVec, ...]
     levi_part: ComponentSignature
 
-    def __post_init__(self):
-        fixed = Counter(self.levi_part.fixed_weights)
-        attr = Counter(self.attractor_weights)
-        if fixed - attr or not set(self.levi_part.levi_roots) <= set(self.parabolic_roots):
+
+class AttractorSignature(_AttractorFields):
+    """Isomorphism data of a filtered point: the cone inside its carrier
+    flat, the weights with nonnegative pairing (the attractor) and the
+    roots of the parabolic, plus the signature of the cone's span."""
+
+    __slots__ = ()
+
+    def __new__(cls, cone, flat, ambient_rays, attractor_weights, parabolic_roots, levi_part):
+        fixed = Counter(levi_part.fixed_weights)
+        attr = Counter(attractor_weights)
+        if fixed - attr or not set(levi_part.levi_roots) <= set(parabolic_roots):
             raise InvariantError(
-                f"cone with rays {self.ambient_rays}: a weight or root vanishing on its span "
+                f"cone with rays {ambient_rays}: a weight or root vanishing on its span "
                 "is missing from its attractor or parabolic"
             )
+        return super().__new__(cls, cone, flat, ambient_rays, attractor_weights, parabolic_roots, levi_part)
 
 
 @lru_cache(maxsize=None)
@@ -245,20 +243,27 @@ def global_arrangement(spec: QuotientStackSpec) -> HyperplaneArrangement:
     return HyperplaneArrangement(tuple(sorted(vecs)), spec.rank)
 
 
-@lru_cache(maxsize=None)
+def _per_carrier(fn):
+    """Memoize fn(spec, subspace) on (spec, the subspace's scaled_basis
+    rows), which fix its result: carriers repeat across samples and
+    morphisms, and integer rows hash without Fraction arithmetic."""
+    memo = {}
+
+    @wraps(fn)
+    def cached(spec: QuotientStackSpec, subspace: Subspace):
+        key = (spec, subspace.scaled_basis[1])
+        if (out := memo.get(key)) is None:
+            out = memo[key] = fn(spec, subspace)
+        return out
+
+    return cached
+
+
+@_per_carrier
 def restricted_arrangement(spec: QuotientStackSpec, subspace: Subspace) -> HyperplaneArrangement:
     """The global arrangement restricted to a subspace, in its basis
-    coordinates. Carriers repeat across samples and morphisms, so the
-    restriction is computed once per (spec, subspace)."""
+    coordinates, computed once per carrier."""
     return restrict(global_arrangement(spec), subspace)
-
-
-def cotangent_arrangement(spec: QuotientStackSpec, face: Face) -> HyperplaneArrangement:
-    """Weights and roots restricted to an injective face, deduped, in the
-    face's basis coordinates."""
-    if face.as_map is not None:
-        raise SpecError("face is in map form: reduce with nondegenerate_quotient")
-    return restricted_arrangement(spec, face.subspace)
 
 
 def component_signature(
@@ -336,8 +341,7 @@ def _weyl_orbits(spec: QuotientStackSpec, members: Sequence, act, what: str) -> 
     return out
 
 
-@dataclass(frozen=True)
-class FaceOrbit:
+class FaceOrbit(NamedTuple):
     """A Weyl orbit of special faces, named by its representative: the
     orbit member with the lexicographically least basis."""
 
@@ -379,7 +383,7 @@ def cell_orbits(spec: QuotientStackSpec) -> tuple[tuple[SignVector, ...], ...]:
 # -- special cones -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_per_carrier
 def _signed_restrictions(spec: QuotientStackSpec, space: Subspace) -> tuple[IntVec, ...]:
     """Nonzero restrictions of the tangent functionals, keeping their own
     sign. Weights restrict one-sidedly; roots come in +/- pairs, so their
@@ -437,8 +441,7 @@ def special_cone_closure(
     return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
 
 
-@dataclass(frozen=True)
-class ConeOrbit:
+class ConeOrbit(NamedTuple):
     """A Weyl orbit of special cones, named by its representative: the
     member with the least ambient ray tuple."""
 
@@ -543,7 +546,7 @@ def constancy_check(
         )
         lin_basis = [r for r in lin if r < vec_neg(r)]
         seen_comp: set[ComponentSignature] = set()
-        seen_attr: set[AttractorSignature] = set()
+        seen_attr: set[tuple] = set()
         for _ in range(samples):
             # (numerator, denominator, ray): the draw order fixes the samples of a seed
             draws = [(rng.randint(1, 64), rng.randint(1, 64), r) for r in pointed]
@@ -558,7 +561,8 @@ def constancy_check(
                 raise InvariantError(f"sample {vec_str(v)} left chamber {ch} of flat {flat.hyperplanes}")
             p = carrier.scaled_lift(v)
             seen_comp.add(component_signature(spec, [p]))
-            seen_attr.add(special_cone_closure(spec, [p]))
+            sig = special_cone_closure(spec, [p])
+            seen_attr.add((sig.flat.hyperplanes, sig.cone) + sig[2:])  # the flat by its hyperplanes
         entry = {
             "signs": list(ch),
             "samples": samples,
@@ -597,8 +601,7 @@ def surjection_invariance_check(
 # -- Hall category -------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class HallMorphism:
+class HallMorphism(NamedTuple):
     """A morphism of the Hall category: a Weyl-twisted embedding of one
     special-face representative in another, together with a chamber of the
     sub-arrangement of target hyperplanes containing the embedded source.

@@ -10,7 +10,10 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
+from complat.arrangement import restrict
+from complat.errors import SpecError
 from complat.qlinalg import dot, is_zero_vec, kernel, primitive, qvec, vec_neg
+from complat.stackmodel import global_arrangement
 
 
 def vec_scale(c, v):
@@ -81,6 +84,15 @@ def fraction_canonical_rays(lin, rays, dim):
             return None
         out.add(primitive(w))
     return tuple(sorted(out))
+
+
+def cotangent_arrangement(spec, face):
+    """Weights and roots restricted to an injective face, deduped, in the
+    face's basis coordinates: the global arrangement restricted by
+    arrangement.restrict."""
+    if face.as_map is not None:
+        raise SpecError("face is in map form: reduce with nondegenerate_quotient")
+    return restrict(global_arrangement(spec), face.subspace)
 
 
 def witness_point(arr, s):

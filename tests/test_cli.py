@@ -1,7 +1,6 @@
 """End-to-end command line behavior: reports, exit codes, caching,
 deterministic output."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -344,7 +343,7 @@ def test_a_class_missing_from_its_sweep_exits_4(capsys, monkeypatch):
         if tuple(gamma) != (1, 1):
             return classes
         class_of = {rep: i for rep, i in classes.class_of.items() if rep != classes.reps[1]}
-        return dataclasses.replace(classes, class_of=class_of)
+        return classes._replace(class_of=class_of)
 
     monkeypatch.setattr(lm, "iso_classes", lossy)
     lm._hall_table.cache_clear()

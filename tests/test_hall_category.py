@@ -7,7 +7,6 @@ through the image.
 """
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -167,7 +166,7 @@ def test_composition_weight_identity_rejects_a_swapped_composite(categories):
     opposite = next(
         i for i, m in enumerate(ms) if (m.source, m.target) == (3, 0) and m.chamber == (-1, -1, -1)
     )
-    swapped = replace(cat, composition={**cat.composition, (ray, into_plane): opposite})
+    swapped = cat._replace(composition={**cat.composition, (ray, into_plane): opposite})
     assert hall_composition_weight_identity(spec, cat)
     assert not hall_composition_weight_identity(spec, swapped)
 

@@ -1,0 +1,106 @@
+"""The package's value types are NamedTuple records: equality, hash and
+order are those of the field tuple, fields cannot be assigned, and the
+three validating types check their fields in the constructor."""
+
+import json
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from complat import stackmodel as sm
+from complat.arrangement import HyperplaneArrangement, flats
+from complat.errors import InvariantError
+from complat.linmoduli import hall_category_lms
+from complat.qlinalg import Subspace
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _spec(name):
+    return sm.load_spec(json.loads((SPECS / f"{name}.json").read_text()))
+
+
+@pytest.mark.parametrize(
+    "basis,n,message",
+    [
+        (((F(1), F(0), F(0)),), 2, "row of length 3 in width-2 matrix"),
+        (((F(1), F(0)), (F(0), F(1)), (F(1),)), 2, "row of length 1 in width-2 matrix"),
+        (((F(2), F(0)),), 2, "basis is not in reduced row echelon form"),
+        (((F(1), F(1)), (F(0), F(1))), 2, "basis is not in reduced row echelon form"),
+        ([(F(1), F(0))], 2, "basis is not in reduced row echelon form"),
+        (([F(1), F(0)],), 2, "basis is not in reduced row echelon form"),
+    ],
+)
+def test_subspace_rejects_a_bad_basis_with_its_message(basis, n, message):
+    with pytest.raises(ValueError) as err:
+        Subspace(basis, n)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "covectors,dim,message",
+    [
+        (((1, 0, 0),), 2, "covector (1, 0, 0) does not match dim 2"),
+        (((2, 0),), 2, "covector (2, 0) is not canonical"),
+        (((-1, 1),), 2, "covector (-1, 1) is not canonical"),
+        (((1, 0), (0, 1), (1, 0)), 2, "duplicate covector (1, 0)"),
+    ],
+)
+def test_arrangement_rejects_bad_covectors_with_its_message(covectors, dim, message):
+    with pytest.raises(ValueError) as err:
+        HyperplaneArrangement(covectors, dim)
+    assert str(err.value) == message
+
+
+def test_the_validating_constructors_accept_their_inputs_and_keep_the_fields():
+    sub = Subspace(((F(1), F(-1, 2)),), 2)
+    assert (sub.basis, sub.ambient_dim, sub.dim) == (((F(1), F(-1, 2)),), 2, 1)
+    assert sub.scaled_basis == (2, ((2, -1),)) and sub.pivots == (0,)
+    with pytest.raises(AttributeError):
+        sub.basis = ()
+    arr = HyperplaneArrangement(((0, 1), (1, -1)), 2)
+    assert (arr.covectors, arr.dim, arr.size) == (((0, 1), (1, -1)), 2, 2)
+
+
+@pytest.mark.parametrize("field", ["attractor_weights", "parabolic_roots"])
+def test_attractor_signature_rejects_a_missing_weight_or_root(field):
+    # at the origin every weight and root of a2_gl2 vanishes, so each must
+    # be in the attractor and the parabolic
+    sig = sm.special_cone_closure(_spec("a2_gl2"), [(0, 0)])
+    assert sig.levi_part.fixed_weights and sig.levi_part.levi_roots
+    fields = sig._asdict()
+    assert sm.AttractorSignature(**fields) == sig
+    fields[field] = fields[field][1:]
+    with pytest.raises(InvariantError) as err:
+        sm.AttractorSignature(**fields)
+    assert str(err.value) == (
+        "cone with rays (): a weight or root vanishing on its span "
+        "is missing from its attractor or parabolic"
+    )
+
+
+def _records():
+    spec = _spec("a2_gl2")
+    hall = sm.hall_category(spec).morphisms
+    lms = hall_category_lms(2, 3).morphisms
+    fls = flats(sm.global_arrangement(spec))
+    sigs = [o.signature for o in sm.enumerate_special_faces(_spec("rank3_mixed"))]
+    return {
+        "HallMorphism": (hall, lambda m: (m.source, m.target, m.embedding, m.chamber, m.sub_covectors)),
+        "LmsMorphism": (lms, lambda m: (m.source, m.target, m.orders)),
+        "Flat": (fls, lambda f: (f.subspace, f.hyperplanes)),
+        "ComponentSignature": (sigs, lambda s: (s.face_dim, s.fixed_weights, s.levi_roots)),
+    }
+
+
+@pytest.mark.parametrize("name", ["HallMorphism", "LmsMorphism", "Flat", "ComponentSignature"])
+def test_records_hash_and_sort_as_their_field_tuples(name):
+    records, fields = _records()[name]
+    assert len(records) > 3 and {type(r).__name__ for r in records} == {name}
+    assert all(hash(r) == hash(fields(r)) for r in records)
+    shuffled = list(reversed(records))
+    assert [fields(r) for r in sorted(shuffled)] == sorted(fields(r) for r in shuffled)
+    first = records[0]
+    with pytest.raises(AttributeError):
+        setattr(first, type(first)._fields[0], None)

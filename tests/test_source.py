@@ -4,6 +4,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +57,21 @@ def test_every_traced_name_is_a_function_of_its_module():
         if not inspect.isfunction(inspect.unwrap(getattr(importlib.import_module("complat." + layer), name, None)))
     ]
     assert len(names) > 20 and not missing, missing
+
+
+def test_the_cli_imports_every_layer_and_neither_dataclasses_nor_inspect():
+    # start-up is most of a short command: dataclasses pulls in inspect,
+    # ast, dis and tokenize, so the value types are NamedTuple records;
+    # perfbench/tracer.py hooks every layer module, so cli loads them all;
+    # -S keeps site-packages start-up hooks out of the count
+    code = (
+        "import json, sys, complat.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m in "
+        "('dataclasses', 'inspect') or m.startswith('complat.'))))"
+    )
+    env = {"PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert not loaded & {"dataclasses", "inspect"}, loaded
+    layers = {"complat." + m for m in ("qlinalg", "arrangement", "stackmodel", "linmoduli", "jsonio")}
+    assert layers <= loaded, layers - loaded

@@ -49,7 +49,6 @@ from complat.stackmodel import (
     central_rank,
     component_signature,
     constancy_check,
-    cotangent_arrangement,
     enumerate_special_cones,
     cell_orbits,
     enumerate_special_faces,
@@ -66,7 +65,7 @@ from complat.stackmodel import (
     weyl_permutations,
 )
 
-from oracles import brute_force_flats, cone_contains_point, mat_vec, vec_scale, witness_point
+from oracles import brute_force_flats, cone_contains_point, cotangent_arrangement, mat_vec, vec_scale, witness_point
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
