@@ -80,6 +80,12 @@ class HyperplaneArrangement(_ArrangementFields):
             seen.add(w)
         return super().__new__(cls, covectors, dim)
 
+    @classmethod
+    def _make(cls, iterable) -> "HyperplaneArrangement":
+        """Build through the constructor, so _make and _replace (which
+        calls _make) run its checks too."""
+        return cls(*iterable)
+
     @property
     def size(self) -> int:
         return len(self.covectors)

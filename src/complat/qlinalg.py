@@ -210,6 +210,12 @@ class Subspace(_SubspaceFields):
             raise ValueError("basis is not in reduced row echelon form")
         return super().__new__(cls, basis, ambient_dim)
 
+    @classmethod
+    def _make(cls, iterable) -> "Subspace":
+        """Build through the constructor, so _make and _replace (which
+        calls _make) run its checks too."""
+        return cls(*iterable)
+
     @property
     def dim(self) -> int:
         return len(self.basis)

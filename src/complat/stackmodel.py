@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -79,14 +79,28 @@ CONE_CONSTRAINT_CAP = 12
 Matrix = tuple[IntVec, ...]
 
 
-class QuotientStackSpec(NamedTuple):
-    """Combinatorial model of V/G on a rank-n maximal torus."""
-
+class _SpecFields(NamedTuple):
     rank: int
     weights: tuple[IntVec, ...]
     roots: tuple[IntVec, ...]
     weyl_generators: tuple[Matrix, ...]
     weyl_group: tuple[Matrix, ...]
+
+
+class QuotientStackSpec(_SpecFields):
+    """Combinatorial model of V/G on a rank-n maximal torus.
+
+    The hash is that of the field tuple, computed once per instance:
+    tuples do not cache theirs, and every spec-keyed cache looks it up,
+    which would rehash the whole Weyl group each time.
+    """
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
 
 
 def _as_int_vec(v, rank: int, what: str) -> IntVec:
@@ -234,6 +248,12 @@ class AttractorSignature(_AttractorFields):
                 "is missing from its attractor or parabolic"
             )
         return super().__new__(cls, cone, flat, ambient_rays, attractor_weights, parabolic_roots, levi_part)
+
+    @classmethod
+    def _make(cls, iterable) -> "AttractorSignature":
+        """Build through the constructor, so _make and _replace (which
+        calls _make) run its checks too."""
+        return cls(*iterable)
 
 
 @lru_cache(maxsize=None)
@@ -415,6 +435,11 @@ def special_cone_closure(
     coordinates are its entries at the carrier's pivots, and it lies in the
     carrier iff its scaled_reduce is zero; from there on every dot product
     is an integer one.
+
+    The flat, the containment check and the selection run on every call;
+    the cone and its signature are a function of (spec, the flat's
+    hyperplanes, the selected restrictions) alone and come from _cone_of,
+    computed once per such key: every sample of a chamber selects the same.
     """
     rays = [primitive(r) for r in rays if not is_zero_vec(r)]
     flat = minimal_flat_containing(global_arrangement(spec), rays)
@@ -432,13 +457,28 @@ def special_cone_closure(
             )
         if all(v >= 0 for v in vals):
             ineqs.append(l)
-    cone_rays = rays_of_constraints([], ineqs, carrier.dim)
-    cone = saturated_cone(restricted_arrangement(spec, carrier), cone_rays)
-    ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
-    attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
-    parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
-    levi = component_signature(spec, ambient)
-    return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
+    return _cone_of(spec, flat, tuple(ineqs))
+
+
+_cones: dict = {}
+
+
+def _cone_of(spec: QuotientStackSpec, flat: Flat, ineqs: tuple[IntVec, ...]) -> AttractorSignature:
+    """The cone cut out of the carrier flat by the restrictions ineqs, with
+    its signature, memoized on (spec, flat.hyperplanes, ineqs): the
+    hyperplanes fix a flat of the global arrangement, and integer tuples
+    hash without Fraction arithmetic."""
+    key = (spec, flat.hyperplanes, ineqs)
+    if (sig := _cones.get(key)) is None:
+        carrier = flat.subspace
+        cone_rays = rays_of_constraints([], ineqs, carrier.dim)
+        cone = saturated_cone(restricted_arrangement(spec, carrier), cone_rays)
+        ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
+        attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
+        parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
+        levi = component_signature(spec, ambient)
+        sig = _cones[key] = AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
+    return sig
 
 
 class ConeOrbit(NamedTuple):

@@ -10,10 +10,10 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
-from complat.arrangement import restrict
-from complat.errors import SpecError
-from complat.qlinalg import dot, is_zero_vec, kernel, primitive, qvec, vec_neg
-from complat.stackmodel import global_arrangement
+from complat.arrangement import minimal_flat_containing, rays_of_constraints, restrict, saturated_cone
+from complat.errors import InvariantError, SpecError
+from complat.qlinalg import dot, int_dot, is_zero_vec, kernel, primitive, qvec, vec_neg, vec_str
+from complat.stackmodel import AttractorSignature, component_signature, global_arrangement
 
 
 def vec_scale(c, v):
@@ -93,6 +93,42 @@ def cotangent_arrangement(spec, face):
     if face.as_map is not None:
         raise SpecError("face is in map form: reduce with nondegenerate_quotient")
     return restrict(global_arrangement(spec), face.subspace)
+
+
+def unmemoized_cone_closure(spec, rays):
+    """special_cone_closure with nothing memoized past the flat: every call
+    computes the restrictions, selects those nonnegative on the rays and
+    runs the restricted arrangement, double description, saturation, lift
+    and signature itself."""
+    rays = [primitive(r) for r in rays if not is_zero_vec(r)]
+    flat = minimal_flat_containing(global_arrangement(spec), rays)
+    carrier = flat.subspace
+    if any(any(carrier.scaled_reduce(r)) for r in rays):
+        raise InvariantError(f"closure {vec_str(*carrier.basis)} misses rays {vec_str(*rays)}")
+    rows = carrier.scaled_basis[1]
+    restrictions = set()
+    for w in spec.weights + spec.roots:
+        vals = [int_dot(w, row) for row in rows]
+        if any(vals):
+            restrictions.add(primitive(vals))
+    coords = [tuple(r[p] for p in carrier.pivots) for r in rays]
+    ineqs = []
+    for l in sorted(restrictions):
+        vals = [int_dot(l, c) for c in coords]
+        if rays and not any(vals):
+            raise InvariantError(
+                f"restricted functional {l} vanishes on rays {vec_str(*rays)}, "
+                "so their special face closure is not minimal"
+            )
+        if all(v >= 0 for v in vals):
+            ineqs.append(l)
+    cone_rays = rays_of_constraints([], ineqs, carrier.dim)
+    cone = saturated_cone(restrict(global_arrangement(spec), carrier), cone_rays)
+    ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
+    attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
+    parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
+    levi = component_signature(spec, ambient)
+    return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
 
 
 def witness_point(arr, s):

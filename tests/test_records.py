@@ -1,6 +1,7 @@
 """The package's value types are NamedTuple records: equality, hash and
 order are those of the field tuple, fields cannot be assigned, and the
-three validating types check their fields in the constructor."""
+three validating types check their fields in the constructor, which
+_make and _replace go through."""
 
 import json
 from fractions import Fraction as F
@@ -104,3 +105,64 @@ def test_records_hash_and_sort_as_their_field_tuples(name):
     first = records[0]
     with pytest.raises(AttributeError):
         setattr(first, type(first)._fields[0], None)
+
+
+def test_a_spec_hashes_as_its_field_tuple_with_tuple_equality_and_order():
+    names = ("a1_gm", "a2_gl2", "b_gl3", "b_gl4")
+    specs = [_spec(name) for name in names]
+    for name, spec in zip(names, specs):
+        assert hash(spec) == hash(tuple(spec)) == hash(spec)  # the first fills the cache, the last reads it
+        again = _spec(name)
+        assert again is not spec and again == spec == tuple(spec) and hash(again) == hash(spec)
+        assert {spec: name}[tuple(spec)] == name and {tuple(spec): name}[spec] == name
+        changed = spec._replace(rank=spec.rank + 1)
+        assert hash(changed) == hash(tuple(changed)) != hash(spec)
+    assert [tuple(s) for s in sorted(reversed(specs))] == sorted(tuple(s) for s in specs)
+
+
+@pytest.mark.parametrize(
+    "record,fields,error,message",
+    [
+        (
+            lambda: Subspace(((F(1), F(2)),), 2),
+            {"basis": ((F(2), F(0)),)},
+            ValueError,
+            "basis is not in reduced row echelon form",
+        ),
+        (
+            lambda: Subspace(((F(1), F(2)),), 2),
+            {"ambient_dim": 3},
+            ValueError,
+            "row of length 2 in width-3 matrix",
+        ),
+        (
+            lambda: HyperplaneArrangement(((0, 1), (1, -1)), 2),
+            {"covectors": ((0, 1), (0, 1))},
+            ValueError,
+            "duplicate covector (0, 1)",
+        ),
+        (
+            lambda: HyperplaneArrangement(((0, 1), (1, -1)), 2),
+            {"covectors": ((-1, 1),)},
+            ValueError,
+            "covector (-1, 1) is not canonical",
+        ),
+        (
+            lambda: sm.special_cone_closure(_spec("a2_gl2"), [(0, 0)]),
+            {"parabolic_roots": ()},
+            InvariantError,
+            "cone with rays (): a weight or root vanishing on its span is missing from its attractor or parabolic",
+        ),
+    ],
+    ids=["subspace-basis", "subspace-width", "arrangement-duplicate", "arrangement-canonical", "attractor"],
+)
+def test_replace_and_make_run_the_constructor_checks(record, fields, error, message):
+    rec = record()
+    assert rec._replace() == rec and type(rec._replace()) is type(rec)
+    assert type(rec)._make(tuple(rec)) == rec
+    with pytest.raises(error) as err:
+        rec._replace(**fields)
+    assert str(err.value) == message
+    with pytest.raises(error) as err:
+        type(rec)._make((rec._asdict() | fields).values())
+    assert str(err.value) == message

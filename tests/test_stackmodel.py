@@ -65,7 +65,15 @@ from complat.stackmodel import (
     weyl_permutations,
 )
 
-from oracles import brute_force_flats, cone_contains_point, cotangent_arrangement, mat_vec, vec_scale, witness_point
+from oracles import (
+    brute_force_flats,
+    cone_contains_point,
+    cotangent_arrangement,
+    mat_vec,
+    unmemoized_cone_closure,
+    vec_scale,
+    witness_point,
+)
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -577,10 +585,30 @@ def test_cone_closure_matches_the_fraction_route_and_ignores_scaling(name):
     for _ in range(30):
         rays = [_random_ray(rng, spec, flat_bases) for _ in range(rng.randint(1, 3))]
         sig = special_cone_closure(spec, rays)
-        assert sig == _cone_closure_by_fractions(spec, rays), rays
+        assert sig == _cone_closure_by_fractions(spec, rays) == unmemoized_cone_closure(spec, rays), rays
+        # the same directions select the same restrictions: the memo answers
         scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in rays]
         scaled = [[c * x for x in r] for c, r in zip(scales, rays)]
         assert special_cone_closure(spec, scaled) == sig, rays
+
+
+def test_the_cone_memo_agrees_with_the_unmemoized_closure_on_constancy_samples(monkeypatch):
+    spec = _named_spec("b_gl4")
+    fl = flats(global_arrangement(spec))[0]
+    calls = []
+    closure = sm.special_cone_closure
+
+    def recording(spec, rays):
+        calls.append((rays, closure(spec, rays)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sm, "special_cone_closure", recording)
+    assert constancy_check(spec, fl, samples=5, seed=11)["ok"]
+    assert len(calls) == 24 * 5
+    # samples of one chamber share one memoized record
+    assert len({id(sig) for _, sig in calls}) == 24
+    for rays, sig in calls:
+        assert sig == unmemoized_cone_closure(spec, rays), rays
 
 
 def test_attractor_monotone_under_ray_growth(a2gl2):
@@ -606,6 +634,29 @@ def test_signatures_constant_on_chambers(a2gl2):
         assert report["ok"], report["discrepancies"]
         chamber_counts.append(len(report["chambers"]))
     assert chamber_counts == [6, 2, 2, 1]
+
+
+def test_a_chamber_whose_samples_select_different_restrictions_is_reported(a2gl2, monkeypatch):
+    # on a line flat the restrictions are (-1,) and (1,); dropping the
+    # first on every second call makes the second sample of chamber [-1]
+    # select none, so its cone is the whole line and not the half-line
+    fl = next(f for f in flats(global_arrangement(a2gl2)) if f.dim == 1)
+    restrictions = sm._signed_restrictions
+    assert restrictions(a2gl2, fl.subspace) == ((-1,), (1,))
+    calls = []
+
+    def alternating(spec, space):
+        calls.append(space)
+        out = restrictions(spec, space)
+        return out[1:] if len(calls) % 2 == 0 else out
+
+    monkeypatch.setattr(sm, "_signed_restrictions", alternating)
+    report = constancy_check(a2gl2, fl, samples=2, seed=0)
+    assert len(calls) == 4
+    assert report["ok"] is False
+    assert report["discrepancies"] == [
+        {"signs": [-1], "samples": 2, "component_signatures": 1, "attractor_signatures": 2}
+    ]
 
 
 def test_constancy_on_the_rank3_mixed_example():
