@@ -4,15 +4,16 @@ combinatorics of dimension vectors.
 The counting side is exact and brute-force: field arithmetic is
 table-driven, every representation of a dimension vector is enumerated,
 isomorphism classes come from an orbit sweep that closes each orbit under
-a generating set of the base-change group (transvections plus one
-diagonal matrix per vertex), and Hall numbers count actual
+a generating set of the base-change group (transvections plus one diagonal
+matrix per vertex, each a row operation on the arrows into its vertex and
+a column operation on those out of it), and Hall numbers count actual
 subrepresentations. Each class's subrepresentations are enumerated once
 per pair of dimension vectors and tabulated by the classes of sub and
 quotient, so a Hall product is a sparse sum over that table; the flag
 counts that check associativity enumerate chains once per triple of
-dimension vectors, independently of the products. Everything is guarded
-by caps and enumerated in lexicographic order, so results are
-deterministic and independent of the process.
+dimension vectors, independently of the products. Everything is guarded by
+caps and enumerated in lexicographic order, so results are deterministic
+and independent of the process.
 
 The combinatorial side mirrors the geometry of the moduli of objects: the
 special faces of the stack of representations with dimension vector gamma
@@ -43,6 +44,7 @@ GFMatrix = tuple[tuple[int, ...], ...]
 Rep = tuple[GFMatrix, ...]
 GFSubspace = tuple[GFMatrix, tuple[int, ...]]  # RREF rows plus their pivot columns
 ClassRef = tuple[DimVector, int]
+ElementaryOp = tuple[int, int, int]  # (i, j, a): the identity matrix with entry (i, j) set to a
 
 # irreducible polynomials (coefficients low to high, monic) for the
 # supported non-prime field sizes
@@ -164,13 +166,6 @@ def gf_mat_vec(F: GF, m: GFMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def gf_mat_mul(F: GF, a: GFMatrix, b: GFMatrix) -> GFMatrix:
-    """a times b, as a times each column of b."""
-    if not b or not b[0]:
-        return tuple(() for _ in a)
-    return tuple(zip(*(gf_mat_vec(F, a, col) for col in zip(*b))))
-
-
 def gf_rref(F: GF, rows: Sequence[Sequence[int]], width: int) -> GFSubspace:
     work = [list(r) for r in rows]
     out: list[list[int]] = []
@@ -206,15 +201,6 @@ def gf_reduce(F: GF, rows: GFMatrix, pivots: Sequence[int], v: Sequence[int]) ->
                 if x:
                     w[j] = F.sub(w[j], F.mul(c, x))
     return tuple(w)
-
-
-def gf_inverse(F: GF, m: GFMatrix) -> GFMatrix:
-    n = len(m)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots = gf_rref(F, aug, 2 * n)
-    if pivots[:n] != tuple(range(n)):
-        raise ZeroDivisionError("matrix is not invertible")
-    return tuple(tuple(row[n:]) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -334,17 +320,6 @@ def all_reps(quiver: Quiver, gamma: Sequence[int], q: int) -> Iterator[Rep]:
         yield combo
 
 
-def _identity(n: int) -> GFMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _with_entry(n: int, i: int, j: int, a: int) -> GFMatrix:
-    """The identity matrix with entry (i, j) replaced by a."""
-    return tuple(
-        tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n)
-    )
-
-
 def _primitive_element(F: GF) -> int:
     """The least element generating the multiplicative group of F."""
 
@@ -358,38 +333,44 @@ def _primitive_element(F: GF) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gl_generators(q: int, n: int) -> tuple[tuple[GFMatrix, GFMatrix], ...]:
-    """A generating set of GL_n(F_q) as (matrix, inverse) pairs.
+def _gl_generators(q: int, n: int) -> tuple[ElementaryOp, ...]:
+    """A generating set of GL_n(F_q) as elementary operations.
 
-    The transvections I + E_ij (i != j) and diag(w, 1, ..., 1) for a
-    primitive element w; the diagonal is left out for q = 2, where it is
-    the identity. Conjugating I + E_1j by powers of diag(w, 1, ..., 1)
-    gives I + w^k*E_1j (likewise for E_i1), and products of these give
+    The transvections I + E_ij, as (i, j, 1) for i != j, and
+    diag(w, 1, ..., 1) for a primitive element w, as (0, 0, w); the
+    diagonal is left out for q = 2, where it is the identity.
+    Conjugating I + E_1j by powers of diag(w, 1, ..., 1) gives
+    I + w^k*E_1j (likewise for E_i1), and products of these give
     I + a*E_1j for every a in F_q, since sums of powers of w cover F_q.
     Commutators of those give every I + a*E_ij, which generate SL_n(F_q);
     the diagonal adds the determinants.
     """
-    F = gf(q)
-    out = [
-        (_with_entry(n, i, j, 1), _with_entry(n, i, j, F.neg(1)))
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    ]
+    out = [(i, j, 1) for i in range(n) for j in range(n) if i != j]
     if n and q > 2:
-        w = _primitive_element(F)
-        out.append((_with_entry(n, 0, 0, w), _with_entry(n, 0, 0, F.inv(w))))
+        out.append((0, 0, _primitive_element(gf(q))))
     return tuple(out)
 
 
-def _act(quiver: Quiver, F: GF, g: Sequence[tuple[GFMatrix, GFMatrix]], rep: Rep) -> Rep:
-    # base change: conjugate each arrow matrix by the vertex transforms
+def _act(quiver: Quiver, F: GF, v: int, op: ElementaryOp, rep: Rep) -> Rep:
+    """The base change by one elementary operation g at vertex v: the row
+    operation g m on each arrow into v, the column operation m g^-1 on each
+    arrow out of v, both on a loop. Other arrows and empty matrices pass
+    through unchanged.
+
+    With g = I + c*E_ij and g^-1 = I + d*E_ij, g m adds c times row j to
+    row i and m g^-1 adds d times column i to column j: c = a and d = -a
+    for i != j, and c = a - 1 and d = 1/a - 1 for i == j.
+    """
+    i, j, a = op
+    c, d = (a, F.neg(a)) if i != j else (F.sub(a, 1), F.sub(F.inv(a), 1))
+    add, times_c, times_d = F._add, F._mul[c], F._mul[d]
     out = []
     for m, (s, t) in zip(rep, quiver.arrows):
-        gt = g[t][0]
-        gs_inv = g[s][1]
-        if len(m) and len(m[0]):
-            m = gf_mat_mul(F, gf_mat_mul(F, gt, m), gs_inv)
+        if m and m[0]:
+            if t == v:
+                m = m[:i] + (tuple(add[x][times_c[y]] for x, y in zip(m[i], m[j])),) + m[i + 1 :]
+            if s == v:
+                m = tuple(r[:j] + (add[r[j]][times_d[r[i]]],) + r[j + 1 :] for r in m)
         out.append(m)
     return tuple(out)
 
@@ -515,9 +496,10 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int, cap: int = SWEEP_CAP) 
 
     Representations are visited lexicographically; each one not yet
     classified starts a new class and its orbit is closed breadth-first
-    under a generating set of the group (the generators of GL(gamma_v, F_q)
-    at each vertex), so the work is (number of representations) x (number
-    of generators). The cap is still checked against (number of
+    under a generating set of the group: each elementary generator of
+    GL(gamma_v, F_q) at each vertex v, applied by _act as row and column
+    operations on the arrows at v. The work is (number of representations)
+    x (number of generators). The cap is still checked against (number of
     representations) x (group order) before starting, so the same requests
     are refused as by a sweep over the whole group.
 
@@ -542,12 +524,7 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int, cap: int = SWEEP_CAP) 
     cached = _cache_load(quiver, gamma, q)
     if cached is not None:
         return cached
-    ident = [(_identity(n), _identity(n)) for n in gamma]
-    generators = [
-        tuple(ident[:v]) + (pair,) + tuple(ident[v + 1 :])
-        for v, n in enumerate(gamma)
-        for pair in _gl_generators(q, n)
-    ]
+    generators = [(v, op) for v, n in enumerate(gamma) for op in _gl_generators(q, n)]
     where = f"gamma={list(gamma)} q={q}"
     class_of: dict = {}
     reps: list[Rep] = []
@@ -560,8 +537,8 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int, cap: int = SWEEP_CAP) 
         orbit = [rep]
         seen = {rep}
         for member in orbit:  # the list grows while it is scanned
-            for g in generators:
-                image = _act(quiver, F, g, member)
+            for v, op in generators:
+                image = _act(quiver, F, v, op, member)
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)

@@ -292,7 +292,16 @@ def component_signature(
     """Signature of a face, a subspace or the span of vectors, in integer
     dots against the subspace's scaled_basis rows or the vectors."""
     sub = face.subspace if isinstance(face, Face) else face
-    vectors, dim = (sub.scaled_basis[1], sub.dim) if isinstance(sub, Subspace) else (sub, row_rank(sub))
+    if isinstance(sub, Subspace):
+        return _span_signature(spec, sub.scaled_basis[1], sub.dim)
+    return _span_signature(spec, sub, row_rank(sub))
+
+
+def _span_signature(
+    spec: QuotientStackSpec, vectors: Sequence[Sequence[Scalar]], dim: int
+) -> ComponentSignature:
+    """Signature of the span of vectors whose rank dim the caller knows,
+    so no echelon pass recomputes it."""
     fixed = tuple(w for w in spec.weights if not any(int_dot(w, v) for v in vectors))
     levi = tuple(r for r in spec.roots if not any(int_dot(r, v) for v in vectors))
     return ComponentSignature(dim, fixed, levi)
@@ -476,7 +485,7 @@ def _cone_of(spec: QuotientStackSpec, flat: Flat, ineqs: tuple[IntVec, ...]) -> 
         ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
         attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
         parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
-        levi = component_signature(spec, ambient)
+        levi = _span_signature(spec, ambient, cone.dim)
         sig = _cones[key] = AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
     return sig
 
@@ -600,7 +609,7 @@ def constancy_check(
             if tuple(sign(int_dot(w, v)) for w in arr_f.covectors) != ch:
                 raise InvariantError(f"sample {vec_str(v)} left chamber {ch} of flat {flat.hyperplanes}")
             p = carrier.scaled_lift(v)
-            seen_comp.add(component_signature(spec, [p]))
+            seen_comp.add(_span_signature(spec, [p], int(any(p))))  # the origin only on the zero flat
             sig = special_cone_closure(spec, [p])
             seen_attr.add((sig.flat.hyperplanes, sig.cone) + sig[2:])  # the flat by its hyperplanes
         entry = {

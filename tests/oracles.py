@@ -263,15 +263,40 @@ def gf_invertible(F, m):
     return len(pivots) == n
 
 
+def naive_gf_inverse(F, m):
+    """m^-1 as the power of m just before the identity, by naive_gf_mat_mul.
+    The powers of a singular matrix repeat without reaching the identity,
+    which raises ZeroDivisionError."""
+    ident = tuple(tuple(int(i == j) for j in range(len(m))) for i in range(len(m)))
+    power, seen = ident, set()
+    while True:
+        following = naive_gf_mat_mul(F, power, m)
+        if following == ident:
+            return power
+        if following in seen:
+            raise ZeroDivisionError("matrix is not invertible")
+        seen.add(following)
+        power = following
+
+
 @lru_cache(maxsize=None)
 def general_linear(q, n):
     """All of GL_n(F_q) as (matrix, inverse) pairs, lexicographically, by
     filtering every n x n matrix for invertibility."""
-    from complat.linmoduli import _all_matrices, gf, gf_inverse
+    from complat.linmoduli import _all_matrices, gf
 
     F = gf(q)
     return tuple(
-        (m, gf_inverse(F, m)) for m in _all_matrices(q, n, n) if gf_invertible(F, m)
+        (m, naive_gf_inverse(F, m)) for m in _all_matrices(q, n, n) if gf_invertible(F, m)
+    )
+
+
+def act(quiver, F, g, rep):
+    """The base change by one (matrix, inverse) pair per vertex: each arrow
+    s -> t with matrix m becomes g_t m g_s^-1, by naive_gf_mat_mul."""
+    return tuple(
+        naive_gf_mat_mul(F, naive_gf_mat_mul(F, g[t][0], m), g[s][1])
+        for m, (s, t) in zip(rep, quiver.arrows)
     )
 
 
@@ -279,7 +304,7 @@ def burnside_class_count(quiver, gamma, q):
     """Number of isomorphism classes of representations by Burnside's
     lemma: average over the base-change group of the number of fixed
     representations. No orbits are ever built."""
-    from complat.linmoduli import _act, all_reps, gf
+    from complat.linmoduli import all_reps, gf
 
     F = gf(q)
     per_vertex = [general_linear(q, g) for g in gamma]
@@ -288,7 +313,7 @@ def burnside_class_count(quiver, gamma, q):
     group_order = 0
     for g in product(*per_vertex):
         group_order += 1
-        total += sum(1 for r in reps if _act(quiver, F, g, r) == r)
+        total += sum(1 for r in reps if act(quiver, F, g, r) == r)
     assert total % group_order == 0
     return total // group_order
 
@@ -296,7 +321,7 @@ def burnside_class_count(quiver, gamma, q):
 def full_group_iso_classes(quiver, gamma, q):
     """Isomorphism classes by acting with every element of the base-change
     group on the lex-least representation of each class not yet seen."""
-    from complat.linmoduli import IsoClasses, _act, all_reps, gf
+    from complat.linmoduli import IsoClasses, all_reps, gf
 
     F = gf(q)
     per_vertex = [general_linear(q, g) for g in gamma]
@@ -306,7 +331,7 @@ def full_group_iso_classes(quiver, gamma, q):
     for rep in all_reps(quiver, gamma, q):
         if rep in class_of:
             continue
-        orbit = {_act(quiver, F, g, rep) for g in product(*per_vertex)}
+        orbit = {act(quiver, F, g, rep) for g in product(*per_vertex)}
         for member in orbit:
             class_of[member] = len(reps)
         reps.append(rep)

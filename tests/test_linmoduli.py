@@ -14,6 +14,7 @@ from complat import linmoduli as lm
 from complat.errors import CapExceeded, InvariantError, SpecError
 
 from oracles import (
+    act,
     assignment_search_category,
     burnside_class_count,
     direct_flag_count,
@@ -23,6 +24,7 @@ from oracles import (
     general_linear,
     gl_order,
     integer_partitions,
+    naive_gf_inverse,
     naive_gf_mat_mul,
     naive_gf_mat_vec,
     refinements_out_of,
@@ -116,8 +118,8 @@ def test_bad_field_sizes_are_rejected(q):
 def test_singular_matrices_have_no_inverse():
     F = lm.gf(2)
     with pytest.raises(ZeroDivisionError):
-        lm.gf_inverse(F, ((1, 1), (1, 1)))
-    assert lm.gf_inverse(F, ((0, 1), (1, 0))) == ((0, 1), (1, 0))
+        naive_gf_inverse(F, ((1, 1), (1, 1)))
+    assert naive_gf_inverse(F, ((0, 1), (1, 0))) == ((0, 1), (1, 0))
 
 
 def test_row_reduction_detects_membership():
@@ -147,11 +149,18 @@ def test_general_linear_enumeration_matches_the_order_formula():
         F = lm.gf(q)
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         for m, minv in pairs[:20]:
-            assert lm.gf_mat_mul(F, m, minv) == ident
+            assert naive_gf_mat_mul(F, m, minv) == ident
     assert lm.gl_order(2, 2) == 6
     assert lm.gl_order(2, 3) == 48
     assert lm.gl_order(3, 2) == 168
     assert lm.gl_order(3, 3) == 11232
+
+
+def _matrix_of(n, op):
+    """The n x n matrix of an elementary operation (i, j, a): the identity
+    with entry (i, j) set to a."""
+    i, j, a = op
+    return tuple(tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n))
 
 
 @pytest.mark.parametrize(
@@ -159,32 +168,61 @@ def test_general_linear_enumeration_matches_the_order_formula():
 )
 def test_generators_close_to_the_whole_general_linear_group(q, n):
     F = lm.gf(q)
-    ident = lm._identity(n)
-    generators = lm._gl_generators(q, n)
-    for m, minv in generators:
-        assert lm.gf_mat_mul(F, m, minv) == ident
+    ident = _matrix_of(n, (0, 0, 1))
+    generators = [_matrix_of(n, op) for op in lm._gl_generators(q, n)]
     group = [ident]
     seen = {ident}
     for g in group:
-        for m, _ in generators:
-            h = lm.gf_mat_mul(F, g, m)
+        for m in generators:
+            h = naive_gf_mat_mul(F, g, m)
             if h not in seen:
                 seen.add(h)
                 group.append(h)
     assert seen == {m for m, _ in general_linear(q, n)}
 
 
+LOOP_AND_TWO_CYCLE = {
+    "type": "quiver",
+    "vertices": ["u", "v", "w"],
+    "arrows": [["u", "u"], ["u", "v"], ["v", "u"], ["v", "w"], ["w", "u"]],
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize(
+    "doc,gamma", [(JORDAN, (3,)), (KRONECKER, (2, 3)), (LOOP_AND_TWO_CYCLE, (2, 3, 0))]
+)
+def test_an_elementary_operation_acts_as_conjugation_by_its_matrix(doc, gamma, q):
+    # every operation (i, j, a) with a nonzero, the generators among them,
+    # at every vertex, on seeded random representations; w has dimension 0
+    quiver = lm.load_quiver(doc)
+    F = lm.gf(q)
+    rng = random.Random(20261018 + q)
+    identity = [_matrix_of(n, (0, 0, 1)) for n in gamma]
+    for v, n in enumerate(gamma):
+        ops = [(i, j, a) for i in range(n) for j in range(n) for a in range(1, q)]
+        assert set(lm._gl_generators(q, n)) <= set(ops)
+        for op in ops:
+            g = _matrix_of(n, op)
+            pairs = [(m, m) for m in identity]
+            pairs[v] = (g, naive_gf_inverse(F, g))
+            for _ in range(3):
+                rep = tuple(
+                    tuple(tuple(rng.randrange(q) for _ in range(gamma[s])) for _ in range(gamma[t]))
+                    for s, t in quiver.arrows
+                )
+                assert lm._act(quiver, F, v, op, rep) == act(quiver, F, pairs, rep)
+
+
 def test_matrix_kernels_match_the_schoolbook_loops():
     # 300 seeded products over prime and non-prime fields; sides of length
-    # 0 give empty matrices, and every fifth left factor is zero
+    # 0 give empty matrices, and every fifth matrix is zero
     rng = random.Random(20261018)
     for i in range(300):
         q = (2, 3, 4, 9)[i % 4]
         F = lm.gf(q)
-        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        r, k = rng.randint(0, 4), rng.randint(0, 4)
         a = tuple(tuple(0 if i % 5 == 0 else rng.randrange(q) for _ in range(k)) for _ in range(r))
-        b = tuple(tuple(rng.randrange(q) for _ in range(c)) for _ in range(k))
-        assert lm.gf_mat_mul(F, a, b) == naive_gf_mat_mul(F, a, b)
         v = tuple(rng.randrange(q) for _ in range(k))
         assert lm.gf_mat_vec(F, a, v) == naive_gf_mat_vec(F, a, v)
 
@@ -317,11 +355,7 @@ def test_a_generating_set_that_is_too_small_is_caught(monkeypatch, doc, gamma):
     full = lm._gl_generators
 
     def without_diagonal(q, n):
-        return tuple(
-            (m, minv)
-            for m, minv in full(q, n)
-            if any(m[i][j] for i in range(n) for j in range(n) if i != j)
-        )
+        return tuple((i, j, a) for i, j, a in full(q, n) if i != j)
 
     monkeypatch.setattr(lm, "_gl_generators", without_diagonal)
     monkeypatch.setattr(lm, "_CACHE_DIR", None)

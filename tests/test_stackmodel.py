@@ -37,6 +37,7 @@ from complat.qlinalg import (
     mat_mul,
     primitive,
     qvec,
+    row_rank,
     span,
     vec_neg,
 )
@@ -701,6 +702,26 @@ def test_constancy_samples_are_positive_multiples_of_the_drawn_points(monkeypatc
     for p, q in zip(sampled, drawn):
         assert all(type(x) is int for x in p)
         assert primitive(p) == primitive(q), (p, q)
+
+
+def test_constancy_samples_get_the_rank_of_their_span(monkeypatch):
+    # a sample is one vector: its face dimension is 1, or 0 on the zero
+    # flat, whose only sample is the origin
+    spec = load_spec(A2_GL2)
+    signatures = []
+    signature = sm._span_signature
+
+    def recording(spec, vectors, dim):
+        signatures.append((tuple(map(tuple, vectors)), dim))
+        return signature(spec, vectors, dim)
+
+    monkeypatch.setattr(sm, "_span_signature", recording)
+    for fl in flats(global_arrangement(spec)):
+        constancy_check(spec, fl, samples=3, seed=0)
+    assert (((0, 0),), 0) in signatures
+    assert len(signatures) > 3
+    for vectors, dim in signatures:
+        assert dim == row_rank(vectors), vectors
 
 
 @pytest.mark.parametrize("name", LINEAR_SPECS)
