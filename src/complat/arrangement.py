@@ -10,20 +10,20 @@ it live:
   constraint sets and extreme rays,
 - the Tits composition x ↑ y of sign vectors.
 
-Every cone takes one path. The kernel dd_cone, the classical incremental
-double description method run in exact integer arithmetic, turns
-constraints into a lineality basis and pointed rays, all primitive integer
-vectors. canonical_rays turns those into the canonical extreme-ray tuple:
-lineality as +/- pairs, pointed rays reduced modulo lineality, so two
-equal cones always carry the identical tuple. rays_of_constraints is these
-two steps in one. saturated_cone tests every covector of an arrangement
-against the rays and returns the ArrCone. split_rays and
-signed_constraints translate between ray tuples, sign vectors and
-constraints.
+Every cone takes one path. The kernel _dd_step, one step of the classical
+incremental double description method in exact integer arithmetic, cuts a
+cone by one constraint; dd_cone folds it from the whole space into a
+lineality basis and pointed rays, all primitive integer vectors.
+canonical_rays turns those into the canonical extreme-ray tuple: lineality
+as +/- pairs, pointed rays reduced modulo lineality, so two equal cones
+always carry the identical tuple. rays_of_constraints is the two in one.
+saturated_cone tests every covector of an arrangement against the rays and
+returns the ArrCone. split_rays and signed_constraints translate between
+ray tuples, sign vectors and constraints.
 
-cells inserts one hyperplane at a time and keeps each cell's double
-description, so a new hyperplane costs a double description only on the
-cells it actually splits.
+cells inserts one hyperplane at a time and keeps each cell's
+double-description state, so a new hyperplane costs one step per child of
+each cell it actually splits.
 """
 
 from __future__ import annotations
@@ -197,13 +197,68 @@ def _flat_cut_out(arr: HyperplaneArrangement, hyperplanes: IntVec) -> Flat:
 
 
 def _project(a: IntVec, h: IntVec, ah: int, v: IntVec) -> IntVec:
-    """Primitive image of v on {a = 0} along h, a positive multiple of
-    v - (a.v / a.h) h: |a.h| v - sign(a.h) (a.v) h."""
+    """Primitive image of v on {a = 0} along h, for ah = a.h > 0: a
+    positive multiple of v - (a.v / a.h) h, namely (a.h) v - (a.v) h."""
     av = int_dot(a, v)
     if av == 0:
         return v
-    c, d = abs(ah), av if ah > 0 else -av
-    return primitive([c * x - d * y for x, y in zip(v, h)])
+    return primitive([ah * x - av * y for x, y in zip(v, h)])
+
+
+DDState = tuple[list[IntVec], dict[IntVec, int], int]
+
+
+def _dd_step(state: DDState, raw: Sequence[Scalar]) -> DDState:
+    """One double-description step: the state of a cone cut by raw.v >= 0.
+
+    A state is (lineality basis, {pointed ray: tight-set bitmask}, bit of
+    the next nonzero constraint), rays as primitive int tuples, the pointed
+    ones irredundant modulo the lineality. A ray's bitmask holds the steps
+    so far that vanish on it, set when the ray is made. Two rays are
+    adjacent iff no third ray is tight wherever both are; every step
+    vanishes on the lineality, so the test holds modulo it. The state
+    passed in is left unchanged, so one cone can be cut several ways.
+    """
+    lin, tight, bit = state
+    if is_zero_vec(raw):
+        return state
+    a = primitive(raw)
+    hit = next((l for l in lin if int_dot(a, l)), None)
+    if hit is not None:
+        # a cuts the lineality: hit turns into a pointed ray (tight on
+        # every earlier constraint), the rest moves onto {a = 0}
+        lin = [l for l in lin if l is not hit]  # the state passed in stays intact
+        ah = int_dot(a, hit)
+        if ah < 0:
+            hit, ah = vec_neg(hit), -ah
+        lin = [_project(a, hit, ah, l) for l in lin]
+        new = {_project(a, hit, ah, r): t | bit for r, t in tight.items()}
+        new.setdefault(hit, bit - 1)
+    else:
+        pos, neg, new = [], [], {}
+        for r, t in tight.items():
+            ar = int_dot(a, r)
+            if ar > 0:
+                pos.append((r, ar))
+                new[r] = t
+            elif ar < 0:
+                neg.append((r, ar))
+            else:
+                new[r] = t | bit
+        for p, ap in pos:
+            tp = tight[p]
+            for n, an in neg:
+                common = tp & tight[n]
+                if any(common & ~t == 0 for r, t in tight.items() if r is not p and r is not n):
+                    continue
+                w = primitive([ap * y - an * x for x, y in zip(p, n)])
+                new.setdefault(w, common | bit)
+    return lin, new, bit << 1
+
+
+def _ambient(dim: int) -> DDState:
+    """The state of the whole space Q^dim: all lineality, no constraint."""
+    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], {}, 1
 
 
 def dd_cone(
@@ -217,60 +272,13 @@ def dd_cone(
     cone is the span of the first list plus nonnegative combinations of the
     second, and the second is irredundant modulo the lineality space.
 
-    Each pointed ray carries the bitmask of the inequalities processed so
-    far that vanish on it, set when the ray is made. Two rays are adjacent
-    iff no third ray is tight wherever both are; every processed
-    inequality vanishes on the lineality, so the test holds modulo it.
+    A fold of _dd_step from the whole space: an equality a = 0 is the two
+    steps a >= 0 and -a >= 0, taken before the inequalities.
     """
-    lin: list[IntVec] = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    for raw in equalities:
-        if not is_zero_vec(raw):
-            # no inequality has run yet, so the cone is still the span of lin
-            a = primitive(raw)
-            hit = next((l for l in lin if int_dot(a, l)), None)
-            if hit is not None:
-                lin.remove(hit)
-                ah = int_dot(a, hit)
-                lin = [_project(a, hit, ah, l) for l in lin]
-
-    tight: dict[IntVec, int] = {}  # pointed ray -> its tight-set bitmask
-    bit = 1  # of the next nonzero inequality
-    for raw in inequalities:
-        if is_zero_vec(raw):
-            continue
-        a = primitive(raw)
-        hit = next((l for l in lin if int_dot(a, l)), None)
-        if hit is not None:
-            # a cuts the lineality: hit turns into a pointed ray (tight on
-            # every earlier constraint), the rest moves onto {a = 0}
-            lin.remove(hit)
-            ah = int_dot(a, hit)
-            if ah < 0:
-                hit, ah = vec_neg(hit), -ah
-            lin = [_project(a, hit, ah, l) for l in lin]
-            new = {_project(a, hit, ah, r): t | bit for r, t in tight.items()}
-            new.setdefault(hit, bit - 1)
-        else:
-            pos, neg, new = [], [], {}
-            for r, t in tight.items():
-                ar = int_dot(a, r)
-                if ar > 0:
-                    pos.append((r, ar))
-                    new[r] = t
-                elif ar < 0:
-                    neg.append((r, ar))
-                else:
-                    new[r] = t | bit
-            for p, ap in pos:
-                tp = tight[p]
-                for n, an in neg:
-                    common = tp & tight[n]
-                    if any(common & ~t == 0 for r, t in tight.items() if r is not p and r is not n):
-                        continue
-                    w = primitive([ap * y - an * x for x, y in zip(p, n)])
-                    new.setdefault(w, common | bit)
-        tight = new
-        bit <<= 1
+    state = _ambient(dim)
+    for a in [x for e in equalities for x in (e, vec_neg(e))] + list(inequalities):
+        state = _dd_step(state, a)
+    lin, tight, _ = state
     return lin, list(tight)
 
 
@@ -340,14 +348,6 @@ class ArrCone(NamedTuple):
     extreme_rays: tuple[IntVec, ...]
     dim: int
 
-    @property
-    def lineality_rays(self) -> tuple[IntVec, ...]:
-        return split_rays(self.extreme_rays)[0]
-
-    @property
-    def pointed_rays(self) -> tuple[IntVec, ...]:
-        return split_rays(self.extreme_rays)[1]
-
 
 def saturated_cone(arr: HyperplaneArrangement, rays: Sequence[IntVec]) -> ArrCone:
     """ArrCone of the cone generated by canonical rays (as produced by
@@ -372,11 +372,11 @@ def saturated_cone(arr: HyperplaneArrangement, rays: Sequence[IntVec]) -> ArrCon
 
 
 def _checked_witness(
-    covectors: Sequence[IntVec], s: SignVector, pointed: Sequence[IntVec], dim: int
+    covectors: Sequence[IntVec], s: SignVector, pointed: Iterable[IntVec], dim: int
 ) -> IntVec:
     """The sum of the pointed rays of the closed cell with signs s, which
     must have exactly those signs."""
-    total = tuple(map(sum, zip(*pointed))) if pointed else (0,) * dim
+    total = tuple(map(sum, zip(*pointed))) or (0,) * dim
     got = tuple(sign(int_dot(w, total)) for w in covectors)
     if got != tuple(s):
         raise InvariantError(f"witness {vec_str(total)} of sign vector {s} has signs {got}")
@@ -409,36 +409,36 @@ def realizable(arr: HyperplaneArrangement, s: SignVector) -> bool:
 def cells(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[SignVector, ...]:
     """All realizable sign vectors, by splitting cells one covector at a time.
 
-    Each cell carries the double description (lineality, pointed rays) of
-    its closure and an interior witness, the sum of the pointed rays. The
-    next covector w either takes both signs on the closed cell, which then
-    splits into three nonempty children (w < 0, w = 0, w > 0) with one
-    double description each; or the rays force its sign ({w = 0} meets
-    the closed cell in a proper face), and the cell carries over under
-    that sign with its rays and witness.
+    Each cell carries the double-description state (_dd_step) of its
+    closure and an interior witness, the sum of the pointed rays. The next
+    covector w either takes both signs on the closed cell, which then
+    splits into three nonempty children, each one step from it: w <= 0 and
+    w >= 0 are one step each, and w = 0 is the w >= 0 state stepped by -w.
+    Or the rays force its sign ({w = 0} meets the closed cell in a proper
+    face), and the cell carries over under that sign with its state and
+    witness.
     """
     if arr.size > cap:
         raise CapExceeded(f"cells: {arr.size} covectors exceeds cap {cap}")
-    state = [((), *dd_cone([], [], arr.dim), (0,) * arr.dim)]
+    state = [((), _ambient(arr.dim), (0,) * arr.dim)]
     for k, w in enumerate(arr.covectors):
         covs = arr.covectors[: k + 1]
         nxt = []
-        for s, lin, pointed, witness in state:
-            vals = [int_dot(w, r) for r in pointed]
+        for s, dd, witness in state:
+            lin, tight, _ = dd
+            vals = [int_dot(w, r) for r in tight]
             if any(int_dot(w, l) for l in lin) or (vals and max(vals) > 0 > min(vals)):
-                for e in (-1, 0, 1):
-                    child = s + (e,)
-                    clin, cpointed = dd_cone(*signed_constraints(covs, child), arr.dim)
-                    witness = _checked_witness(covs, child, cpointed, arr.dim)
-                    nxt.append((child, clin, cpointed, witness))
+                neg_w, pos = vec_neg(w), _dd_step(dd, w)
+                for e, child in ((-1, _dd_step(dd, neg_w)), (0, _dd_step(pos, neg_w)), (1, pos)):
+                    nxt.append((s + (e,), child, _checked_witness(covs, s + (e,), child[1], arr.dim)))
                 continue
             e = sign(sum(vals))
             if sign(int_dot(w, witness)) != e:
                 raise InvariantError(
                     f"witness {vec_str(witness)} of sign vector {s} is off the sign {e} "
-                    f"that the rays {vec_str(*pointed)} force on covector {w}"
+                    f"that the rays {vec_str(*tight)} force on covector {w}"
                 )
-            nxt.append((s + (e,), lin, pointed, witness))
+            nxt.append((s + (e,), dd, witness))
         state = nxt
     return tuple(sorted(s for s, *_ in state))
 

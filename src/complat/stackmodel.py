@@ -286,15 +286,11 @@ def restricted_arrangement(spec: QuotientStackSpec, subspace: Subspace) -> Hyper
     return restrict(global_arrangement(spec), subspace)
 
 
-def component_signature(
-    spec: QuotientStackSpec, face: Face | Subspace | Sequence[Sequence[Scalar]]
-) -> ComponentSignature:
-    """Signature of a face, a subspace or the span of vectors, in integer
-    dots against the subspace's scaled_basis rows or the vectors."""
+def component_signature(spec: QuotientStackSpec, face: Face | Subspace) -> ComponentSignature:
+    """Signature of a face or a subspace, in integer dots against the
+    subspace's scaled_basis rows."""
     sub = face.subspace if isinstance(face, Face) else face
-    if isinstance(sub, Subspace):
-        return _span_signature(spec, sub.scaled_basis[1], sub.dim)
-    return _span_signature(spec, sub, row_rank(sub))
+    return _span_signature(spec, sub.scaled_basis[1], sub.dim)
 
 
 def _span_signature(

@@ -13,7 +13,7 @@ from math import comb, factorial, prod
 from complat.arrangement import minimal_flat_containing, rays_of_constraints, restrict, saturated_cone
 from complat.errors import InvariantError, SpecError
 from complat.qlinalg import dot, int_dot, is_zero_vec, kernel, primitive, qvec, vec_neg, vec_str
-from complat.stackmodel import AttractorSignature, component_signature, global_arrangement
+from complat.stackmodel import AttractorSignature, ComponentSignature, global_arrangement
 
 
 def vec_scale(c, v):
@@ -95,6 +95,15 @@ def cotangent_arrangement(spec, face):
     return restrict(global_arrangement(spec), face.subspace)
 
 
+def span_signature(spec, vectors):
+    """Component signature of the span of any vectors, in any scaling: the
+    weights and roots with a zero integer dot against every vector, and the
+    rank of the span as the ambient rank less that of their common kernel."""
+    fixed = tuple(w for w in spec.weights if not any(int_dot(w, v) for v in vectors))
+    levi = tuple(r for r in spec.roots if not any(int_dot(r, v) for v in vectors))
+    return ComponentSignature(spec.rank - kernel(vectors, spec.rank).dim, fixed, levi)
+
+
 def unmemoized_cone_closure(spec, rays):
     """special_cone_closure with nothing memoized past the flat: every call
     computes the restrictions, selects those nonnegative on the rays and
@@ -127,7 +136,7 @@ def unmemoized_cone_closure(spec, rays):
     ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
     attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
     parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
-    levi = component_signature(spec, ambient)
+    levi = span_signature(spec, ambient)
     return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
 
 

@@ -24,7 +24,7 @@ from complat.arrangement import (
     tits_compose,
 )
 from complat.errors import CapExceeded, InvariantError
-from complat.qlinalg import dot, primitive, qvec, span
+from complat.qlinalg import dot, primitive, qvec, span, vec_neg
 from complat.stackmodel import global_arrangement, load_spec
 
 from oracles import (
@@ -155,19 +155,39 @@ def test_cells_are_the_realizable_sign_vectors_of_random_arrangements():
 
 
 def test_a_split_child_with_too_large_a_cone_is_an_invariant_error(monkeypatch):
-    # the cell x > 0, y > 0, x < y splits off the open quadrant; a double
-    # description that answers with the whole quadrant gives the witness
-    # (1, 1), which lies on x = y
-    real_dd = arrangement.dd_cone
+    # the cell x > 0, y > 0, x < y splits off the open quadrant; a step
+    # that cuts the quadrant by x - y <= 0 and answers with the whole
+    # quadrant gives the witness (1, 1), which lies on x = y
+    real_step = arrangement._dd_step
 
-    def too_large(eqs, ineqs, dim):
-        if not eqs and list(map(tuple, ineqs)) == [(1, 0), (0, 1), (-1, 1)]:
-            return [], [(0, 1), (1, 0)]
-        return real_dd(eqs, ineqs, dim)
+    def too_large(state, a):
+        lin, tight, _ = state
+        if not lin and set(tight) == {(1, 0), (0, 1)} and tuple(a) == (-1, 1):
+            return state
+        return real_step(state, a)
 
-    monkeypatch.setattr(arrangement, "dd_cone", too_large)
+    monkeypatch.setattr(arrangement, "_dd_step", too_large)
     with pytest.raises(InvariantError, match=r"witness \(1, 1\) of sign vector \(1, 1, -1\)"):
         cells(ARR3)
+
+
+def test_cells_take_one_step_per_child_and_no_dd_cone(monkeypatch):
+    # a split turns one cell into three children, one step each, so 541
+    # cells from the one cell of the whole space are 270 splits, 810 steps
+    steps = []
+    real_step = arrangement._dd_step
+
+    def counted(state, a):
+        steps.append(a)
+        return real_step(state, a)
+
+    def from_scratch(*args):
+        raise AssertionError("cells rebuilt a cone by dd_cone")
+
+    monkeypatch.setattr(arrangement, "_dd_step", counted)
+    monkeypatch.setattr(arrangement, "dd_cone", from_scratch)
+    assert len(cells(BRAID5)) == 541
+    assert len(steps) == 3 * (541 - 1) // 2
 
 
 def test_flats_three_lines():
@@ -274,7 +294,7 @@ def test_cone_from_constraints_sector():
     # x >= 0, y >= 0, x - y <= 0
     cone = cone3([], [(1, 0), (0, 1), (-1, 1)])
     assert set(cone.extreme_rays) == {(0, 1), (1, 1)}
-    assert cone.pointed_rays == cone.extreme_rays
+    assert split_rays(cone.extreme_rays) == ((), cone.extreme_rays)
     assert cone.zero_set == () and cone.dim == 2
     assert set(cone.nonneg_set) == {(0, 1), (1, 1), (2, -1)}
 
@@ -284,7 +304,6 @@ def test_cone_saturation_moves_opposed_pair_to_zero():
     assert cone.zero_set == (0,)
     assert set(cone.extreme_rays) == {(0, 1), (0, -1)}
     assert cone.dim == 1
-    assert cone.lineality_rays == cone.extreme_rays
     assert split_rays(cone.extreme_rays) == (cone.extreme_rays, ())
 
 
@@ -359,11 +378,14 @@ def _dd_against_brute_force_random(scale):
     rng = random.Random(20240817)
     for trial in range(160):
         dim = rng.randint(2, 4)
-        n_eq = rng.randint(0, 1)
+        n_eq = rng.randint(0, 2)
         n_in = rng.randint(0, 6)
         eqs = [
             tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n_eq)
         ]
+        if n_eq == 2 and trial % 2:
+            # a dependent equality cuts nothing more
+            eqs[1] = tuple(-2 * x for x in eqs[0])
         ineqs = [
             tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n_in)
         ]
@@ -377,6 +399,22 @@ def _dd_against_brute_force_random(scale):
         assert lspace == want_lin, (eqs, ineqs)
         got = {primitive(lspace.reduce(r)) for r in rays}
         assert got == want_rays, (eqs, ineqs)
+
+
+def test_stepping_by_w_and_then_minus_w_is_the_equality_w():
+    rng = random.Random(20261019)
+    with_lineality = 0
+    for _ in range(200):
+        dim = rng.randint(2, 4)
+        ineqs = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 4))]
+        state = arrangement._ambient(dim)
+        for a in ineqs:
+            state = arrangement._dd_step(state, a)
+        with_lineality += bool(state[0])
+        w = tuple(rng.randint(-2, 2) for _ in range(dim))
+        lin, tight, _ = arrangement._dd_step(arrangement._dd_step(state, w), vec_neg(w))
+        assert canonical_rays(lin, list(tight), dim) == rays_of_constraints([w], ineqs, dim), (ineqs, w)
+    assert with_lineality > 50
 
 
 def test_dd_no_constraints_is_ambient():

@@ -71,6 +71,7 @@ from oracles import (
     cone_contains_point,
     cotangent_arrangement,
     mat_vec,
+    span_signature,
     unmemoized_cone_closure,
     vec_scale,
     witness_point,
@@ -237,14 +238,17 @@ def test_attractor_signatures_match_table(a2gl2):
 
 @pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3",))
 def test_component_signature_matches_fraction_dots_on_every_flat(name):
-    # as a face, a subspace, or the span of scaled spanning vectors
+    # as a face or a subspace; the oracle's span signature from scaled
+    # spanning vectors too
     spec = _named_spec(name)
     for fl in flats(global_arrangement(spec)):
         sub = fl.subspace
         expected = _signature_by_fractions(spec, sub)
-        spanning = [[3 * x for x in primitive(b)] for b in sub.basis] + [(0,) * spec.rank]
-        for face in (Face(sub), sub, spanning, [qvec(b) for b in sub.basis]):
+        for face in (Face(sub), sub):
             assert component_signature(spec, face) == expected, (fl.hyperplanes, face)
+        spanning = [[3 * x for x in primitive(b)] for b in sub.basis] + [(0,) * spec.rank]
+        for vectors in (spanning, [qvec(b) for b in sub.basis]):
+            assert span_signature(spec, vectors) == expected, (fl.hyperplanes, vectors)
 
 
 def test_fixed_weight_and_parabolic_sign_convention(a2gl2):
