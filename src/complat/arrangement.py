@@ -148,7 +148,7 @@ def closure(arr: HyperplaneArrangement, hyperplanes: Iterable[int]) -> Flat:
     """The flat cut out by the given hyperplanes, carrying every hyperplane
     that contains it: the matroid closure of the index set."""
     sub = kernel([arr.covectors[i] for i in hyperplanes], arr.dim)
-    return Flat(sub, _through(arr, sub.scaled_basis[1]))
+    return Flat(sub, _through(arr, sub.rows))
 
 
 def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
@@ -176,7 +176,7 @@ def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
 
 def minimal_flat_containing(arr: HyperplaneArrangement, vectors: Sequence[Sequence[Scalar]]) -> Flat:
     """The smallest flat containing the span of the vectors, which may be
-    any spanning set of it (a subspace's scaled_basis rows, or a cone's
+    any spanning set of it (a subspace's rows, or a cone's
     rays), in any scaling.
 
     Hyperplanes containing the flat are exactly those containing the
@@ -406,7 +406,7 @@ def realizable(arr: HyperplaneArrangement, s: SignVector) -> bool:
     return _strict_witness(arr.covectors, s, arr.dim) is not None
 
 
-def cells(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[SignVector, ...]:
+def cells(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:
     """All realizable sign vectors, by splitting cells one covector at a time.
 
     Each cell carries the double-description state (_dd_step) of its
@@ -418,8 +418,8 @@ def cells(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[Sig
     face), and the cell carries over under that sign with its state and
     witness.
     """
-    if arr.size > cap:
-        raise CapExceeded(f"cells: {arr.size} covectors exceeds cap {cap}")
+    if arr.size > CELL_COVECTOR_CAP:
+        raise CapExceeded(f"cells: {arr.size} covectors exceeds cap {CELL_COVECTOR_CAP}")
     state = [((), _ambient(arr.dim), (0,) * arr.dim)]
     for k, w in enumerate(arr.covectors):
         covs = arr.covectors[: k + 1]
@@ -443,9 +443,9 @@ def cells(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[Sig
     return tuple(sorted(s for s, *_ in state))
 
 
-def chambers(arr: HyperplaneArrangement, cap: int = CELL_COVECTOR_CAP) -> tuple[SignVector, ...]:
+def chambers(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:
     """Cells with no zero coordinate (full-dimensional cells)."""
-    return tuple(s for s in cells(arr, cap) if 0 not in s)
+    return tuple(s for s in cells(arr) if 0 not in s)
 
 
 # -- Tits composition --------------------------------------------------------

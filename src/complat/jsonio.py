@@ -44,7 +44,11 @@ def document_digest(doc) -> str:
 
 
 def load_document(path: str) -> dict:
-    """Parse a JSON object from a file path, or from stdin for '-'."""
+    """Parse a JSON object from a file path, or from stdin for '-'. Floats
+    and the NaN and Infinity constants are refused as malformed input."""
+    def refuse(token: str):
+        raise SpecError(f"{path} holds the float {token}; numbers must be exact integers")
+
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -54,7 +58,7 @@ def load_document(path: str) -> dict:
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=refuse, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

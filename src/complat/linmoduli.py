@@ -64,12 +64,14 @@ class GF:
     Elements are the integers 0..q-1. For a prime power p^k the element
     sum(c_i * p^i) stands for the polynomial sum(c_i * x^i) modulo a fixed
     irreducible, so 0 and 1 are always the additive and multiplicative
-    units.
+    units. The q x q tables are held to SWEEP_CAP before any work on q.
     """
 
     def __init__(self, q: int):
         if q < 2:
             raise SpecError(f"field size must be at least 2, got {q}")
+        if q * q > SWEEP_CAP:
+            raise CapExceeded(f"field size {q}: its {q} x {q} arithmetic tables exceed cap {SWEEP_CAP}")
         p = next((d for d in range(2, q + 1) if q % d == 0), q)
         k = 0
         m = q
@@ -491,7 +493,7 @@ def _end_dim(quiver: Quiver, F: GF, gamma: DimVector, rep: Rep) -> int:
 
 
 @lru_cache(maxsize=None)
-def iso_classes(quiver: Quiver, gamma: DimVector, q: int, cap: int = SWEEP_CAP) -> IsoClasses:
+def iso_classes(quiver: Quiver, gamma: DimVector, q: int) -> IsoClasses:
     """Orbit sweep of the base-change action by generators.
 
     Representations are visited lexicographically; each one not yet
@@ -517,9 +519,9 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int, cap: int = SWEEP_CAP) 
     group_order = 1
     for g in gamma:
         group_order *= gl_order(g, q)
-    if n_reps * group_order > cap:
+    if n_reps * group_order > SWEEP_CAP:
         raise CapExceeded(
-            f"orbit sweep of {n_reps} representations x group of {group_order} exceeds cap {cap}"
+            f"orbit sweep of {n_reps} representations x group of {group_order} exceeds cap {SWEEP_CAP}"
         )
     cached = _cache_load(quiver, gamma, q)
     if cached is not None:

@@ -2,16 +2,16 @@
 
 Conventions shared by the whole package:
 
-- points given as input, and subspace bases, are tuples of
-  ``fractions.Fraction``,
+- points given as input may be tuples of ints or ``fractions.Fraction``,
 - the one elimination is ``echelon``, an integer reduced echelon form:
-  ``rref`` divides its rows by their pivot entries, ``span`` and
-  ``kernel`` go through it, ``row_rank`` counts its pivots, and
-  ``clear_pivots`` reduces a vector modulo its rows,
-- subspaces are stored by their reduced row echelon basis, the unique
-  canonical form, so equal subspaces compare equal bitwise and are usable
-  as dict keys; covector tests, restrictions, lifts and reductions run in
-  integers on their one integer form, ``Subspace.scaled_basis``,
+  ``span`` and ``kernel`` go through it, ``rref`` divides its rows by their
+  pivot entries, ``row_rank`` counts its pivots, and ``clear_pivots``
+  reduces a vector modulo its rows,
+- a subspace is stored once, as integers: ``Subspace.rows`` is L times its
+  reduced row echelon basis, the unique canonical form, with L the lcm of
+  the basis' denominators, so equal subspaces compare equal bitwise and
+  hash as integer tuples; covector tests, restrictions, lifts and
+  reductions run on these rows,
 - where only a direction matters, a vector is held as a positive integer
   multiple of itself, usually the primitive one: the rays out of the double
   description (``arrangement.dd_cone``) and the canonical ray tuples built
@@ -22,10 +22,10 @@ Conventions shared by the whole package:
   entries is 1 and the first nonzero entry is positive, so equal
   hyperplanes compare equal bitwise.
 
-Fractions remain only in the RREF basis that is stored and printed, in the
-``Subspace`` methods that tests use as references (``reduce``, ``lift``,
-``coords_in``, ``contains``), and in ``determinant``, which runs when a spec
-is loaded.
+Fractions remain only in the RREF basis derived for printing
+(``Subspace.basis``), in the ``Subspace`` methods that tests use as
+references (``reduce``, ``lift``, ``coords_in``, ``contains``), in ``rref``
+and in ``determinant``, which runs when a spec is loaded.
 
 No floats anywhere. Denominators grow as they like; everything downstream
 relies on these comparisons being exact.
@@ -181,34 +181,36 @@ def row_rank(rows: Iterable[Sequence[Scalar]]) -> int:
 
 
 class _SubspaceFields(NamedTuple):
-    basis: tuple[Vec, ...]
+    rows: tuple[IntVec, ...]
     ambient_dim: int
 
 
 class Subspace(_SubspaceFields):
-    """A linear subspace of Q^n in reduced row echelon form.
-
-    Construct through span()/kernel(); the constructor validates that the
-    basis really is RREF so that structural equality means equality of
-    subspaces. Instances keep a __dict__ for the cached integer form.
+    """A linear subspace of Q^n, stored once as integer rows: L times its
+    reduced row echelon basis, each row L at its pivot and zero at the
+    other rows' pivots, with no factor common to all entries, so L is the
+    lcm of the basis' denominators. Construct through span()/kernel(); the
+    constructor validates this form so that structural equality means
+    equality of subspaces. The scale L, the pivots and the Fraction basis
+    are derived; instances keep a __dict__ for the cached ones.
     """
 
-    def __new__(cls, basis: tuple[Vec, ...], ambient_dim: int):
-        """Check the RREF conditions directly: tuple rows of the right
-        length, each led by a 1 right of the previous row's pivot, and zero
-        in the other rows' pivot columns."""
+    def __new__(cls, rows: tuple[IntVec, ...], ambient_dim: int):
+        """Check the integer form directly: tuple rows of the right length
+        with int entries, pivots increasing, and the form above."""
         n, last = ambient_dim, -1
-        for row in basis:
+        for row in rows:
             if len(row) != n:
                 raise ValueError(f"row of length {len(row)} in width-{n} matrix")
-        for row in basis:
-            p = next((j for j, x in enumerate(row) if x != 0), n)
-            if p <= last or p == n or row[p] != 1 or sum(r[p] != 0 for r in basis) > 1:
-                raise ValueError("basis is not in reduced row echelon form")
+        ok = type(rows) is tuple and all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
+        scale = next((x for x in rows[0] if x), 0) if rows else 1
+        for row in rows:
+            p = next((j for j, x in enumerate(row) if x), n)
+            ok = ok and last < p < n and row[p] == scale and sum(1 for r in rows if r[p]) == 1
             last = p
-        if not isinstance(basis, tuple) or not all(isinstance(r, tuple) for r in basis):
+        if not ok or scale <= 0 or gcd(*(x for r in rows for x in r)) > 1:
             raise ValueError("basis is not in reduced row echelon form")
-        return super().__new__(cls, basis, ambient_dim)
+        return super().__new__(cls, rows, ambient_dim)
 
     @classmethod
     def _make(cls, iterable) -> "Subspace":
@@ -218,29 +220,33 @@ class Subspace(_SubspaceFields):
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def scale(self) -> int:
+        """L: the common pivot entry of the rows, 1 for the zero subspace."""
+        return self.rows[0][self.pivots[0]] if self.rows else 1
 
     @cached_property
     def pivots(self) -> IntVec:
-        return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.basis)
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.rows)
 
     @cached_property
-    def scaled_basis(self) -> tuple[int, tuple[IntVec, ...]]:
-        """(L, the rows of L times the basis), for L the lcm of the
-        basis' denominators: the integer form, computed once per instance."""
-        scale = lcm(*(x.denominator for row in self.basis for x in row))
-        return scale, tuple(tuple(int(x * scale) for x in row) for row in self.basis)
+    def basis(self) -> tuple[Vec, ...]:
+        """The reduced row echelon basis, the rows divided by L, in
+        Fractions: for printing and for the reference methods below."""
+        scale = self.scale
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in self.rows)
 
     def scaled_lift(self, coords: Sequence[Scalar]) -> tuple:
-        """L times lift(coords), with the L of scaled_basis: an integer
-        vector for integer coordinates."""
-        rows = self.scaled_basis[1]
+        """L times lift(coords): an integer vector for integer coordinates."""
+        rows = self.rows
         return tuple(int_dot(coords, col) for col in zip(*rows)) if rows else (0,) * self.ambient_dim
 
     def scaled_reduce(self, v: Sequence[Scalar]) -> tuple:
-        """L times reduce(v), with the L of scaled_basis: an integer vector
-        for integer v, zero iff v lies in the subspace."""
-        scale = self.scaled_basis[0]
+        """L times reduce(v): an integer vector for integer v, zero iff v
+        lies in the subspace."""
+        scale = self.scale
         return tuple(scale * x - y for x, y in zip(v, self.scaled_lift([v[p] for p in self.pivots])))
 
     def reduce(self, v: Sequence[Scalar]) -> Vec:
@@ -292,7 +298,11 @@ class Subspace(_SubspaceFields):
 
 
 def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
-    rows, _ = rref(vectors, ambient_dim)
+    """The canonical Subspace of the vectors: each echelon row times L over
+    its pivot entry, for L the lcm of the pivot entries."""
+    ech = echelon(vectors, ambient_dim)
+    scale = lcm(*(e[p] for p, e in ech))
+    rows = tuple(e if e[p] == scale else tuple(scale // e[p] * x for x in e) for p, e in ech)
     return Subspace(rows, ambient_dim)
 
 
@@ -319,8 +329,8 @@ def kernel(covectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
 
 def annihilator(space: Subspace) -> tuple[IntVec, ...]:
     """Canonical covectors spanning the annihilator of the subspace."""
-    ker = kernel(space.basis, space.ambient_dim)
-    return tuple(sorted(canonical_covector(row) for row in ker.basis))
+    ker = kernel(space.rows, space.ambient_dim)
+    return tuple(sorted(canonical_covector(row) for row in ker.rows))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -336,7 +346,7 @@ def restrict_covector(w: Sequence[Scalar], space: Subspace) -> Optional[IntVec]:
     Returns the canonical primitive covector, or None when w vanishes on
     the whole subspace (in particular for the zero subspace).
     """
-    vals = [int_dot(w, row) for row in space.scaled_basis[1]]
+    vals = [int_dot(w, row) for row in space.rows]
     return canonical_covector(vals) if any(vals) else None
 
 

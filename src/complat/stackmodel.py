@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -263,34 +263,19 @@ def global_arrangement(spec: QuotientStackSpec) -> HyperplaneArrangement:
     return HyperplaneArrangement(tuple(sorted(vecs)), spec.rank)
 
 
-def _per_carrier(fn):
-    """Memoize fn(spec, subspace) on (spec, the subspace's scaled_basis
-    rows), which fix its result: carriers repeat across samples and
-    morphisms, and integer rows hash without Fraction arithmetic."""
-    memo = {}
-
-    @wraps(fn)
-    def cached(spec: QuotientStackSpec, subspace: Subspace):
-        key = (spec, subspace.scaled_basis[1])
-        if (out := memo.get(key)) is None:
-            out = memo[key] = fn(spec, subspace)
-        return out
-
-    return cached
-
-
-@_per_carrier
+@lru_cache(maxsize=None)
 def restricted_arrangement(spec: QuotientStackSpec, subspace: Subspace) -> HyperplaneArrangement:
     """The global arrangement restricted to a subspace, in its basis
-    coordinates, computed once per carrier."""
+    coordinates, computed once per carrier: carriers repeat across samples
+    and morphisms."""
     return restrict(global_arrangement(spec), subspace)
 
 
 def component_signature(spec: QuotientStackSpec, face: Face | Subspace) -> ComponentSignature:
     """Signature of a face or a subspace, in integer dots against the
-    subspace's scaled_basis rows."""
+    subspace's rows."""
     sub = face.subspace if isinstance(face, Face) else face
-    return _span_signature(spec, sub.scaled_basis[1], sub.dim)
+    return _span_signature(spec, sub.rows, sub.dim)
 
 
 def _span_signature(
@@ -309,7 +294,7 @@ def special_face_closure(spec: QuotientStackSpec, face: Face) -> Flat:
     Map-form faces are reduced first; the closure only sees the image.
     """
     face = nondegenerate_quotient(face)
-    return minimal_flat_containing(global_arrangement(spec), face.subspace.scaled_basis[1])
+    return minimal_flat_containing(global_arrangement(spec), face.subspace.rows)
 
 
 def central_rank(spec: QuotientStackSpec, face: Face) -> int:
@@ -408,15 +393,14 @@ def cell_orbits(spec: QuotientStackSpec) -> tuple[tuple[SignVector, ...], ...]:
 # -- special cones -------------------------------------------------------------
 
 
-@_per_carrier
+@lru_cache(maxsize=None)
 def _signed_restrictions(spec: QuotientStackSpec, space: Subspace) -> tuple[IntVec, ...]:
     """Nonzero restrictions of the tangent functionals, keeping their own
     sign. Weights restrict one-sidedly; roots come in +/- pairs, so their
     restrictions do too. Coinciding restrictions merge."""
     out = set()
-    rows = space.scaled_basis[1]
     for w in spec.weights + spec.roots:
-        vals = [int_dot(w, row) for row in rows]
+        vals = [int_dot(w, row) for row in space.rows]
         if any(vals):
             out.add(primitive(vals))
     return tuple(sorted(out))
@@ -498,9 +482,7 @@ class ConeOrbit(NamedTuple):
         return self.signature.cone.dim
 
 
-def enumerate_special_cones(
-    spec: QuotientStackSpec, constraint_cap: int = CONE_CONSTRAINT_CAP
-) -> tuple[ConeOrbit, ...]:
+def enumerate_special_cones(spec: QuotientStackSpec) -> tuple[ConeOrbit, ...]:
     """All Weyl orbits of special cones.
 
     A special cone is full-dimensional in its carrier flat and cut by
@@ -518,9 +500,9 @@ def enumerate_special_cones(
     for fl in flats(arr):
         carrier = fl.subspace
         restr = _signed_restrictions(spec, carrier)
-        if len(restr) > constraint_cap:
+        if len(restr) > CONE_CONSTRAINT_CAP:
             raise CapExceeded(
-                f"special cones: {len(restr)} constraints on a flat exceeds cap {constraint_cap}"
+                f"special cones: {len(restr)} constraints on a flat exceeds cap {CONE_CONSTRAINT_CAP}"
             )
         for mask in range(1 << len(restr)):
             ineqs = [restr[i] for i in range(len(restr)) if mask >> i & 1]
@@ -635,7 +617,7 @@ def surjection_invariance_check(
         raise SpecError(f"projection rows must have length {k}")
     if span(proj, k).dim != k:
         raise SpecError("projection is not surjective onto the face's source")
-    composed = Face.from_map(mat_mul(proj, face.subspace.basis), spec.rank)
+    composed = Face.from_map(mat_mul(proj, face.subspace.rows), spec.rank)
     reduced = nondegenerate_quotient(composed)
     return (
         component_signature(spec, reduced) == component_signature(spec, face)
@@ -652,8 +634,8 @@ class HallMorphism(NamedTuple):
     sub-arrangement of target hyperplanes containing the embedded source.
 
     The embedding is a source-dim x target-dim integer matrix in the bases
-    of the two representatives, times the scale L of the source's
-    scaled_basis (an identity is L times the identity matrix);
+    of the two representatives, times the scale L of the source's rows
+    (an identity is L times the identity matrix);
     sub_covectors lists the target cotangent covectors vanishing on its
     image, in the chamber's coordinate order.
     """
@@ -677,14 +659,14 @@ def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
     plus a chamber of the hyperplanes of B's cotangent arrangement that
     contain the embedded copy. Composition embeds the first chamber and
     falls through to the second by the Tits rule; the table is verified
-    closed under composition. A Weyl element moves the scaled_basis rows
-    of A to integer vectors; they lie in B iff B's scaled_reduce kills
+    closed under composition. A Weyl element moves the rows of A to
+    integer vectors; they lie in B iff B's scaled_reduce kills
     them, and their entries at B's pivots are their coordinates.
     """
     objects = enumerate_special_faces(spec)
     reps = [o.flat.subspace for o in objects]
     cot = [restricted_arrangement(spec, s) for s in reps]
-    scales = [s.scaled_basis[0] for s in reps]
+    scales = [s.scale for s in reps]
 
     morphisms: list[HallMorphism] = []
     for si, a in enumerate(reps):
@@ -693,7 +675,7 @@ def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
                 continue
             embeddings = set()
             for g in spec.weyl_group:
-                moved = [tuple(int_dot(row, v) for row in g) for v in a.scaled_basis[1]]
+                moved = [tuple(int_dot(row, v) for row in g) for v in a.rows]
                 if not any(any(b.scaled_reduce(v)) for v in moved):
                     embeddings.add(tuple(tuple(v[p] for p in b.pivots) for v in moved))
             for emb in sorted(embeddings):
@@ -755,13 +737,13 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
     weights + roots, restricted to each object's basis. The second
     morphism pulls them back along its embedding, so the first chamber's
     integer rays are tested as they are, in its target's coordinates.
-    Only signs are read, so restricting through each object's scaled_basis
-    rows and pulling back along the scaled embeddings, which give positive
+    Only signs are read, so restricting through each object's rows and
+    pulling back along the scaled embeddings, which give positive
     integer multiples of the vectors, keeps every dot product an integer one.
     """
     tangent = spec.weights + spec.roots
     restricted = [
-        tuple(tuple(int_dot(v, row) for row in o.flat.subspace.scaled_basis[1]) for v in tangent)
+        tuple(tuple(int_dot(v, row) for row in o.flat.subspace.rows) for v in tangent)
         for o in cat.objects
     ]
     rays, nonneg, pulled = [], [], []

@@ -114,7 +114,7 @@ def unmemoized_cone_closure(spec, rays):
     carrier = flat.subspace
     if any(any(carrier.scaled_reduce(r)) for r in rays):
         raise InvariantError(f"closure {vec_str(*carrier.basis)} misses rays {vec_str(*rays)}")
-    rows = carrier.scaled_basis[1]
+    rows = carrier.rows
     restrictions = set()
     for w in spec.weights + spec.roots:
         vals = [int_dot(w, row) for row in rows]

@@ -338,8 +338,8 @@ def test_a_class_missing_from_its_sweep_exits_4(capsys, monkeypatch):
     # table of (1, 1) meets again as the subrepresentation on everything
     sweep = lm.iso_classes
 
-    def lossy(quiver, gamma, q, cap=lm.SWEEP_CAP):
-        classes = sweep(quiver, gamma, q, cap)
+    def lossy(quiver, gamma, q):
+        classes = sweep(quiver, gamma, q)
         if tuple(gamma) != (1, 1):
             return classes
         class_of = {rep: i for rep, i in classes.class_of.items() if rep != classes.reps[1]}
@@ -392,6 +392,63 @@ def test_oversized_counting_requests_exit_3(capsys):
     )
     assert code == 3
     assert err.startswith("cap exceeded:")
+
+
+def test_a_field_too_large_for_its_tables_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", SPECS / "a2_quiver.json", "--suite", "associativity", "--q", 1000000007,
+        "--max-dim", 1,
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("cap exceeded: field size 1000000007:")
+
+
+@pytest.mark.parametrize("token", ["1.5", "1e400", "NaN", "-Infinity"])
+@pytest.mark.parametrize(
+    "argv",
+    [("faces",), ("closure", "--ray", "1"), ("verify", "--suite", "constancy")],
+    ids=["faces", "closure", "verify"],
+)
+def test_floats_in_a_document_exit_2(capsys, tmp_path, argv, token):
+    # a float anywhere, even under a key no loader reads, is malformed input
+    for text in (f'{{"weights": [[{token}]]}}', f'{{"comment": [{token}]}}'):
+        doc = tmp_path / "floats.json"
+        doc.write_text(text[:-1] + ', "type": "linear_quotient", "rank": 1, "roots": [], "weyl_generators": []}')
+        code, out, err = run_cli(capsys, argv[0], doc, *argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"error: {doc} holds the float {token}; numbers must be exact integers\n"
+
+
+def _spawn_optimized(script):
+    # python -O strips assert statements; the exit codes must not rely on them
+    return subprocess.run(
+        [sys.executable, "-O", "-c", "import sys\nfrom complat.cli import main\n" + script],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))},
+    )
+
+
+def test_a_broken_invariant_exits_4_under_python_O():
+    result = _spawn_optimized(
+        "from complat import stackmodel as sm\n"
+        "from complat.qlinalg import vec_neg\n"
+        "split = sm.split_rays\n"
+        "sm.split_rays = lambda rays: (split(rays)[0], tuple(vec_neg(r) for r in split(rays)[1]))\n"
+        f"sys.exit(main(['verify', {str(SPECS / 'a2_gl2.json')!r}, '--suite', 'constancy', '--samples', '2']))\n"
+    )
+    assert result.returncode == 4 and result.stdout == ""
+    assert result.stderr.startswith("invariant broken: sample (")
+
+
+def test_a_request_over_a_cap_exits_3_under_python_O():
+    result = _spawn_optimized(
+        f"sys.exit(main(['verify', {str(SPECS / 'jordan.json')!r}, '--suite', 'associativity', "
+        "'--q', '2', '--max-dim', '4']))\n"
+    )
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr.startswith("cap exceeded: orbit sweep of ")
 
 
 # -- cache and determinism ------------------------------------------------------------

@@ -368,6 +368,17 @@ def test_oversized_sweeps_are_refused(one_vertex):
         lm.iso_classes(one_vertex, (4,), 3)
 
 
+def test_a_field_size_over_the_cap_is_refused_before_any_table(monkeypatch):
+    # with range shadowed in the module, the factor search or any table
+    # built for q would raise TypeError instead of the cap
+    monkeypatch.setattr(lm, "range", None, raising=False)
+    with pytest.raises(CapExceeded, match="field size 1000000007: .* exceed cap 10000000$"):
+        lm.GF(1000000007)
+    monkeypatch.setattr(lm, "SWEEP_CAP", 24)
+    with pytest.raises(CapExceeded, match="field size 5:"):
+        lm.GF(5)
+
+
 # -- subrepresentations and Hall numbers --------------------------------------------
 
 

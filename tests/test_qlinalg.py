@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ F = Fraction
 def test_span_canonical_under_permutation_and_scaling():
     a = span([(1, 0), (1, 1)], 2)
     b = span([(2, 2), (3, 0)], 2)
-    assert a == b == Subspace(((F(1), F(0)), (F(0), F(1))), 2)
+    assert a == b == Subspace(((1, 0), (0, 1)), 2)
     # span is the canonical RREF form, so equal subspaces are equal tuples
     assert a.basis == ((F(1), F(0)), (F(0), F(1)))
 
@@ -46,18 +47,19 @@ def test_span_drops_dependent_rows():
 
 
 def test_subspace_rejects_non_rref_basis():
+    # the rows must be L times the RREF basis, not any multiple of it
     with pytest.raises(ValueError):
-        Subspace(((F(2), F(0)), (F(0), F(1))), 2)
+        Subspace(((2, 0), (0, 2)), 2)
 
 
 @pytest.mark.parametrize(
     "basis,n",
     [
-        (((F(1), F(0)), (F(0), F(0))), 2),  # a zero row
-        (((F(0), F(2)),), 2),  # a pivot that is not 1
-        (((F(0), F(1)), (F(1), F(0))), 2),  # decreasing pivots
-        (((F(1), F(0), F(1)), (F(0), F(1))), 3),  # a row of the wrong length
-        (((F(1), F(1)), (F(0), F(1))), 2),  # a nonzero entry above a pivot
+        (((1, 0), (0, 0)), 2),  # a zero row
+        (((0, 2), (1, 0)), 2),  # decreasing pivots
+        (((F(1), F(0)),), 2),  # Fraction entries, even integral ones
+        (((1, 0, 1), (0, 1)), 3),  # a row of the wrong length
+        (((2, 2), (0, 2)), 2),  # a nonzero entry above a pivot
     ],
 )
 def test_subspace_rejects_each_broken_rref_condition(basis, n):
@@ -66,20 +68,23 @@ def test_subspace_rejects_each_broken_rref_condition(basis, n):
 
 
 def test_subspace_accepts_exactly_the_bases_rref_reproduces():
-    # random small matrices, their RREFs, and RREFs with one entry changed
+    # random small integer matrices, their spans' rows, and those rows with
+    # one entry changed: accepted iff they are L times their own RREF
     rng = random.Random(5)
-    values = [F(0), F(0), F(1), F(-1), F(2), F(1, 2)]
+    values = [0, 0, 1, -1, 2, 3]
     accepted = rejected = 0
     for _ in range(600):
         n = rng.randint(1, 4)
         rows = [tuple(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(0, 3))]
-        candidates = [tuple(rows), rref(rows, n)[0]]
+        candidates = [tuple(rows), span(rows, n).rows]
         if candidates[1]:
             edited = [list(r) for r in candidates[1]]
             edited[rng.randrange(len(edited))][rng.randrange(n)] = rng.choice(values)
             candidates.append(tuple(map(tuple, edited)))
         for basis in candidates:
-            is_rref = rref(basis, n)[0] == basis
+            want, _ = fraction_rref(basis, n)
+            scale = lcm(*(x.denominator for row in want for x in row))
+            is_rref = tuple(tuple(int(scale * x) for x in row) for row in want) == basis
             try:
                 Subspace(basis, n)
             except ValueError:
@@ -89,6 +94,27 @@ def test_subspace_accepts_exactly_the_bases_rref_reproduces():
                 assert is_rref, basis
                 accepted += 1
     assert accepted > 300 and rejected > 300
+
+
+def test_span_rows_are_the_lcm_times_the_rref():
+    # seeded int and Fraction vector sets with dependent, zero and repeated
+    # rows, and empty sets: span builds rows with no Fraction, equal to L
+    # times the Fraction RREF for L the lcm of its denominators
+    rng = random.Random(23)
+    fracs = [0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4)]
+    scales, empty = set(), 0
+    for _ in range(500):
+        n = rng.randint(0, 5)
+        rows = _rows_with_repeats(rng, n, fracs, rng.randint(0, 4))
+        want, pivots = rref(rows, n)
+        sub = span(rows, n)
+        scale = lcm(*(x.denominator for row in want for x in row))
+        assert sub.rows == tuple(tuple(scale * x for x in row) for row in want), rows
+        assert all(type(x) is int for row in sub.rows for x in row)
+        assert (sub.basis, sub.pivots, sub.scale, sub.ambient_dim) == (want, pivots, scale, n)
+        scales.add(scale)
+        empty += not rows
+    assert {1, 2, 3, 4} <= scales and empty > 20
 
 
 def test_row_rank_agrees_with_the_span():

@@ -25,18 +25,24 @@ def _spec(name):
 @pytest.mark.parametrize(
     "basis,n,message",
     [
-        (((F(1), F(0), F(0)),), 2, "row of length 3 in width-2 matrix"),
-        (((F(1), F(0)), (F(0), F(1)), (F(1),)), 2, "row of length 1 in width-2 matrix"),
-        (((F(2), F(0)),), 2, "basis is not in reduced row echelon form"),
-        (((F(1), F(1)), (F(0), F(1))), 2, "basis is not in reduced row echelon form"),
-        ([(F(1), F(0))], 2, "basis is not in reduced row echelon form"),
-        (([F(1), F(0)],), 2, "basis is not in reduced row echelon form"),
+        (((1, 0, 0),), 2, "row of length 3 in width-2 matrix"),
+        (((1, 0), (0, 1), (1,)), 2, "row of length 1 in width-2 matrix"),
+        (((1, F(-1, 2)),), 2, "basis is not in reduced row echelon form"),  # a non-int entry
+        (((2, 1), (0, 2)), 2, "basis is not in reduced row echelon form"),  # nonzero in another pivot column
+        ([(1, 0)], 2, "basis is not in reduced row echelon form"),
+        (([1, 0],), 2, "basis is not in reduced row echelon form"),
+        (((0, 1), (1, 0)), 2, "basis is not in reduced row echelon form"),  # pivots not increasing
+        (((2, 0), (0, 1)), 2, "basis is not in reduced row echelon form"),  # unequal pivot entries
+        (((4, -2),), 2, "basis is not in reduced row echelon form"),  # a common factor
+        (((-2, 1),), 2, "basis is not in reduced row echelon form"),  # a negative pivot entry
     ],
 )
 def test_subspace_rejects_a_bad_basis_with_its_message(basis, n, message):
-    with pytest.raises(ValueError) as err:
-        Subspace(basis, n)
-    assert str(err.value) == message
+    good = Subspace(((1, 0),), 2)
+    for build in (Subspace, lambda *f: Subspace._make(f), lambda r, d: good._replace(rows=r, ambient_dim=d)):
+        with pytest.raises(ValueError) as err:
+            build(basis, n)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -55,11 +61,12 @@ def test_arrangement_rejects_bad_covectors_with_its_message(covectors, dim, mess
 
 
 def test_the_validating_constructors_accept_their_inputs_and_keep_the_fields():
-    sub = Subspace(((F(1), F(-1, 2)),), 2)
-    assert (sub.basis, sub.ambient_dim, sub.dim) == (((F(1), F(-1, 2)),), 2, 1)
-    assert sub.scaled_basis == (2, ((2, -1),)) and sub.pivots == (0,)
+    sub = Subspace(((2, -1),), 2)
+    assert (sub.rows, sub.ambient_dim, sub.dim) == (((2, -1),), 2, 1)
+    assert Subspace._fields == ("rows", "ambient_dim")
+    assert (sub.scale, sub.pivots, sub.basis) == (2, (0,), ((F(1), F(-1, 2)),))
     with pytest.raises(AttributeError):
-        sub.basis = ()
+        sub.rows = ()
     arr = HyperplaneArrangement(((0, 1), (1, -1)), 2)
     assert (arr.covectors, arr.dim, arr.size) == (((0, 1), (1, -1)), 2, 2)
 
@@ -124,13 +131,13 @@ def test_a_spec_hashes_as_its_field_tuple_with_tuple_equality_and_order():
     "record,fields,error,message",
     [
         (
-            lambda: Subspace(((F(1), F(2)),), 2),
-            {"basis": ((F(2), F(0)),)},
+            lambda: Subspace(((1, 2),), 2),
+            {"rows": ((2, 0),)},
             ValueError,
             "basis is not in reduced row echelon form",
         ),
         (
-            lambda: Subspace(((F(1), F(2)),), 2),
+            lambda: Subspace(((1, 2),), 2),
             {"ambient_dim": 3},
             ValueError,
             "row of length 2 in width-3 matrix",

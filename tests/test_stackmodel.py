@@ -790,7 +790,7 @@ def test_hall_category_with_scaled_embeddings_matches_the_fraction_route():
     # scales above 1 and every composite through such an object divides
     spec = load_spec(SKEW3)
     cat = hall_category(spec)
-    scales = [o.flat.subspace.scaled_basis[0] for o in cat.objects]
+    scales = [o.flat.subspace.scale for o in cat.objects]
     assert {2, 3, 6} <= set(scales)
     assert (len(cat.objects), len(cat.morphisms)) == (12, 118)
     ref = _hall_category_by_fractions(spec)
