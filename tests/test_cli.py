@@ -403,6 +403,19 @@ def test_a_field_too_large_for_its_tables_exits_3(capsys):
     assert err.startswith("cap exceeded: field size 1000000007:")
 
 
+@pytest.mark.parametrize("q, exit_code, message", [
+    (4000, 3, "cap exceeded: field size 4000:"),
+    (6, 2, "error: field size must be a prime power, got 6"),
+])
+def test_the_field_size_cap_comes_before_the_prime_power_check(capsys, q, exit_code, message):
+    code, out, err = run_cli(
+        capsys, "verify", SPECS / "a2_quiver.json", "--suite", "associativity", "--q", q,
+        "--max-dim", 1,
+    )
+    assert (code, out) == (exit_code, "")
+    assert err.startswith(message)
+
+
 @pytest.mark.parametrize("token", ["1.5", "1e400", "NaN", "-Infinity"])
 @pytest.mark.parametrize(
     "argv",
