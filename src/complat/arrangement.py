@@ -28,8 +28,9 @@ each cell it actually splits.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, InvariantError
 from .qlinalg import (
@@ -45,7 +46,6 @@ from .qlinalg import (
     is_zero_vec,
     kernel,
     primitive,
-    qvec,
     restrict_covector,
     row_rank,
     sign,
@@ -155,7 +155,9 @@ def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
     """All flats, including the ambient space, by decreasing dimension,
     then basis. Built rank by rank: the covers of a flat F are the closures
     of F + (i,), i outside F, and they partition the hyperplanes outside F;
-    skipping the i of known covers makes every closure taken a new flat."""
+    skipping the i of known covers makes every closure taken a new flat.
+    The basis is the integer rows over their scale L, so the sort key is
+    the rows when L is 1, as int and Fraction compare exactly."""
     level = [closure(arr, ())]
     out = list(level)
     while level:
@@ -170,8 +172,13 @@ def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
                     nxt.append(g)
         out += nxt
         level = nxt
-    out.sort(key=lambda f: (-f.dim, tuple(x for row in f.subspace.basis for x in row)))
+    out.sort(key=_basis_key)
     return tuple(out)
+
+
+def _basis_key(f: Flat) -> tuple:
+    scale, entries = f.subspace.scale, [x for row in f.subspace.rows for x in row]
+    return -f.dim, tuple(entries) if scale == 1 else tuple(Fraction(x, scale) for x in entries)
 
 
 def minimal_flat_containing(arr: HyperplaneArrangement, vectors: Sequence[Sequence[Scalar]]) -> Flat:
@@ -381,29 +388,6 @@ def _checked_witness(
     if got != tuple(s):
         raise InvariantError(f"witness {vec_str(total)} of sign vector {s} has signs {got}")
     return total
-
-
-def _strict_witness(covectors: Sequence[IntVec], s: SignVector, dim: int) -> Optional[Vec]:
-    """Interior point with exactly the prescribed signs, or None.
-
-    The closed cell is the cone with >= in place of >; the relatively open
-    cell is nonempty iff every strict constraint is positive on some extreme
-    ray, and then the sum of the pointed rays is a witness.
-    """
-    _, pointed = split_rays(rays_of_constraints(*signed_constraints(covectors, s), dim))
-    for w, si in zip(covectors, s):
-        if si != 0 and not any(si * int_dot(w, r) > 0 for r in pointed):
-            return None
-    return qvec(_checked_witness(covectors, s, pointed, dim))
-
-
-def realizable(arr: HyperplaneArrangement, s: SignVector) -> bool:
-    """Exact emptiness test for the relatively open region with signs s."""
-    if len(s) != arr.size:
-        raise ValueError("sign vector length does not match arrangement")
-    if any(x not in (-1, 0, 1) for x in s):
-        raise ValueError("sign vector entries must be -1, 0, or 1")
-    return _strict_witness(arr.covectors, s, arr.dim) is not None
 
 
 def cells(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:

@@ -10,7 +10,8 @@ Output is canonical JSON by default (sorted keys, rationals as "num/den"
 strings) and always carries the sha256 digest of the parsed input
 document. Exit codes: 0 success, 1 a verified property failed, 2 invalid
 input, 3 an enumeration cap was exceeded, 4 an internal invariant broke
-(a bug in complat, not in the input).
+(a bug in complat, not in the input), 141 stdout was closed before the
+report was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -311,7 +312,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantError as exc:
         print(f"invariant broken: {exc}", file=sys.stderr)
         return 4
-    _emit(report, args.output)
+    try:
+        _emit(report, args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: stdout to devnull, so the shutdown flush cannot
+        # raise again, and the exit code a shell gives a filter SIGPIPE killed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0 if report.get("ok", True) else 1
 
 

@@ -655,12 +655,6 @@ def class_refs(quiver: Quiver, q: int, gamma: Sequence[int]) -> list[ClassRef]:
     return [(gamma, i) for i in range(len(iso_classes(quiver, gamma, q).reps))]
 
 
-def hall_number(quiver: Quiver, q: int, whole: ClassRef, quot: ClassRef, sub: ClassRef) -> int:
-    """The number of subrepresentations of `whole` isomorphic to `sub`
-    with quotient isomorphic to `quot`."""
-    return hall_product(quiver, q, {quot: 1}, {sub: 1}).get(whole, 0)
-
-
 def _class_index(classes: IsoClasses, rep: Rep, where: str) -> int:
     """The class of a representation in the sweep of its dimension vector.
     Every representation is in its sweep, so a miss is a broken sweep."""
@@ -860,6 +854,11 @@ def hall_category_lms(n_vertices: int, max_total: int) -> FiniteCategory:
     place all the parts at distinct target positions. The placement fixes
     the target tuple and, for each source entry, the run of positions its
     parts took, so every morphism arises exactly once and none is rejected.
+
+    A composite is the plain (source, target, orders) tuple, which hashes
+    and compares equal to the LmsMorphism it names, so the table fill looks
+    it up with no record built; a one-element block takes the second
+    morphism's run tuple as it is.
     """
     vectors = [v for t in range(1, max_total + 1) for v in dim_vectors(n_vertices, t)]
     vectors = [v for v in vectors if any(v)]
@@ -902,9 +901,10 @@ def hall_category_lms(n_vertices: int, max_total: int) -> FiniteCategory:
                     raise InvariantError(f"refinement {target} of object {a} is not an object")
                 morphisms.append(LmsMorphism(si, ti, tuple(places[lo:hi] for lo, hi in spans)))
 
-    def compose(m1: LmsMorphism, m2: LmsMorphism) -> LmsMorphism:
-        orders = tuple(tuple(k for jj in blk for k in m2.orders[jj]) for blk in m1.orders)
-        return LmsMorphism(m1.source, m2.target, orders)
+    def compose(m1: LmsMorphism, m2: LmsMorphism) -> tuple:
+        runs = m2.orders
+        orders = tuple(runs[blk[0]] if len(blk) == 1 else sum((runs[j] for j in blk), ()) for blk in m1.orders)
+        return m1.source, m2.target, orders
 
     return FiniteCategory.build(
         objects,

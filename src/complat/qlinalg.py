@@ -23,9 +23,8 @@ Conventions shared by the whole package:
   hyperplanes compare equal bitwise.
 
 Fractions remain only in the RREF basis derived for printing
-(``Subspace.basis``), in the ``Subspace`` methods that tests use as
-references (``reduce``, ``lift``, ``coords_in``, ``contains``), in ``rref``
-and in ``determinant``, which runs when a spec is loaded.
+(``Subspace.basis``), in ``rref`` and in ``determinant``, which runs when
+a spec is loaded.
 
 No floats anywhere. Denominators grow as they like; everything downstream
 relies on these comparisons being exact.
@@ -239,62 +238,16 @@ class Subspace(_SubspaceFields):
         return tuple(tuple(Fraction(x, scale) for x in row) for row in self.rows)
 
     def scaled_lift(self, coords: Sequence[Scalar]) -> tuple:
-        """L times lift(coords): an integer vector for integer coordinates."""
+        """L times the vector with these coordinates in the RREF basis: an
+        integer vector for integer coordinates."""
         rows = self.rows
         return tuple(int_dot(coords, col) for col in zip(*rows)) if rows else (0,) * self.ambient_dim
 
     def scaled_reduce(self, v: Sequence[Scalar]) -> tuple:
-        """L times reduce(v): an integer vector for integer v, zero iff v
-        lies in the subspace."""
+        """L times v less that vector for v's entries at the pivots: an
+        integer vector for integer v, zero iff v lies in the subspace."""
         scale = self.scale
         return tuple(scale * x - y for x, y in zip(v, self.scaled_lift([v[p] for p in self.pivots])))
-
-    def reduce(self, v: Sequence[Scalar]) -> Vec:
-        """Subtract the projection onto this subspace's pivot coordinates.
-
-        The result is the canonical representative of v modulo the
-        subspace; it is zero iff v lies in the subspace.
-        """
-        w = list(qvec(v))
-        if len(w) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            if c != 0:
-                for j in range(self.ambient_dim):
-                    if row[j]:
-                        w[j] -= c * row[j]
-        return tuple(w)
-
-    def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        return is_zero_vec(self.reduce(v))
-
-    def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(b) for b in other.basis)
-
-    def coords_in(self, v: Sequence[Scalar]) -> Optional[Vec]:
-        """Coordinates of v in the RREF basis, or None if v is outside.
-
-        RREF bases are the identity on their pivot columns, so the
-        coordinate vector is just v restricted to the pivots.
-        """
-        if not self.contains_vector(v):
-            return None
-        vv = qvec(v)
-        return tuple(vv[p] for p in self.pivots)
-
-    def lift(self, coords: Sequence[Scalar]) -> Vec:
-        """The ambient vector with the given basis coordinates."""
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length mismatch")
-        out = [ZERO] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            c = Fraction(c)
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] += c * x
-        return tuple(out)
 
 
 def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:

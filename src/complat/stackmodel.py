@@ -19,12 +19,15 @@ package computes about such a stack lives in Q^rank:
 - the Hall category has special-face orbits as objects and chambers of
   restricted sub-arrangements as morphisms, composed by the Tits rule.
 
-The Weyl group is enumerated explicitly and assumed small (cap 100000).
-An element permutes the weights and roots, hence the hyperplanes up to
-sign (weyl_permutations); flats, cells and special cones move by that
-signed permutation, and matrices act only in load_spec, weyl_permutations
-and the Hall category's embeddings. Orbits are named by canonical
-representatives, so all outputs are deterministic.
+The Weyl group is enumerated explicitly and assumed small (cap 100000),
+by products with each generator held as sparse rows of (column,
+coefficient) pairs, so a permutation generator only reorders row tuples;
+covectors are pulled back the same way. An element permutes the weights
+and roots, hence the hyperplanes up to sign (weyl_permutations); flats,
+cells and special cones move by that signed permutation, and matrices act
+only in load_spec, weyl_permutations and the Hall category's embeddings.
+Orbits are named by canonical representatives, so all outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -111,15 +114,38 @@ def _as_int_vec(v, rank: int, what: str) -> IntVec:
     return tuple(v)
 
 
+def _sparse_rows(m: Matrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each row of m as the (column, coefficient) pairs of its nonzeros."""
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in m)
+
+
+def _pullback(pairs: Sequence[tuple[int, int]], g: Matrix) -> IntVec:
+    """The row vector with nonzero entries pairs times g: the sum of c * g[k]
+    over the pairs (k, c). A single pair with c = 1 is g's row k itself."""
+    if len(pairs) == 1 and pairs[0][1] == 1:
+        return g[pairs[0][0]]
+    acc = [0] * len(g)
+    for k, c in pairs:
+        for j, x in enumerate(g[k]):
+            if x:
+                acc[j] += c * x
+    return tuple(acc)
+
+
 def _enumerate_weyl(generators: Sequence[Matrix], rank: int) -> tuple[Matrix, ...]:
+    """The group generated by the matrices, sorted: the closure of the
+    identity under multiplying on the left by each generator h. Row i of
+    h * g is the sum of c * g[k] over h's row-i pairs (_sparse_rows), so a
+    permutation generator only reorders g's row tuples."""
+    sparse = [_sparse_rows(h) for h in generators]
     ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
-            for h in generators:
-                prod = mat_mul(g, h)
+            for h in sparse:
+                prod = tuple(_pullback(pairs, g) for pairs in h)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
@@ -321,9 +347,10 @@ def weyl_permutations(spec: QuotientStackSpec) -> tuple[tuple[tuple[int, int], .
     covectors = global_arrangement(spec).covectors
     signed = {w: (i, 1) for i, w in enumerate(covectors)}
     signed.update((vec_neg(w), (i, -1)) for i, w in enumerate(covectors))
+    sparse = _sparse_rows(covectors)
     out = []
     for g in spec.weyl_group:
-        pulled = [covector_times_mat(w, g) for w in covectors]
+        pulled = [_pullback(pairs, g) for pairs in sparse]
         stray = next((v for v in pulled if v not in signed), None)
         if stray is not None:
             raise InvariantError(

@@ -10,10 +10,29 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
-from complat.arrangement import minimal_flat_containing, rays_of_constraints, restrict, saturated_cone
-from complat.errors import InvariantError, SpecError
-from complat.qlinalg import dot, int_dot, is_zero_vec, kernel, primitive, qvec, vec_neg, vec_str
-from complat.stackmodel import AttractorSignature, ComponentSignature, global_arrangement
+from complat.arrangement import (
+    _checked_witness,
+    minimal_flat_containing,
+    rays_of_constraints,
+    restrict,
+    saturated_cone,
+    signed_constraints,
+    split_rays,
+)
+from complat.errors import CapExceeded, InvariantError, SpecError
+from complat.qlinalg import (
+    covector_times_mat,
+    dot,
+    int_dot,
+    is_zero_vec,
+    kernel,
+    mat_mul,
+    primitive,
+    qvec,
+    vec_neg,
+    vec_str,
+)
+from complat.stackmodel import WEYL_CAP, AttractorSignature, ComponentSignature, global_arrangement
 
 
 def vec_scale(c, v):
@@ -25,6 +44,48 @@ def vec_scale(c, v):
 def mat_vec(m, v):
     """Matrix times column vector, exact."""
     return tuple(dot(row, v) for row in m)
+
+
+def reduce_mod(space, v):
+    """v less its projection onto the subspace's pivot coordinates, over
+    the Fraction basis: the canonical representative of v modulo the
+    subspace, zero iff v lies in it."""
+    w = list(qvec(v))
+    if len(w) != space.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    for row, p in zip(space.basis, space.pivots):
+        c = w[p]
+        if c != 0:
+            w = [x - c * y for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def contains_vector(space, v):
+    return is_zero_vec(reduce_mod(space, v))
+
+
+def contains(space, other):
+    return all(contains_vector(space, b) for b in other.basis)
+
+
+def coords_in(space, v):
+    """Coordinates of v in the RREF basis, or None if v is outside: the
+    basis is the identity on its pivot columns, so they are v's entries
+    there."""
+    if not contains_vector(space, v):
+        return None
+    vv = qvec(v)
+    return tuple(vv[p] for p in space.pivots)
+
+
+def lift(space, coords):
+    """The ambient vector with the given coordinates in the RREF basis."""
+    if len(coords) != space.dim:
+        raise ValueError("coordinate length mismatch")
+    out = [Fraction(0)] * space.ambient_dim
+    for c, row in zip(coords, space.basis):
+        out = [x + Fraction(c) * y for x, y in zip(out, row)]
+    return tuple(out)
 
 
 def fraction_rref(rows, width):
@@ -140,11 +201,33 @@ def unmemoized_cone_closure(spec, rays):
     return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
 
 
+def strict_witness(covectors, s, dim):
+    """Interior point with exactly the prescribed signs, or None.
+
+    The closed cell is the cone with >= in place of >; the relatively open
+    cell is nonempty iff every strict constraint is positive on some extreme
+    ray, and then the sum of the pointed rays is a witness, whose signs
+    arrangement._checked_witness checks.
+    """
+    _, pointed = split_rays(rays_of_constraints(*signed_constraints(covectors, s), dim))
+    for w, si in zip(covectors, s):
+        if si != 0 and not any(si * int_dot(w, r) > 0 for r in pointed):
+            return None
+    return qvec(_checked_witness(covectors, s, pointed, dim))
+
+
+def realizable(arr, s):
+    """Exact emptiness test for the relatively open region with signs s."""
+    if len(s) != arr.size:
+        raise ValueError("sign vector length does not match arrangement")
+    if any(x not in (-1, 0, 1) for x in s):
+        raise ValueError("sign vector entries must be -1, 0, or 1")
+    return strict_witness(arr.covectors, s, arr.dim) is not None
+
+
 def witness_point(arr, s):
     """A rational point with exactly the signs s (must be realizable)."""
-    from complat.arrangement import _strict_witness
-
-    w = _strict_witness(arr.covectors, s, arr.dim)
+    w = strict_witness(arr.covectors, s, arr.dim)
     if w is None:
         raise ValueError(f"sign vector {s} is not realizable")
     return w
@@ -176,14 +259,14 @@ def brute_force_pointed_rays(eqs, ineqs, dim):
             ker = kernel(active, dim)
             if ker.dim != lin.dim + 1:
                 continue
-            v = next((b for b in ker.basis if not lin.contains_vector(b)), None)
+            v = next((b for b in ker.basis if not contains_vector(lin, b)), None)
             if v is None:
                 continue
             for cand in (v, vec_neg(v)):
                 if all(dot(a, cand) == 0 for a in eqs) and all(
                     dot(a, cand) >= 0 for a in ineqs
                 ):
-                    found.add(primitive(lin.reduce(cand)))
+                    found.add(primitive(reduce_mod(lin, cand)))
     return found, lin
 
 
@@ -472,15 +555,11 @@ def assignment_search_category(n_vertices, max_total):
                 for orders in product(*(permutations(blk) for blk in blocks)):
                     morphisms.append(LmsMorphism(si, ti, tuple(orders)))
 
-    def compose(m1, m2):
-        orders = tuple(tuple(k for jj in blk for k in m2.orders[jj]) for blk in m1.orders)
-        return LmsMorphism(m1.source, m2.target, orders)
-
     return FiniteCategory.build(
         objects,
         morphisms,
         lambda oi: LmsMorphism(oi, oi, tuple((j,) for j in range(len(objects[oi])))),
-        compose,
+        record_composite,
     )
 
 
@@ -492,3 +571,66 @@ def refinements_out_of(entries):
         prod(comb(n - 1, k - 1) for n, k in zip(entries, ks)) * factorial(sum(ks))
         for ks in product(*(range(1, n + 1) for n in entries))
     )
+
+
+def hall_number(quiver, q, whole, quot, sub):
+    """The number of subrepresentations of `whole` isomorphic to `sub`
+    with quotient isomorphic to `quot`."""
+    from complat.linmoduli import hall_product
+
+    return hall_product(quiver, q, {quot: 1}, {sub: 1}).get(whole, 0)
+
+
+def mat_mul_weyl_closure(generators, rank):
+    """The group generated by the matrices, sorted: the closure of the
+    identity under dense integer mat_mul on the right by each generator."""
+    ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in generators:
+                prod = mat_mul(g, h)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+                    if len(seen) > WEYL_CAP:
+                        raise CapExceeded(f"weyl group larger than cap {WEYL_CAP}")
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def covector_weyl_permutations(spec):
+    """weyl_permutations by covector_times_mat: each covector of the global
+    arrangement pulled back along each Weyl element by a dense row-times-
+    matrix product, and looked up up to sign."""
+    covectors = global_arrangement(spec).covectors
+    signed = {w: (i, 1) for i, w in enumerate(covectors)}
+    signed.update((vec_neg(w), (i, -1)) for i, w in enumerate(covectors))
+    out = []
+    for g in spec.weyl_group:
+        pulled = [covector_times_mat(w, g) for w in covectors]
+        stray = next((v for v in pulled if v not in signed), None)
+        if stray is not None:
+            raise InvariantError(
+                f"weyl element {g} pulls a covector back to {vec_str(stray)}, off the arrangement"
+            )
+        out.append(tuple(signed[v] for v in pulled))
+    return tuple(out)
+
+
+def fraction_basis_key(flat):
+    """The flats sort key by the Fraction basis: decreasing dimension, then
+    the RREF basis entries in row order."""
+    return -flat.dim, tuple(x for row in flat.subspace.basis for x in row)
+
+
+def record_composite(m1, m2):
+    """Composite of two tuple-category morphisms as an LmsMorphism record:
+    each source entry's run is the concatenation of the second morphism's
+    runs over the first one's block, element by element."""
+    from complat.linmoduli import LmsMorphism
+
+    orders = tuple(tuple(k for jj in blk for k in m2.orders[jj]) for blk in m1.orders)
+    return LmsMorphism(m1.source, m2.target, orders)

@@ -405,6 +405,20 @@ def test_a_field_too_large_for_its_tables_exits_3(capsys, q):
     assert err.startswith(f"cap exceeded: field size {q}:")
 
 
+# the shear generates an infinite group, so enumerating it hits the Weyl cap
+INFINITE_WEYL = {
+    "type": "linear_quotient", "rank": 2, "weights": [], "roots": [], "weyl_generators": [[[1, 1], [0, 1]]]
+}
+
+
+def test_an_infinite_weyl_group_exits_3(capsys, tmp_path):
+    doc = tmp_path / "shear.json"
+    doc.write_text(json.dumps(INFINITE_WEYL))
+    code, out, err = run_cli(capsys, "faces", doc)
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: weyl group larger than cap 100000\n"
+
+
 @pytest.mark.parametrize("token", ["1.5", "1e400", "NaN", "-Infinity"])
 @pytest.mark.parametrize(
     "argv",
@@ -450,6 +464,33 @@ def test_a_request_over_a_cap_exits_3_under_python_O():
     )
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr.startswith("cap exceeded: orbit sweep of ")
+
+
+def test_an_infinite_weyl_group_exits_3_under_python_O(tmp_path):
+    doc = tmp_path / "shear.json"
+    doc.write_text(json.dumps(INFINITE_WEYL))
+    result = _spawn_optimized(f"sys.exit(main(['faces', {str(doc)!r}]))\n")
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == "cap exceeded: weyl group larger than cap 100000\n"
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the read end is closed before the child writes, as when a filter such
+    # as head -c 10 has already exited; 141 is 128 + SIGPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "complat.cli", "faces", str(SPECS / "a2_quiver.json")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=REPO,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == ""
 
 
 # -- cache and determinism ------------------------------------------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from complat import linmoduli as lm
+from complat.category import FiniteCategory
 from complat.errors import CapExceeded, InvariantError, SpecError
 
 from oracles import (
@@ -23,10 +24,12 @@ from oracles import (
     gaussian_binomial,
     general_linear,
     gl_order,
+    hall_number,
     integer_partitions,
     naive_gf_inverse,
     naive_gf_mat_mul,
     naive_gf_mat_vec,
+    record_composite,
     refinements_out_of,
 )
 
@@ -419,18 +422,18 @@ def test_hall_numbers_see_the_extension_direction(a2):
     simple_v = ((0, 1), 0)
     zero_map = ((1, 1), 0)
     iso_map = ((1, 1), 1)
-    assert lm.hall_number(a2, 2, iso_map, simple_u, simple_v) == 1
-    assert lm.hall_number(a2, 2, iso_map, simple_v, simple_u) == 0
-    assert lm.hall_number(a2, 2, zero_map, simple_u, simple_v) == 1
-    assert lm.hall_number(a2, 2, zero_map, simple_v, simple_u) == 1
-    assert lm.hall_number(a2, 2, iso_map, simple_u, simple_u) == 0
+    assert hall_number(a2, 2, iso_map, simple_u, simple_v) == 1
+    assert hall_number(a2, 2, iso_map, simple_v, simple_u) == 0
+    assert hall_number(a2, 2, zero_map, simple_u, simple_v) == 1
+    assert hall_number(a2, 2, zero_map, simple_v, simple_u) == 1
+    assert hall_number(a2, 2, iso_map, simple_u, simple_u) == 0
 
 
 def test_hall_numbers_count_subspaces_on_one_vertex(one_vertex):
     whole = ((2,), 0)
     simple = ((1,), 0)
-    assert lm.hall_number(one_vertex, 2, whole, simple, simple) == 3
-    assert lm.hall_number(one_vertex, 3, whole, simple, simple) == 4
+    assert hall_number(one_vertex, 2, whole, simple, simple) == 3
+    assert hall_number(one_vertex, 3, whole, simple, simple) == 4
 
 
 def test_hall_product_is_not_commutative_on_the_path(a2):
@@ -651,6 +654,19 @@ def test_refinement_category_matches_the_assignment_search(n_vertices, max_total
     assert cat.identities == oracle.identities
     assert cat.composition == oracle.composition
     assert cat.by_source == oracle.by_source
+
+
+@pytest.mark.parametrize("n_vertices,max_total", [(1, 4), (2, 4), (3, 3)])
+def test_tuple_composites_match_the_record_building_composite(n_vertices, max_total):
+    cat = lm.hall_category_lms(n_vertices, max_total)
+    oracle = FiniteCategory.build(
+        cat.objects,
+        cat.morphisms,
+        lambda oi: lm.LmsMorphism(oi, oi, tuple((j,) for j in range(len(cat.objects[oi])))),
+        record_composite,
+    )
+    assert cat.identities == oracle.identities
+    assert cat.composition == oracle.composition
 
 
 def test_one_vertex_refinements_out_of_each_object_match_the_closed_form():

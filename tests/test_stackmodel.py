@@ -8,6 +8,7 @@ rank 1, the rank-3 root arrangement) before the implementation existed.
 import json
 import random
 from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -29,10 +30,11 @@ from complat.arrangement import (
     signed_constraints,
     split_rays,
 )
-from complat.errors import InvariantError, SpecError
+from complat.errors import CapExceeded, InvariantError, SpecError
 from complat.category import FiniteCategory
 from complat.qlinalg import (
     canonical_covector_signed,
+    covector_times_mat,
     dot,
     mat_mul,
     primitive,
@@ -69,7 +71,13 @@ from complat.stackmodel import (
 from oracles import (
     brute_force_flats,
     cone_contains_point,
+    contains,
+    coords_in,
     cotangent_arrangement,
+    covector_weyl_permutations,
+    fraction_basis_key,
+    lift,
+    mat_mul_weyl_closure,
     mat_vec,
     span_signature,
     unmemoized_cone_closure,
@@ -181,6 +189,134 @@ def test_load_spec_rejects_symmetry_violations():
     doc = dict(B_GL3, roots=[[1, -1, 0], [-1, 1, 0]])
     with pytest.raises(SpecError, match="root set"):
         load_spec(doc)
+
+
+def braid_spec(n):
+    """The rank-n braid arrangement: no weights, roots e_i - e_j, Weyl group
+    the symmetric group by adjacent transpositions."""
+    unit = lambda i: [int(k == i) for k in range(n)]
+    roots = [[a - b for a, b in zip(unit(i), unit(j))] for i in range(n) for j in range(n) if i != j]
+    gens = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        gens.append([unit(swap.get(r, r)) for r in range(n)])
+    return {"type": "linear_quotient", "rank": n, "weights": [], "roots": roots, "weyl_generators": gens}
+
+
+def _quiver_models():
+    """(gamma, quotient model) over the crosscheck ranges: the a2 quiver up
+    to total 6 and a -> b -> c up to total 4."""
+    a2 = {"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"]]}
+    a3 = {"type": "quiver", "vertices": ["a", "b", "c"], "arrows": [["a", "b"], ["b", "c"]]}
+    out = []
+    for doc, max_total in ((a2, 6), (a3, 4)):
+        quiver = lm.load_quiver(doc)
+        for total in range(1, max_total + 1):
+            out.extend((g, lm.quotient_spec_doc(quiver, g)) for g in lm.dim_vectors(quiver.n_vertices, total))
+    return out
+
+
+QUIVER_MODELS = _quiver_models()
+SHIPPED_WEYL_ORDERS = {"a1_gm": 1, "a2_gl2": 2, "b_gl2": 2, "b_gl3": 6, "b_gl4": 24, "b_gm": 1, "rank3_mixed": 2}
+
+
+def _weyl_oracle_cases():
+    docs = [json.loads((SPECS / f"{name}.json").read_text()) for name in LINEAR_SPECS]
+    return docs + [SKEW3] + [braid_spec(n) for n in range(2, 7)] + [doc for _, doc in QUIVER_MODELS]
+
+
+def test_quiver_quotient_models_have_the_product_of_symmetric_groups():
+    for gamma, doc in QUIVER_MODELS:
+        assert len(load_spec(doc).weyl_group) == prod(factorial(g) for g in gamma), gamma
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_braid_weyl_groups_are_symmetric_groups(n):
+    assert len(load_spec(braid_spec(n)).weyl_group) == factorial(n)
+
+
+def test_shipped_specs_keep_their_weyl_orders():
+    orders = {name: len(_named_spec(name).weyl_group) for name in LINEAR_SPECS}
+    assert orders == SHIPPED_WEYL_ORDERS
+
+
+def test_sparse_weyl_products_match_dense_mat_mul():
+    for doc in _weyl_oracle_cases():
+        spec = load_spec(doc)
+        assert spec.weyl_group == mat_mul_weyl_closure(spec.weyl_generators, spec.rank)
+        assert weyl_permutations(spec) == covector_weyl_permutations(spec)
+
+
+def _elementary(rng, n):
+    """A random unimodular I + c E_ij and its inverse I - c E_ij."""
+    i, j = rng.sample(range(n), 2)
+    c = rng.choice([-3, -2, -1, 1, 2, 3])
+    e = [[int(r == k) for k in range(n)] for r in range(n)]
+    inv = [row[:] for row in e]
+    e[i][j], inv[i][j] = c, -c
+    return e, inv
+
+
+def _conjugated_signed_permutations(rng, n):
+    """A finite group of integer matrices with negative entries and entries
+    above 1: signed permutation generators conjugated by a random
+    unimodular matrix u, as u^-1 p u, with the orbit of one random covector
+    as its weights."""
+    u = inv = tuple(tuple(int(r == k) for k in range(n)) for r in range(n))
+    for _ in range(3):
+        e, e_inv = _elementary(rng, n)
+        u, inv = mat_mul(u, e), mat_mul(e_inv, inv)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        perm = rng.sample(range(n), n)
+        p = [[rng.choice((-1, 1)) * int(k == perm[r]) for k in range(n)] for r in range(n)]
+        gens.append(mat_mul(mat_mul(inv, p), u))
+    group = mat_mul_weyl_closure(gens, n)
+    w = tuple(rng.randint(-3, 3) for _ in range(n))
+    weights = sorted({covector_times_mat(w, g) for g in group} - {(0,) * n})
+    doc = {"type": "linear_quotient", "rank": n, "weights": weights, "roots": [], "weyl_generators": gens}
+    return doc, group
+
+
+def test_sparse_weyl_products_match_dense_mat_mul_on_unimodular_generators():
+    rng = random.Random(18)
+    entries = set()
+    for _ in range(12):
+        doc, group = _conjugated_signed_permutations(rng, rng.randint(2, 4))
+        entries.update(x for g in doc["weyl_generators"] for row in g for x in row)
+        spec = load_spec(doc)
+        assert spec.weyl_group == group
+        assert weyl_permutations(spec) == covector_weyl_permutations(spec)
+    assert max(entries) > 1 and min(entries) < -1, entries
+
+
+def test_flats_sort_as_by_their_fraction_bases():
+    for doc in _weyl_oracle_cases():
+        out = flats(global_arrangement(load_spec(doc)))
+        keys = [fraction_basis_key(f) for f in out]
+        assert keys == sorted(set(keys))
+
+
+def test_an_infinite_weyl_group_exceeds_the_cap():
+    doc = {"type": "linear_quotient", "rank": 2, "weights": [], "roots": [], "weyl_generators": [[[1, 1], [0, 1]]]}
+    with pytest.raises(CapExceeded, match=r"^weyl group larger than cap 100000$"):
+        load_spec(doc)
+
+
+def _fan_of_weights(count):
+    """Rank 2 with the weights (1, k), k < count: count distinct
+    restrictions on the ambient flat."""
+    weights = [[1, k] for k in range(count)]
+    return {"type": "linear_quotient", "rank": 2, "weights": weights, "roots": [], "weyl_generators": []}
+
+
+def test_special_cones_stay_under_the_constraint_cap():
+    assert enumerate_special_cones(load_spec(_fan_of_weights(12)))
+
+
+def test_special_cones_over_the_constraint_cap_raise():
+    with pytest.raises(CapExceeded, match=r"^special cones: 13 constraints on a flat exceeds cap 12$"):
+        enumerate_special_cones(load_spec(_fan_of_weights(13)))
 
 
 # -- graded and filtered signatures on the rank-2 picture -----------------------
@@ -372,12 +508,12 @@ def test_closure_is_extensive_idempotent_monotone():
         vecs = _random_vectors(rng, spec.rank, rng.randint(0, 3))
         face = Face.from_vectors(vecs, spec.rank)
         flat = special_face_closure(spec, face)
-        assert flat.subspace.contains(face.subspace)
+        assert contains(flat.subspace, face.subspace)
         again = special_face_closure(spec, Face(flat.subspace))
         assert again == flat
         sub_face = Face.from_vectors(vecs[: len(vecs) // 2], spec.rank)
         sub_flat = special_face_closure(spec, sub_face)
-        assert flat.subspace.contains(sub_flat.subspace)
+        assert contains(flat.subspace, sub_flat.subspace)
 
 
 def test_central_rank_detects_special_faces():
@@ -403,7 +539,7 @@ def test_closure_laws_hypothesis(spec_idx, data):
     more = data.draw(st.lists(vec, max_size=2))
     small = special_face_closure(spec, Face.from_vectors(vecs, spec.rank))
     big = special_face_closure(spec, Face.from_vectors(vecs + more, spec.rank))
-    assert big.subspace.contains(small.subspace)
+    assert contains(big.subspace, small.subspace)
     assert special_face_closure(spec, Face(small.subspace)) == small
 
 
@@ -496,11 +632,11 @@ def _act_cone_by_saturation(spec, ambient_rays, g):
     moved = [mat_vec(g, r) for r in ambient_rays]
     carrier = span(moved, spec.rank)
     arr_f = restrict(global_arrangement(spec), carrier)
-    sat = saturated_cone(arr_f, [carrier.coords_in(v) for v in moved])
+    sat = saturated_cone(arr_f, [coords_in(carrier, v) for v in moved])
     eqs = [arr_f.covectors[i] for i in sat.zero_set]
     ineqs = [vec_scale(s, arr_f.covectors[i]) for i, s in sat.nonneg_set]
     rays = rays_of_constraints(eqs, ineqs, carrier.dim)
-    return tuple(sorted(primitive(carrier.lift(r)) for r in rays))
+    return tuple(sorted(primitive(lift(carrier, r)) for r in rays))
 
 
 def test_weyl_action_on_cones_matches_the_saturation_route(a2gl2, bgl3):
@@ -536,7 +672,7 @@ def test_cone_closure_is_idempotent_and_extensive(anyspec):
             assert cone_contains_point(
                 sig.cone,
                 cotangent_arrangement(anyspec, Face(sig.flat.subspace)),
-                sig.flat.subspace.coords_in(qvec(r)),
+                coords_in(sig.flat.subspace, qvec(r)),
             )
         again = special_cone_closure(anyspec, [qvec(r) for r in sig.ambient_rays] or [(0,) * anyspec.rank])
         assert again.ambient_rays == sig.ambient_rays
@@ -550,7 +686,7 @@ def _cone_closure_by_fractions(spec, rays):
     arr = global_arrangement(spec)
     flat = minimal_flat_containing(arr, span(rays, spec.rank).basis)
     carrier = flat.subspace
-    coords = [carrier.coords_in(r) for r in rays]
+    coords = [coords_in(carrier, r) for r in rays]
     restrictions = set()
     for w in spec.weights + spec.roots:
         vals = [dot(w, b) for b in carrier.basis]
@@ -559,7 +695,7 @@ def _cone_closure_by_fractions(spec, rays):
     ineqs = [l for l in sorted(restrictions) if all(dot(l, c) >= 0 for c in coords)]
     cone_rays = rays_of_constraints([], ineqs, carrier.dim)
     cone = saturated_cone(restrict(arr, carrier), cone_rays)
-    ambient = tuple(sorted(primitive(carrier.lift(r)) for r in cone_rays))
+    ambient = tuple(sorted(primitive(lift(carrier, r)) for r in cone_rays))
     attractor = tuple(w for w in spec.weights if all(dot(w, a) >= 0 for a in ambient))
     parabolic = tuple(r for r in spec.roots if all(dot(r, a) >= 0 for a in ambient))
     levi = _signature_by_fractions(spec, span(ambient, spec.rank))
@@ -692,7 +828,7 @@ def test_constancy_samples_are_positive_multiples_of_the_drawn_points(monkeypatc
             for b in (r for r in lin if r < vec_neg(r)):
                 c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 64), rng.randint(1, 64))
                 v = [x + c * y for x, y in zip(v, b)]
-            drawn.append(carrier.lift(v))
+            drawn.append(lift(carrier, v))
     sampled = []
     closure = sm.special_cone_closure
 
@@ -756,7 +892,7 @@ def _hall_category_by_fractions(spec):
                 continue
             embeddings = set()
             for g in spec.weyl_group:
-                rows = tuple(b.coords_in(v) for v in mat_mul(a.basis, tuple(zip(*g))))
+                rows = tuple(coords_in(b, v) for v in mat_mul(a.basis, tuple(zip(*g))))
                 if None not in rows:
                     embeddings.add(rows)
             for emb in sorted(embeddings):
