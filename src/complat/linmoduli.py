@@ -7,13 +7,14 @@ isomorphism classes come from an orbit sweep that closes each orbit under
 a generating set of the base-change group (transvections plus one diagonal
 matrix per vertex, each a row operation on the arrows into its vertex and
 a column operation on those out of it), and Hall numbers count actual
-subrepresentations. Each class's subrepresentations are enumerated once
-per pair of dimension vectors and tabulated by the classes of sub and
-quotient, so a Hall product is a sparse sum over that table; the flag
-counts that check associativity enumerate chains once per triple of
-dimension vectors, independently of the products. Everything is guarded by
-caps and enumerated in lexicographic order, so results are deterministic
-and independent of the process.
+subrepresentations. Each representation's subrepresentations of one
+dimension vector are enumerated once per process, and that enumeration is
+shared by the Hall tables, which count them by the classes of sub and
+quotient so a Hall product is a sparse sum, and by the flag tables that
+check associativity, which count chains directly and never read a Hall
+table or a product. Everything is guarded by caps and enumerated in
+lexicographic order, so results are deterministic and independent of the
+process.
 
 The combinatorial side mirrors the geometry of the moduli of objects: the
 special faces of the stack of representations with dimension vector gamma
@@ -668,12 +669,24 @@ def _class_index(classes: IsoClasses, rep: Rep, where: str) -> int:
 
 
 @lru_cache(maxsize=None)
+def _subreps(quiver: Quiver, q: int, rep: Rep, gamma: DimVector, sub: DimVector) -> tuple[tuple[Rep, Rep], ...]:
+    """The (sub, quotient) representations of every invariant subspace
+    tuple of rep with dimension vector sub, in subrep_spaces order. The key
+    is the literal representation, not its class: one met as a class
+    representative and as the middle of a flag is enumerated once."""
+    return tuple(
+        (sub_rep(quiver, rep, spaces, q), quotient_rep(quiver, gamma, rep, spaces, q))
+        for spaces in subrep_spaces(quiver, rep, gamma, q, sub)
+    )
+
+
+@lru_cache(maxsize=None)
 def _hall_table(quiver: Quiver, q: int, gamma: DimVector, sub: DimVector) -> tuple[Counter, ...]:
     """For each class of gamma, its subrepresentations of dimension vector
     sub counted by (quotient class, sub class), each an index into the
-    classes of its own dimension vector. One enumeration serves every
-    convolution of classes of these dimension vectors; callers must not
-    mutate the shared counters."""
+    classes of its own dimension vector, read from the enumeration _subreps
+    shares with the flag tables. One table serves every convolution of
+    classes of these dimension vectors; callers must not mutate it."""
     quot = tuple(g - k for g, k in zip(gamma, sub))
     whole = iso_classes(quiver, gamma, q)
     subs = iso_classes(quiver, sub, q)
@@ -682,9 +695,9 @@ def _hall_table(quiver: Quiver, q: int, gamma: DimVector, sub: DimVector) -> tup
     table = []
     for rep in whole.reps:
         counts: Counter = Counter()
-        for spaces in subrep_spaces(quiver, rep, gamma, q, sub):
-            sc = _class_index(subs, sub_rep(quiver, rep, spaces, q), where)
-            qc = _class_index(quots, quotient_rep(quiver, gamma, rep, spaces, q), where)
+        for low, top in _subreps(quiver, q, rep, gamma, sub):
+            sc = _class_index(subs, low, where)
+            qc = _class_index(quots, top, where)
             counts[qc, sc] += 1
         table.append(counts)
     return tuple(table)
@@ -693,9 +706,9 @@ def _hall_table(quiver: Quiver, q: int, gamma: DimVector, sub: DimVector) -> tup
 def hall_product(quiver: Quiver, q: int, f: dict, g: dict) -> dict:
     """Convolution of class functions: (f*g)(L) = sum over subreps S of L
     of f(L/S) * g(S). f and g map ClassRef -> value; zero results are
-    dropped. The subrepresentations are enumerated once per pair of
-    dimension vectors (_hall_table), so a call is a sparse sum over the
-    class pairs that occur."""
+    dropped. The counts come from the table of each pair of dimension
+    vectors (_hall_table), so a call is a sparse sum over the class pairs
+    that occur."""
     out: dict = {}
     for df in sorted({ref[0] for ref in f}):
         for dg in sorted({ref[0] for ref in g}):
@@ -740,19 +753,21 @@ def _triples_within(
 def verify_counting_hall(quiver: Quiver, q: int, max_total: int) -> dict:
     """Associativity of the convolution on every triple of classes with
     total dimension at most max_total, cross-checked against direct
-    two-step flag counts. Both sides enumerate subrepresentations once per
-    pair (products) or triple (flags) of dimension vectors, and the flags
-    are still counted independently: as chains, not through products."""
+    two-step flag counts. The product of each pair of classes is computed
+    once per run. Both sides read the subrepresentations that _subreps
+    enumerates once per process, and the flags are still counted
+    independently: as chains, never through a Hall table or a product."""
     refs: list[ClassRef] = []
     for total in range(max_total + 1):
         for gamma in dim_vectors(quiver.n_vertices, total):
             refs.extend(class_refs(quiver, q, gamma))
+    pair = lru_cache(maxsize=None)(lambda x, y: hall_product(quiver, q, {x: 1}, {y: 1}))
     triples = 0
     flag_checks = 0
     for ra, rb, rc in _triples_within(refs, max_total):
         triples += 1
-        left = hall_product(quiver, q, hall_product(quiver, q, {ra: 1}, {rb: 1}), {rc: 1})
-        right = hall_product(quiver, q, {ra: 1}, hall_product(quiver, q, {rb: 1}, {rc: 1}))
+        left = hall_product(quiver, q, pair(ra, rb), {rc: 1})
+        right = hall_product(quiver, q, {ra: 1}, pair(rb, rc))
         if left != right:
             return {"ok": False, "triple": (ra, rb, rc), "left": left, "right": right}
         gamma = tuple(x + y + z for x, y, z in zip(ra[0], rb[0], rc[0]))
@@ -772,8 +787,10 @@ def _flag_table(
     """For each class L of da + db + dc, its chains S1 <= S2 <= L with S1
     of dimension vector dc and S2/S1 of db, counted by the classes (a, b, c)
     of L/S2, S2/S1 and S1. Inner subspaces are enumerated inside S2 written
-    in its own basis, which identifies them with subspaces of L. The
-    chains are enumerated directly, never through _hall_table."""
+    in its own basis, which identifies them with subspaces of L: the inner
+    read of _subreps is keyed on that literal S2, never on its class
+    representative. The chains are counted directly, never through
+    _hall_table or a product; they share only the enumeration."""
     mid_gamma = tuple(b + c for b, c in zip(db, dc))
     gamma = tuple(a + m for a, m in zip(da, mid_gamma))
     whole = iso_classes(quiver, gamma, q)
@@ -784,12 +801,11 @@ def _flag_table(
     table = []
     for rep in whole.reps:
         counts: Counter = Counter()
-        for spaces2 in subrep_spaces(quiver, rep, gamma, q, mid_gamma):
-            a = _class_index(quots_a, quotient_rep(quiver, gamma, rep, spaces2, q), where)
-            mid = sub_rep(quiver, rep, spaces2, q)
-            for spaces1 in subrep_spaces(quiver, mid, mid_gamma, q, dc):
-                c = _class_index(subs_c, sub_rep(quiver, mid, spaces1, q), where)
-                b = _class_index(quots_b, quotient_rep(quiver, mid_gamma, mid, spaces1, q), where)
+        for mid, top in _subreps(quiver, q, rep, gamma, mid_gamma):
+            a = _class_index(quots_a, top, where)
+            for low, between in _subreps(quiver, q, mid, mid_gamma, dc):
+                c = _class_index(subs_c, low, where)
+                b = _class_index(quots_b, between, where)
                 counts[a, b, c] += 1
         table.append(counts)
     return tuple(table)
@@ -799,7 +815,8 @@ def _count_flags(quiver: Quiver, q: int, li: int, ra: ClassRef, rb: ClassRef, rc
     """Chains S1 <= S2 <= L, for L the class li of the total dimension
     vector, with S1 of class rc, S2/S1 of class rb and L/S2 of class ra.
     Read from the flag table of the three dimension vectors, which counts
-    chains once per triple of dimension vectors and never by class."""
+    chains once per triple of dimension vectors, from the subrepresentations
+    enumerated once per process, and never through a Hall table."""
     return _flag_table(quiver, q, ra[0], rb[0], rc[0])[li].get((ra[1], rb[1], rc[1]), 0)
 
 

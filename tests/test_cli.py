@@ -333,7 +333,7 @@ def test_a_sample_outside_its_chamber_exits_4(capsys, monkeypatch):
     assert err.startswith("invariant broken: sample (") and " left chamber (" in err
 
 
-def test_a_class_missing_from_its_sweep_exits_4(capsys, monkeypatch):
+def test_a_class_missing_from_its_sweep_exits_4(capsys, monkeypatch, fresh_memos):
     # the sweep of (1, 1) loses the nonzero map u -> v, which the Hall
     # table of (1, 1) meets again as the subrepresentation on everything
     sweep = lm.iso_classes
@@ -346,8 +346,6 @@ def test_a_class_missing_from_its_sweep_exits_4(capsys, monkeypatch):
         return classes._replace(class_of=class_of)
 
     monkeypatch.setattr(lm, "iso_classes", lossy)
-    lm._hall_table.cache_clear()
-    lm._flag_table.cache_clear()
     code, out, err = run_cli(
         capsys, "verify", SPECS / "a2_quiver.json", "--suite", "associativity", "--q", 2,
         "--max-dim", 2,

@@ -477,27 +477,28 @@ def _refs_up_to(quiver, q, max_total):
     ]
 
 
+# a2 at q = 2 goes to total 4, where many tables share _subreps entries
 TABLE_CASES = [
-    (ONE_VERTEX, 2),
-    (ONE_VERTEX, 3),
-    (A2, 2),
-    (A2, 3),
-    (KRONECKER, 2),
-    (KRONECKER, 3),
-    (JORDAN, 2),
+    (ONE_VERTEX, 2, 3),
+    (ONE_VERTEX, 3, 3),
+    (A2, 2, 4),
+    (A2, 3, 3),
+    (KRONECKER, 2, 3),
+    (KRONECKER, 3, 3),
+    (JORDAN, 2, 3),
 ]
 TABLE_IDS = [f"{name}-q{q}" for name, q in zip(
     ("one_vertex", "one_vertex", "a2", "a2", "kronecker", "kronecker", "jordan"),
-    (q for _, q in TABLE_CASES),
+    (q for _, q, _ in TABLE_CASES),
 )]
 
 
-@pytest.mark.parametrize("doc,q", TABLE_CASES, ids=TABLE_IDS)
-def test_hall_tables_match_products_enumerated_per_call(doc, q):
+@pytest.mark.parametrize("doc,q,max_total", TABLE_CASES, ids=TABLE_IDS)
+def test_hall_tables_match_products_enumerated_per_call(doc, q, max_total):
     quiver = lm.load_quiver(doc)
-    refs = _refs_up_to(quiver, q, 3)
+    refs = _refs_up_to(quiver, q, max_total)
     for ra, rb in itertools.product(refs, repeat=2):
-        if sum(ra[0]) + sum(rb[0]) > 3:
+        if sum(ra[0]) + sum(rb[0]) > max_total:
             continue
         direct = direct_hall_product(quiver, q, {ra: 1}, {rb: 1})
         assert lm.hall_product(quiver, q, {ra: 1}, {rb: 1}) == direct
@@ -507,12 +508,12 @@ def test_hall_tables_match_products_enumerated_per_call(doc, q):
             assert counts[ra[1], rb[1]] == direct.get((gamma, li), 0)
 
 
-@pytest.mark.parametrize("doc,q", TABLE_CASES, ids=TABLE_IDS)
-def test_flag_tables_match_chains_enumerated_per_class_triple(doc, q):
+@pytest.mark.parametrize("doc,q,max_total", TABLE_CASES, ids=TABLE_IDS)
+def test_flag_tables_match_chains_enumerated_per_class_triple(doc, q, max_total):
     quiver = lm.load_quiver(doc)
-    refs = _refs_up_to(quiver, q, 3)
+    refs = _refs_up_to(quiver, q, max_total)
     for ra, rb, rc in itertools.product(refs, repeat=3):
-        if sum(ra[0]) + sum(rb[0]) + sum(rc[0]) > 3:
+        if sum(ra[0]) + sum(rb[0]) + sum(rc[0]) > max_total:
             continue
         gamma = tuple(x + y + z for x, y, z in zip(ra[0], rb[0], rc[0]))
         for li, rep in enumerate(lm.iso_classes(quiver, gamma, q).reps):
@@ -520,7 +521,7 @@ def test_flag_tables_match_chains_enumerated_per_class_triple(doc, q):
             assert lm._count_flags(quiver, q, li, ra, rb, rc) == expected
 
 
-def test_a_wrong_hall_table_is_caught_by_the_flag_counts(monkeypatch, a2):
+def test_a_wrong_hall_table_is_caught_by_the_flag_counts(monkeypatch, fresh_memos, a2):
     # one extra subrepresentation of the zero map u -> v with sub S_v and
     # quotient S_u: both bracketings read the same wrong count, so only the
     # independently counted flags can see it
@@ -539,12 +540,39 @@ def test_a_wrong_hall_table_is_caught_by_the_flag_counts(monkeypatch, a2):
     assert report["flags"] == 1
 
 
+def test_each_subrepresentation_and_pair_product_is_computed_once_per_run(monkeypatch, fresh_memos, a2):
+    # the Hall and flag tables share one enumeration per (rep, gamma, sub),
+    # and the product of each pair of classes is formed once: every triple
+    # adds its two bracketings and only new pairs add an inner product
+    enumerated = Counter()
+    products = []
+    subrep_spaces, hall_product = lm.subrep_spaces, lm.hall_product
+
+    def counted_spaces(quiver, rep, gamma, q, sub):
+        enumerated[rep, gamma, sub] += 1
+        return subrep_spaces(quiver, rep, gamma, q, sub)
+
+    def counted_product(quiver, q, f, g):
+        products.append((f, g))
+        return hall_product(quiver, q, f, g)
+
+    monkeypatch.setattr(lm, "subrep_spaces", counted_spaces)
+    monkeypatch.setattr(lm, "hall_product", counted_product)
+    report = lm.verify_counting_hall(a2, 2, 4)
+    assert report == {"ok": True, "classes": 22, "triples": 300, "flag_checks": 600}
+    assert set(enumerated.values()) == {1} and len(enumerated) == 144
+    triples = list(lm._triples_within(_refs_up_to(a2, 2, 4), 4))
+    pairs = {p for ra, rb, rc in triples for p in ((ra, rb), (rb, rc))}
+    assert len(products) == 2 * len(triples) + len(pairs) == 703
+
+
 @pytest.mark.parametrize(
     "spec,q,max_total,expected",
     [
         ("a2_quiver", 2, 4, (22, 300, 600)),
         ("a2_quiver", 3, 3, (13, 105, 171)),
         ("jordan", 2, 3, (23, 159, 1901)),
+        ("a2_quiver", 2, 5, (34, 756, 1734)),
     ],
 )
 def test_counting_reports_of_the_benchmark_configurations(spec, q, max_total, expected):
