@@ -7,7 +7,8 @@ the direction the chamber remembers, which is the first-nonzero
 composition of sign vectors. Associativity of that rule is checked
 exhaustively over every composable triple. The category is a
 complat.category.FiniteCategory: morphisms are indexed in sorted order,
-`by_source` lists them per source object, and `compose` reads the table.
+and its table is one row per morphism i, `then[i]`, mapping each morphism
+j out of i's target to the index of "i then j"; `compose` reads it.
 
 Run from the repository root:  python3 demos/03_hall_category.py
 """
@@ -46,7 +47,7 @@ def main():
     composable = [
         (i, j)
         for i, m1 in enumerate(cat.morphisms)
-        for j in cat.by_source[m1.target]
+        for j in cat.then[i]
         if m1.source != m1.target != cat.morphisms[j].target
     ]
     i, j = composable[0]

@@ -453,9 +453,9 @@ def special_cone_closure(
     is an integer one.
 
     The flat, the containment check and the selection run on every call;
-    the cone and its signature are a function of (spec, the flat's
-    hyperplanes, the selected restrictions) alone and come from _cone_of,
-    computed once per such key: every sample of a chamber selects the same.
+    the cone and its signature are a function of (spec, flat, the selected
+    restrictions) alone and come from _cone_of, which memoizes them on
+    those arguments: every sample of a chamber selects the same.
     """
     rays = [primitive(r) for r in rays if not is_zero_vec(r)]
     flat = minimal_flat_containing(global_arrangement(spec), rays)
@@ -476,25 +476,19 @@ def special_cone_closure(
     return _cone_of(spec, flat, tuple(ineqs))
 
 
-_cones: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _cone_of(spec: QuotientStackSpec, flat: Flat, ineqs: tuple[IntVec, ...]) -> AttractorSignature:
     """The cone cut out of the carrier flat by the restrictions ineqs, with
-    its signature, memoized on (spec, flat.hyperplanes, ineqs): the
-    hyperplanes fix a flat of the global arrangement, and integer tuples
-    hash without Fraction arithmetic."""
-    key = (spec, flat.hyperplanes, ineqs)
-    if (sig := _cones.get(key)) is None:
-        carrier = flat.subspace
-        cone_rays = rays_of_constraints([], ineqs, carrier.dim)
-        cone = saturated_cone(restricted_arrangement(spec, carrier), cone_rays)
-        ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
-        attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
-        parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
-        levi = _span_signature(spec, ambient, cone.dim)
-        sig = _cones[key] = AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
-    return sig
+    its signature, memoized on its arguments: a flat hashes its integer
+    hyperplane indices and rows only."""
+    carrier = flat.subspace
+    cone_rays = rays_of_constraints([], ineqs, carrier.dim)
+    cone = saturated_cone(restricted_arrangement(spec, carrier), cone_rays)
+    ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
+    attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
+    parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
+    levi = _span_signature(spec, ambient, cone.dim)
+    return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
 
 
 class ConeOrbit(NamedTuple):
@@ -748,7 +742,7 @@ def _compose_morphisms(
 
 def verify_hall_category(cat: FiniteCategory) -> dict:
     """Exhaustively check unit laws and associativity of the table."""
-    return {**check_laws(cat), "pairs": len(cat.composition)}
+    return {**check_laws(cat), "pairs": sum(map(len, cat.then))}
 
 
 def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategory) -> bool:
@@ -782,14 +776,15 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
         rays.append(cone)
         nonneg.append(sum(1 << t for t, v in enumerate(target) if all(int_dot(v, r) >= 0 for r in cone)))
         pulled.append(tuple(tuple(int_dot(row, v) for row in m.embedding) for v in target))
-    for (i, j), k in cat.composition.items():
-        seen = degen = 0
-        for t, v in enumerate(pulled[j]):
-            vals = [int_dot(v, r) for r in rays[i]]
-            if all(x >= 0 for x in vals):
-                seen |= 1 << t
-                if not any(vals):
-                    degen |= 1 << t
-        if nonneg[k] != (seen & ~degen) | (degen & nonneg[j]):
-            return False
+    for i, then_i in enumerate(cat.then):
+        for j, k in then_i.items():
+            seen = degen = 0
+            for t, v in enumerate(pulled[j]):
+                vals = [int_dot(v, r) for r in rays[i]]
+                if all(x >= 0 for x in vals):
+                    seen |= 1 << t
+                    if not any(vals):
+                        degen |= 1 << t
+            if nonneg[k] != (seen & ~degen) | (degen & nonneg[j]):
+                return False
     return True

@@ -83,7 +83,7 @@ def test_unit_laws_and_associativity(categories, name):
     _, cat = categories[name]
     report = verify_hall_category(cat)
     assert report["ok"], report
-    assert report["pairs"] == len(cat.composition)
+    assert report["pairs"] == sum(len(row) for row in cat.then)
 
 
 def test_exhaustive_triple_counts(categories):
@@ -166,7 +166,9 @@ def test_composition_weight_identity_rejects_a_swapped_composite(categories):
     opposite = next(
         i for i, m in enumerate(ms) if (m.source, m.target) == (3, 0) and m.chamber == (-1, -1, -1)
     )
-    swapped = cat._replace(composition={**cat.composition, (ray, into_plane): opposite})
+    then = list(cat.then)
+    then[ray] = {**then[ray], into_plane: opposite}
+    swapped = cat._replace(then=tuple(then))
     assert hall_composition_weight_identity(spec, cat)
     assert not hall_composition_weight_identity(spec, swapped)
 
@@ -176,4 +178,4 @@ def test_category_is_deterministic():
     c1 = hall_category(spec)
     c2 = hall_category(load_spec(dict(A2_GL2)))
     assert c1.morphisms == c2.morphisms
-    assert c1.composition == c2.composition
+    assert c1.then == c2.then

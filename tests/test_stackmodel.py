@@ -942,7 +942,7 @@ def test_hall_category_with_scaled_embeddings_matches_the_fraction_route():
             r.sub_covectors,
         )
     assert cat.identities == ref.identities
-    assert cat.composition == ref.composition
+    assert cat.then == ref.then
     assert verify_hall_category(cat) == verify_hall_category(ref)
     assert verify_hall_category(cat)["ok"]
     assert hall_composition_weight_identity(spec, cat) is hall_composition_weight_identity(spec, ref) is True
