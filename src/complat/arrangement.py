@@ -23,7 +23,8 @@ ray tuples, sign vectors and constraints.
 
 cells inserts one hyperplane at a time and keeps each cell's
 double-description state, so a new hyperplane costs one step per child of
-each cell it actually splits.
+each cell it actually splits; chamber_rays reads each chamber's rays off
+that state.
 """
 
 from __future__ import annotations
@@ -189,14 +190,14 @@ def minimal_flat_containing(arr: HyperplaneArrangement, vectors: Sequence[Sequen
     Hyperplanes containing the flat are exactly those containing the
     span, so no closure iteration and no span are needed.
     """
-    return _flat_cut_out(arr, _through(arr, vectors))
+    return flat_cut_out(arr, _through(arr, vectors))
 
 
 @lru_cache(maxsize=None)
-def _flat_cut_out(arr: HyperplaneArrangement, hyperplanes: IntVec) -> Flat:
-    """The flat of a closed hyperplane set. Closures of samples and cones
-    land on few flats, so each kernel is computed once per (arrangement,
-    hyperplane set)."""
+def flat_cut_out(arr: HyperplaneArrangement, hyperplanes: IntVec) -> Flat:
+    """The flat of a closed hyperplane set, given as sorted indices.
+    Closures of samples and cones land on few flats, so each kernel is
+    computed once per (arrangement, hyperplane set)."""
     return Flat(kernel([arr.covectors[i] for i in hyperplanes], arr.dim), hyperplanes)
 
 
@@ -390,8 +391,10 @@ def _checked_witness(
     return total
 
 
-def cells(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:
-    """All realizable sign vectors, by splitting cells one covector at a time.
+def _cell_states(arr: HyperplaneArrangement) -> list[tuple[SignVector, DDState, IntVec]]:
+    """(sign vector, double-description state of its closure, interior
+    witness) of every realizable cell, by sign vector, found by splitting
+    cells one covector at a time.
 
     Each cell carries the double-description state (_dd_step) of its
     closure and an interior witness, the sum of the pointed rays. The next
@@ -424,12 +427,27 @@ def cells(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:
                 )
             nxt.append((s + (e,), dd, witness))
         state = nxt
-    return tuple(sorted(s for s, *_ in state))
+    return sorted(state, key=lambda c: c[0])
+
+
+def cells(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:
+    """All realizable sign vectors, sorted (_cell_states)."""
+    return tuple(s for s, *_ in _cell_states(arr))
 
 
 def chambers(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:
     """Cells with no zero coordinate (full-dimensional cells)."""
     return tuple(s for s in cells(arr) if 0 not in s)
+
+
+def chamber_rays(arr: HyperplaneArrangement) -> tuple[tuple[SignVector, tuple[IntVec, ...]], ...]:
+    """Each chamber with the canonical extreme-ray tuple of its closure,
+    in chambers() order: canonical_rays of the double-description state
+    that _cell_states built for it, the tuple rays_of_constraints gives
+    for the chamber's signed constraints, without a second pass."""
+    return tuple(
+        (s, canonical_rays(lin, list(tight), arr.dim)) for s, (lin, tight, _), _ in _cell_states(arr) if 0 not in s
+    )
 
 
 # -- Tits composition --------------------------------------------------------

@@ -44,7 +44,9 @@ from .arrangement import (
     HyperplaneArrangement,
     SignVector,
     cells,
+    chamber_rays,
     chambers,
+    flat_cut_out,
     flats,
     minimal_flat_containing,
     rays_of_constraints,
@@ -309,9 +311,20 @@ def _span_signature(
 ) -> ComponentSignature:
     """Signature of the span of vectors whose rank dim the caller knows,
     so no echelon pass recomputes it."""
-    fixed = tuple(w for w in spec.weights if not any(int_dot(w, v) for v in vectors))
-    levi = tuple(r for r in spec.roots if not any(int_dot(r, v) for v in vectors))
-    return ComponentSignature(dim, fixed, levi)
+    tangent = spec.weights + spec.roots
+    return _signature_of_pairings(spec, [any(int_dot(f, v) for v in vectors) for f in tangent], dim)
+
+
+def _signature_of_pairings(spec: QuotientStackSpec, pairings: Sequence, dim: int) -> ComponentSignature:
+    """Signature of a span of rank dim from its pairing table: pairings[t]
+    is zero iff the t-th functional of spec.weights + spec.roots vanishes
+    on the span."""
+    n = len(spec.weights)
+    return ComponentSignature(
+        dim,
+        tuple(w for w, x in zip(spec.weights, pairings) if not x),
+        tuple(r for r, x in zip(spec.roots, pairings[n:]) if not x),
+    )
 
 
 def special_face_closure(spec: QuotientStackSpec, face: Face) -> Flat:
@@ -421,16 +434,42 @@ def cell_orbits(spec: QuotientStackSpec) -> tuple[tuple[SignVector, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _signed_restrictions(spec: QuotientStackSpec, space: Subspace) -> tuple[IntVec, ...]:
-    """Nonzero restrictions of the tangent functionals, keeping their own
-    sign. Weights restrict one-sidedly; roots come in +/- pairs, so their
-    restrictions do too. Coinciding restrictions merge."""
-    out = set()
-    for w in spec.weights + spec.roots:
-        vals = [int_dot(w, row) for row in space.rows]
+def _covector_functionals(spec: QuotientStackSpec) -> IntVec:
+    """For each covector of the global arrangement, the index in
+    spec.weights + spec.roots of the first functional it is the canonical
+    form of: the two are multiples of each other, so they vanish on the
+    same vectors."""
+    first: dict[IntVec, int] = {}
+    for t, f in enumerate(spec.weights + spec.roots):
+        if any(f):
+            first.setdefault(canonical_covector(f), t)
+    return tuple(first[w] for w in global_arrangement(spec).covectors)
+
+
+@lru_cache(maxsize=None)
+def _restriction_functionals(spec: QuotientStackSpec, space: Subspace) -> tuple[tuple[IntVec, int], ...]:
+    """The nonzero restrictions of the tangent functionals to the subspace,
+    in its basis coordinates, sorted, each with the index in spec.weights +
+    spec.roots of the first functional restricting to it. A restriction
+    keeps its functional's sign: weights restrict one-sidedly; roots come in
+    +/- pairs, so their restrictions do too. Coinciding restrictions merge.
+
+    A restriction is the functional's pairings with the subspace's rows
+    over their gcd g. A point of the subspace with RREF coordinates c is
+    the rows' combination c / L, so the functional pairs with it to g / L
+    times the restriction's pairing with c: the sign is the same."""
+    first: dict[IntVec, int] = {}
+    for t, f in enumerate(spec.weights + spec.roots):
+        vals = [int_dot(f, row) for row in space.rows]
         if any(vals):
-            out.add(primitive(vals))
-    return tuple(sorted(out))
+            first.setdefault(primitive(vals), t)
+    return tuple(sorted(first.items()))
+
+
+def _signed_restrictions(spec: QuotientStackSpec, space: Subspace) -> tuple[IntVec, ...]:
+    """The restrictions of _restriction_functionals, without their
+    functionals."""
+    return tuple(l for l, _ in _restriction_functionals(spec, space))
 
 
 def special_cone_closure(
@@ -438,40 +477,60 @@ def special_cone_closure(
 ) -> AttractorSignature:
     """Minimal special cone containing the given rays, with its signature.
 
-    The carrier is the minimal flat containing the rays, found from the
-    rays themselves with no span taken; inside it the cone is cut by every
-    restricted tangent functional that is nonnegative on all rays, each
-    with its own sign. No restriction can vanish on all the rays: the
-    carrier flat would not be minimal.
-
     Only the rays' directions matter, so each ray is taken as its primitive
     integer multiple and zero rays are dropped: a positive multiple of a
-    ray, such as a constancy sample (a positive integer multiple of the
-    drawn rational point), has the same closure. A ray's carrier
-    coordinates are its entries at the carrier's pivots, and it lies in the
-    carrier iff its scaled_reduce is zero; from there on every dot product
-    is an integer one.
+    ray, such as a constancy sample, has the same closure. Each tangent
+    functional is paired with every ray once, and its pairings are reduced
+    to one number, the least if it is negative and else the greatest:
+    negative iff the functional is negative on some ray, zero iff it
+    vanishes on all of them. _closure_of_pairings reads the closure off
+    that table.
+    """
+    rays = [primitive(r) for r in rays if not is_zero_vec(r)]
+    pairings = []
+    for f in spec.weights + spec.roots:
+        vals = [int_dot(f, r) for r in rays] or [0]
+        least = min(vals)
+        pairings.append(least if least < 0 else max(vals))
+    return _closure_of_pairings(spec, rays, pairings)
+
+
+def _closure_of_pairings(
+    spec: QuotientStackSpec, rays: Sequence[IntVec], pairings: Sequence[int]
+) -> AttractorSignature:
+    """The special cone closure of primitive rays from their pairing table:
+    pairings[t] is negative iff the t-th functional of spec.weights +
+    spec.roots is negative on some ray, and zero iff it vanishes on all of
+    them. For one ray its own pairings qualify.
+
+    The carrier is the minimal flat containing the rays: its hyperplanes
+    are the global covectors whose functional (_covector_functionals) has
+    pairing zero, so no span is taken and no covector is paired again.
+    The rays must lie in it, which scaled_reduce checks. Inside it the
+    cone is cut by every restricted tangent functional that is nonnegative
+    on all rays, each with its own sign; on the carrier a restriction has
+    the signs of its functional (_restriction_functionals), so the
+    selection reads the table too. No restriction can vanish on all the
+    rays: the carrier flat would not be minimal.
 
     The flat, the containment check and the selection run on every call;
     the cone and its signature are a function of (spec, flat, the selected
     restrictions) alone and come from _cone_of, which memoizes them on
     those arguments: every sample of a chamber selects the same.
     """
-    rays = [primitive(r) for r in rays if not is_zero_vec(r)]
-    flat = minimal_flat_containing(global_arrangement(spec), rays)
+    hyperplanes = tuple(i for i, t in enumerate(_covector_functionals(spec)) if not pairings[t])
+    flat = flat_cut_out(global_arrangement(spec), hyperplanes)
     carrier = flat.subspace
     if any(any(carrier.scaled_reduce(r)) for r in rays):
         raise InvariantError(f"closure {vec_str(*carrier.basis)} misses rays {vec_str(*rays)}")
-    coords = [tuple(r[p] for p in carrier.pivots) for r in rays]
     ineqs = []
-    for l in _signed_restrictions(spec, carrier):
-        vals = [int_dot(l, c) for c in coords]
-        if rays and not any(vals):
+    for l, t in _restriction_functionals(spec, carrier):
+        if rays and not pairings[t]:
             raise InvariantError(
                 f"restricted functional {l} vanishes on rays {vec_str(*rays)}, "
                 "so their special face closure is not minimal"
             )
-        if all(v >= 0 for v in vals):
+        if pairings[t] >= 0:
             ineqs.append(l)
     return _cone_of(spec, flat, tuple(ineqs))
 
@@ -570,13 +629,18 @@ def constancy_check(
     with coefficients from a seeded PRNG over numerators and denominators
     in [1, 64]. Every constraint covector vanishes on the lineality, so
     such points are always interior; no coefficient is zero, so a chamber
-    that is pure lineality never yields the origin. Returns a JSON-able
-    report.
+    that is pure lineality never yields the origin. A chamber's rays come
+    from the double description that enumerated it (chamber_rays). Returns
+    a JSON-able report; a chamber whose signatures differ is listed under
+    discrepancies with a witness, its first sample and the first later
+    sample whose signatures differ from that one's.
 
     Every signature depends only on the point's direction, so a sample is
     the drawn point times the lcm of the drawn denominators, lifted by the
     carrier's scaled_lift: a positive integer multiple of the drawn
-    rational point, in integer arithmetic throughout.
+    rational point, in integer arithmetic throughout. Each sample is paired
+    with each tangent functional once, and both of its signatures are read
+    from that table (_sample_signatures).
     """
     carrier = flat.subspace
     arr_f = restricted_arrangement(spec, carrier)
@@ -588,13 +652,12 @@ def constancy_check(
         "chambers": [],
         "discrepancies": [],
     }
-    for ch in chambers(arr_f):
-        lin, pointed = split_rays(
-            rays_of_constraints(*signed_constraints(arr_f.covectors, ch), carrier.dim)
-        )
+    for ch, rays in chamber_rays(arr_f):
+        lin, pointed = split_rays(rays)
         lin_basis = [r for r in lin if r < vec_neg(r)]
         seen_comp: set[ComponentSignature] = set()
         seen_attr: set[tuple] = set()
+        first = witness = None
         for _ in range(samples):
             # (numerator, denominator, ray): the draw order fixes the samples of a seed
             draws = [(rng.randint(1, 64), rng.randint(1, 64), r) for r in pointed]
@@ -608,9 +671,14 @@ def constancy_check(
             if tuple(sign(int_dot(w, v)) for w in arr_f.covectors) != ch:
                 raise InvariantError(f"sample {vec_str(v)} left chamber {ch} of flat {flat.hyperplanes}")
             p = carrier.scaled_lift(v)
-            seen_comp.add(_span_signature(spec, [p], int(any(p))))  # the origin only on the zero flat
-            sig = special_cone_closure(spec, [p])
-            seen_attr.add((sig.flat.hyperplanes, sig.cone) + sig[2:])  # the flat by its hyperplanes
+            comp, sig = _sample_signatures(spec, p)
+            attr = (sig.flat.hyperplanes, sig.cone) + sig[2:]  # the flat by its hyperplanes
+            seen_comp.add(comp)
+            seen_attr.add(attr)
+            if first is None:
+                first = (p, comp, attr)
+            elif witness is None and (comp, attr) != first[1:]:
+                witness = [list(first[0]), list(p)]
         entry = {
             "signs": list(ch),
             "samples": samples,
@@ -618,10 +686,20 @@ def constancy_check(
             "attractor_signatures": len(seen_attr),
         }
         if len(seen_comp) > 1 or len(seen_attr) > 1:
-            report["discrepancies"].append(entry)
+            report["discrepancies"].append({**entry, "witness": witness})
         report["chambers"].append(entry)
     report["ok"] = not report["discrepancies"]
     return report
+
+
+def _sample_signatures(spec: QuotientStackSpec, p: IntVec) -> tuple[ComponentSignature, AttractorSignature]:
+    """The graded and filtered signatures of an integer point p, from one
+    pairing of p with each tangent functional: the signature of its span,
+    of rank 1 (0 for the origin, the only sample of the zero flat), and its
+    special cone closure."""
+    pairings = [int_dot(f, p) for f in spec.weights + spec.roots]
+    rays = [primitive(p)] if any(p) else []
+    return _signature_of_pairings(spec, pairings, len(rays)), _closure_of_pairings(spec, rays, pairings)
 
 
 def surjection_invariance_check(
@@ -755,35 +833,68 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
 
     as multisets of weights, and likewise for roots. Each predicate
     depends only on the vector, so this is an identity of bitmasks over
-    weights + roots, restricted to each object's basis. The second
-    morphism pulls them back along its embedding, so the first chamber's
-    integer rays are tested as they are, in its target's coordinates.
-    Only signs are read, so restricting through each object's rows and
-    pulling back along the scaled embeddings, which give positive
-    integer multiples of the vectors, keeps every dot product an integer one.
+    weights + roots, restricted to each object's basis: a morphism's
+    nonneg and zero masks mark the restrictions to its target that are
+    >= 0 on, and vanish on, its chamber's integer rays.
+
+    The second morphism j pulls the restrictions back along its embedding,
+    the source's rows moved by a Weyl element g and written in the target's
+    coordinates: the restriction of f pulls back to the target's L times
+    the restriction of f o g to the source, and g permutes the weights and
+    roots. So each pulled restriction must be a positive multiple of a
+    restriction to j's source, and j's map sends each index to the first
+    such. A pulled vector with no such restriction raises
+    InvariantError. For a pair (i, j) the first chamber's view of the
+    pulled vectors is then i's own masks with their bits moved by j's map,
+    with no dot product per pair. The composite's nonneg mask comes from
+    its own rays.
     """
     tangent = spec.weights + spec.roots
     restricted = [
         tuple(tuple(int_dot(v, row) for row in o.flat.subspace.rows) for v in tangent)
         for o in cat.objects
     ]
-    rays, nonneg, pulled = [], [], []
-    for m in cat.morphisms:
+    # per object, the first index of each direction of restriction, None for zero
+    firsts = []
+    for vs in restricted:
+        first: dict = {}
+        for t, v in enumerate(vs):
+            first.setdefault(primitive(v) if any(v) else None, t)
+        firsts.append(first)
+    nonneg, zero, moves = [], [], []
+    for j, m in enumerate(cat.morphisms):
         target = restricted[m.target]
         cone = rays_of_constraints(
             *signed_constraints(m.sub_covectors, m.chamber), cat.objects[m.target].dim
         )
-        rays.append(cone)
-        nonneg.append(sum(1 << t for t, v in enumerate(target) if all(int_dot(v, r) >= 0 for r in cone)))
-        pulled.append(tuple(tuple(int_dot(row, v) for row in m.embedding) for v in target))
+        nn = zz = 0
+        for t, v in enumerate(target):
+            vals = [int_dot(v, r) for r in cone]
+            if all(x >= 0 for x in vals):
+                nn |= 1 << t
+                if not any(vals):
+                    zz |= 1 << t
+        nonneg.append(nn)
+        zero.append(zz)
+        move = []
+        for t, v in enumerate(target):
+            pulled = tuple(int_dot(row, v) for row in m.embedding)
+            s = firsts[m.source].get(primitive(pulled) if any(pulled) else None)
+            if s is None:
+                raise InvariantError(
+                    f"morphism {j} pulls {vec_str(v)}, the restriction of {vec_str(tangent[t])} to object "
+                    f"{m.target}, back to {vec_str(pulled)}, "
+                    f"no positive multiple of a restriction to object {m.source}"
+                )
+            move.append(s)
+        moves.append(move)
     for i, then_i in enumerate(cat.then):
         for j, k in then_i.items():
             seen = degen = 0
-            for t, v in enumerate(pulled[j]):
-                vals = [int_dot(v, r) for r in rays[i]]
-                if all(x >= 0 for x in vals):
+            for t, s in enumerate(moves[j]):
+                if nonneg[i] >> s & 1:
                     seen |= 1 << t
-                    if not any(vals):
+                    if zero[i] >> s & 1:
                         degen |= 1 << t
             if nonneg[k] != (seen & ~degen) | (degen & nonneg[j]):
                 return False

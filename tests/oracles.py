@@ -12,6 +12,7 @@ from math import comb, factorial, prod
 
 from complat.arrangement import (
     _checked_witness,
+    chambers,
     minimal_flat_containing,
     rays_of_constraints,
     restrict,
@@ -201,6 +202,46 @@ def unmemoized_cone_closure(spec, rays):
     return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
 
 
+def chamber_rays_by_constraints(arr):
+    """Each chamber with the canonical ray tuple of its closure, by a
+    second double description of the chamber's signed constraints."""
+    return tuple(
+        (ch, rays_of_constraints(*signed_constraints(arr.covectors, ch), arr.dim)) for ch in chambers(arr)
+    )
+
+
+def pairwise_weight_identity(spec, cat):
+    """The Hall weight identity with every composable pair paying its own
+    dot products: each morphism keeps its chamber's integer rays, the mask
+    of the restrictions to its target that are >= 0 on them, and those
+    restrictions pulled back along its embedding; a pair (i, j) -> k
+    tests j's pulled vectors against i's rays."""
+    tangent = spec.weights + spec.roots
+    restricted = [
+        tuple(tuple(int_dot(v, row) for row in o.flat.subspace.rows) for v in tangent)
+        for o in cat.objects
+    ]
+    rays, nonneg, pulled = [], [], []
+    for m in cat.morphisms:
+        target = restricted[m.target]
+        cone = rays_of_constraints(*signed_constraints(m.sub_covectors, m.chamber), cat.objects[m.target].dim)
+        rays.append(cone)
+        nonneg.append(sum(1 << t for t, v in enumerate(target) if all(int_dot(v, r) >= 0 for r in cone)))
+        pulled.append(tuple(tuple(int_dot(row, v) for row in m.embedding) for v in target))
+    for i, then_i in enumerate(cat.then):
+        for j, k in then_i.items():
+            seen = degen = 0
+            for t, v in enumerate(pulled[j]):
+                vals = [int_dot(v, r) for r in rays[i]]
+                if all(x >= 0 for x in vals):
+                    seen |= 1 << t
+                    if not any(vals):
+                        degen |= 1 << t
+            if nonneg[k] != (seen & ~degen) | (degen & nonneg[j]):
+                return False
+    return True
+
+
 def strict_witness(covectors, s, dim):
     """Interior point with exactly the prescribed signs, or None.
 
@@ -334,6 +375,40 @@ def integer_partitions(n):
 
     rec(n, n, [])
     return out
+
+
+def jordan_class_count(n, q):
+    """Isomorphism classes of n-dimensional representations of the Jordan
+    quiver (one vertex, one loop) over F_q, that is similarity classes of
+    n x n matrices. By invariant factors their number is the coefficient
+    of x^n in prod_{i >= 1} 1 / (1 - q x^i): the sum over partitions of n
+    of q to the number of parts. (prod (1 - x^i) / (1 - q x^i) would count
+    the classes of GL_n, invertible matrices only.)"""
+    return sum(q ** len(p) for p in integer_partitions(n))
+
+
+def kostant_partition_count(gamma):
+    """Isomorphism classes of representations of dimension vector gamma of
+    a path quiver, over any field: by Gabriel's theorem the indecomposables
+    are the positive roots, the indicator vectors of the intervals of
+    vertices, so the count is the number of ways to write gamma as a sum
+    of them (Kostant's partition function)."""
+    n = len(gamma)
+    roots = [tuple(int(i <= v <= j) for v in range(n)) for i in range(n) for j in range(i, n)]
+
+    @lru_cache(maxsize=None)
+    def count(rest, k):
+        if not any(rest):
+            return 1
+        if k == len(roots):
+            return 0
+        total = count(rest, k + 1)
+        less = tuple(x - y for x, y in zip(rest, roots[k]))
+        if min(less) >= 0:
+            total += count(less, k)
+        return total
+
+    return count(tuple(gamma), 0)
 
 
 def gl_order(n, q):

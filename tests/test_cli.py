@@ -288,10 +288,59 @@ def test_an_inexact_composite_embedding_exits_4(capsys, monkeypatch):
     )
 
 
+def test_a_morphism_pulling_a_restriction_off_the_source_exits_4(capsys, monkeypatch):
+    # the identity of the plane with its embedding negated pulls the weight
+    # (0, 1) back to (0, -1), a multiple of no weight or root restriction
+    build = sm.hall_category
+
+    def negated(spec):
+        cat = build(spec)
+        i = cat.identities[0]
+        m = cat.morphisms[i]
+        bad = m._replace(embedding=tuple(tuple(-x for x in row) for row in m.embedding))
+        return cat._replace(morphisms=cat.morphisms[:i] + (bad,) + cat.morphisms[i + 1 :])
+
+    monkeypatch.setattr(sm, "hall_category", negated)
+    code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "hall")
+    assert code == 4 and out == ""
+    assert err == (
+        "invariant broken: morphism 1 pulls (0, 1), the restriction of (0, 1) to object 0, "
+        "back to (0, -1), no positive multiple of a restriction to object 0\n"
+    )
+
+
+def test_a_constancy_discrepancy_carries_a_witness(capsys, monkeypatch):
+    # every second closure drops the first restriction, so on the line
+    # flats the first two samples of a chamber of signs -1 select
+    # differently; the witness is that pair of integer sample points
+    functionals = sm._restriction_functionals
+    calls = []
+
+    def alternating(spec, space):
+        calls.append(space)
+        out = functionals(spec, space)
+        return out[1:] if len(calls) % 2 == 0 else out
+
+    monkeypatch.setattr(sm, "_restriction_functionals", alternating)
+    code, out, _ = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "constancy", "--samples", 2)
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False
+    assert report["discrepancies"]
+    for d in report["discrepancies"]:
+        first, second = d["witness"]
+        assert all(type(x) is int for x in first + second) and first != second
+    # with the fault still in and its call count reset, the two points
+    # reproduce the discrepancy
+    calls.clear()
+    spec = sm.load_spec(json.loads((SPECS / "a2_gl2.json").read_text()))
+    first, second = report["discrepancies"][0]["witness"]
+    assert sm._sample_signatures(spec, tuple(first)) != sm._sample_signatures(spec, tuple(second))
+
+
 def test_a_cone_closure_outside_its_carrier_exits_4(capsys, monkeypatch):
     # a carrier flat that misses the ray breaks special_cone_closure
     wrong = Flat(span([(1, 0)], 2), (1,))
-    monkeypatch.setattr(sm, "minimal_flat_containing", lambda arr, vectors: wrong)
+    monkeypatch.setattr(sm, "flat_cut_out", lambda arr, hyperplanes: wrong)
     code, out, err = run_cli(capsys, "closure", SPECS / "a2_gl2.json", "--ray", "1,2")
     assert code == 4 and out == ""
     assert err == "invariant broken: closure (1, 0) misses rays (1, 2)\n"
@@ -310,7 +359,7 @@ def test_a_restriction_vanishing_on_the_rays_exits_4(capsys, monkeypatch):
     # (1, 1) lies on the root hyperplane, so the whole plane is not its
     # minimal flat: the root restricts to a functional that vanishes on it
     plane = Flat(span([(1, 0), (0, 1)], 2), ())
-    monkeypatch.setattr(sm, "minimal_flat_containing", lambda arr, vectors: plane)
+    monkeypatch.setattr(sm, "flat_cut_out", lambda arr, hyperplanes: plane)
     code, out, err = run_cli(capsys, "closure", SPECS / "a2_gl2.json", "--ray", "1,1")
     assert code == 4 and out == ""
     assert err == (

@@ -6,6 +6,7 @@ small Weyl twist) together with a chamber of the target hyperplanes
 through the image.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from complat.stackmodel import (
     load_spec,
     verify_hall_category,
 )
-from tests.test_stackmodel import A1_GM, A2_GL2, B_GL3, B_GM
+from oracles import pairwise_weight_identity
+from tests.test_stackmodel import A1_GM, A2_GL2, B_GL3, B_GM, LINEAR_SPECS, _named_spec
 
 CATEGORY_SIZES = {
     "bgm": (B_GM, 1, 1),
@@ -171,6 +173,39 @@ def test_composition_weight_identity_rejects_a_swapped_composite(categories):
     swapped = cat._replace(then=tuple(then))
     assert hall_composition_weight_identity(spec, cat)
     assert not hall_composition_weight_identity(spec, swapped)
+
+
+@pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3", "braid4"))
+def test_the_mask_identity_agrees_with_the_pairwise_identity(name):
+    spec = _named_spec(name)
+    cat = hall_category(spec)
+    assert hall_composition_weight_identity(spec, cat) is pairwise_weight_identity(spec, cat) is True
+
+
+def test_the_mask_identity_agrees_with_the_pairwise_identity_on_corrupted_tables():
+    # 215 seeded tables, each with one to three composites swapped for
+    # another morphism between the same objects; both verdicts occur
+    verdicts = Counter()
+    for name in ("a2_gl2", "b_gl3", "a1_gm", "b_gl2", "rank3_mixed"):
+        spec = _named_spec(name)
+        cat = hall_category(spec)
+        ends = [(m.source, m.target) for m in cat.morphisms]
+        pairs = [(i, j) for i, then_i in enumerate(cat.then) for j in then_i]
+        rng = random.Random(name)
+        for _ in range(43):
+            then = list(cat.then)
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.choice(pairs)
+                k = then[i][j]
+                others = [x for x, e in enumerate(ends) if e == ends[k] and x != k]
+                if others:
+                    then[i] = {**then[i], j: rng.choice(others)}
+            corrupted = cat._replace(then=tuple(then))
+            verdict = hall_composition_weight_identity(spec, corrupted)
+            assert verdict is pairwise_weight_identity(spec, corrupted), name
+            verdicts[verdict] += 1
+    assert sum(verdicts.values()) == 215
+    assert verdicts[False] > 100 and verdicts[True] > 10, verdicts
 
 
 def test_category_is_deterministic():

@@ -26,6 +26,8 @@ from oracles import (
     gl_order,
     hall_number,
     integer_partitions,
+    jordan_class_count,
+    kostant_partition_count,
     naive_gf_inverse,
     naive_gf_mat_mul,
     naive_gf_mat_vec,
@@ -39,6 +41,7 @@ ONE_VERTEX = {"type": "quiver", "vertices": ["v"], "arrows": []}
 A2 = {"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"]]}
 KRONECKER = {"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"], ["u", "v"]]}
 JORDAN = {"type": "quiver", "vertices": ["v"], "arrows": [["v", "v"]]}
+A3 = {"type": "quiver", "vertices": ["a", "b", "c"], "arrows": [["a", "b"], ["b", "c"]]}
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +303,30 @@ def test_class_counts_match_the_burnside_oracle(doc, gamma, q, expected):
     classes = lm.iso_classes(quiver, gamma, q)
     assert len(classes.reps) == expected
     assert burnside_class_count(quiver, gamma, q) == expected
+
+
+@pytest.mark.parametrize("q,max_n", [(2, 3), (3, 2), (4, 2), (5, 2)])
+def test_jordan_class_counts_match_the_partition_formula(jordan, q, max_n):
+    # the largest sizes under the sweep cap: n = 4 at q = 2 and n = 3 at
+    # q = 3 are refused
+    assert [jordan_class_count(n, q) for n in range(1, 4)] == [q, q * q + q, q**3 + q * q + q]
+    for n in range(1, max_n + 1):
+        assert len(lm.iso_classes(jordan, (n,), q).reps) == jordan_class_count(n, q), n
+        if q ** (n * n) * gl_order(n, q) <= 5000:
+            assert burnside_class_count(jordan, (n,), q) == jordan_class_count(n, q), n
+    with pytest.raises(CapExceeded):
+        lm.iso_classes(jordan, (max_n + 1,), q)
+
+
+@pytest.mark.parametrize("doc", [A2, A3], ids=["a2", "a3"])
+def test_path_quiver_class_counts_match_the_kostant_partition_count(doc):
+    quiver = lm.load_quiver(doc)
+    assert kostant_partition_count((1, 1, 1)) == 4 and kostant_partition_count((2, 3)) == 3
+    for total in range(1, 5):
+        for gamma in lm.dim_vectors(quiver.n_vertices, total):
+            assert len(lm.iso_classes(quiver, gamma, 2).reps) == kostant_partition_count(gamma), gamma
+            if total <= 3:
+                assert burnside_class_count(quiver, gamma, 2) == kostant_partition_count(gamma), gamma
 
 
 def test_class_data_on_the_two_vertex_path(a2):

@@ -20,6 +20,7 @@ from complat import stackmodel as sm
 from complat.arrangement import (
     HyperplaneArrangement,
     cells,
+    chamber_rays,
     chambers,
     flats,
     minimal_flat_containing,
@@ -70,6 +71,7 @@ from complat.stackmodel import (
 
 from oracles import (
     brute_force_flats,
+    chamber_rays_by_constraints,
     cone_contains_point,
     contains,
     coords_in,
@@ -125,7 +127,11 @@ LINEAR_SPECS = ("a1_gm", "a2_gl2", "b_gl2", "b_gl3", "b_gl4", "b_gm", "rank3_mix
 
 
 def _named_spec(name):
-    return load_spec(SKEW3 if name == "skew3" else json.loads((SPECS / f"{name}.json").read_text()))
+    if name == "skew3":
+        return load_spec(SKEW3)
+    if name.startswith("braid"):
+        return load_spec(braid_spec(int(name[len("braid") :])))
+    return load_spec(json.loads((SPECS / f"{name}.json").read_text()))
 
 
 def _signature_by_fractions(spec, sub):
@@ -737,19 +743,53 @@ def test_the_cone_memo_agrees_with_the_unmemoized_closure_on_constancy_samples(m
     spec = _named_spec("b_gl4")
     fl = flats(global_arrangement(spec))[0]
     calls = []
-    closure = sm.special_cone_closure
+    closure = sm._closure_of_pairings
 
-    def recording(spec, rays):
-        calls.append((rays, closure(spec, rays)))
+    def recording(spec, rays, pairings):
+        calls.append((rays, closure(spec, rays, pairings)))
         return calls[-1][1]
 
-    monkeypatch.setattr(sm, "special_cone_closure", recording)
+    monkeypatch.setattr(sm, "_closure_of_pairings", recording)
     assert constancy_check(spec, fl, samples=5, seed=11)["ok"]
     assert len(calls) == 24 * 5
     # samples of one chamber share one memoized record
     assert len({id(sig) for _, sig in calls}) == 24
     for rays, sig in calls:
         assert sig == unmemoized_cone_closure(spec, rays), rays
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3", "braid4"))
+def test_constancy_samples_get_the_signatures_of_the_oracles(monkeypatch, name, seed):
+    # both signatures of a sample come from one pairing table; the oracles
+    # pair every functional with the sample again, and the closure oracle
+    # memoizes nothing past the flat
+    spec = _named_spec(name)
+    samples = []
+    sample_signatures = sm._sample_signatures
+
+    def recording(spec, p):
+        samples.append((p, sample_signatures(spec, p)))
+        return samples[-1][1]
+
+    monkeypatch.setattr(sm, "_sample_signatures", recording)
+    for fl in flats(global_arrangement(spec)):
+        assert constancy_check(spec, fl, samples=2, seed=seed)["ok"]
+    assert len(samples) >= 2 * len(flats(global_arrangement(spec)))  # a chamber or more per flat
+    for p, (comp, attr) in samples:
+        assert comp == span_signature(spec, [p]), p
+        assert attr == unmemoized_cone_closure(spec, [p]), p
+
+
+@pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3", "braid4"))
+def test_chamber_rays_match_a_second_double_description(name):
+    # every arrangement constancy samples, each flat's restriction, and the
+    # global one
+    arr_g = global_arrangement(_named_spec(name))
+    for arr in [arr_g] + [restrict(arr_g, fl.subspace) for fl in flats(arr_g)]:
+        got = chamber_rays(arr)
+        assert got == chamber_rays_by_constraints(arr)
+        assert tuple(ch for ch, _ in got) == chambers(arr)
 
 
 def test_attractor_monotone_under_ray_growth(a2gl2):
@@ -784,20 +824,52 @@ def test_a_chamber_whose_samples_select_different_restrictions_is_reported(a2gl2
     fl = next(f for f in flats(global_arrangement(a2gl2)) if f.dim == 1)
     restrictions = sm._signed_restrictions
     assert restrictions(a2gl2, fl.subspace) == ((-1,), (1,))
+    functionals = sm._restriction_functionals
     calls = []
 
     def alternating(spec, space):
         calls.append(space)
-        out = restrictions(spec, space)
+        out = functionals(spec, space)
         return out[1:] if len(calls) % 2 == 0 else out
 
-    monkeypatch.setattr(sm, "_signed_restrictions", alternating)
+    monkeypatch.setattr(sm, "_restriction_functionals", alternating)
     report = constancy_check(a2gl2, fl, samples=2, seed=0)
     assert len(calls) == 4
     assert report["ok"] is False
+    # the witness is the chamber's two samples, the second of which selected less
     assert report["discrepancies"] == [
-        {"signs": [-1], "samples": 2, "component_signatures": 1, "attractor_signatures": 2}
+        {
+            "signs": [-1],
+            "samples": 2,
+            "component_signatures": 1,
+            "attractor_signatures": 2,
+            "witness": [[0, -50], [0, -6]],
+        }
     ]
+
+
+def test_a_discrepancy_witness_is_the_first_sample_and_the_first_that_differs(a2gl2, monkeypatch):
+    # as above, with four samples: those of chamber [-1] select both
+    # restrictions, one, both, one, so the witness is its first two samples
+    fl = next(f for f in flats(global_arrangement(a2gl2)) if f.dim == 1)
+    functionals = sm._restriction_functionals
+    sample_signatures = sm._sample_signatures
+    calls, samples = [], []
+
+    def alternating(spec, space):
+        calls.append(space)
+        out = functionals(spec, space)
+        return out[1:] if len(calls) % 2 == 0 else out
+
+    def recording(spec, p):
+        samples.append(list(p))
+        return sample_signatures(spec, p)
+
+    monkeypatch.setattr(sm, "_restriction_functionals", alternating)
+    monkeypatch.setattr(sm, "_sample_signatures", recording)
+    (entry,) = constancy_check(a2gl2, fl, samples=4, seed=0)["discrepancies"]
+    assert (entry["signs"], entry["attractor_signatures"]) == ([-1], 2)
+    assert entry["witness"] == samples[:2]
 
 
 def test_constancy_on_the_rank3_mixed_example():
@@ -830,13 +902,13 @@ def test_constancy_samples_are_positive_multiples_of_the_drawn_points(monkeypatc
                 v = [x + c * y for x, y in zip(v, b)]
             drawn.append(lift(carrier, v))
     sampled = []
-    closure = sm.special_cone_closure
+    signatures = sm._sample_signatures
 
-    def recording(spec, rays):
-        sampled.append(rays[0])
-        return closure(spec, rays)
+    def recording(spec, p):
+        sampled.append(p)
+        return signatures(spec, p)
 
-    monkeypatch.setattr(sm, "special_cone_closure", recording)
+    monkeypatch.setattr(sm, "_sample_signatures", recording)
     assert constancy_check(spec, fl, samples=4, seed=13)["ok"]
     assert len(sampled) == len(drawn) > 4
     for p, q in zip(sampled, drawn):
@@ -849,13 +921,14 @@ def test_constancy_samples_get_the_rank_of_their_span(monkeypatch):
     # flat, whose only sample is the origin
     spec = load_spec(A2_GL2)
     signatures = []
-    signature = sm._span_signature
+    sample_signatures = sm._sample_signatures
 
-    def recording(spec, vectors, dim):
-        signatures.append((tuple(map(tuple, vectors)), dim))
-        return signature(spec, vectors, dim)
+    def recording(spec, p):
+        comp, attr = sample_signatures(spec, p)
+        signatures.append(((tuple(p),), comp.face_dim))
+        return comp, attr
 
-    monkeypatch.setattr(sm, "_span_signature", recording)
+    monkeypatch.setattr(sm, "_sample_signatures", recording)
     for fl in flats(global_arrangement(spec)):
         constancy_check(spec, fl, samples=3, seed=0)
     assert (((0, 0),), 0) in signatures
