@@ -1,10 +1,10 @@
 """Special closures of faces and cones.
 
-A face (a subspace of the cocharacter space) can usually be enlarged
-without changing which weights and roots vanish on it. Its special
-closure is the largest such enlargement: the minimal flat of the wall
-arrangement containing it. Central rank measures that flat; a face is
-special exactly when it already is one.
+A face, a subspace of the cocharacter space given here as the span of a
+few vectors, can usually be enlarged without changing which weights and
+roots vanish on it. Its special closure is the largest such enlargement:
+the minimal flat of the wall arrangement containing it. Central rank
+measures that flat; a face is special exactly when it already is one.
 
 Cones work the same way but one-sidedly. The closure keeps the attracted
 weights instead of the fixed ones, and the answer depends on the
@@ -20,12 +20,13 @@ import json
 from pathlib import Path
 
 from complat import stackmodel as sm
+from complat.qlinalg import span
 
 HERE = Path(__file__).resolve().parent.parent / "specs"
 
 
 def show_face(spec, vectors):
-    face = sm.Face.from_vectors(vectors, spec.rank)
+    face = span(vectors, spec.rank)
     flat = sm.special_face_closure(spec, face)
     crk = sm.central_rank(spec, face)
     print(
@@ -44,7 +45,7 @@ def main():
     show_face(spec, [(1, 0, 0), (0, 1, 0)])
 
     # closure never changes the signature, only the ambient room
-    face = sm.Face.from_vectors([(1, 0, 0)], spec.rank)
+    face = span([(1, 0, 0)], spec.rank)
     flat = sm.special_face_closure(spec, face)
     before = sm.component_signature(spec, face)
     after = sm.component_signature(spec, flat.subspace)

@@ -6,8 +6,7 @@ it live:
 - sign vectors and the (finitely many) realizable cells,
 - flats, each held as its closed hyperplane set (the matroid closure
   of any hyperplanes cutting it out) together with its subspace,
-- closed polyhedral cones, held in both descriptions at once: saturated
-  constraint sets and extreme rays,
+- closed polyhedral cones, held as canonical extreme-ray tuples,
 - the Tits composition x ↑ y of sign vectors.
 
 Every cone takes one path. The kernel _dd_step, one step of the classical
@@ -16,10 +15,10 @@ cone by one constraint; dd_cone folds it from the whole space into a
 lineality basis and pointed rays, all primitive integer vectors.
 canonical_rays turns those into the canonical extreme-ray tuple: lineality
 as +/- pairs, pointed rays reduced modulo lineality, so two equal cones
-always carry the identical tuple. rays_of_constraints is the two in one.
-saturated_cone tests every covector of an arrangement against the rays and
-returns the ArrCone. split_rays and signed_constraints translate between
-ray tuples, sign vectors and constraints.
+always carry the identical tuple, and the tuple determines the cone:
+which covectors are >= 0, <= 0 or zero on it is read off its rays.
+rays_of_constraints is the two in one. split_rays and signed_constraints
+translate between ray tuples, sign vectors and constraints.
 
 cells inserts one hyperplane at a time and keeps each cell's
 double-description state, so a new hyperplane costs one step per child of
@@ -48,7 +47,6 @@ from .qlinalg import (
     kernel,
     primitive,
     restrict_covector,
-    row_rank,
     sign,
     vec_neg,
     vec_str,
@@ -339,41 +337,6 @@ def signed_constraints(
     w = 0 where the sign is 0, s * w >= 0 elsewhere."""
     eqs = [w for w, s in zip(covectors, signs) if s == 0]
     return eqs, [w if s > 0 else vec_neg(w) for w, s in zip(covectors, signs) if s != 0]
-
-
-class ArrCone(NamedTuple):
-    """Closed cone cut out by covector constraints of an arrangement.
-
-    zero_set: indices of covectors vanishing identically on the cone.
-    nonneg_set: (index, sign) pairs with sign * covector >= 0 on the cone
-      and not identically zero; together the two sets are saturated, i.e.
-      every constraint valid on the cone is recorded.
-    extreme_rays: canonical generating rays (lineality appears as +/- pairs).
-    """
-
-    zero_set: IntVec
-    nonneg_set: tuple[tuple[int, int], ...]
-    extreme_rays: tuple[IntVec, ...]
-    dim: int
-
-
-def saturated_cone(arr: HyperplaneArrangement, rays: Sequence[IntVec]) -> ArrCone:
-    """ArrCone of the cone generated by canonical rays (as produced by
-    canonical_rays or rays_of_constraints). Every covector is tested
-    against every ray, so the constraint sets come out saturated. Only the
-    rays' directions matter, so a positive multiple of a ray gives the same
-    cone; on integer rays the dots and the rank (row_rank) are integer
-    arithmetic."""
-    zero, nn = [], []
-    for i, w in enumerate(arr.covectors):
-        vals = [int_dot(w, r) for r in rays]
-        if all(v == 0 for v in vals):
-            zero.append(i)
-        elif all(v >= 0 for v in vals):
-            nn.append((i, 1))
-        elif all(v <= 0 for v in vals):
-            nn.append((i, -1))
-    return ArrCone(tuple(zero), tuple(nn), tuple(rays), row_rank(rays))
 
 
 # -- cells -------------------------------------------------------------------

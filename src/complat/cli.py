@@ -119,7 +119,7 @@ def _cmd_closure(args) -> dict:
     if bool(rays) == bool(face_vecs):
         raise SpecError("give vectors with exactly one of --face or --ray")
     if face_vecs:
-        face = sm.Face.from_vectors(face_vecs, spec.rank)
+        face = sm.span(face_vecs, spec.rank)
         flat = sm.special_face_closure(spec, face)
         closure_fields = _signature_fields(sm.component_signature(spec, flat.subspace))
         closure_fields.pop("face_dim")  # would clash with the input face's dim
@@ -142,7 +142,7 @@ def _cmd_closure(args) -> dict:
         "spec_digest": digest,
         "carrier_dim": sig.flat.dim,
         "carrier_basis": _basis(sig.flat.subspace),
-        "cone_dim": sig.cone.dim,
+        "cone_dim": sig.levi_part.face_dim,
         "ambient_rays": [list(r) for r in sig.ambient_rays],
         "attractor_weights": [list(w) for w in sig.attractor_weights],
         "parabolic_roots": [list(r) for r in sig.parabolic_roots],

@@ -4,9 +4,11 @@ Conventions shared by the whole package:
 
 - points given as input may be tuples of ints or ``fractions.Fraction``,
 - the one elimination is ``echelon``, an integer reduced echelon form:
-  ``span`` and ``kernel`` go through it, ``rref`` divides its rows by their
-  pivot entries, ``row_rank`` counts its pivots, and ``clear_pivots``
-  reduces a vector modulo its rows,
+  ``span`` scales its rows to the canonical form, ``kernel`` runs it once
+  on the reversed columns and back-substitutes straight into the
+  canonical form, ``rref`` divides its rows by their pivot entries,
+  ``row_rank`` counts its pivots, and ``clear_pivots`` reduces a vector
+  modulo its rows,
 - a subspace is stored once, as integers: ``Subspace.rows`` is L times its
   reduced row echelon basis, the unique canonical form, with L the lcm of
   the basis' denominators, so equal subspaces compare equal bitwise and
@@ -260,24 +262,34 @@ def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
 
 
 def kernel(covectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
-    """Common kernel of the given functionals, as a canonical Subspace.
+    """Common kernel of the given functionals, as a canonical Subspace,
+    from one elimination.
 
-    Back-substitution in integers: for echelon rows e with pivots p and d
-    the lcm of their pivot entries, each free column f gives the kernel
-    vector with d at f, -(d / e[p]) e[f] at each pivot p, 0 elsewhere.
+    echelon runs on the reversed columns, so each row e's pivot p is its
+    last nonzero column. Back-substitution in integers: for d the lcm of
+    the pivot entries, each free column f gives the kernel vector with d
+    at f, -(d / e[p]) e[f] at each pivot p, 0 elsewhere. Since e[f] = 0
+    unless f < p, the vector's first nonzero entry is d at f, and it is
+    zero at the other free columns: the vectors by increasing f are d
+    times the RREF basis. They are the canonical rows as they stand, with
+    no factor common to all entries: for a prime power q^k exactly
+    dividing d, a row e with q^k dividing e[p] is primitive, so some e[f]
+    at a free column f is prime to q, and so is the entry at p of f's
+    vector. The constructor checks the form.
     """
-    ech = echelon(covectors, ambient_dim)
+    n = ambient_dim
+    ech = [(n - 1 - p, e[::-1]) for p, e in echelon((c[::-1] for c in covectors), n)]
     d = lcm(*(e[p] for p, e in ech))
     pivots = {p for p, _ in ech}
     basis = []
-    for f in range(ambient_dim):
+    for f in range(n):
         if f not in pivots:
-            v = [0] * ambient_dim
+            v = [0] * n
             v[f] = d
             for p, e in ech:
                 v[p] = -(d // e[p]) * e[f]
-            basis.append(v)
-    return span(basis, ambient_dim)
+            basis.append(tuple(v))
+    return Subspace(tuple(basis), n)
 
 
 def annihilator(space: Subspace) -> tuple[IntVec, ...]:

@@ -5,9 +5,10 @@ multiset of the representation V, the root set of G, and matrices
 generating the Weyl group on the cocharacter lattice. Everything the
 package computes about such a stack lives in Q^rank:
 
-- graded points correspond to faces (subspaces of the rational cocharacter
-  space, possibly presented as maps); their isomorphism type is a
-  ComponentSignature: the weights and roots vanishing on the face,
+- graded points correspond to faces, subspaces of the rational cocharacter
+  space held as qlinalg.Subspace (a face presented by a map is the span of
+  the map's rows); their isomorphism type is a ComponentSignature: the
+  weights and roots vanishing on the face,
 - special faces are the flats of the arrangement cut by all weight and
   root hyperplanes; the special face closure is the minimal flat over a
   face,
@@ -36,10 +37,9 @@ import random
 from collections import Counter
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .arrangement import (
-    ArrCone,
     Flat,
     HyperplaneArrangement,
     SignVector,
@@ -51,7 +51,6 @@ from .arrangement import (
     minimal_flat_containing,
     rays_of_constraints,
     restrict,
-    saturated_cone,
     signed_constraints,
     split_rays,
 )
@@ -61,7 +60,6 @@ from .qlinalg import (
     IntVec,
     Scalar,
     Subspace,
-    Vec,
     canonical_covector,
     canonical_covector_signed,
     covector_times_mat,
@@ -88,7 +86,6 @@ class _SpecFields(NamedTuple):
     rank: int
     weights: tuple[IntVec, ...]
     roots: tuple[IntVec, ...]
-    weyl_generators: tuple[Matrix, ...]
     weyl_group: tuple[Matrix, ...]
 
 
@@ -210,36 +207,7 @@ def load_spec(doc: dict) -> QuotientStackSpec:
             raise SpecError(f"weyl generator {g} does not preserve the root set")
 
     group = _enumerate_weyl(tuple(gens), rank)
-    return QuotientStackSpec(rank, weights, roots, tuple(gens), group)
-
-
-class Face(NamedTuple):
-    """A face of the component lattice: a subspace of Q^rank, optionally
-    remembered as the map that presented it (possibly non-injective)."""
-
-    subspace: Subspace
-    as_map: Optional[tuple[Vec, ...]] = None
-
-    @staticmethod
-    def from_vectors(vectors: Iterable[Sequence[Scalar]], rank: int) -> "Face":
-        return Face(span(vectors, rank))
-
-    @staticmethod
-    def from_map(rows: Sequence[Sequence[Scalar]], rank: int) -> "Face":
-        rows = tuple(qvec(r) for r in rows)
-        for r in rows:
-            if len(r) != rank:
-                raise SpecError(f"face map row of length {len(r)}, expected {rank}")
-        return Face(span(rows, rank), as_map=rows)
-
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
-
-
-def nondegenerate_quotient(face: Face) -> Face:
-    """Replace a map-form face by its image, the induced injective face."""
-    return Face(face.subspace)
+    return QuotientStackSpec(rank, weights, roots, group)
 
 
 class ComponentSignature(NamedTuple):
@@ -252,7 +220,6 @@ class ComponentSignature(NamedTuple):
 
 
 class _AttractorFields(NamedTuple):
-    cone: ArrCone
     flat: Flat
     ambient_rays: tuple[IntVec, ...]
     attractor_weights: tuple[IntVec, ...]
@@ -261,13 +228,15 @@ class _AttractorFields(NamedTuple):
 
 
 class AttractorSignature(_AttractorFields):
-    """Isomorphism data of a filtered point: the cone inside its carrier
-    flat, the weights with nonnegative pairing (the attractor) and the
-    roots of the parabolic, plus the signature of the cone's span."""
+    """Isomorphism data of a filtered point: the carrier flat and the
+    cone's canonical ambient rays, which determine the cone, the weights
+    with nonnegative pairing (the attractor) and the roots of the
+    parabolic, plus the signature of the cone's span, whose face_dim is
+    the cone's dimension."""
 
     __slots__ = ()
 
-    def __new__(cls, cone, flat, ambient_rays, attractor_weights, parabolic_roots, levi_part):
+    def __new__(cls, flat, ambient_rays, attractor_weights, parabolic_roots, levi_part):
         fixed = Counter(levi_part.fixed_weights)
         attr = Counter(attractor_weights)
         if fixed - attr or not set(levi_part.levi_roots) <= set(parabolic_roots):
@@ -275,7 +244,7 @@ class AttractorSignature(_AttractorFields):
                 f"cone with rays {ambient_rays}: a weight or root vanishing on its span "
                 "is missing from its attractor or parabolic"
             )
-        return super().__new__(cls, cone, flat, ambient_rays, attractor_weights, parabolic_roots, levi_part)
+        return super().__new__(cls, flat, ambient_rays, attractor_weights, parabolic_roots, levi_part)
 
     @classmethod
     def _make(cls, iterable) -> "AttractorSignature":
@@ -299,11 +268,9 @@ def restricted_arrangement(spec: QuotientStackSpec, subspace: Subspace) -> Hyper
     return restrict(global_arrangement(spec), subspace)
 
 
-def component_signature(spec: QuotientStackSpec, face: Face | Subspace) -> ComponentSignature:
-    """Signature of a face or a subspace, in integer dots against the
-    subspace's rows."""
-    sub = face.subspace if isinstance(face, Face) else face
-    return _span_signature(spec, sub.rows, sub.dim)
+def component_signature(spec: QuotientStackSpec, face: Subspace) -> ComponentSignature:
+    """Signature of a face, in integer dots against its rows."""
+    return _span_signature(spec, face.rows, face.dim)
 
 
 def _span_signature(
@@ -327,25 +294,20 @@ def _signature_of_pairings(spec: QuotientStackSpec, pairings: Sequence, dim: int
     )
 
 
-def special_face_closure(spec: QuotientStackSpec, face: Face) -> Flat:
-    """Minimal flat of the global arrangement containing the face.
-
-    Map-form faces are reduced first; the closure only sees the image.
-    """
-    face = nondegenerate_quotient(face)
-    return minimal_flat_containing(global_arrangement(spec), face.subspace.rows)
+def special_face_closure(spec: QuotientStackSpec, face: Subspace) -> Flat:
+    """Minimal flat of the global arrangement containing the face."""
+    return minimal_flat_containing(global_arrangement(spec), face.rows)
 
 
-def central_rank(spec: QuotientStackSpec, face: Face) -> int:
+def central_rank(spec: QuotientStackSpec, face: Subspace) -> int:
     """Dimension of the common kernel of the face's fixed weights and Levi
     roots. Always >= the face dimension, with equality iff the face is a
     flat (a special face)."""
-    sig = component_signature(spec, nondegenerate_quotient(face))
+    sig = component_signature(spec, face)
     return spec.rank - row_rank(sig.fixed_weights + sig.levi_roots)
 
 
-def is_special(spec: QuotientStackSpec, face: Face) -> bool:
-    face = nondegenerate_quotient(face)
+def is_special(spec: QuotientStackSpec, face: Subspace) -> bool:
     return central_rank(spec, face) == face.dim
 
 
@@ -466,12 +428,6 @@ def _restriction_functionals(spec: QuotientStackSpec, space: Subspace) -> tuple[
     return tuple(sorted(first.items()))
 
 
-def _signed_restrictions(spec: QuotientStackSpec, space: Subspace) -> tuple[IntVec, ...]:
-    """The restrictions of _restriction_functionals, without their
-    functionals."""
-    return tuple(l for l, _ in _restriction_functionals(spec, space))
-
-
 def special_cone_closure(
     spec: QuotientStackSpec, rays: Sequence[Sequence[Scalar]]
 ) -> AttractorSignature:
@@ -539,15 +495,15 @@ def _closure_of_pairings(
 def _cone_of(spec: QuotientStackSpec, flat: Flat, ineqs: tuple[IntVec, ...]) -> AttractorSignature:
     """The cone cut out of the carrier flat by the restrictions ineqs, with
     its signature, memoized on its arguments: a flat hashes its integer
-    hyperplane indices and rows only."""
+    hyperplane indices and rows only. The cone's dimension, the rank of
+    its rays, is the levi part's face_dim."""
     carrier = flat.subspace
     cone_rays = rays_of_constraints([], ineqs, carrier.dim)
-    cone = saturated_cone(restricted_arrangement(spec, carrier), cone_rays)
     ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
     attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
     parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
-    levi = _span_signature(spec, ambient, cone.dim)
-    return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
+    levi = _span_signature(spec, ambient, row_rank(cone_rays))
+    return AttractorSignature(flat, ambient, attractor, parabolic, levi)
 
 
 class ConeOrbit(NamedTuple):
@@ -559,7 +515,7 @@ class ConeOrbit(NamedTuple):
 
     @property
     def dim(self) -> int:
-        return self.signature.cone.dim
+        return self.signature.levi_part.face_dim
 
 
 def enumerate_special_cones(spec: QuotientStackSpec) -> tuple[ConeOrbit, ...]:
@@ -579,7 +535,7 @@ def enumerate_special_cones(spec: QuotientStackSpec) -> tuple[ConeOrbit, ...]:
     found: set[tuple[IntVec, ...]] = set()
     for fl in flats(arr):
         carrier = fl.subspace
-        restr = _signed_restrictions(spec, carrier)
+        restr = [l for l, _ in _restriction_functionals(spec, carrier)]
         if len(restr) > CONE_CONSTRAINT_CAP:
             raise CapExceeded(
                 f"special cones: {len(restr)} constraints on a flat exceeds cap {CONE_CONSTRAINT_CAP}"
@@ -672,7 +628,7 @@ def constancy_check(
                 raise InvariantError(f"sample {vec_str(v)} left chamber {ch} of flat {flat.hyperplanes}")
             p = carrier.scaled_lift(v)
             comp, sig = _sample_signatures(spec, p)
-            attr = (sig.flat.hyperplanes, sig.cone) + sig[2:]  # the flat by its hyperplanes
+            attr = (sig.flat.hyperplanes,) + sig[1:]  # the flat by its hyperplanes
             seen_comp.add(comp)
             seen_attr.add(attr)
             if first is None:
@@ -704,23 +660,22 @@ def _sample_signatures(spec: QuotientStackSpec, p: IntVec) -> tuple[ComponentSig
 
 def surjection_invariance_check(
     spec: QuotientStackSpec,
-    face: Face,
+    face: Subspace,
     projection: Sequence[Sequence[Scalar]],
 ) -> bool:
     """Precomposing a face with a surjection onto its source must change
-    neither the signature nor the closure."""
-    face = nondegenerate_quotient(face)
+    neither the signature nor the closure. The composite map's face is the
+    span of its rows."""
     k = face.dim
     proj = [qvec(row) for row in projection]
     if any(len(row) != k for row in proj):
         raise SpecError(f"projection rows must have length {k}")
     if span(proj, k).dim != k:
         raise SpecError("projection is not surjective onto the face's source")
-    composed = Face.from_map(mat_mul(proj, face.subspace.rows), spec.rank)
-    reduced = nondegenerate_quotient(composed)
+    composed = span(mat_mul(proj, face.rows), spec.rank)
     return (
-        component_signature(spec, reduced) == component_signature(spec, face)
-        and special_face_closure(spec, reduced) == special_face_closure(spec, face)
+        component_signature(spec, composed) == component_signature(spec, face)
+        and special_face_closure(spec, composed) == special_face_closure(spec, face)
     )
 
 

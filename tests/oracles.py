@@ -8,7 +8,8 @@ counting), so agreement is meaningful.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
+from typing import NamedTuple
 
 from complat.arrangement import (
     _checked_witness,
@@ -16,20 +17,22 @@ from complat.arrangement import (
     minimal_flat_containing,
     rays_of_constraints,
     restrict,
-    saturated_cone,
     signed_constraints,
     split_rays,
 )
-from complat.errors import CapExceeded, InvariantError, SpecError
+from complat.errors import CapExceeded, InvariantError
 from complat.qlinalg import (
     covector_times_mat,
     dot,
+    echelon,
     int_dot,
     is_zero_vec,
     kernel,
     mat_mul,
     primitive,
     qvec,
+    row_rank,
+    span,
     vec_neg,
     vec_str,
 )
@@ -132,6 +135,24 @@ def fraction_kernel(covectors, width):
     return fraction_rref(basis, width)[0]
 
 
+def two_pass_kernel(covectors, width):
+    """The common kernel by integer back-substitution into the echelon
+    form of the covectors, in the natural column order, handed to span for
+    a second echelon pass that brings it to the canonical form."""
+    ech = echelon(covectors, width)
+    d = lcm(*(e[p] for p, e in ech))
+    pivots = {p for p, _ in ech}
+    basis = []
+    for f in range(width):
+        if f not in pivots:
+            v = [0] * width
+            v[f] = d
+            for p, e in ech:
+                v[p] = -(d // e[p]) * e[f]
+            basis.append(v)
+    return span(basis, width)
+
+
 def fraction_canonical_rays(lin, rays, dim):
     """+/- the primitive RREF rows of span(lin) and the primitive forms of
     the rays reduced modulo them over Fractions, sorted; None when a ray
@@ -149,12 +170,42 @@ def fraction_canonical_rays(lin, rays, dim):
 
 
 def cotangent_arrangement(spec, face):
-    """Weights and roots restricted to an injective face, deduped, in the
+    """Weights and roots restricted to a face (a Subspace), deduped, in the
     face's basis coordinates: the global arrangement restricted by
     arrangement.restrict."""
-    if face.as_map is not None:
-        raise SpecError("face is in map form: reduce with nondegenerate_quotient")
-    return restrict(global_arrangement(spec), face.subspace)
+    return restrict(global_arrangement(spec), face)
+
+
+class ArrCone(NamedTuple):
+    """Closed cone cut out by covector constraints of an arrangement.
+
+    zero_set: indices of covectors vanishing identically on the cone.
+    nonneg_set: (index, sign) pairs with sign * covector >= 0 on the cone
+      and not identically zero; together the two sets are saturated, i.e.
+      every constraint valid on the cone is recorded.
+    extreme_rays: the generating rays (lineality appears as +/- pairs).
+    """
+
+    zero_set: tuple
+    nonneg_set: tuple
+    extreme_rays: tuple
+    dim: int
+
+
+def saturated_cone(arr, rays):
+    """ArrCone of the cone generated by the rays, in any scaling: every
+    covector is tested against every ray, so the constraint sets come out
+    saturated. The reference for the sign data a cone's rays determine."""
+    zero, nn = [], []
+    for i, w in enumerate(arr.covectors):
+        vals = [dot(w, r) for r in rays]
+        if all(v == 0 for v in vals):
+            zero.append(i)
+        elif all(v >= 0 for v in vals):
+            nn.append((i, 1))
+        elif all(v <= 0 for v in vals):
+            nn.append((i, -1))
+    return ArrCone(tuple(zero), tuple(nn), tuple(rays), row_rank(rays))
 
 
 def span_signature(spec, vectors):
@@ -169,8 +220,8 @@ def span_signature(spec, vectors):
 def unmemoized_cone_closure(spec, rays):
     """special_cone_closure with nothing memoized past the flat: every call
     computes the restrictions, selects those nonnegative on the rays and
-    runs the restricted arrangement, double description, saturation, lift
-    and signature itself."""
+    runs the double description, lift and signature itself; the cone's
+    dimension is the rank of the lifted rays, by a kernel."""
     rays = [primitive(r) for r in rays if not is_zero_vec(r)]
     flat = minimal_flat_containing(global_arrangement(spec), rays)
     carrier = flat.subspace
@@ -194,12 +245,11 @@ def unmemoized_cone_closure(spec, rays):
         if all(v >= 0 for v in vals):
             ineqs.append(l)
     cone_rays = rays_of_constraints([], ineqs, carrier.dim)
-    cone = saturated_cone(restrict(global_arrangement(spec), carrier), cone_rays)
     ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
     attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
     parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
     levi = span_signature(spec, ambient)
-    return AttractorSignature(cone, flat, ambient, attractor, parabolic, levi)
+    return AttractorSignature(flat, ambient, attractor, parabolic, levi)
 
 
 def chamber_rays_by_constraints(arr):

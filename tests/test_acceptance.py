@@ -219,28 +219,26 @@ def test_criterion_04_closure_laws_on_random_faces(capsys):
                 vecs = [
                     tuple(rng.randint(-3, 3) for _ in range(spec.rank)) for _ in range(k)
                 ]
-                face = sm.Face.from_vectors(vecs, spec.rank)
+                face = span(vecs, spec.rank)
                 closure = sm.special_face_closure(spec, face)
                 csub = closure.subspace
                 # extensive
-                assert intersect(face.subspace, csub).dim == face.dim
+                assert intersect(face, csub).dim == face.dim
                 # signature-preserving
                 a = sm.component_signature(spec, face)
                 b = sm.component_signature(spec, csub)
                 assert (a.fixed_weights, a.levi_roots) == (b.fixed_weights, b.levi_roots)
                 # idempotent
-                again = sm.special_face_closure(
-                    spec, sm.Face.from_vectors(csub.basis, spec.rank)
-                )
+                again = sm.special_face_closure(spec, span(csub.basis, spec.rank))
                 assert again == closure
                 # central rank bounds, equality exactly on special faces
                 crk = sm.central_rank(spec, face)
                 assert crk == closure.dim >= face.dim
                 assert (crk == face.dim) == sm.is_special(spec, face)
-                assert sm.is_special(spec, sm.Face.from_vectors(csub.basis, spec.rank))
+                assert sm.is_special(spec, span(csub.basis, spec.rank))
                 # monotone in the face
                 extra = tuple(rng.randint(-3, 3) for _ in range(spec.rank))
-                bigger = sm.Face.from_vectors(list(face.subspace.basis) + [extra], spec.rank)
+                bigger = span(list(face.basis) + [extra], spec.rank)
                 cbig = sm.special_face_closure(spec, bigger)
                 assert intersect(csub, cbig.subspace).dim == csub.dim
                 checked += 1

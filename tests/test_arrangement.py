@@ -17,7 +17,6 @@ from complat.arrangement import (
     minimal_flat_containing,
     rays_of_constraints,
     restrict,
-    saturated_cone,
     sign_vector_of,
     split_rays,
     tits_compose,
@@ -33,6 +32,7 @@ from oracles import (
     realizable,
     reduce_mod,
     sample_sign_vectors,
+    saturated_cone,
     vec_scale,
     witness_point,
     zaslavsky_face_count,
@@ -251,6 +251,8 @@ def test_restrict_to_line():
 
 
 # -- cones -------------------------------------------------------------------
+# A cone is its canonical ray tuple; its saturated sign sets are read off
+# the rays by the oracle saturated_cone.
 
 
 def cone3(eqs, ineqs):

@@ -175,6 +175,201 @@ def test_closure_refuses_quiver_documents(capsys):
     assert code == 2
 
 
+# sha256 of the closure report in json and in text output. The benchmark
+# never runs closure, so these pin its bytes: the zero face, dependent face
+# vectors, zero and rational rays, on every shipped linear spec.
+CLOSURE_DIGESTS = [
+    (
+        "a1_gm",
+        ("--face", "0"),
+        "70f9182c06a8a6ce0a2270c883a5278d5463296c65e6b603b37a371b21fff10a",
+        "8d274a07e7e01c9bee0d3fce3d1ad6e41360a509ca31b273e4158b50ead1512b",
+    ),
+    (
+        "a1_gm",
+        ("--face", "1"),
+        "3e4eb56f6abeea47d98f398b0a4e35df44ff7d582febd5fa2b88d14484c2e448",
+        "a2366d2c5f500ab27bf272d66195ae9d928093d4ed8e1231bc9d6fe90bf33a0b",
+    ),
+    (
+        "a1_gm",
+        ("--ray", "1"),
+        "b0185e48b89f8c4dd3e63d326a9eab892137edbdcb3dcf4b5e88eeead29b680f",
+        "9286426cee3a874cbe1b4ae085da7e5ee3e8a938e60a004601de6ce0ea14724b",
+    ),
+    (
+        "a1_gm",
+        ("--ray=-1/3",),
+        "11e9a95200d3ab5613ef527aa346c14b4acacf7b0ff992707a342823dc1ec0d0",
+        "d307689c1a0df726f22245c1d1f13b498870b3e07de3e79e9509ae42317b8e6d",
+    ),
+    (
+        "b_gm",
+        ("--face", "1"),
+        "b2ca670e06fefe26b559617816fa85a29774f73c5fcccb655250cb1b8bf3f650",
+        "9752f66a671e3922a8d55e432c7206ac0adaca581fd59f14f2349bab1f4318d6",
+    ),
+    (
+        "b_gm",
+        ("--ray", "-1"),
+        "8088c2ce5858bee9ce4f5fd3aa6b81fef070ff3a55ae1a739c395324e40dc9bf",
+        "29d7d369f7347d296e57b24c45ce4b36b76609f83dd94951418a06580ea98e70",
+    ),
+    (
+        "a2_gl2",
+        ("--face", "0,0"),
+        "db41fd30bc742a6d7d928d03549310e674fb205ae319682e1725dee9b6c7cd99",
+        "cab8951d5a280d3c42102d608d639f830a755518ed2c4b4d9c1fd184da4a0b47",
+    ),
+    (
+        "a2_gl2",
+        ("--face", "0,1"),
+        "41be826f128f5ec670cd10f53cd22c155efd8ba365431bfc06a8624e0d2b58c5",
+        "4fc7721acf7c96dd609349b289d55b54c121c734aed97772af1982e08fd90b1b",
+    ),
+    (
+        "a2_gl2",
+        ("--face", "1,2"),
+        "e358cd3054444e4699e632fb6efcd953524f0f516fd36578a1a0f41dbd24153c",
+        "133f5845f56764b2a4b0fea2b7c29f27ebc3d8b697ffee651738e5b5b2e4c6a1",
+    ),
+    (
+        "a2_gl2",
+        ("--face", "1,1", "--face", "2,2"),
+        "81d9f7e3257cab2f5c5fe09acb696a216b3e98155e36607e30a3d9836d94e18a",
+        "c05ea78d7a61a5a09f9efa9106abd846cdd2efdb0b8ab34622aa4fdf7decbade",
+    ),
+    (
+        "a2_gl2",
+        ("--ray", "0,0"),
+        "6e1011a45ff9bd8a99933a31c23f742ff1819e4b82014ba1e3b8e17a800230ad",
+        "75f1d934b6fb08d91ec9c7d90dc2c9c127580c2dfe17b8688dd85aec54006a9b",
+    ),
+    (
+        "a2_gl2",
+        ("--ray", "1,0"),
+        "9513fb5dd7ec000a2b33c00bcf01f5e075068d53f2c11384ca21ff434c33c367",
+        "f8e261a4654d1cdccd1b742aa021c0be50cb70b826119e46c5d0807dedf0479e",
+    ),
+    (
+        "a2_gl2",
+        ("--ray", "1/2,1/2", "--ray", "1,0"),
+        "4374a479a940527d22e9ae7dc5c585dc285903756c2b0fc33152a9ee96befe1e",
+        "28279500eff4dcd843d4039c2a22a41561ceeb03fafba12644603137f37ef3a6",
+    ),
+    (
+        "a2_gl2",
+        ("--ray=-1,2",),
+        "1f438490f748b315c8e85739afd77e5c755bef6af32eaade1cfbe83233032fbc",
+        "6c44b78b34b461278718459757456138d8634d06d3895f224dfe89d18200fd7e",
+    ),
+    (
+        "b_gl2",
+        ("--face", "1,1"),
+        "6f90279dfece7649bee0c4d34c07ed6e4e160830e99cbf8375f2b29b89db8d41",
+        "b0add33a03b9d2045aaeb1cfebd8c65a79d3e245f29cb860e0d2b7a2499a9f63",
+    ),
+    (
+        "b_gl2",
+        ("--ray", "1,-1"),
+        "2b9d4cf4ddfc7bbd75fc68c2258e1e52f02cd4e30e6d8a5bb152bce368cccc59",
+        "488107015df91246ce9de8512b5ec46fdaac07fe16d8463183b3542c7d615830",
+    ),
+    (
+        "b_gl3",
+        ("--face", "1,1,1"),
+        "92d10425b6648d0fb5693ca2755d7cbc40cc509a71f29c601b62c4bcd1fa1364",
+        "845997fd68712b30d503395d243afdf03000fd42abb5ff8f028418fafd4bc880",
+    ),
+    (
+        "b_gl3",
+        ("--face", "1,0,0", "--face", "0,1,0"),
+        "ad05f0f2b47ba9789badc9bb009ba8744528afa321cf4f59283ec75cafcd436e",
+        "0dff38e55a5e73ce82a4f15e581345d7243c083b92120332bf87151f7447f081",
+    ),
+    (
+        "b_gl3",
+        ("--ray", "1,-1,0"),
+        "a569ac23b513fa6c371855fc6292bf1702042e6f9e9b555162b3819fd8402ace",
+        "305dc2654c1e58a9e32a07074cd88902103a57ee263f2bfb38e1867533f7aefc",
+    ),
+    (
+        "b_gl3",
+        ("--ray", "2/3,1/5,-1"),
+        "b8ae2a5039cc637942aaf1a820ecc82e6958b55f0b3f8a9f882566693f945fea",
+        "19f9841024417f91d775b2946996df5a725ccabebe102283335f5b4f4fbab5be",
+    ),
+    (
+        "b_gl4",
+        ("--face", "1,1,0,0"),
+        "cf6ae743b15dd3cb6a08b3db7fba91c67a61d05030ecc0d068f677b35f416157",
+        "3f6578049323c4e5585219315f54e0ddde0ec08373adcfa0f00b99a073eae217",
+    ),
+    (
+        "b_gl4",
+        ("--face", "0,0,0,0"),
+        "378f4a5e63cc5ee19707b591af39f25d1e909e2ccdb7da48bbf2fa6d008dcf8e",
+        "b7126dcf4219d7a05fb18dac21d85a21347a15a8faebb012522374b085dedf71",
+    ),
+    (
+        "b_gl4",
+        ("--ray", "1,2,3,4"),
+        "73ae9bc4305792e4b0c0d4f4fb066ee69f7eed2d8eaea5e13b295793b23eaaf1",
+        "76aedd035aaa827ff32e3659266ebe777851e1b3470e3dd492a40d58308e05c0",
+    ),
+    (
+        "b_gl4",
+        ("--ray", "1,1,-1,-1", "--ray", "0,0,1,-1"),
+        "14200d657273c47a9c552f15911ba41ceee3d616db85e8d32cd8e7be2f66e3d1",
+        "c94f0a8a9ba64a0e15b0626f69120a0cd9f67dab8800655d6a7eb3e9067d8426",
+    ),
+    (
+        "rank3_mixed",
+        ("--face", "0,0,0"),
+        "681adf43cd8ed5a56b0ab3f2f7c1fe4df80430969903a1043aefc2e3c9384918",
+        "453c64cc733db368d8ba152fe01901eb1a58f0a18b4b21e9074242af9f6416ff",
+    ),
+    (
+        "rank3_mixed",
+        ("--face", "1,0,0"),
+        "7c5e5bd1ecaea40521a5a1165d5899e61de590e6cba6284ef343a9849a0725f8",
+        "4868f4d67593527713bfe2a27a1529a300e8f675c3908b6eb71c1f8253b01f16",
+    ),
+    (
+        "rank3_mixed",
+        ("--face", "1,-1,0", "--face", "0,0,1"),
+        "bce42015b3bfaae862b0f6c448fc76dddab85db6798b4688f747dfd6855c797b",
+        "c04066c8daa4ccfc8ea986cf94aa3d544664c290329744e36d9c99e7b313782a",
+    ),
+    (
+        "rank3_mixed",
+        ("--ray", "1,1,1"),
+        "f093be3dd91e520c03f1c68e20ee4251e94433b2d5e9140c233b0cdfd8bf0c92",
+        "f03d993220d9ac09ca892c5a69342974b94e2df8efbb9f913045b398d22ab97b",
+    ),
+    (
+        "rank3_mixed",
+        ("--ray=-1/2,1,0", "--ray", "0,0,1"),
+        "9a453215ae38c918cdcf496661be4c4c7386b39d57ebb2ad89bc774c2f017320",
+        "0cf454b84b6a133b7df24231fb969cfe21b71b9c5e6d4cd5c3ae3f4bcd65c4e9",
+    ),
+    (
+        "rank3_mixed",
+        ("--ray", "0,0,0"),
+        "0f437a439f3e651b2fc663d40869020f42ad6b8cc5f698619b642d944ccdc606",
+        "025c060c321670b1663ae5ffe382c5d9e4943b54bb12350c10c126576a5bbacc",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,argv,json_sha256,text_sha256", CLOSURE_DIGESTS)
+def test_closure_reports_are_byte_identical_to_the_recorded_ones(capsys, spec, argv, json_sha256, text_sha256):
+    for output, sha256 in (("json", json_sha256), ("text", text_sha256)):
+        code, out, err = run_cli(capsys, "closure", SPECS / f"{spec}.json", *argv, "--output", output)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 # -- verify -------------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import complat.qlinalg as qlinalg
 from complat.arrangement import canonical_rays
 from complat.errors import InvariantError
 from complat.qlinalg import (
@@ -35,6 +36,7 @@ from oracles import (
     fraction_kernel,
     fraction_rref,
     lift,
+    two_pass_kernel,
 )
 
 F = Fraction
@@ -189,6 +191,32 @@ def test_the_integer_echelon_form_agrees_with_the_fraction_rref():
         widths.add(n)
         empty += not rows
     assert widths == set(range(7)) and collapsed > 50 and empty > 20
+
+
+def test_the_one_pass_kernel_matches_the_two_pass_route():
+    # the reversed-column elimination against back-substitution handed to
+    # span for a second echelon pass: int and Fraction rows, repeats, zero
+    # kernels and empty row lists
+    rng = random.Random(73)
+    ints = [0, 0, 0, 1, -1, 2, -3, 4, 6]
+    fracs = ints + [F(1, 2), F(-2, 3), F(5, 4)]
+    dims, scaled = set(), 0
+    for _ in range(3000):
+        n = rng.randint(0, 6)
+        rows = _rows_with_repeats(rng, n, rng.choice((ints, fracs)), rng.randint(0, 5))
+        got = kernel(rows, n)
+        assert got == two_pass_kernel(rows, n), rows
+        dims.add(got.dim)
+        scaled += got.scale > 1
+    assert dims == set(range(7)) and scaled > 300
+
+
+def test_kernel_output_goes_through_the_subspace_check(monkeypatch):
+    # with every row doubled the rows share a factor, which the
+    # constructor refuses
+    monkeypatch.setattr(qlinalg, "lcm", lambda *xs: 2 * lcm(*xs))
+    with pytest.raises(ValueError, match="basis is not in reduced row echelon form"):
+        kernel([(1, -1, 0)], 3)
 
 
 def test_kernel_of_difference_functional():
