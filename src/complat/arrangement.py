@@ -17,20 +17,21 @@ canonical_rays turns those into the canonical extreme-ray tuple: lineality
 as +/- pairs, pointed rays reduced modulo lineality, so two equal cones
 always carry the identical tuple, and the tuple determines the cone:
 which covectors are >= 0, <= 0 or zero on it is read off its rays.
-rays_of_constraints is the two in one. split_rays and signed_constraints
-translate between ray tuples, sign vectors and constraints.
+rays_of_constraints is the two in one. split_rays splits a ray tuple into
+its lineality and pointed parts.
 
 cells inserts one hyperplane at a time and keeps each cell's
 double-description state, so a new hyperplane costs one step per child of
 each cell it actually splits; chamber_rays reads each chamber's rays off
-that state.
+that state, once per arrangement.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceeded, InvariantError
 from .qlinalg import (
@@ -330,15 +331,6 @@ def split_rays(rays: Sequence[IntVec]) -> tuple[tuple[IntVec, ...], tuple[IntVec
     return lin, tuple(r for r in rays if vec_neg(r) not in present)
 
 
-def signed_constraints(
-    covectors: Sequence[IntVec], signs: Sequence[int]
-) -> tuple[list[IntVec], list[IntVec]]:
-    """(equalities, inequalities) of the closed cell with the given signs:
-    w = 0 where the sign is 0, s * w >= 0 elsewhere."""
-    eqs = [w for w, s in zip(covectors, signs) if s == 0]
-    return eqs, [w if s > 0 else vec_neg(w) for w, s in zip(covectors, signs) if s != 0]
-
-
 # -- cells -------------------------------------------------------------------
 
 
@@ -403,13 +395,14 @@ def chambers(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:
     return tuple(s for s in cells(arr) if 0 not in s)
 
 
-def chamber_rays(arr: HyperplaneArrangement) -> tuple[tuple[SignVector, tuple[IntVec, ...]], ...]:
-    """Each chamber with the canonical extreme-ray tuple of its closure,
-    in chambers() order: canonical_rays of the double-description state
-    that _cell_states built for it, the tuple rays_of_constraints gives
-    for the chamber's signed constraints, without a second pass."""
-    return tuple(
-        (s, canonical_rays(lin, list(tight), arr.dim)) for s, (lin, tight, _), _ in _cell_states(arr) if 0 not in s
+@lru_cache(maxsize=None)
+def chamber_rays(arr: HyperplaneArrangement) -> Mapping[SignVector, tuple[IntVec, ...]]:
+    """{chamber: canonical extreme-ray tuple of its closure}, in chambers()
+    order, read off the double-description states of _cell_states: the
+    tuples rays_of_constraints gives for the chambers' constraints. Memoized
+    per arrangement, like flat_cut_out, so callers share a read-only view."""
+    return MappingProxyType(
+        {s: canonical_rays(lin, list(tight), arr.dim) for s, (lin, tight, _), _ in _cell_states(arr) if 0 not in s}
     )
 
 

@@ -45,13 +45,11 @@ from .arrangement import (
     SignVector,
     cells,
     chamber_rays,
-    chambers,
     flat_cut_out,
     flats,
     minimal_flat_containing,
     rays_of_constraints,
     restrict,
-    signed_constraints,
     split_rays,
 )
 from .category import FiniteCategory, check_laws
@@ -495,14 +493,16 @@ def _closure_of_pairings(
 def _cone_of(spec: QuotientStackSpec, flat: Flat, ineqs: tuple[IntVec, ...]) -> AttractorSignature:
     """The cone cut out of the carrier flat by the restrictions ineqs, with
     its signature, memoized on its arguments: a flat hashes its integer
-    hyperplane indices and rows only. The cone's dimension, the rank of
-    its rays, is the levi part's face_dim."""
+    hyperplane indices and rows only. Its dim, the levi part's face_dim, is
+    flat.dim: each selected restriction is >= 0 and not identically 0 on the
+    rays (_closure_of_pairings raises otherwise), so > 0 on their sum; with
+    no rays the flat is the least one, where no restriction survives."""
     carrier = flat.subspace
     cone_rays = rays_of_constraints([], ineqs, carrier.dim)
     ambient = tuple(sorted(primitive(carrier.scaled_lift(r)) for r in cone_rays))
     attractor = tuple(w for w in spec.weights if all(int_dot(w, a) >= 0 for a in ambient))
     parabolic = tuple(r for r in spec.roots if all(int_dot(r, a) >= 0 for a in ambient))
-    levi = _span_signature(spec, ambient, row_rank(cone_rays))
+    levi = _span_signature(spec, ambient, flat.dim)
     return AttractorSignature(flat, ambient, attractor, parabolic, levi)
 
 
@@ -608,7 +608,7 @@ def constancy_check(
         "chambers": [],
         "discrepancies": [],
     }
-    for ch, rays in chamber_rays(arr_f):
+    for ch, rays in chamber_rays(arr_f).items():
         lin, pointed = split_rays(rays)
         lin_basis = [r for r in lin if r < vec_neg(r)]
         seen_comp: set[ComponentSignature] = set()
@@ -689,20 +689,21 @@ class HallMorphism(NamedTuple):
 
     The embedding is a source-dim x target-dim integer matrix in the bases
     of the two representatives, times the scale L of the source's rows
-    (an identity is L times the identity matrix);
-    sub_covectors lists the target cotangent covectors vanishing on its
-    image, in the chamber's coordinate order.
+    (an identity is L times the identity matrix). The chamber's coordinates
+    are the target covectors vanishing on the image (_embedded_arrangement).
     """
 
     source: int
     target: int
     embedding: tuple[IntVec, ...]
     chamber: SignVector
-    sub_covectors: tuple[IntVec, ...]
 
 
-def _identity_rows(k: int, scale: int) -> tuple[IntVec, ...]:
-    return tuple(tuple(scale * (i == j) for j in range(k)) for i in range(k))
+@lru_cache(maxsize=None)
+def _embedded_arrangement(spec: QuotientStackSpec, target: Subspace, emb: Matrix) -> HyperplaneArrangement:
+    """The target's cotangent covectors vanishing on every row of emb."""
+    arr = restricted_arrangement(spec, target)
+    return HyperplaneArrangement(tuple(w for w in arr.covectors if not any(int_dot(w, r) for r in emb)), arr.dim)
 
 
 def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
@@ -715,13 +716,15 @@ def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
     falls through to the second by the Tits rule; the table is verified
     closed under composition. A Weyl element moves the rows of A to
     integer vectors; they lie in B iff B's scaled_reduce kills
-    them, and their entries at B's pivots are their coordinates.
+    them, and their entries at B's pivots are their coordinates. Each
+    (B, embedding) gets its sub-arrangement once, into the table that
+    composition reads, and its chambers and their rays from chamber_rays.
     """
     objects = enumerate_special_faces(spec)
     reps = [o.flat.subspace for o in objects]
-    cot = [restricted_arrangement(spec, s) for s in reps]
     scales = [s.scale for s in reps]
 
+    subs: dict[tuple[int, Matrix], HyperplaneArrangement] = {}
     morphisms: list[HallMorphism] = []
     for si, a in enumerate(reps):
         for ti, b in enumerate(reps):
@@ -733,26 +736,27 @@ def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
                 if not any(any(b.scaled_reduce(v)) for v in moved):
                     embeddings.add(tuple(tuple(v[p] for p in b.pivots) for v in moved))
             for emb in sorted(embeddings):
-                sub = tuple(w for w in cot[ti].covectors if not any(int_dot(w, row) for row in emb))
-                for ch in chambers(HyperplaneArrangement(sub, b.dim)):
-                    morphisms.append(HallMorphism(si, ti, emb, ch, sub))
+                subs[ti, emb] = sub = _embedded_arrangement(spec, b, emb)
+                morphisms += (HallMorphism(si, ti, emb, ch) for ch in chamber_rays(sub))
     return FiniteCategory.build(
         objects,
         morphisms,
-        lambda oi: HallMorphism(oi, oi, _identity_rows(reps[oi].dim, scales[oi]), (), ()),
-        lambda m1, m2: _compose_morphisms(m1, m2, cot[m2.target], scales[m1.target]),
+        # the identity embeds B by g = 1: B's rows at its pivots, L times the identity matrix
+        lambda oi: HallMorphism(oi, oi, tuple(tuple(v[p] for p in reps[oi].pivots) for v in reps[oi].rows), ()),
+        lambda m1, m2: _compose_morphisms(m1, m2, subs, scales[m1.target]),
     )
 
 
 def _compose_morphisms(
-    m1: HallMorphism, m2: HallMorphism, target_arr: HyperplaneArrangement, middle_scale: int
+    m1: HallMorphism, m2: HallMorphism, subs: dict[tuple[int, Matrix], HyperplaneArrangement], middle_scale: int
 ) -> HallMorphism:
     """Tits composition: a hyperplane through the composite image either
     pulls back along the second embedding to a hyperplane through the
     first image (keep the first chamber's sign, corrected for the
     canonicalization flip) or dies there (fall through to the second).
     The product of the embeddings carries the middle object's scale too,
-    so it is divided by middle_scale, which must go exactly."""
+    so it is divided by middle_scale, which must go exactly. All three
+    sub-arrangements come from subs, keyed by (target, embedding)."""
     cols = tuple(zip(*m2.embedding))
     product = [[int_dot(row, col) for col in cols] for row in m1.embedding]
     if any(x % middle_scale for row in product for x in row):
@@ -761,16 +765,19 @@ def _compose_morphisms(
             f"{vec_str(*m2.embedding)} is not divisible by {middle_scale}, the scale of object {m1.target}"
         )
     emb = tuple(tuple(x // middle_scale for x in row) for row in product)
-    sub = tuple(w for w in target_arr.covectors if not any(int_dot(w, row) for row in emb))
+    sub = subs.get((m2.target, emb))
+    if sub is None:
+        raise InvariantError(f"composite embedding {vec_str(*emb)} into object {m2.target} is not in the table")
+    first, second = subs[m1.target, m1.embedding].covectors, subs[m2.target, m2.embedding].covectors
     signs = []
-    for w in sub:
+    for w in sub.covectors:
         pull = tuple(int_dot(w, row) for row in m2.embedding)
         if any(pull):
             canon, sgn = canonical_covector_signed(pull)
-            signs.append(sgn * m1.chamber[m1.sub_covectors.index(canon)])
+            signs.append(sgn * m1.chamber[first.index(canon)])
         else:
-            signs.append(m2.chamber[m2.sub_covectors.index(w)])
-    return HallMorphism(m1.source, m2.target, emb, tuple(signs), sub)
+            signs.append(m2.chamber[second.index(w)])
+    return HallMorphism(m1.source, m2.target, emb, tuple(signs))
 
 
 def verify_hall_category(cat: FiniteCategory) -> dict:
@@ -802,7 +809,7 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
     InvariantError. For a pair (i, j) the first chamber's view of the
     pulled vectors is then i's own masks with their bits moved by j's map,
     with no dot product per pair. The composite's nonneg mask comes from
-    its own rays.
+    its own rays, read from the chamber_rays pass that enumerated it.
     """
     tangent = spec.weights + spec.roots
     restricted = [
@@ -819,9 +826,7 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
     nonneg, zero, moves = [], [], []
     for j, m in enumerate(cat.morphisms):
         target = restricted[m.target]
-        cone = rays_of_constraints(
-            *signed_constraints(m.sub_covectors, m.chamber), cat.objects[m.target].dim
-        )
+        cone = chamber_rays(_embedded_arrangement(spec, cat.objects[m.target].flat.subspace, m.embedding))[m.chamber]
         nn = zz = 0
         for t, v in enumerate(target):
             vals = [int_dot(v, r) for r in cone]

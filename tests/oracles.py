@@ -17,7 +17,6 @@ from complat.arrangement import (
     minimal_flat_containing,
     rays_of_constraints,
     restrict,
-    signed_constraints,
     split_rays,
 )
 from complat.errors import CapExceeded, InvariantError
@@ -252,18 +251,31 @@ def unmemoized_cone_closure(spec, rays):
     return AttractorSignature(flat, ambient, attractor, parabolic, levi)
 
 
+def signed_constraints(covectors, signs):
+    """(equalities, inequalities) of the closed cell with the given signs:
+    w = 0 where the sign is 0, s * w >= 0 elsewhere."""
+    eqs = [w for w, s in zip(covectors, signs) if s == 0]
+    return eqs, [w if s > 0 else vec_neg(w) for w, s in zip(covectors, signs) if s != 0]
+
+
 def chamber_rays_by_constraints(arr):
-    """Each chamber with the canonical ray tuple of its closure, by a
-    second double description of the chamber's signed constraints."""
-    return tuple(
-        (ch, rays_of_constraints(*signed_constraints(arr.covectors, ch), arr.dim)) for ch in chambers(arr)
-    )
+    """{chamber: canonical ray tuple of its closure}, by a second double
+    description of the chamber's signed constraints."""
+    return {ch: rays_of_constraints(*signed_constraints(arr.covectors, ch), arr.dim) for ch in chambers(arr)}
+
+
+def vanishing_covectors(arr, embedding):
+    """The covectors of arr vanishing on every row of an embedding, by
+    Fraction dots: the coordinates of a Hall morphism's chamber, when arr
+    is its target's cotangent arrangement."""
+    return tuple(w for w in arr.covectors if all(dot(w, row) == 0 for row in embedding))
 
 
 def pairwise_weight_identity(spec, cat):
     """The Hall weight identity with every composable pair paying its own
-    dot products: each morphism keeps its chamber's integer rays, the mask
-    of the restrictions to its target that are >= 0 on them, and those
+    dot products: each morphism keeps its chamber's integer rays, from a
+    second double description of the chamber's constraints, the mask of
+    the restrictions to its target that are >= 0 on them, and those
     restrictions pulled back along its embedding; a pair (i, j) -> k
     tests j's pulled vectors against i's rays."""
     tangent = spec.weights + spec.roots
@@ -271,10 +283,12 @@ def pairwise_weight_identity(spec, cat):
         tuple(tuple(int_dot(v, row) for row in o.flat.subspace.rows) for v in tangent)
         for o in cat.objects
     ]
+    cot = [cotangent_arrangement(spec, o.flat.subspace) for o in cat.objects]
     rays, nonneg, pulled = [], [], []
     for m in cat.morphisms:
         target = restricted[m.target]
-        cone = rays_of_constraints(*signed_constraints(m.sub_covectors, m.chamber), cat.objects[m.target].dim)
+        sub = vanishing_covectors(cot[m.target], m.embedding)
+        cone = rays_of_constraints(*signed_constraints(sub, m.chamber), cat.objects[m.target].dim)
         rays.append(cone)
         nonneg.append(sum(1 << t for t, v in enumerate(target) if all(int_dot(v, r) >= 0 for r in cone)))
         pulled.append(tuple(tuple(int_dot(row, v) for row in m.embedding) for v in target))

@@ -18,6 +18,7 @@ from complat.cli import main
 from complat.errors import InvariantError
 from complat.jsonio import canonical_json, document_digest, jsonable
 from complat.qlinalg import span, vec_neg
+from tests.test_stackmodel import SKEW3, braid_spec
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
@@ -370,6 +371,61 @@ def test_closure_reports_are_byte_identical_to_the_recorded_ones(capsys, spec, a
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# sha256 of the hall report in json and in text output, on every shipped
+# linear spec, skew3 (scaled embeddings) and braid4. The benchmark runs
+# only rank3_mixed's json report.
+HALL_DIGESTS = {
+    "a1_gm": (
+        "4ce80ae84b617d0017b59a7d7b049bc1de200904aaf20cc24d350666bc549f75",
+        "7252ee52eecebf5a4e2edb497f47c58223341017678b4dae8c014223ed0f9a46",
+    ),
+    "a2_gl2": (
+        "0d62e60c3e60e1b9286be965de1fb97d96ffc9e51d1efe7466ff1c434a734188",
+        "8aca11fe61c2446f1191c690b59747127e833f3629a588eabff4a5f9109d79d3",
+    ),
+    "b_gl2": (
+        "cedeb6db0d94e99927d7e76e88deee614aa3faa90eac5b517dd9d8eb315cca64",
+        "6d8500d4ddb88a1d39daadaaea2716739dd0be09304febdff5ea5b04fcfa6655",
+    ),
+    "b_gl3": (
+        "cc2c50e12840d7d94d374de0a5be124018a99a84610057f36bdc9502530ebade",
+        "614c5c407f2cbf376c838394594cfafaf64daf8ed1a4f1888efb5e985db66020",
+    ),
+    "b_gl4": (
+        "5ab6202d2a9497b6f6a45d6c9ec369d284783934fceab443e03f726b18b4fbfd",
+        "cf720a1cf6bfe447895dfc0708d8b3affc93481110849909dc0052d82421b0ad",
+    ),
+    "b_gm": (
+        "7bcea236cf802309cd9fd62ff76328f9d656d083c96f4e5fb29f3b59c1dd7aec",
+        "69be889abc7c143a7139e2fba8170a7f5944269f235c5f9bd95ce18317fdf6e1",
+    ),
+    "rank3_mixed": (
+        "f0bfa9ce329819564b5f95084f3b51c8451925daf439c5b01c1914597a037156",
+        "356ef8daa1149155321d379f838ac1639ce4855d4206d675d85f702563098344",
+    ),
+    "skew3": (
+        "212222c4951f387f958ac5196a0229dd8b63bdc05c1ddbe0f4b9352785129a35",
+        "af4fa525d055897be714e903c4d1c4df901224273c1bbbe90636386b70a19c80",
+    ),
+    "braid4": (
+        "a2fb9165a2a20465d424fc7045517a7b289ed58dbff00afc84530a149f836256",
+        "fee8f2cb2bf3e00f3915356ea73f9fd3db1fb64b120b9307213ef2eaaf70e843",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HALL_DIGESTS))
+def test_hall_reports_are_byte_identical_to_the_recorded_ones(capsys, tmp_path, name):
+    path = SPECS / f"{name}.json"
+    if name == "skew3" or name.startswith("braid"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(SKEW3 if name == "skew3" else braid_spec(int(name[len("braid") :]))))
+    for output, sha256 in zip(("json", "text"), HALL_DIGESTS[name]):
+        code, out, err = run_cli(capsys, "verify", path, "--suite", "hall", "--output", output)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 # -- verify -------------------------------------------------------------------------
 
 
@@ -481,6 +537,17 @@ def test_an_inexact_composite_embedding_exits_4(capsys, monkeypatch):
         "invariant broken: composite embedding (1, 0), (0, 1) of (0, 1), (1, 0) and (0, 1), (1, 0) "
         "is not divisible by 2, the scale of object 0\n"
     )
+
+
+def test_a_composite_embedding_outside_the_table_exits_4(capsys, monkeypatch):
+    # dividing by the negated middle scale negates every composite; the
+    # plane's identity then composes with itself to minus the identity,
+    # which no Weyl element of a2_gl2 gives
+    compose = sm._compose_morphisms
+    monkeypatch.setattr(sm, "_compose_morphisms", lambda m1, m2, subs, scale: compose(m1, m2, subs, -scale))
+    code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "hall")
+    assert code == 4 and out == ""
+    assert err == "invariant broken: composite embedding (-1, 0), (0, -1) into object 0 is not in the table\n"
 
 
 def test_a_morphism_pulling_a_restriction_off_the_source_exits_4(capsys, monkeypatch):
@@ -697,6 +764,14 @@ def test_a_broken_invariant_exits_4_under_python_O():
     )
     assert result.returncode == 4 and result.stdout == ""
     assert result.stderr.startswith("invariant broken: sample (")
+    result = _spawn_optimized(
+        "from complat import stackmodel as sm\n"
+        "compose = sm._compose_morphisms\n"
+        "sm._compose_morphisms = lambda m1, m2, subs, scale: compose(m1, m2, subs, -scale)\n"
+        f"sys.exit(main(['verify', {str(SPECS / 'a2_gl2.json')!r}, '--suite', 'hall']))\n"
+    )
+    assert result.returncode == 4 and result.stdout == ""
+    assert result.stderr == "invariant broken: composite embedding (-1, 0), (0, -1) into object 0 is not in the table\n"
 
 
 def test_a_request_over_a_cap_exits_3_under_python_O():

@@ -12,13 +12,16 @@ from fractions import Fraction
 
 import pytest
 
+from complat import arrangement
+from complat import stackmodel as sm
+from complat.arrangement import HyperplaneArrangement
 from complat.stackmodel import (
     hall_category,
     hall_composition_weight_identity,
     load_spec,
     verify_hall_category,
 )
-from oracles import pairwise_weight_identity
+from oracles import cotangent_arrangement, pairwise_weight_identity, vanishing_covectors
 from tests.test_stackmodel import A1_GM, A2_GL2, B_GL3, B_GM, LINEAR_SPECS, _named_spec
 
 CATEGORY_SIZES = {
@@ -27,6 +30,12 @@ CATEGORY_SIZES = {
     "a2gl2": (A2_GL2, 4, 21),
     "bgl3": (B_GL3, 3, 22),
 }
+
+
+def _sub_covectors(spec, cat, m):
+    # the target cotangent covectors vanishing on the embedding, in the
+    # chamber's coordinate order
+    return vanishing_covectors(cotangent_arrangement(spec, cat.objects[m.target].flat.subspace), m.embedding)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +118,7 @@ def test_twisting_an_axis_embedding_by_the_weyl_flip(categories):
     # composing (axis -> plane via the second coordinate, sign s on the
     # surviving hyperplane) with the flip of the plane must give the other
     # axis embedding with the same sign on its surviving hyperplane
-    _, cat = categories["a2gl2"]
+    spec, cat = categories["a2gl2"]
     flip = next(
         i
         for i, m in enumerate(cat.morphisms)
@@ -125,7 +134,7 @@ def test_twisting_an_axis_embedding_by_the_weyl_flip(categories):
         )
         composed = cat.morphisms[cat.compose(first, flip)]
         assert composed.embedding == ((Fraction(1), Fraction(0)),)
-        assert composed.sub_covectors == ((0, 1),)
+        assert _sub_covectors(spec, cat, composed) == ((0, 1),)
         assert composed.chamber == (sign,)
 
 
@@ -164,7 +173,7 @@ def test_composition_weight_identity_rejects_a_swapped_composite(categories):
         if (m.source, m.target) == (1, 0) and m.embedding == ((Fraction(1), Fraction(0)),) and m.chamber == (1,)
     )
     sector = ms[cat.compose(ray, into_plane)]
-    assert (sector.sub_covectors, sector.chamber) == (((0, 1), (1, -1), (1, 0)), (1, 1, 1))
+    assert (_sub_covectors(spec, cat, sector), sector.chamber) == (((0, 1), (1, -1), (1, 0)), (1, 1, 1))
     opposite = next(
         i for i, m in enumerate(ms) if (m.source, m.target) == (3, 0) and m.chamber == (-1, -1, -1)
     )
@@ -180,6 +189,34 @@ def test_the_mask_identity_agrees_with_the_pairwise_identity(name):
     spec = _named_spec(name)
     cat = hall_category(spec)
     assert hall_composition_weight_identity(spec, cat) is pairwise_weight_identity(spec, cat) is True
+
+
+@pytest.mark.parametrize("name", ["rank3_mixed", "braid4"])
+def test_each_sub_arrangement_is_derived_once(monkeypatch, name):
+    # the category and the weight identity read every chamber and its rays
+    # from one _cell_states run per distinct sub-arrangement, and no
+    # second double description of a chamber's constraints runs
+    spec = _named_spec(name)
+    runs = []
+    cell_states = arrangement._cell_states
+
+    def recording(arr):
+        runs.append(arr)
+        return cell_states(arr)
+
+    def refused(*args):
+        raise AssertionError("rays_of_constraints ran on the Hall path")
+
+    for module in (arrangement, sm):
+        monkeypatch.setattr(module, "rays_of_constraints", refused)
+    monkeypatch.setattr(arrangement, "_cell_states", recording)
+    arrangement.chamber_rays.cache_clear()
+    cat = hall_category(spec)
+    assert hall_composition_weight_identity(spec, cat)
+    subs = {
+        HyperplaneArrangement(_sub_covectors(spec, cat, m), cat.objects[m.target].dim) for m in cat.morphisms
+    }
+    assert len(runs) == len(set(runs)) and set(runs) == subs
 
 
 def test_the_mask_identity_agrees_with_the_pairwise_identity_on_corrupted_tables():

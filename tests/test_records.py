@@ -95,7 +95,7 @@ def _records():
     fls = flats(sm.global_arrangement(spec))
     sigs = [o.signature for o in sm.enumerate_special_faces(_spec("rank3_mixed"))]
     return {
-        "HallMorphism": (hall, lambda m: (m.source, m.target, m.embedding, m.chamber, m.sub_covectors)),
+        "HallMorphism": (hall, lambda m: (m.source, m.target, m.embedding, m.chamber)),
         "LmsMorphism": (lms, lambda m: (m.source, m.target, m.orders)),
         "Flat": (fls, lambda f: (f.subspace, f.hyperplanes)),
         "ComponentSignature": (sigs, lambda s: (s.face_dim, s.fixed_weights, s.levi_roots)),

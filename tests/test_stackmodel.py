@@ -27,7 +27,6 @@ from complat.arrangement import (
     rays_of_constraints,
     restrict,
     sign_vector_of,
-    signed_constraints,
     split_rays,
 )
 from complat.errors import CapExceeded, InvariantError, SpecError
@@ -79,8 +78,10 @@ from oracles import (
     mat_mul_weyl_closure,
     mat_vec,
     saturated_cone,
+    signed_constraints,
     span_signature,
     unmemoized_cone_closure,
+    vanishing_covectors,
     vec_scale,
     witness_point,
 )
@@ -720,6 +721,20 @@ def test_cone_closure_matches_the_fraction_route_and_ignores_scaling(name):
         assert special_cone_closure(spec, scaled) == sig, rays
 
 
+@pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3",))
+def test_a_special_cone_spans_its_carrier_flat(name):
+    # the cone's dimension is taken from its flat, with no rank computed:
+    # every special-cone orbit and 30 random closures must bear that out
+    spec = _named_spec(name)
+    flat_bases = [f.subspace.basis for f in flats(global_arrangement(spec))]
+    rng = random.Random(67)
+    sigs = [o.signature for o in enumerate_special_cones(spec)]
+    for _ in range(30):
+        sigs.append(special_cone_closure(spec, [_random_ray(rng, spec, flat_bases) for _ in range(rng.randint(1, 3))]))
+    for sig in sigs:
+        assert row_rank(sig.ambient_rays) == sig.flat.dim == sig.levi_part.face_dim, sig
+
+
 def test_the_cone_memo_agrees_with_the_unmemoized_closure_on_constancy_samples(monkeypatch):
     spec = _named_spec("b_gl4")
     fl = flats(global_arrangement(spec))[0]
@@ -770,7 +785,7 @@ def test_chamber_rays_match_a_second_double_description(name):
     for arr in [arr_g] + [restrict(arr_g, fl.subspace) for fl in flats(arr_g)]:
         got = chamber_rays(arr)
         assert got == chamber_rays_by_constraints(arr)
-        assert tuple(ch for ch, _ in got) == chambers(arr)
+        assert tuple(got) == chambers(arr)
 
 
 def test_attractor_monotone_under_ray_growth(a2gl2):
@@ -949,27 +964,27 @@ def _hall_category_by_fractions(spec):
                 if None not in rows:
                     embeddings.add(rows)
             for emb in sorted(embeddings):
-                sub = tuple(w for w in cot[ti].covectors if all(dot(w, row) == 0 for row in emb))
+                sub = vanishing_covectors(cot[ti], emb)
                 for ch in chambers(HyperplaneArrangement(sub, b.dim)):
-                    morphisms.append(HallMorphism(si, ti, emb, ch, sub))
+                    morphisms.append(HallMorphism(si, ti, emb, ch))
 
     def identity(oi):
         k = reps[oi].dim
         eye = tuple(tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
-        return HallMorphism(oi, oi, eye, (), ())
+        return HallMorphism(oi, oi, eye, ())
 
     def compose(m1, m2):
         emb = mat_mul(m1.embedding, m2.embedding)
-        sub = tuple(w for w in cot[m2.target].covectors if all(dot(w, row) == 0 for row in emb))
+        first, second = (vanishing_covectors(cot[m.target], m.embedding) for m in (m1, m2))
         signs = []
-        for w in sub:
+        for w in vanishing_covectors(cot[m2.target], emb):
             pull = [dot(w, row) for row in m2.embedding]
             if any(pull):
                 canon, sgn = canonical_covector_signed(pull)
-                signs.append(sgn * m1.chamber[m1.sub_covectors.index(canon)])
+                signs.append(sgn * m1.chamber[first.index(canon)])
             else:
-                signs.append(m2.chamber[m2.sub_covectors.index(w)])
-        return HallMorphism(m1.source, m2.target, emb, tuple(signs), sub)
+                signs.append(m2.chamber[second.index(w)])
+        return HallMorphism(m1.source, m2.target, emb, tuple(signs))
 
     return FiniteCategory.build(objects, morphisms, identity, compose)
 
@@ -984,15 +999,17 @@ def test_hall_category_with_scaled_embeddings_matches_the_fraction_route():
     assert (len(cat.objects), len(cat.morphisms)) == (12, 118)
     ref = _hall_category_by_fractions(spec)
     assert len(ref.morphisms) == len(cat.morphisms)
+    cot = [restrict(global_arrangement(spec), o.flat.subspace) for o in cat.objects]
     for m, r in zip(cat.morphisms, ref.morphisms):
         assert all(type(x) is int for row in m.embedding for x in row)
         scaled = tuple(tuple(scales[r.source] * x for x in row) for row in r.embedding)
-        assert (m.source, m.target, m.embedding, m.chamber, m.sub_covectors) == (
+        # the chamber coordinates: the target covectors vanishing on each embedding
+        assert (m.source, m.target, m.embedding, m.chamber, vanishing_covectors(cot[m.target], m.embedding)) == (
             r.source,
             r.target,
             scaled,
             r.chamber,
-            r.sub_covectors,
+            vanishing_covectors(cot[r.target], r.embedding),
         )
     assert cat.identities == ref.identities
     assert cat.then == ref.then
