@@ -17,6 +17,7 @@ report was written (128 + SIGPIPE).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -323,5 +324,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0 if report.get("ok", True) else 1
 
 
+def run() -> None:
+    """Process entry of the `complat` command: exit with the code of main().
+
+    The heap is frozen first, so interpreter finalization skips the full
+    collections that would walk every reference cycle through module
+    globals. atexit handlers and the final flush still run; main() leaves
+    gc alone, so in-process callers see no change."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,12 +6,21 @@ exact: rationals become "num/den" strings, floats are refused.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from fractions import Fraction
 
 from .errors import SpecError
+
+# hashlib loads OpenSSL's libcrypto, a few ms and MB of every short command;
+# the interpreter's built-in sha256 gives the same digest without it
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def jsonable(obj):
@@ -40,7 +49,7 @@ def canonical_json(obj) -> str:
 def document_digest(doc) -> str:
     """sha256 of the canonical form of a parsed document, so formatting
     and key order in the source file do not matter."""
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    return sha256(canonical_json(doc).encode()).hexdigest()
 
 
 def load_document(path: str) -> dict:

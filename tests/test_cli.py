@@ -1,7 +1,10 @@
 """End-to-end command line behavior: reports, exit codes, caching,
 deterministic output."""
 
+import ast
+import gc
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from complat import cli
 from complat import linmoduli as lm
 from complat import stackmodel as sm
 from complat.arrangement import Flat
@@ -76,6 +80,41 @@ def test_document_digest_ignores_formatting(tmp_path):
         '"weights": [[1]], "rank": 1, "type": "linear_quotient"}\n'
     )
     assert document_digest(json.loads(shuffled.read_text())) == document_digest(doc)
+
+
+def _benchmark_inputs():
+    # the documents perfbench/run.py generates, from its workload table
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses reads it there
+    spec.loader.exec_module(workloads)
+    return workloads.INPUTS
+
+
+def test_document_digest_is_hashlibs_sha256_of_the_canonical_form():
+    # jsonio takes sha256 from the interpreter's built-in module, and from
+    # hashlib only where that module is missing: both must give hashlib's
+    # digest, on every shipped spec and on the benchmark's generated inputs
+    docs = [json.loads(p.read_text()) for p in sorted(SPECS.glob("*.json"))]
+    docs += list(_benchmark_inputs().values())
+    expected = [hashlib.sha256(canonical_json(doc).encode()).hexdigest() for doc in docs]
+    assert [document_digest(doc) for doc in docs] == expected
+    fallback = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import hashlib, json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from complat import jsonio\n"
+            "print(json.dumps([jsonio.sha256 is hashlib.sha256] + "
+            "[jsonio.document_digest(doc) for doc in json.load(sys.stdin)]))\n",
+        ],
+        input=json.dumps(docs),
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert json.loads(fallback.stdout) == [True] + expected
 
 
 # -- faces --------------------------------------------------------------------------
@@ -744,41 +783,40 @@ def test_floats_in_a_document_exit_2(capsys, tmp_path, argv, token):
         assert err == f"error: {doc} holds the float {token}; numbers must be exact integers\n"
 
 
-def _spawn_optimized(script):
-    # python -O strips assert statements; the exit codes must not rely on them
-    return subprocess.run(
-        [sys.executable, "-O", "-c", "import sys\nfrom complat.cli import main\n" + script],
-        capture_output=True,
-        text=True,
-        cwd=REPO,
+def _spawn_optimized(argv, patch=""):
+    # python -O strips assert statements; the exit codes must not rely on
+    # them. After the patch, the command runs as python -m runs it, through
+    # the process entry that exits with main()'s code
+    script = (
+        patch + "import runpy, sys\n"
+        f"sys.argv[1:] = {[str(a) for a in argv]!r}\n"
+        "runpy.run_module('complat.cli', run_name='__main__', alter_sys=True)\n"
     )
+    return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, cwd=REPO)
 
 
 def test_a_broken_invariant_exits_4_under_python_O():
     result = _spawn_optimized(
+        ["verify", SPECS / "a2_gl2.json", "--suite", "constancy", "--samples", "2"],
         "from complat import stackmodel as sm\n"
         "from complat.qlinalg import vec_neg\n"
         "split = sm.split_rays\n"
-        "sm.split_rays = lambda rays: (split(rays)[0], tuple(vec_neg(r) for r in split(rays)[1]))\n"
-        f"sys.exit(main(['verify', {str(SPECS / 'a2_gl2.json')!r}, '--suite', 'constancy', '--samples', '2']))\n"
+        "sm.split_rays = lambda rays: (split(rays)[0], tuple(vec_neg(r) for r in split(rays)[1]))\n",
     )
     assert result.returncode == 4 and result.stdout == ""
     assert result.stderr.startswith("invariant broken: sample (")
     result = _spawn_optimized(
+        ["verify", SPECS / "a2_gl2.json", "--suite", "hall"],
         "from complat import stackmodel as sm\n"
         "compose = sm._compose_morphisms\n"
-        "sm._compose_morphisms = lambda m1, m2, subs, scale: compose(m1, m2, subs, -scale)\n"
-        f"sys.exit(main(['verify', {str(SPECS / 'a2_gl2.json')!r}, '--suite', 'hall']))\n"
+        "sm._compose_morphisms = lambda m1, m2, subs, scale: compose(m1, m2, subs, -scale)\n",
     )
     assert result.returncode == 4 and result.stdout == ""
     assert result.stderr == "invariant broken: composite embedding (-1, 0), (0, -1) into object 0 is not in the table\n"
 
 
 def test_a_request_over_a_cap_exits_3_under_python_O():
-    result = _spawn_optimized(
-        f"sys.exit(main(['verify', {str(SPECS / 'jordan.json')!r}, '--suite', 'associativity', "
-        "'--q', '2', '--max-dim', '4']))\n"
-    )
+    result = _spawn_optimized(["verify", SPECS / "jordan.json", "--suite", "associativity", "--q", 2, "--max-dim", 4])
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr.startswith("cap exceeded: orbit sweep of ")
 
@@ -786,7 +824,7 @@ def test_a_request_over_a_cap_exits_3_under_python_O():
 def test_an_infinite_weyl_group_exits_3_under_python_O(tmp_path):
     doc = tmp_path / "shear.json"
     doc.write_text(json.dumps(INFINITE_WEYL))
-    result = _spawn_optimized(f"sys.exit(main(['faces', {str(doc)!r}]))\n")
+    result = _spawn_optimized(["faces", doc])
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr == "cap exceeded: weyl group larger than cap 100000\n"
 
@@ -904,14 +942,43 @@ def test_documents_can_come_from_stdin():
     assert result.returncode == 0
     report = json.loads(result.stdout)
     assert report["count"] == 2
+    result = spawn("faces", "-", stdin_text="{not json")
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: - is not valid JSON: ")
 
 
-def test_subprocess_output_is_stable_across_processes():
-    args = ("faces", SPECS / "a2_gl2.json")
-    first = spawn(*args)
-    second = spawn(*args)
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
+def test_subprocess_output_is_stable_across_processes(capsys, tmp_path):
+    # python -m exits through the process entry, with main()'s code and the
+    # bytes main() prints in process: exit 0, and exit 1 on the A3 census
+    a3 = tmp_path / "a3_quiver.json"
+    a3.write_text(json.dumps(A3_QUIVER))
+    for args, exit_code in [
+        (("faces", SPECS / "a2_gl2.json"), 0),
+        (("verify", a3, "--suite", "crosscheck", "--max-dim", 2), 1),
+    ]:
+        first = spawn(*args)
+        second = spawn(*args)
+        code, out, _ = run_cli(capsys, *args)
+        assert first.returncode == second.returncode == code == exit_code
+        assert first.stdout == second.stdout == out
+
+
+def test_the_script_and_python_m_share_one_entry_and_main_leaves_gc_alone(capsys):
+    # the entry freezes the heap before exit, so finalization skips the
+    # collections over module globals; main() must not, as tests, demos
+    # and the benchmark tracer call it in process
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]
+    guard = next(
+        node
+        for node in ast.parse(Path(cli.__file__).read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    assert [ast.unparse(stmt) for stmt in guard.body] == ["run()"]
+    assert scripts["complat"] == "complat.cli:run" and callable(cli.run)
+    assert gc.get_freeze_count() == 0
+    code, _, _ = run_cli(capsys, "faces", SPECS / "a2_gl2.json")
+    assert code == 0 and gc.get_freeze_count() == 0
 
 
 # -- the external tracer of the benchmark ----------------------------------------------

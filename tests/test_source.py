@@ -75,3 +75,33 @@ def test_the_cli_imports_every_layer_and_neither_dataclasses_nor_inspect():
     assert not loaded & {"dataclasses", "inspect"}, loaded
     layers = {"complat." + m for m in ("qlinalg", "arrangement", "stackmodel", "linmoduli", "jsonio")}
     assert layers <= loaded, layers - loaded
+
+
+def test_no_command_loads_hashlib(tmp_path):
+    # hashlib loads OpenSSL's libcrypto, a few ms and MB of every short
+    # command, so jsonio digests with the interpreter's built-in sha256;
+    # the counting command digests cache keys too, so it gets a cache
+    specs = ROOT / "specs"
+    commands = [
+        ["faces", str(specs / "a2_gl2.json")],
+        ["closure", str(specs / "a2_gl2.json"), "--face", "0,1"],
+        ["verify", str(specs / "a2_quiver.json"), "--suite", "associativity", "--q", "2",
+         "--max-dim", "2", "--cache-dir", str(tmp_path)],
+    ]
+    code = (
+        "import contextlib, io, json, sys, complat.cli\n"
+        "def hashing():\n"
+        "    return sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules)\n"
+        "seen = [['import', 0, hashing()]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        seen.append([argv[0], complat.cli.main(argv), hashing()])\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = {"PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
+    )
+    seen = json.loads(out.stdout)
+    assert seen == [[name, 0, []] for name in ("import", "faces", "closure", "verify")], seen
+    assert any(tmp_path.iterdir()), "the counting command wrote no cache entry"
