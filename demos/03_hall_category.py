@@ -58,7 +58,7 @@ def main():
 
     ok = sm.hall_composition_weight_identity(spec, cat)
     print(f"weight bookkeeping splits along every composition: {ok}")
-    assert ok
+    assert ok is True
 
 
 if __name__ == "__main__":

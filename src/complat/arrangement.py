@@ -22,8 +22,9 @@ its lineality and pointed parts.
 
 cells inserts one hyperplane at a time and keeps each cell's
 double-description state, so a new hyperplane costs one step per child of
-each cell it actually splits; chamber_rays reads each chamber's rays off
-that state, once per arrangement.
+each cell it actually splits. It starts from the whole space, or from the
+faces of a simplicial cone to find only the cells inside it; chamber_rays
+reads each chamber's rays off that state, once per arrangement.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .qlinalg import (
     kernel,
     primitive,
     restrict_covector,
+    row_rank,
     sign,
     vec_neg,
     vec_str,
@@ -346,10 +348,19 @@ def _checked_witness(
     return total
 
 
-def _cell_states(arr: HyperplaneArrangement) -> list[tuple[SignVector, DDState, IntVec]]:
+def _cell_states(
+    arr: HyperplaneArrangement, walls: Sequence[IntVec] = ()
+) -> list[tuple[SignVector, DDState, IntVec]]:
     """(sign vector, double-description state of its closure, interior
-    witness) of every realizable cell, by sign vector, found by splitting
-    cells one covector at a time.
+    witness) of every realizable cell in the closed cone {a >= 0 for a in
+    walls}, by sign vector, found by splitting cells one covector at a time.
+
+    The walls must be linearly independent multiples of covectors of arr,
+    so the cone is simplicial modulo its lineality, and its relatively
+    open faces, one per set J of walls vanishing on it, partition it into
+    cells of arr. Each face is a start cell: the
+    cone's state stepped by -a for each a in J, with the sum of its pointed
+    rays as witness. No walls leave one start, the whole space.
 
     Each cell carries the double-description state (_dd_step) of its
     closure and an interior witness, the sum of the pointed rays. The next
@@ -358,11 +369,22 @@ def _cell_states(arr: HyperplaneArrangement) -> list[tuple[SignVector, DDState, 
     w >= 0 are one step each, and w = 0 is the w >= 0 state stepped by -w.
     Or the rays force its sign ({w = 0} meets the closed cell in a proper
     face), and the cell carries over under that sign with its state and
-    witness.
+    witness. A wall's own sign is always forced, so a cell stays in its
+    start face.
     """
     if arr.size > CELL_COVECTOR_CAP:
         raise CapExceeded(f"cells: {arr.size} covectors exceeds cap {CELL_COVECTOR_CAP}")
-    state = [((), _ambient(arr.dim), (0,) * arr.dim)]
+    if walls and (
+        row_rank(walls) < len(walls) or not {canonical_covector(a) for a in walls} <= set(arr.covectors)
+    ):
+        raise InvariantError(f"walls {vec_str(*walls)} are no independent hyperplanes of the arrangement")
+    cone = _ambient(arr.dim)
+    for a in walls:
+        cone = _dd_step(cone, a)
+    faces = [cone]
+    for a in walls:
+        faces += [_dd_step(f, vec_neg(a)) for f in faces]
+    state = [((), f, _checked_witness((), (), f[1], arr.dim)) for f in faces]
     for k, w in enumerate(arr.covectors):
         covs = arr.covectors[: k + 1]
         nxt = []
@@ -385,9 +407,11 @@ def _cell_states(arr: HyperplaneArrangement) -> list[tuple[SignVector, DDState, 
     return sorted(state, key=lambda c: c[0])
 
 
-def cells(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:
-    """All realizable sign vectors, sorted (_cell_states)."""
-    return tuple(s for s, *_ in _cell_states(arr))
+def cells(arr: HyperplaneArrangement, walls: Sequence[IntVec] = ()) -> tuple[SignVector, ...]:
+    """All realizable sign vectors in the closed cone {a >= 0 for a in
+    walls}, sorted (_cell_states), for walls that are linearly independent
+    multiples of covectors: with no walls, every cell of the arrangement."""
+    return tuple(s for s, *_ in _cell_states(arr, walls))
 
 
 def chambers(arr: HyperplaneArrangement) -> tuple[SignVector, ...]:

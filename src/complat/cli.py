@@ -79,9 +79,9 @@ def _cmd_faces(args) -> dict:
             "spec_digest": digest,
             "count": len(entries),
             "face_orbits": entries,
-            "cells": sum(len(o) for o in corbits),
+            "cells": sum(o.orbit_size for o in corbits),
             "cell_orbits": len(corbits),
-            "cell_orbit_sizes": [len(o) for o in corbits],
+            "cell_orbit_sizes": [o.orbit_size for o in corbits],
             "ok": True,
         }
     if kind == "quiver":
@@ -177,12 +177,12 @@ def _cmd_verify(args) -> dict:
             }
         cat = sm.hall_category(spec)
         laws = sm.verify_hall_category(cat)
-        identity_ok = sm.hall_composition_weight_identity(spec, cat)
+        identity = sm.hall_composition_weight_identity(spec, cat)
         return {
             **base,
-            "ok": bool(laws.get("ok")) and identity_ok,
+            "ok": bool(laws.get("ok")) and identity is True,
             "category": laws,
-            "weight_identity": identity_ok,
+            "weight_identity": identity,
         }
     if kind != "quiver":
         raise SpecError(f"suite {args.suite} requires a quiver document")

@@ -26,7 +26,9 @@ coefficient) pairs, so a permutation generator only reorders row tuples;
 covectors are pulled back the same way. An element permutes the weights
 and roots, hence the hyperplanes up to sign (weyl_permutations); flats,
 cells and special cones move by that signed permutation, and matrices act
-only in load_spec, weyl_permutations and the Hall category's embeddings.
+only in load_spec, weyl_permutations, weyl_reflection_chamber and the Hall
+category's embeddings. Cell orbits are read off one closed chamber of the
+reflections in W, so only the cells inside it are enumerated (cell_orbits).
 Orbits are named by canonical representatives, so all outputs are
 deterministic.
 """
@@ -37,7 +39,7 @@ import random
 from collections import Counter
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .arrangement import (
     Flat,
@@ -117,11 +119,12 @@ def _sparse_rows(m: Matrix) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _pullback(pairs: Sequence[tuple[int, int]], g: Matrix) -> IntVec:
-    """The row vector with nonzero entries pairs times g: the sum of c * g[k]
-    over the pairs (k, c). A single pair with c = 1 is g's row k itself."""
+    """The row vector with nonzero entries pairs times the matrix g, which
+    has at least one row: the sum of c * g[k] over the pairs (k, c). A
+    single pair with c = 1 is g's row k itself."""
     if len(pairs) == 1 and pairs[0][1] == 1:
         return g[pairs[0][0]]
-    acc = [0] * len(g)
+    acc = [0] * len(g[0])
     for k, c in pairs:
         for j, x in enumerate(g[k]):
             if x:
@@ -333,11 +336,10 @@ def weyl_permutations(spec: QuotientStackSpec) -> tuple[tuple[tuple[int, int], .
     return tuple(out)
 
 
-def _weyl_orbits(spec: QuotientStackSpec, members: Sequence, act, what: str) -> list:
-    """(first member, orbit) for each Weyl orbit on members, in their order;
-    act(perm, m) moves m by a signed permutation, and every image must be a
-    member again."""
-    perms = weyl_permutations(spec)
+def _weyl_orbits(perms: Sequence, members: Sequence, act, what: str) -> list:
+    """(first member, orbit) for each orbit on members of the group given
+    by its signed permutations, in the members' order; act(perm, m) moves m
+    by a signed permutation, and every image must be a member again."""
     known = set(members)
     seen: set = set()
     out = []
@@ -349,6 +351,64 @@ def _weyl_orbits(spec: QuotientStackSpec, members: Sequence, act, what: str) -> 
             seen |= orbit
             out.append((m, orbit))
     return out
+
+
+class _Chamber(NamedTuple):
+    """A chamber C of the mirrors of W_r, the subgroup of W generated by
+    the reflections whose mirrors are hyperplanes of the global arrangement
+    (weyl_reflection_chamber)."""
+
+    mirrors: tuple[int, ...]  # covector indices of the mirrors
+    walls: tuple[IntVec, ...]  # the simple roots: the mirrors bounding C, oriented >= 0 on C
+    omega: tuple  # the signed permutations of the elements g with gC = C
+    images: tuple[int, ...]  # per element g, the mirrors (as bits) positive on gC
+
+
+@lru_cache(maxsize=None)
+def weyl_reflection_chamber(spec: QuotientStackSpec) -> _Chamber:
+    """The reflections of W in the global arrangement, one chamber C of
+    their mirrors, its walls and its stabilizer Omega.
+
+    An element g is such a reflection iff g - 1 has rank 1 (in a finite
+    group that makes g an involution) and some covector w_j has w_j o g =
+    -w_j: w_j is then the root of g, so {w_j = 0} is its mirror. W permutes
+    the mirrors, as it conjugates reflections to reflections. C is the
+    chamber of the first point (1, t, t^2, ...), t = 1, 2, ..., on no
+    mirror; each mirror vanishes at fewer than rank such points. Each g
+    moves C to the chamber gC whose sign on mirror j is e * (the sign of C
+    on mirror i) for its entry (i, e) (weyl_permutations); a mirror is a
+    wall of C iff its reflection r has rC differing from C there alone.
+    With no reflection in the arrangement there is no mirror: C is the
+    whole space and Omega is W.
+    """
+    covectors = global_arrangement(spec).covectors
+    perms = weyl_permutations(spec)
+    reflection = {}  # mirror covector index -> the index of its reflection in W
+    for x, (g, perm) in enumerate(zip(spec.weyl_group, perms)):
+        roots = [j for j, (i, e) in enumerate(perm) if i == j and e < 0]
+        if roots:
+            moved = [tuple(v - (r == c) for c, v in enumerate(row)) for r, row in enumerate(g)]
+            if len({canonical_covector(v) for v in moved if any(v)}) == 1:
+                reflection[roots[0]] = x
+    mirrors = tuple(sorted(reflection))
+    bit = {j: 1 << b for b, j in enumerate(mirrors)}
+    point = next(
+        p
+        for p in ([t**k for k in range(spec.rank)] for t in range(1, len(mirrors) * spec.rank + 2))
+        if all(int_dot(covectors[j], p) for j in mirrors)
+    )
+    positive = {j for j in mirrors if int_dot(covectors[j], point) > 0}
+    images = tuple(
+        sum(bit[j] for j in mirrors if (perm[j][0] in positive) == (perm[j][1] > 0)) for perm in perms
+    )
+    home = sum(bit[j] for j in positive)
+    walls = tuple(
+        covectors[j] if j in positive else vec_neg(covectors[j])
+        for j in mirrors
+        if images[reflection[j]] ^ home == bit[j]
+    )
+    omega = tuple(perm for perm, image in zip(perms, images) if image == home)
+    return _Chamber(mirrors, walls, omega, images)
 
 
 class FaceOrbit(NamedTuple):
@@ -373,21 +433,58 @@ def enumerate_special_faces(spec: QuotientStackSpec) -> tuple[FaceOrbit, ...]:
     """
     by_set = {f.hyperplanes: f for f in flats(global_arrangement(spec))}
     orbits = _weyl_orbits(
-        spec, list(by_set), lambda perm, h: tuple(j for j, (i, _) in enumerate(perm) if i in h), "flat"
+        weyl_permutations(spec),
+        list(by_set),
+        lambda perm, h: tuple(j for j, (i, _) in enumerate(perm) if i in h),
+        "flat",
     )
     return tuple(FaceOrbit(by_set[h], len(o), component_signature(spec, by_set[h].subspace)) for h, o in orbits)
 
 
-def cell_orbits(spec: QuotientStackSpec) -> tuple[tuple[SignVector, ...], ...]:
-    """Weyl orbits of the relatively open cells of the global arrangement.
+class CellOrbit(NamedTuple):
+    """A Weyl orbit of relatively open cells of the global arrangement,
+    named by its representative: the least member in the closed chamber of
+    weyl_reflection_chamber."""
 
-    The signed permutation (i_j, e_j) carries the cell with sign vector s
-    to the one with signs (e_j * s_{i_j})_j.
+    cell: SignVector
+    orbit_size: int
+
+
+def cell_orbits(spec: QuotientStackSpec) -> tuple[CellOrbit, ...]:
+    """Weyl orbits of the relatively open cells of the global arrangement,
+    sorted by size and representative, read off the closed chamber C of
+    weyl_reflection_chamber.
+
+    W is W_r, generated by the reflections in the arrangement, times
+    Omega, the stabilizer of C. Each W_r-orbit of points meets the closed
+    chamber in exactly one point, whose stabilizer in W_r is the parabolic
+    subgroup W_J of the walls vanishing there (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.12). The mirrors are hyperplanes of the
+    arrangement, so the closed chamber is a union of cells, and the W-orbits
+    of cells are the Omega-orbits of the cells in it (cells(arr, walls)),
+    closed under the signed permutation (i_j, e_j), which carries signs s
+    to (e_j * s_{i_j})_j. The orbit of such a cell F has |W_r| / |W_J| *
+    |Omega F| cells. W_r acts simply transitively on the chambers of its
+    mirrors, and each chamber is gC for |Omega| elements g, so |W_J| is the
+    number of g whose chamber gC holds F in its closure, over |Omega|: gC
+    does iff its signs agree with F's on every mirror where F's are
+    nonzero.
     """
-    orbits = _weyl_orbits(
-        spec, cells(global_arrangement(spec)), lambda perm, s: tuple(e * s[i] for i, e in perm), "cell"
-    )
-    return tuple(sorted((tuple(sorted(o)) for _, o in orbits), key=lambda o: (len(o), o)))
+    arr = global_arrangement(spec)
+    chamber = weyl_reflection_chamber(spec)
+    group, stable = len(spec.weyl_group), len(chamber.omega)
+    parabolic: dict[tuple[int, int], int] = {}  # (mirror bits nonzero on F, those positive) -> |W_J|
+    out = []
+    for rep, orbit in _weyl_orbits(
+        chamber.omega, cells(arr, chamber.walls), lambda perm, s: tuple(e * s[i] for i, e in perm), "cell"
+    ):
+        nonzero = sum(1 << b for b, j in enumerate(chamber.mirrors) if rep[j])
+        positive = sum(1 << b for b, j in enumerate(chamber.mirrors) if rep[j] > 0)
+        if (nonzero, positive) not in parabolic:
+            adjacent = sum(image & nonzero == positive for image in chamber.images)
+            parabolic[nonzero, positive] = adjacent // stable
+        out.append(CellOrbit(rep, group // stable // parabolic[nonzero, positive] * len(orbit)))
+    return tuple(sorted(out, key=lambda o: (o.orbit_size, o.cell)))
 
 
 # -- special cones -------------------------------------------------------------
@@ -557,7 +654,10 @@ def enumerate_special_cones(spec: QuotientStackSpec) -> tuple[ConeOrbit, ...]:
         by_key[key] = ambient
     orbits = []
     for _, orbit in _weyl_orbits(
-        spec, list(by_key), lambda perm, key: tuple(key[i][::e] for i, e in perm), "special cone"
+        weyl_permutations(spec),
+        list(by_key),
+        lambda perm, key: tuple(key[i][::e] for i, e in perm),
+        "special cone",
     ):
         rep = min(by_key[key] for key in orbit)
         sig = special_cone_closure(spec, rep)
@@ -719,6 +819,9 @@ def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
     them, and their entries at B's pivots are their coordinates. Each
     (B, embedding) gets its sub-arrangement once, into the table that
     composition reads, and its chambers and their rays from chamber_rays.
+    Each (first, second) embedding pair gets its composite embedding and
+    gather map once (_compose_embeddings), so a composite is one gather of
+    the two chambers' signs.
     """
     objects = enumerate_special_faces(spec)
     reps = [o.flat.subspace for o in objects]
@@ -738,46 +841,74 @@ def hall_category(spec: QuotientStackSpec) -> FiniteCategory:
             for emb in sorted(embeddings):
                 subs[ti, emb] = sub = _embedded_arrangement(spec, b, emb)
                 morphisms += (HallMorphism(si, ti, emb, ch) for ch in chamber_rays(sub))
+    pairs: dict[tuple[int, Matrix, int, Matrix], tuple[Matrix, tuple[tuple[int, int], ...]]] = {}
+
+    def compose(m1: HallMorphism, m2: HallMorphism) -> HallMorphism:
+        key = m1.target, m1.embedding, m2.target, m2.embedding
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = _compose_embeddings(m1, m2, subs, scales[m1.target])
+        emb, gather = pair
+        first, second = m1.chamber, m2.chamber
+        return HallMorphism(m1.source, m2.target, emb, tuple(e * first[i] if e else second[i] for i, e in gather))
+
     return FiniteCategory.build(
         objects,
         morphisms,
         # the identity embeds B by g = 1: B's rows at its pivots, L times the identity matrix
         lambda oi: HallMorphism(oi, oi, tuple(tuple(v[p] for p in reps[oi].pivots) for v in reps[oi].rows), ()),
-        lambda m1, m2: _compose_morphisms(m1, m2, subs, scales[m1.target]),
+        compose,
     )
 
 
-def _compose_morphisms(
+def _compose_embeddings(
     m1: HallMorphism, m2: HallMorphism, subs: dict[tuple[int, Matrix], HyperplaneArrangement], middle_scale: int
-) -> HallMorphism:
-    """Tits composition: a hyperplane through the composite image either
-    pulls back along the second embedding to a hyperplane through the
-    first image (keep the first chamber's sign, corrected for the
-    canonicalization flip) or dies there (fall through to the second).
-    The product of the embeddings carries the middle object's scale too,
-    so it is divided by middle_scale, which must go exactly. All three
-    sub-arrangements come from subs, keyed by (target, embedding)."""
-    cols = tuple(zip(*m2.embedding))
-    product = [[int_dot(row, col) for col in cols] for row in m1.embedding]
-    if any(x % middle_scale for row in product for x in row):
+) -> tuple[Matrix, tuple[tuple[int, int], ...]]:
+    """The composite embedding of an embedding pair and its Tits gather
+    map, which depend on the two (target, embedding) pairs alone, so
+    hall_category computes them once per pair, at its first composite.
+
+    A hyperplane through the composite image either pulls back along the
+    second embedding to a hyperplane through the first image (keep the
+    first chamber's sign, corrected for the canonicalization flip) or dies
+    there (fall through to the second chamber). So entry k of the gather
+    map is (i, e) for the composite's covector k: the first chamber's sign
+    i times e, or the second chamber's sign i where e is 0. The product of
+    the embeddings carries the middle object's scale too, so it is divided
+    by middle_scale, which must go exactly. All three sub-arrangements come
+    from subs, keyed by (target, embedding); a composite missing there, or
+    a covector pulled to none of its factor's, raises InvariantError."""
+    product = [_pullback(pairs, m2.embedding) for pairs in _sparse_rows(m1.embedding)]
+    if middle_scale != 1 and any(x % middle_scale for row in product for x in row):
         raise InvariantError(
             f"composite embedding {vec_str(*product)} of {vec_str(*m1.embedding)} and "
             f"{vec_str(*m2.embedding)} is not divisible by {middle_scale}, the scale of object {m1.target}"
         )
-    emb = tuple(tuple(x // middle_scale for x in row) for row in product)
+    emb = tuple(product) if middle_scale == 1 else tuple(tuple(x // middle_scale for x in row) for row in product)
     sub = subs.get((m2.target, emb))
     if sub is None:
         raise InvariantError(f"composite embedding {vec_str(*emb)} into object {m2.target} is not in the table")
     first, second = subs[m1.target, m1.embedding].covectors, subs[m2.target, m2.embedding].covectors
-    signs = []
+    gather = []
     for w in sub.covectors:
         pull = tuple(int_dot(w, row) for row in m2.embedding)
         if any(pull):
-            canon, sgn = canonical_covector_signed(pull)
-            signs.append(sgn * m1.chamber[first.index(canon)])
+            canon, e = canonical_covector_signed(pull)
+            factor = first
         else:
-            signs.append(m2.chamber[second.index(w)])
-    return HallMorphism(m1.source, m2.target, emb, tuple(signs))
+            canon, e, factor = w, 0, second
+        if canon not in factor:
+            raise InvariantError(
+                f"embedding {vec_str(*m1.embedding) or '()'} into object {m1.target} then "
+                f"{vec_str(*m2.embedding)} into object {m2.target}: covector {vec_str(w)} of the composite "
+                + (
+                    f"pulls back to {vec_str(canon)}, off the first factor's sub-arrangement"
+                    if e
+                    else "vanishes on the second image but is off its sub-arrangement"
+                )
+            )
+        gather.append((factor.index(canon), e))
+    return emb, tuple(gather)
 
 
 def verify_hall_category(cat: FiniteCategory) -> dict:
@@ -785,7 +916,7 @@ def verify_hall_category(cat: FiniteCategory) -> dict:
     return {**check_laws(cat), "pairs": sum(map(len, cat.then))}
 
 
-def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategory) -> bool:
+def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategory) -> Literal[True] | dict:
     """Check, on every composable pair, that the composite's one-sided
     tangent data splits into the part the first chamber sees and the part
     that degenerates to the second:
@@ -810,6 +941,11 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
     pulled vectors is then i's own masks with their bits moved by j's map,
     with no dot product per pair. The composite's nonneg mask comes from
     its own rays, read from the chamber_rays pass that enumerated it.
+
+    Returns True if the identity holds. Otherwise the witness is the first
+    failing pair in table order: {"pair": (i, j), "composite": k,
+    "tangent_indices": the indices in spec.weights + spec.roots whose bits
+    differ between the two sides}.
     """
     tangent = spec.weights + spec.roots
     restricted = [
@@ -856,6 +992,8 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
                     seen |= 1 << t
                     if zero[i] >> s & 1:
                         degen |= 1 << t
-            if nonneg[k] != (seen & ~degen) | (degen & nonneg[j]):
-                return False
+            differ = nonneg[k] ^ ((seen & ~degen) | (degen & nonneg[j]))
+            if differ:
+                tangents = [t for t in range(len(tangent)) if differ >> t & 1]
+                return {"pair": (i, j), "composite": k, "tangent_indices": tangents}
     return True

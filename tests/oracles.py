@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from complat.arrangement import (
     _checked_witness,
+    cells,
     chambers,
     minimal_flat_containing,
     rays_of_constraints,
@@ -21,6 +22,7 @@ from complat.arrangement import (
 )
 from complat.errors import CapExceeded, InvariantError
 from complat.qlinalg import (
+    canonical_covector_signed,
     covector_times_mat,
     dot,
     echelon,
@@ -35,7 +37,14 @@ from complat.qlinalg import (
     vec_neg,
     vec_str,
 )
-from complat.stackmodel import WEYL_CAP, AttractorSignature, ComponentSignature, global_arrangement
+from complat.stackmodel import (
+    WEYL_CAP,
+    AttractorSignature,
+    ComponentSignature,
+    HallMorphism,
+    global_arrangement,
+    weyl_permutations,
+)
 
 
 def vec_scale(c, v):
@@ -277,7 +286,8 @@ def pairwise_weight_identity(spec, cat):
     second double description of the chamber's constraints, the mask of
     the restrictions to its target that are >= 0 on them, and those
     restrictions pulled back along its embedding; a pair (i, j) -> k
-    tests j's pulled vectors against i's rays."""
+    tests j's pulled vectors against i's rays. Returns True, or the
+    witness of the first failing pair in the library's format."""
     tangent = spec.weights + spec.roots
     restricted = [
         tuple(tuple(int_dot(v, row) for row in o.flat.subspace.rows) for v in tangent)
@@ -301,8 +311,10 @@ def pairwise_weight_identity(spec, cat):
                     seen |= 1 << t
                     if not any(vals):
                         degen |= 1 << t
-            if nonneg[k] != (seen & ~degen) | (degen & nonneg[j]):
-                return False
+            differ = nonneg[k] ^ ((seen & ~degen) | (degen & nonneg[j]))
+            if differ:
+                tangents = [t for t in range(len(tangent)) if differ >> t & 1]
+                return {"pair": (i, j), "composite": k, "tangent_indices": tangents}
     return True
 
 
@@ -773,3 +785,59 @@ def record_composite(m1, m2):
 
     orders = tuple(tuple(k for jj in blk for k in m2.orders[jj]) for blk in m1.orders)
     return LmsMorphism(m1.source, m2.target, orders)
+
+
+def closure_cell_orbits(spec):
+    """Weyl orbits of the cells of the global arrangement, each a sorted
+    tuple of sign vectors, sorted by size and members: every cell
+    enumerated from the whole space, and each orbit closed under every
+    Weyl element's signed permutation (i_j, e_j), which carries signs s to
+    (e_j * s_{i_j})_j."""
+    perms = weyl_permutations(spec)
+    all_cells = cells(global_arrangement(spec))
+    known, seen, out = set(all_cells), set(), []
+    for s in all_cells:
+        if s not in seen:
+            orbit = {tuple(e * s[i] for i, e in perm) for perm in perms}
+            if not orbit <= known:
+                raise InvariantError(f"weyl image {min(orbit - known)} of the cell {s} is no cell")
+            seen |= orbit
+            out.append(tuple(sorted(orbit)))
+    return tuple(sorted(out, key=lambda o: (len(o), o)))
+
+
+def per_composite_compose(m1, m2, subs, middle_scale):
+    """Tits composition of two Hall morphisms with each composite paying
+    for its own embedding pair: the product of the embeddings over the
+    middle object's scale, and each covector of the composite's
+    sub-arrangement pulled back along the second embedding and looked up
+    by a linear search in the first factor's sub-arrangement (keeping the
+    first chamber's sign, corrected for the canonicalization flip) or, when
+    it vanishes there, in the second's. subs maps (target, embedding) to
+    its sub-arrangement."""
+    cols = tuple(zip(*m2.embedding))
+    product = [[int_dot(row, col) for col in cols] for row in m1.embedding]
+    if any(x % middle_scale for row in product for x in row):
+        raise InvariantError(f"composite embedding {vec_str(*product)} is not divisible by {middle_scale}")
+    emb = tuple(tuple(x // middle_scale for x in row) for row in product)
+    first, second = subs[m1.target, m1.embedding].covectors, subs[m2.target, m2.embedding].covectors
+    signs = []
+    for w in subs[m2.target, emb].covectors:
+        pull = tuple(int_dot(w, row) for row in m2.embedding)
+        if any(pull):
+            canon, sgn = canonical_covector_signed(pull)
+            signs.append(sgn * m1.chamber[first.index(canon)])
+        else:
+            signs.append(m2.chamber[second.index(w)])
+    return HallMorphism(m1.source, m2.target, emb, tuple(signs))
+
+
+def fubini_number(n):
+    """Ordered set partitions of an n-set, the cells of the rank-n braid
+    arrangement (a cell orders the coordinates, ties allowed): a(0) = 1 and
+    a(n) = the sum over k = 1..n of C(n, k) a(n - k), k the size of the
+    first block."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]

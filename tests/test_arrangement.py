@@ -22,7 +22,7 @@ from complat.arrangement import (
     tits_compose,
 )
 from complat.errors import CapExceeded, InvariantError
-from complat.qlinalg import dot, primitive, qvec, span, vec_neg
+from complat.qlinalg import dot, primitive, qvec, row_rank, span, vec_neg
 from complat.stackmodel import global_arrangement, load_spec
 
 import oracles
@@ -154,6 +154,33 @@ def test_cells_are_the_realizable_sign_vectors_of_random_arrangements():
         want = {s for s in product((-1, 0, 1), repeat=arr.size) if realizable(arr, s)}
         assert set(got) == want, arr
         assert len(got) == zaslavsky_face_count(arr.covectors, arr.dim), arr
+
+
+def test_cells_in_a_closed_simplicial_cone_are_the_cells_inside_it():
+    # walls: a random independent set of covectors, each with a random
+    # sign; the cells found from the cone's faces are exactly the cells of
+    # the whole space whose signs on the walls are >= 0
+    rng = random.Random(26)
+    cases = 0
+    for arr in _seeded_random_arrangements() + [BRAID4, BRAID5]:
+        picked = []
+        for i in rng.sample(range(arr.size), arr.size):
+            grown = [arr.covectors[j] for j, _ in picked] + [arr.covectors[i]]
+            if rng.random() < 0.7 and row_rank(grown) == len(grown):
+                picked.append((i, rng.choice((-1, 1))))
+        walls = [vec_neg(arr.covectors[i]) if e < 0 else arr.covectors[i] for i, e in picked]
+        inside = tuple(s for s in cells(arr) if all(e * s[i] >= 0 for i, e in picked))
+        assert cells(arr, walls) == inside, (arr, walls)
+        cases += bool(walls)
+    assert cases > 20
+
+
+@pytest.mark.parametrize(
+    "walls", [[(1, 0), (0, 1), (1, -1)], [(1, 0), (2, 0)], [(1, 1)]], ids=["dependent", "repeated", "off"]
+)
+def test_walls_that_are_no_independent_hyperplanes_are_an_invariant_error(walls):
+    with pytest.raises(InvariantError, match=r"are no independent hyperplanes of the arrangement"):
+        cells(ARR3, walls)
 
 
 def test_a_split_child_with_too_large_a_cone_is_an_invariant_error(monkeypatch):

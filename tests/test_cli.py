@@ -17,11 +17,12 @@ import pytest
 from complat import cli
 from complat import linmoduli as lm
 from complat import stackmodel as sm
-from complat.arrangement import Flat
+from complat.arrangement import Flat, HyperplaneArrangement, cells
 from complat.cli import main
 from complat.errors import InvariantError
 from complat.jsonio import canonical_json, document_digest, jsonable
 from complat.qlinalg import span, vec_neg
+from oracles import fubini_number
 from tests.test_stackmodel import SKEW3, braid_spec
 
 REPO = Path(__file__).resolve().parent.parent
@@ -134,6 +135,29 @@ def test_faces_lists_orbits_of_the_rank_two_example(capsys):
     assert axis["fixed_weights"] == [[1, 0]]
     doc = json.loads((SPECS / "a2_gl2.json").read_text())
     assert report["spec_digest"] == document_digest(doc)
+
+
+def _with_coordinate_weights(doc):
+    """doc plus the n coordinate weights e_i: the arrangement of braid_n and
+    the hyperplanes x_i = 0, which is braid_(n+1) cut by x_(n+1) = 0."""
+    n = doc["rank"]
+    return {**doc, "weights": [[int(i == j) for j in range(n)] for i in range(n)]}
+
+
+@pytest.mark.parametrize(
+    "n,extra", [(n, False) for n in range(1, 7)] + [(n, True) for n in range(1, 6)], ids=lambda v: str(v)
+)
+def test_braid_cells_are_the_ordered_set_partitions(capsys, tmp_path, n, extra):
+    # the closed form knows nothing of cells or Weyl groups: braid_n has
+    # fubini(n) cells, and braid_n with the coordinate weights fubini(n + 1)
+    assert [fubini_number(m) for m in range(1, 7)] == [1, 3, 13, 75, 541, 4683]
+    doc = _with_coordinate_weights(braid_spec(n)) if extra else braid_spec(n)
+    expected = fubini_number(n + extra)
+    assert len(cells(sm.global_arrangement(sm.load_spec(doc)))) == expected
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "faces", path)
+    assert code == 0 and report["cells"] == expected
 
 
 def test_faces_lists_decompositions_for_quivers(capsys):
@@ -410,6 +434,66 @@ def test_closure_reports_are_byte_identical_to_the_recorded_ones(capsys, spec, a
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# sha256 of the faces report in json and in text output, on every shipped
+# linear spec, skew3 (no Weyl group, so no reflection) and braid4 and braid5
+# (every cell orbit read off one closed chamber). The benchmark runs only
+# braid5's json report.
+FACES_DIGESTS = {
+    "a1_gm": (
+        "5b30525d22c3fcb62f45f992eb962db1cd0827328001cbd79f37691383b87bd9",
+        "0537a32b4b1c52884e260b93e8d8c747a62e44250dddc3a589c98cca72ff488f",
+    ),
+    "a2_gl2": (
+        "6a54b5c350d8ab1bc1e4239066f73a3c2e28332ca49bd4479cc02727ed0ef13a",
+        "f652b4636f64981045c7e9a2af411007529b4f736b2a3899f9f8061bdc3ecb61",
+    ),
+    "b_gl2": (
+        "703f296eb469a7a720286442b3fbb5026676608af0f3406e9b6a913d8a3c8a15",
+        "253be7fe17684b00ab8cb7114f37b27809fed5803fd45e307262c1ea79438af3",
+    ),
+    "b_gl3": (
+        "0d485706d93cc5c629e7af2e708f5736cbbda82cf89de2212780317756d6deab",
+        "82948c0d7200b4dc3f5cb43163c3329c6b6d8278af37b8e9af85cf0ce7683b6a",
+    ),
+    "b_gl4": (
+        "9480419346713de226a753c36842cfb94bade79fb765efcf4d8d6d5b3dac7a37",
+        "f95c87a9a5f9039cc835bd056b2d2c28eb4702539b101c8f6395b19f26bf7676",
+    ),
+    "b_gm": (
+        "465949447900ec2771e6f5afee0dfa1e4f0124116bfa35799bee564037eabf0d",
+        "53e5b1b307515f83eaee5c8e9b2996db6e19272afbf816baa9a45c2bb10bde09",
+    ),
+    "rank3_mixed": (
+        "b70f434ebbb2447f8cb4aa08b0a64f8160b6082cafd9a4b997630b2dd35b9c4c",
+        "b57c3567ab60d8cb0fbb33cf91970a3cb79a229831bd1961db9f218395420968",
+    ),
+    "skew3": (
+        "7c6d6dd21d75b15b7e712187f51b1dfdac50b1237f1286536b20f881ebdbe298",
+        "21d6ced742fac130ae4fc07539d8a64c12711d0253999d71fe6d4fd640e2b560",
+    ),
+    "braid4": (
+        "1cfd3047ace8d5d490ca97ae0a5f0c7709a44eb0d428d86e0f695b25f74b0ecd",
+        "5dee4a94c721f5522c86ae87572636e7ed99513c162833bc46d6e33aabb96a12",
+    ),
+    "braid5": (
+        "8e381cbd83538c426e79864f573bcc54e5e4e354e2782e849681f551da736443",
+        "d03144d1d016bba02d6e9352c0b4ab2e069032b95c0fbc598893b9982136334e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FACES_DIGESTS))
+def test_faces_reports_are_byte_identical_to_the_recorded_ones(capsys, tmp_path, name):
+    path = SPECS / f"{name}.json"
+    if name == "skew3" or name.startswith("braid"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(SKEW3 if name == "skew3" else braid_spec(int(name[len("braid") :]))))
+    for output, sha256 in zip(("json", "text"), FACES_DIGESTS[name]):
+        code, out, err = run_cli(capsys, "faces", path, "--output", output)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 # sha256 of the hall report in json and in text output, on every shipped
 # linear spec, skew3 (scaled embeddings) and braid4. The benchmark runs
 # only rank3_mixed's json report.
@@ -475,6 +559,33 @@ def test_verify_hall_suite(capsys):
     assert report["category"]["morphisms"] == 21
     assert report["category"]["triples"] == 155
     assert report["weight_identity"] is True
+
+
+def test_a_failing_weight_identity_reports_its_witness(capsys, monkeypatch):
+    # the positive ray of the axis, then the axis embedded as (1, 0) into
+    # the plane on the side (0, 1) >= 0, composes to the sector x > y > 0;
+    # swapping in the opposite sector breaks the identity at that pair, on
+    # all four of a2_gl2's weights and roots
+    build = sm.hall_category
+    picked = {}
+
+    def swapped(spec):
+        cat = build(spec)
+        ms = cat.morphisms
+        ray = next(i for i, m in enumerate(ms) if (m.source, m.target) == (3, 1) and m.chamber == (1,))
+        into = next(
+            i for i, m in enumerate(ms) if (m.source, m.target, m.embedding, m.chamber) == (1, 0, ((1, 0),), (1,))
+        )
+        opposite = next(i for i, m in enumerate(ms) if (m.source, m.target, m.chamber) == (3, 0, (-1, -1, -1)))
+        then = list(cat.then)
+        then[ray] = {**then[ray], into: opposite}
+        picked.update(pair=[ray, into], composite=opposite)
+        return cat._replace(then=tuple(then))
+
+    monkeypatch.setattr(sm, "hall_category", swapped)
+    code, report = run_json(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "hall")
+    assert code == 1 and report["ok"] is False
+    assert report["weight_identity"] == {**picked, "tangent_indices": [0, 1, 2, 3]}
 
 
 def test_verify_constancy_suite(capsys):
@@ -568,8 +679,8 @@ def test_a_broken_invariant_exits_4(capsys, monkeypatch):
 def test_an_inexact_composite_embedding_exits_4(capsys, monkeypatch):
     # embeddings carry their source's scale, and a composite is divided by
     # the middle object's; a scale they do not carry leaves a remainder
-    compose = sm._compose_morphisms
-    monkeypatch.setattr(sm, "_compose_morphisms", lambda m1, m2, arr, scale: compose(m1, m2, arr, 2 * scale))
+    compose = sm._compose_embeddings
+    monkeypatch.setattr(sm, "_compose_embeddings", lambda m1, m2, arr, scale: compose(m1, m2, arr, 2 * scale))
     code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "hall")
     assert code == 4 and out == ""
     assert err == (
@@ -582,11 +693,46 @@ def test_a_composite_embedding_outside_the_table_exits_4(capsys, monkeypatch):
     # dividing by the negated middle scale negates every composite; the
     # plane's identity then composes with itself to minus the identity,
     # which no Weyl element of a2_gl2 gives
-    compose = sm._compose_morphisms
-    monkeypatch.setattr(sm, "_compose_morphisms", lambda m1, m2, subs, scale: compose(m1, m2, subs, -scale))
+    compose = sm._compose_embeddings
+    monkeypatch.setattr(sm, "_compose_embeddings", lambda m1, m2, subs, scale: compose(m1, m2, subs, -scale))
     code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "hall")
     assert code == 4 and out == ""
     assert err == "invariant broken: composite embedding (-1, 0), (0, -1) into object 0 is not in the table\n"
+
+
+@pytest.mark.parametrize(
+    "factor,message",
+    [
+        (
+            0,
+            "embedding (0, 1) into object 0 then (0, 1), (1, 0) into object 0: "
+            "covector (0, 1) of the composite pulls back to (1, 0), off the first factor's sub-arrangement",
+        ),
+        (
+            1,
+            "embedding () into object 1 then (0, 1) into object 0: "
+            "covector (1, 0) of the composite vanishes on the second image but is off its sub-arrangement",
+        ),
+    ],
+)
+def test_a_covector_off_a_factors_sub_arrangement_exits_4(capsys, monkeypatch, factor, message):
+    # with one factor's sub-arrangement emptied, the gather map finds no
+    # covector for a hyperplane of the composite: the embedding pair and the
+    # covector are named, and no traceback escapes. The second factor's is
+    # emptied only after a first factor between two objects, so that the
+    # composite, which an identity first would share with it, keeps its own
+    compose = sm._compose_embeddings
+
+    def emptied(m1, m2, subs, scale):
+        key = ((m1, m2)[factor].target, (m1, m2)[factor].embedding)
+        if factor == 0 or m1.source != m1.target:
+            subs = {**subs, key: HyperplaneArrangement((), subs[key].dim)}
+        return compose(m1, m2, subs, scale)
+
+    monkeypatch.setattr(sm, "_compose_embeddings", emptied)
+    code, out, err = run_cli(capsys, "verify", SPECS / "a2_gl2.json", "--suite", "hall")
+    assert code == 4 and out == ""
+    assert err == f"invariant broken: {message}\n"
 
 
 def test_a_morphism_pulling_a_restriction_off_the_source_exits_4(capsys, monkeypatch):
@@ -767,6 +913,25 @@ def test_an_infinite_weyl_group_exits_3(capsys, tmp_path):
     assert err == "cap exceeded: weyl group larger than cap 100000\n"
 
 
+# 21 pairwise independent weights in rank 3 and no Weyl generators: one
+# covector over the cell cap, with few flats to enumerate before the cells
+OVER_THE_CELL_CAP = {
+    "type": "linear_quotient",
+    "rank": 3,
+    "weights": [[1, a, b] for a in range(7) for b in range(3)],
+    "roots": [],
+    "weyl_generators": [],
+}
+
+
+def test_a_cell_enumeration_over_its_cap_exits_3(capsys, tmp_path):
+    doc = tmp_path / "over.json"
+    doc.write_text(json.dumps(OVER_THE_CELL_CAP))
+    code, out, err = run_cli(capsys, "faces", doc)
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: cells: 21 covectors exceeds cap 20\n"
+
+
 @pytest.mark.parametrize("token", ["1.5", "1e400", "NaN", "-Infinity"])
 @pytest.mark.parametrize(
     "argv",
@@ -808,8 +973,8 @@ def test_a_broken_invariant_exits_4_under_python_O():
     result = _spawn_optimized(
         ["verify", SPECS / "a2_gl2.json", "--suite", "hall"],
         "from complat import stackmodel as sm\n"
-        "compose = sm._compose_morphisms\n"
-        "sm._compose_morphisms = lambda m1, m2, subs, scale: compose(m1, m2, subs, -scale)\n",
+        "compose = sm._compose_embeddings\n"
+        "sm._compose_embeddings = lambda m1, m2, subs, scale: compose(m1, m2, subs, -scale)\n",
     )
     assert result.returncode == 4 and result.stdout == ""
     assert result.stderr == "invariant broken: composite embedding (-1, 0), (0, -1) into object 0 is not in the table\n"
@@ -827,6 +992,14 @@ def test_an_infinite_weyl_group_exits_3_under_python_O(tmp_path):
     result = _spawn_optimized(["faces", doc])
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr == "cap exceeded: weyl group larger than cap 100000\n"
+
+
+def test_a_cell_enumeration_over_its_cap_exits_3_under_python_O(tmp_path):
+    doc = tmp_path / "over.json"
+    doc.write_text(json.dumps(OVER_THE_CELL_CAP))
+    result = _spawn_optimized(["faces", doc])
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == "cap exceeded: cells: 21 covectors exceeds cap 20\n"
 
 
 def test_a_closed_stdout_exits_141_without_a_traceback():

@@ -21,7 +21,7 @@ from complat.stackmodel import (
     load_spec,
     verify_hall_category,
 )
-from oracles import cotangent_arrangement, pairwise_weight_identity, vanishing_covectors
+from oracles import cotangent_arrangement, pairwise_weight_identity, per_composite_compose, vanishing_covectors
 from tests.test_stackmodel import A1_GM, A2_GL2, B_GL3, B_GM, LINEAR_SPECS, _named_spec
 
 CATEGORY_SIZES = {
@@ -156,14 +156,17 @@ def test_composition_with_chamber_fallthrough(categories):
 @pytest.mark.parametrize("name", list(CATEGORY_SIZES))
 def test_composition_weight_identity(categories, name):
     spec, cat = categories[name]
-    assert hall_composition_weight_identity(spec, cat)
+    assert hall_composition_weight_identity(spec, cat) is True
 
 
 def test_composition_weight_identity_rejects_a_swapped_composite(categories):
     # the positive half of the axis line, embedded as (1, 0) into the plane
     # with (0, 1) >= 0, composes to the sector where x, y and x - y are all
     # positive; the opposite sector has the wrong sign on every weight that
-    # the embedded ray sees, so the identity must fail once it is swapped in
+    # the embedded ray sees, so the identity must fail once it is swapped in,
+    # at that pair, on all four of (1, 0), (0, 1), (-1, 1) and (1, -1): the
+    # sector x > y > 0 holds the first, second and fourth >= 0, the opposite
+    # one only the third
     spec, cat = categories["a2gl2"]
     ms = cat.morphisms
     ray = next(i for i, m in enumerate(ms) if (m.source, m.target) == (3, 1) and m.chamber == (1,))
@@ -180,8 +183,12 @@ def test_composition_weight_identity_rejects_a_swapped_composite(categories):
     then = list(cat.then)
     then[ray] = {**then[ray], into_plane: opposite}
     swapped = cat._replace(then=tuple(then))
-    assert hall_composition_weight_identity(spec, cat)
-    assert not hall_composition_weight_identity(spec, swapped)
+    assert hall_composition_weight_identity(spec, cat) is True
+    assert hall_composition_weight_identity(spec, swapped) == {
+        "pair": (ray, into_plane),
+        "composite": opposite,
+        "tangent_indices": [0, 1, 2, 3],
+    }
 
 
 @pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3", "braid4"))
@@ -212,11 +219,28 @@ def test_each_sub_arrangement_is_derived_once(monkeypatch, name):
     monkeypatch.setattr(arrangement, "_cell_states", recording)
     arrangement.chamber_rays.cache_clear()
     cat = hall_category(spec)
-    assert hall_composition_weight_identity(spec, cat)
+    assert hall_composition_weight_identity(spec, cat) is True
     subs = {
         HyperplaneArrangement(_sub_covectors(spec, cat, m), cat.objects[m.target].dim) for m in cat.morphisms
     }
     assert len(runs) == len(set(runs)) and set(runs) == subs
+
+
+@pytest.mark.parametrize("name", LINEAR_SPECS + ("skew3", "braid4", "braid5"))
+def test_per_pair_composition_matches_the_per_composite_oracle(name):
+    # every composite of the table, recomputed from its two factors with
+    # no per-pair memo
+    spec = _named_spec(name)
+    cat = hall_category(spec)
+    ms = cat.morphisms
+    subs = {
+        (m.target, m.embedding): sm._embedded_arrangement(spec, cat.objects[m.target].flat.subspace, m.embedding)
+        for m in ms
+    }
+    scales = [o.flat.subspace.scale for o in cat.objects]
+    for i, then_i in enumerate(cat.then):
+        for j, k in then_i.items():
+            assert per_composite_compose(ms[i], ms[j], subs, scales[ms[i].target]) == ms[k], (i, j)
 
 
 def test_the_mask_identity_agrees_with_the_pairwise_identity_on_corrupted_tables():
@@ -239,8 +263,12 @@ def test_the_mask_identity_agrees_with_the_pairwise_identity_on_corrupted_tables
                     then[i] = {**then[i], j: rng.choice(others)}
             corrupted = cat._replace(then=tuple(then))
             verdict = hall_composition_weight_identity(spec, corrupted)
-            assert verdict is pairwise_weight_identity(spec, corrupted), name
-            verdicts[verdict] += 1
+            assert verdict == pairwise_weight_identity(spec, corrupted), name
+            if verdict is not True:
+                # the witness pair's composite is one the corruption swapped in
+                i, j = verdict["pair"]
+                assert verdict["composite"] == then[i][j] != cat.then[i][j] and verdict["tangent_indices"]
+            verdicts[verdict is True] += 1
     assert sum(verdicts.values()) == 215
     assert verdicts[False] > 100 and verdicts[True] > 10, verdicts
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from complat import linmoduli as lm
 from complat import stackmodel as sm
 from complat.arrangement import (
+    CELL_COVECTOR_CAP,
     HyperplaneArrangement,
     cells,
     chamber_rays,
@@ -67,6 +68,7 @@ from complat.stackmodel import (
 
 from oracles import (
     brute_force_flats,
+    closure_cell_orbits,
     chamber_rays_by_constraints,
     cone_contains_point,
     contains,
@@ -413,9 +415,9 @@ def test_cell_and_orbit_counts(a2gl2):
     assert len(orbits) == 8
 
     packaged = cell_orbits(a2gl2)
-    assert {frozenset(o) for o in packaged} == orbits
-    assert [len(o) for o in packaged] == [1, 1, 1, 2, 2, 2, 2, 2]
-    assert sum(len(o) for o in packaged) == 13
+    assert_one_cell_per_orbit(packaged, sorted((tuple(sorted(o)) for o in orbits), key=lambda o: (len(o), o)))
+    assert [o.orbit_size for o in packaged] == [1, 1, 1, 2, 2, 2, 2, 2]
+    assert sum(o.orbit_size for o in packaged) == 13
 
     faces = enumerate_special_faces(a2gl2)
     assert [(o.dim, o.orbit_size) for o in faces] == [(2, 1), (1, 2), (1, 1), (0, 1)]
@@ -480,12 +482,59 @@ def _cell_orbits_by_witness(spec):
     return tuple(sorted(orbits, key=lambda o: (len(o), o)))
 
 
+def assert_one_cell_per_orbit(found, orbits):
+    """Cell orbits read off the closed chamber against the full orbits,
+    sorted by size and members: the same sizes in the same order, and one
+    representative in each orbit, whose size it carries."""
+    assert [o.orbit_size for o in found] == [len(o) for o in orbits]
+    where = {s: k for k, o in enumerate(orbits) for s in o}
+    assert sorted(where[o.cell] for o in found) == list(range(len(orbits)))
+    assert all(len(orbits[where[o.cell]]) == o.orbit_size for o in found)
+
+
 @pytest.mark.parametrize("doc", _weyl_route_cases())
 def test_weyl_permutations_move_flats_and_cells_as_the_matrices_do(doc):
     spec = load_spec(doc)
     faces = enumerate_special_faces(spec)
     assert [(o.flat, o.orbit_size) for o in faces] == _face_orbits_by_geometry(spec)
-    assert cell_orbits(spec) == _cell_orbits_by_witness(spec)
+    orbits = _cell_orbits_by_witness(spec)
+    assert closure_cell_orbits(spec) == orbits
+    assert_one_cell_per_orbit(cell_orbits(spec), orbits)
+
+
+def _minus_one(doc):
+    """doc with -1 added to its Weyl generators: it fixes every hyperplane,
+    is a reflection in rank 1 only, and moves every cell to its opposite."""
+    n = doc["rank"]
+    minus_one = [[-int(i == j) for j in range(n)] for i in range(n)]
+    return {**doc, "weyl_generators": doc["weyl_generators"] + [minus_one]}
+
+
+def _chamber_route_cases():
+    cases = [(name, _named_spec(name)) for name in LINEAR_SPECS + ("skew3", "braid4", "braid5", "braid6")]
+    cases += [(f"braid{n}-minus-one", load_spec(_minus_one(braid_spec(n)))) for n in range(1, 6)]
+    rng = random.Random(18)
+    for k in range(12):
+        spec = load_spec(_conjugated_signed_permutations(rng, rng.randint(2, 4))[0])
+        if global_arrangement(spec).size <= CELL_COVECTOR_CAP:
+            cases.append((f"conjugated{k}", spec))
+    return cases
+
+
+def test_cell_orbits_read_off_the_chamber_match_the_closure_oracle():
+    # every case: the same orbit sizes as closing every cell's orbit under
+    # all of W, one representative per orbit, and the whole count of cells
+    kinds = set()
+    for name, spec in _chamber_route_cases():
+        found, orbits = cell_orbits(spec), closure_cell_orbits(spec)
+        assert_one_cell_per_orbit(found, orbits)
+        assert sum(o.orbit_size for o in found) == len(cells(global_arrangement(spec))), name
+        chamber = sm.weyl_reflection_chamber(spec)
+        kinds.add((bool(chamber.walls), len(chamber.omega) > 1))
+        if name.endswith("minus-one") and spec.rank >= 3:
+            assert len(chamber.omega) == 2, name
+    # W_r = W, W_r = 1 and both parts nontrivial all occur
+    assert {(True, False), (False, True), (True, True)} <= kinds
 
 
 def test_a_weyl_element_that_does_not_permute_the_hyperplanes_is_an_invariant_error():
