@@ -41,37 +41,22 @@ def _parse_vector(text: str, rank: int) -> tuple[Fraction, ...]:
     return vec
 
 
-def _basis(subspace) -> list[list[str]]:
-    return [[str(x) for x in row] for row in subspace.basis]
-
-
-def _signature_fields(sig: sm.ComponentSignature) -> dict:
-    return {
-        "face_dim": sig.face_dim,
-        "fixed_weights": [list(w) for w in sig.fixed_weights],
-        "levi_roots": [list(r) for r in sig.levi_roots],
-    }
-
-
 def _cmd_faces(args) -> dict:
     doc = load_document(args.spec)
     digest = document_digest(doc)
     kind = doc.get("type")
     if kind == "linear_quotient":
         spec = sm.load_spec(doc)
-        orbits = sm.enumerate_special_faces(spec)
-        entries = []
-        for o in orbits:
-            fields = _signature_fields(o.signature)
-            fields.pop("face_dim")
-            entries.append(
-                {
-                    "dim": o.dim,
-                    "orbit_size": o.orbit_size,
-                    "basis": _basis(o.flat.subspace),
-                    **fields,
-                }
-            )
+        entries = [
+            {
+                "dim": o.dim,
+                "orbit_size": o.orbit_size,
+                "basis": o.flat.subspace.basis,
+                "fixed_weights": o.signature.fixed_weights,
+                "levi_roots": o.signature.levi_roots,
+            }
+            for o in sm.enumerate_special_faces(spec)
+        ]
         corbits = sm.cell_orbits(spec)
         return {
             "command": "faces",
@@ -90,13 +75,7 @@ def _cmd_faces(args) -> dict:
         for total in range(1, args.max_dim + 1):
             for gamma in lm.dim_vectors(quiver.n_vertices, total):
                 decs = lm.multiset_decompositions(gamma)
-                by_gamma.append(
-                    {
-                        "gamma": list(gamma),
-                        "count": len(decs),
-                        "decompositions": [[list(p) for p in d] for d in decs],
-                    }
-                )
+                by_gamma.append({"gamma": gamma, "count": len(decs), "decompositions": decs})
         return {
             "command": "faces",
             "type": kind,
@@ -122,8 +101,7 @@ def _cmd_closure(args) -> dict:
     if face_vecs:
         face = sm.span(face_vecs, spec.rank)
         flat = sm.special_face_closure(spec, face)
-        closure_fields = _signature_fields(sm.component_signature(spec, flat.subspace))
-        closure_fields.pop("face_dim")  # would clash with the input face's dim
+        sig = sm.component_signature(spec, flat.subspace)
         return {
             "command": "closure",
             "input": "face",
@@ -132,8 +110,9 @@ def _cmd_closure(args) -> dict:
             "is_special": sm.is_special(spec, face),
             "central_rank": sm.central_rank(spec, face),
             "closure_dim": flat.dim,
-            "closure_basis": _basis(flat.subspace),
-            **closure_fields,
+            "closure_basis": flat.subspace.basis,
+            "fixed_weights": sig.fixed_weights,
+            "levi_roots": sig.levi_roots,
             "ok": True,
         }
     sig = sm.special_cone_closure(spec, rays)
@@ -141,13 +120,7 @@ def _cmd_closure(args) -> dict:
         "command": "closure",
         "input": "cone",
         "spec_digest": digest,
-        "carrier_dim": sig.flat.dim,
-        "carrier_basis": _basis(sig.flat.subspace),
-        "cone_dim": sig.levi_part.face_dim,
-        "ambient_rays": [list(r) for r in sig.ambient_rays],
-        "attractor_weights": [list(w) for w in sig.attractor_weights],
-        "parabolic_roots": [list(r) for r in sig.parabolic_roots],
-        "levi": _signature_fields(sig.levi_part),
+        **sm.cone_fields(sig),
         "ok": True,
     }
 
@@ -200,7 +173,7 @@ def _cmd_verify(args) -> dict:
     checks = []
     for total in range(1, args.max_dim + 1):
         for gamma in lm.dim_vectors(quiver.n_vertices, total):
-            checks.append({"gamma": list(gamma), **lm.cross_check_special_faces(quiver, gamma)})
+            checks.append({"gamma": gamma, **lm.cross_check_special_faces(quiver, gamma)})
     return {**base, "max_total": args.max_dim, "ok": all(c["ok"] for c in checks), "checks": checks}
 
 
@@ -257,11 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "spec", help="path to a JSON document (linear_quotient or quiver), or - for stdin"
     )
     common.add_argument("--output", choices=("json", "text"), default="json")
-    common.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for persisted class data (default: $COMPONENT_LATTICE_CACHE)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     p_faces = sub.add_parser("faces", parents=[common], help="enumerate special faces")
     p_faces.add_argument(
@@ -296,9 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    cache = args.cache_dir or os.environ.get("COMPONENT_LATTICE_CACHE")
-    if cache:
-        lm.set_cache_dir(cache)
     try:
         for flag in ("samples", "max_dim"):
             if getattr(args, flag, 1) < 1:

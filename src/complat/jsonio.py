@@ -1,7 +1,9 @@
-"""Canonical JSON used by the CLI and the on-disk class cache.
+"""Canonical JSON used by the CLI and the on-disk class cache, and the
+prologue every input document passes.
 
 Serialization is deterministic (sorted keys, no whitespace wobble) and
-exact: rationals become "num/den" strings, floats are refused.
+exact: rationals become "num/den" strings, floats are refused. jsonable
+alone renders reports, so they hold tuples, Fractions and records as is.
 """
 
 from __future__ import annotations
@@ -73,3 +75,19 @@ def load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise SpecError("document must be a JSON object")
     return doc
+
+
+def check_document(doc, noun: str, kind: str, fields: tuple[str, ...]) -> None:
+    """The schema prologue of a document: a JSON object with exactly the
+    field type, equal to kind, and the given fields. Unknown fields are
+    reported before missing ones, and both before a wrong type; noun names
+    the document in each message."""
+    if not isinstance(doc, dict):
+        raise SpecError(f"{noun} document must be a JSON object")
+    fields = {"type", *fields}
+    if set(doc) - fields:
+        raise SpecError(f"unknown {noun} fields: {sorted(set(doc) - fields)}")
+    if fields - set(doc):
+        raise SpecError(f"missing {noun} fields: {sorted(fields - set(doc))}")
+    if doc["type"] != kind:
+        raise SpecError(f"expected type {kind!r}, got {doc['type']!r}")

@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .category import FiniteCategory, check_laws
 from .errors import CapExceeded, InvariantError, SpecError
-from .jsonio import canonical_json, document_digest
+from .jsonio import canonical_json, check_document, document_digest
 
 SWEEP_CAP = 10_000_000
 
@@ -246,15 +246,7 @@ class Quiver(NamedTuple):
 
 def load_quiver(doc: dict) -> Quiver:
     """Validate and load a quiver document (strict schema)."""
-    if not isinstance(doc, dict):
-        raise SpecError("quiver document must be a JSON object")
-    expected = {"type", "vertices", "arrows"}
-    if set(doc) - expected:
-        raise SpecError(f"unknown quiver fields: {sorted(set(doc) - expected)}")
-    if expected - set(doc):
-        raise SpecError(f"missing quiver fields: {sorted(expected - set(doc))}")
-    if doc["type"] != "quiver":
-        raise SpecError(f"expected type 'quiver', got {doc['type']!r}")
+    check_document(doc, "quiver", "quiver", ("vertices", "arrows"))
     verts = doc["vertices"]
     if (
         not isinstance(verts, (list, tuple))
@@ -378,22 +370,17 @@ def _act(quiver: Quiver, F: GF, v: int, op: ElementaryOp, rep: Rep) -> Rep:
     return tuple(out)
 
 
-_CACHE_DIR: Optional[str] = None
-
-
-def set_cache_dir(path: Optional[str]) -> None:
-    """Directory for persisting class data across processes; None disables.
+def _cache_path(quiver: Quiver, gamma: DimVector, q: int) -> Optional[str]:
+    """Where the class data of a sweep persists across processes: in the
+    directory COMPONENT_LATTICE_CACHE names when this is called, or nowhere
+    when it is unset or empty.
 
     The cache is an optimization only: results are identical with or
     without it, an unreadable or stale entry is silently recomputed, and a
     request over the sweep cap fails whether or not it is cached.
     """
-    global _CACHE_DIR
-    _CACHE_DIR = path
-
-
-def _cache_path(quiver: Quiver, gamma: DimVector, q: int) -> Optional[str]:
-    if _CACHE_DIR is None:
+    directory = os.environ.get("COMPONENT_LATTICE_CACHE")
+    if not directory:
         return None
     key = document_digest(
         {
@@ -403,7 +390,7 @@ def _cache_path(quiver: Quiver, gamma: DimVector, q: int) -> Optional[str]:
             "q": q,
         }
     )
-    return os.path.join(_CACHE_DIR, f"classes-{key}.json")
+    return os.path.join(directory, f"classes-{key}.json")
 
 
 def _deep_rep(data) -> Rep:
@@ -449,7 +436,7 @@ def _cache_store(classes: "IsoClasses") -> None:
         "class_of": sorted((rep, idx) for rep, idx in classes.class_of.items()),
     }
     try:
-        os.makedirs(_CACHE_DIR, exist_ok=True)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(doc) + "\n")
@@ -756,7 +743,10 @@ def verify_counting_hall(quiver: Quiver, q: int, max_total: int) -> dict:
     two-step flag counts. The product of each pair of classes is computed
     once per run. Both sides read the subrepresentations that _subreps
     enumerates once per process, and the flags are still counted
-    independently: as chains, never through a Hall table or a product."""
+    independently: as chains, never through a Hall table or a product.
+    A failing report names the first failing triple, and either both sides
+    (left, right: sorted (class ref, coefficient) pairs) or the class whose
+    flag count differs from the left side."""
     refs: list[ClassRef] = []
     for total in range(max_total + 1):
         for gamma in dim_vectors(quiver.n_vertices, total):
@@ -769,7 +759,8 @@ def verify_counting_hall(quiver: Quiver, q: int, max_total: int) -> dict:
         left = hall_product(quiver, q, pair(ra, rb), {rc: 1})
         right = hall_product(quiver, q, {ra: 1}, pair(rb, rc))
         if left != right:
-            return {"ok": False, "triple": (ra, rb, rc), "left": left, "right": right}
+            sides = {"left": sorted(left.items()), "right": sorted(right.items())}
+            return {"ok": False, "triple": (ra, rb, rc), **sides}
         gamma = tuple(x + y + z for x, y, z in zip(ra[0], rb[0], rc[0]))
         whole = iso_classes(quiver, gamma, q)
         for li in range(len(whole.reps)):

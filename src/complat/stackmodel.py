@@ -56,6 +56,7 @@ from .arrangement import (
 )
 from .category import FiniteCategory, check_laws
 from .errors import CapExceeded, InvariantError, SpecError
+from .jsonio import check_document
 from .qlinalg import (
     IntVec,
     Scalar,
@@ -163,17 +164,7 @@ def load_spec(doc: dict) -> QuotientStackSpec:
     data: unimodular matrices preserving the weight multiset and the root
     set.
     """
-    if not isinstance(doc, dict):
-        raise SpecError("spec document must be a JSON object")
-    expected = {"type", "rank", "weights", "roots", "weyl_generators"}
-    extra = set(doc) - expected
-    if extra:
-        raise SpecError(f"unknown spec fields: {sorted(extra)}")
-    missing = expected - set(doc)
-    if missing:
-        raise SpecError(f"missing spec fields: {sorted(missing)}")
-    if doc["type"] != "linear_quotient":
-        raise SpecError(f"expected type 'linear_quotient', got {doc['type']!r}")
+    check_document(doc, "spec", "linear_quotient", ("rank", "weights", "roots", "weyl_generators"))
     rank = doc["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise SpecError(f"rank must be a nonnegative integer, got {rank!r}")
@@ -252,6 +243,20 @@ class AttractorSignature(_AttractorFields):
         """Build through the constructor, so _make and _replace (which
         calls _make) run its checks too."""
         return cls(*iterable)
+
+
+def cone_fields(sig: AttractorSignature) -> dict:
+    """A cone's signature as closure --ray reports it: the carrier flat,
+    the cone's dimension and rays, and the attractor, parabolic and levi."""
+    return {
+        "carrier_dim": sig.flat.dim,
+        "carrier_basis": sig.flat.subspace.basis,
+        "cone_dim": sig.levi_part.face_dim,
+        "ambient_rays": sig.ambient_rays,
+        "attractor_weights": sig.attractor_weights,
+        "parabolic_roots": sig.parabolic_roots,
+        "levi": sig.levi_part._asdict(),
+    }
 
 
 @lru_cache(maxsize=None)
@@ -687,9 +692,11 @@ def constancy_check(
     such points are always interior; no coefficient is zero, so a chamber
     that is pure lineality never yields the origin. A chamber's rays come
     from the double description that enumerated it (chamber_rays). Returns
-    a JSON-able report; a chamber whose signatures differ is listed under
-    discrepancies with a witness, its first sample and the first later
-    sample whose signatures differ from that one's.
+    a report for jsonable; a chamber whose signatures differ is listed
+    under discrepancies with a witness, its first sample and the first
+    later sample whose signatures differ from that one's, and with each
+    point's component and attractor signatures in the fields closure
+    --face and closure --ray report (cone_fields).
 
     Every signature depends only on the point's direction, so a sample is
     the drawn point times the lcm of the drawn denominators, lifted by the
@@ -702,7 +709,7 @@ def constancy_check(
     arr_f = restricted_arrangement(spec, carrier)
     rng = random.Random(seed)
     report = {
-        "flat_basis": [[str(x) for x in row] for row in carrier.basis],
+        "flat_basis": carrier.basis,
         "seed": seed,
         "samples_per_chamber": samples,
         "chambers": [],
@@ -732,9 +739,9 @@ def constancy_check(
             seen_comp.add(comp)
             seen_attr.add(attr)
             if first is None:
-                first = (p, comp, attr)
-            elif witness is None and (comp, attr) != first[1:]:
-                witness = [list(first[0]), list(p)]
+                first = (p, comp, attr, sig)
+            elif witness is None and (comp, attr) != first[1:3]:
+                witness = (first, (p, comp, attr, sig))
         entry = {
             "signs": list(ch),
             "samples": samples,
@@ -742,7 +749,9 @@ def constancy_check(
             "attractor_signatures": len(seen_attr),
         }
         if len(seen_comp) > 1 or len(seen_attr) > 1:
-            report["discrepancies"].append({**entry, "witness": witness})
+            points = [list(p) for p, *_ in witness]
+            named = [{"component": c._asdict(), "attractor": cone_fields(s)} for _, c, _, s in witness]
+            report["discrepancies"].append({**entry, "witness": points, "witness_signatures": named})
         report["chambers"].append(entry)
     report["ok"] = not report["discrepancies"]
     return report
@@ -954,10 +963,9 @@ def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategor
     ]
     # per object, the first index of each direction of restriction, None for zero
     firsts = []
-    for vs in restricted:
-        first: dict = {}
-        for t, v in enumerate(vs):
-            first.setdefault(primitive(v) if any(v) else None, t)
+    for o, vs in zip(cat.objects, restricted):
+        first = dict(_restriction_functionals(spec, o.flat.subspace))
+        first[None] = next((t for t, v in enumerate(vs) if not any(v)), None)
         firsts.append(first)
     nonneg, zero, moves = [], [], []
     for j, m in enumerate(cat.morphisms):

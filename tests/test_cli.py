@@ -9,12 +9,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from complat import cli
+from complat import arrangement, cli
 from complat import linmoduli as lm
 from complat import stackmodel as sm
 from complat.arrangement import Flat, HyperplaneArrangement, cells
@@ -30,9 +31,10 @@ SPECS = REPO / "specs"
 
 
 @pytest.fixture(autouse=True)
-def _reset_cache_dir():
-    yield
-    lm.set_cache_dir(None)
+def _no_cache_dir(monkeypatch):
+    # the class cache is where COMPONENT_LATTICE_CACHE points when a sweep
+    # runs; a test that wants one sets it, and none inherits the caller's
+    monkeypatch.delenv("COMPONENT_LATTICE_CACHE", raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -612,6 +614,37 @@ def test_verify_associativity_suite(capsys):
     assert report["triples"] == 20
 
 
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_a_corrupted_hall_table_fails_the_associativity_suite(capsys, monkeypatch, fresh_memos, output):
+    # one more subrepresentation of the simple at u in itself counts the
+    # unit twice when it multiplies from the right (the table is read once
+    # on the left, twice on the right): the law fails at the first triple
+    # through that table, before any flag count is compared
+    table = lm._hall_table
+
+    def corrupted(quiver, q, gamma, sub):
+        out = table(quiver, q, gamma, sub)
+        if (tuple(gamma), tuple(sub)) != ((1, 0), (1, 0)):
+            return out
+        return (out[0] + Counter({min(out[0]): 1}),) + out[1:]
+
+    monkeypatch.setattr(lm, "_hall_table", corrupted)
+    code, out, err = run_cli(
+        capsys, "verify", SPECS / "a2_quiver.json", "--suite", "associativity", "--q", 2,
+        "--max-dim", 2, "--output", output,
+    )
+    assert code == 1 and err == ""
+    if output == "text":
+        assert "ok: False" in out.splitlines()
+        return
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["triple"] == [[[0, 0], 0], [[0, 0], 0], [[1, 0], 0]]
+    assert report["left"] == [[[[1, 0], 0], 2]]
+    assert report["right"] == [[[[1, 0], 0], 4]]
+    assert "flags" not in report and "triples" not in report
+
+
 def test_verify_finiteness_suite(capsys):
     code, report = run_json(
         capsys, "verify", SPECS / "one_vertex.json", "--suite", "finiteness", "--max-dim", 3
@@ -781,7 +814,25 @@ def test_a_constancy_discrepancy_carries_a_witness(capsys, monkeypatch):
     calls.clear()
     spec = sm.load_spec(json.loads((SPECS / "a2_gl2.json").read_text()))
     first, second = report["discrepancies"][0]["witness"]
-    assert sm._sample_signatures(spec, tuple(first)) != sm._sample_signatures(spec, tuple(second))
+    signatures = [sm._sample_signatures(spec, tuple(first)), sm._sample_signatures(spec, tuple(second))]
+    assert signatures[0] != signatures[1]
+    # and the report names both points' signatures, which differ
+    named = [{"component": comp._asdict(), "attractor": sm.cone_fields(sig)} for comp, sig in signatures]
+    assert report["discrepancies"][0]["witness_signatures"] == jsonable(named)
+    for d in report["discrepancies"]:
+        one, other = d["witness_signatures"]
+        assert one != other
+    # in the fields closure reports: the first point's, unfaulted, are those
+    # closure --face and closure --ray print for it
+    monkeypatch.setattr(sm, "_restriction_functionals", functionals)
+    point = ",".join(map(str, first))
+    _, face = run_json(capsys, "closure", SPECS / "a2_gl2.json", f"--face={point}")
+    _, cone = run_json(capsys, "closure", SPECS / "a2_gl2.json", f"--ray={point}")
+    first_named = report["discrepancies"][0]["witness_signatures"][0]
+    assert first_named["component"] == {k: face[k] for k in ("face_dim", "fixed_weights", "levi_roots")}
+    assert first_named["attractor"] == {
+        k: v for k, v in cone.items() if k not in ("command", "input", "spec_digest", "ok")
+    }
 
 
 def test_a_cone_closure_outside_its_carrier_exits_4(capsys, monkeypatch):
@@ -853,6 +904,87 @@ def test_a_class_missing_from_its_sweep_exits_4(capsys, monkeypatch, fresh_memos
     )
 
 
+def _associativity_exit(capsys, spec, q):
+    code, out, err = run_cli(
+        capsys, "verify", SPECS / spec, "--suite", "associativity", "--q", q, "--max-dim", 2
+    )
+    assert code == 4 and out == ""
+    return err
+
+
+def test_a_sweep_from_a_representative_that_is_not_lex_least_exits_4(capsys, monkeypatch, fresh_memos):
+    # visited in reverse order, the first representation of a class is its
+    # greatest: over F_3 the nonzero maps u -> v form one orbit of two
+    reps = lm.all_reps
+    monkeypatch.setattr(lm, "all_reps", lambda quiver, gamma, q: reversed(list(reps(quiver, gamma, q))))
+    err = _associativity_exit(capsys, "a2_quiver.json", 3)
+    assert err == "invariant broken: gamma=[1, 1] q=3: (((2,),),) is not lex-least in its orbit\n"
+
+
+def test_an_orbit_size_not_dividing_the_group_order_exits_4(capsys, monkeypatch, fresh_memos):
+    # the zero map u -> v moved onto the map 1 joins the orbit of the two
+    # nonzero maps: 3 members, against the 4 elements of GL_1(F_3)^2
+    act, zero = lm._act, (((0,),),)
+
+    def merging(quiver, F, v, op, member):
+        return (((1,),),) if quiver.arrows and member == zero else act(quiver, F, v, op, member)
+
+    monkeypatch.setattr(lm, "_act", merging)
+    err = _associativity_exit(capsys, "a2_quiver.json", 3)
+    assert err == (
+        "invariant broken: gamma=[1, 1] q=3: orbit of (((0,),),) has 3 members, "
+        "which does not divide the group order 4\n"
+    )
+
+
+STACKY_COUNT_OFF_BY_ONE = (
+    "from complat import linmoduli as lm\n"
+    "count = lm.stacky_count\n"
+    "lm.stacky_count = lambda quiver, gamma, q: count(quiver, gamma, q) + 1\n"
+)
+
+
+def test_a_class_mass_off_the_stacky_count_exits_4(capsys, monkeypatch, fresh_memos):
+    count = lm.stacky_count
+    monkeypatch.setattr(lm, "stacky_count", lambda quiver, gamma, q: count(quiver, gamma, q) + 1)
+    err = _associativity_exit(capsys, "one_vertex.json", 2)
+    assert err == "invariant broken: gamma=[0] q=2: class mass 1 differs from the stacky count 2\n"
+    result = _spawn_optimized(
+        ["verify", SPECS / "one_vertex.json", "--suite", "associativity", "--q", 2, "--max-dim", 2],
+        STACKY_COUNT_OFF_BY_ONE,
+    )
+    assert result.returncode == 4 and result.stdout == ""
+    assert result.stderr == err
+
+
+def test_a_weyl_image_off_the_flats_exits_4(capsys, monkeypatch):
+    # one more "element" sends the flat {x = 0} (hyperplane 2) to the
+    # hyperplanes 0 and 1, y = 0 and x = y, which meet in no line
+    perms = sm.weyl_permutations
+    monkeypatch.setattr(sm, "weyl_permutations", lambda spec: perms(spec) + (((2, 1), (2, 1), (0, 1)),))
+    code, out, err = run_cli(capsys, "faces", SPECS / "a2_gl2.json")
+    assert code == 4 and out == ""
+    assert err == "invariant broken: weyl image (0, 1) of the flat (2,) is no flat\n"
+
+
+def test_a_cell_witness_off_a_forced_sign_exits_4(capsys, monkeypatch):
+    # the start face of the chamber of x - y >= 0 gets its witness negated;
+    # the first covector is that wall, whose sign its rays force
+    witness = arrangement._checked_witness
+
+    def negated_at_the_start(covectors, s, pointed, dim):
+        w = witness(covectors, s, pointed, dim)
+        return w if covectors else vec_neg(w)
+
+    monkeypatch.setattr(arrangement, "_checked_witness", negated_at_the_start)
+    code, out, err = run_cli(capsys, "faces", SPECS / "b_gl2.json")
+    assert code == 4 and out == ""
+    assert err == (
+        "invariant broken: witness (1, 0) of sign vector () is off the sign -1 "
+        "that the rays (-1, 0) force on covector (1, -1)\n"
+    )
+
+
 def test_unreadable_and_malformed_documents_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "faces", SPECS / "missing.json")
     assert code == 2 and "cannot read" in err
@@ -864,6 +996,15 @@ def test_unreadable_and_malformed_documents_exit_2(capsys, tmp_path):
     arr.write_text("[1, 2]")
     code, _, err = run_cli(capsys, "faces", arr)
     assert code == 2 and "JSON object" in err
+
+
+@pytest.mark.parametrize("doc", [{"type": "polytope"}, {"rank": 1}], ids=["unknown", "untyped"])
+def test_faces_on_a_document_of_an_unknown_type_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "faces", path)
+    assert code == 2 and out == ""
+    assert err == f"error: unsupported document type {doc.get('type')!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -1035,18 +1176,19 @@ def test_cold_and_warm_cache_runs_are_byte_identical(tmp_path):
     cache = tmp_path / "cache"
     args = (
         "verify", SPECS / "a2_quiver.json", "--suite", "associativity",
-        "--q", 2, "--max-dim", 2, "--cache-dir", cache,
+        "--q", 2, "--max-dim", 2,
     )
-    cold = spawn(*args)
+    env = {"COMPONENT_LATTICE_CACHE": str(cache)}
+    cold = spawn(*args, env_extra=env)
     assert cold.returncode == 0
     entries = sorted(cache.iterdir())
     assert entries, "cache directory was not populated"
-    warm = spawn(*args)
+    warm = spawn(*args, env_extra=env)
     assert warm.returncode == 0
     assert warm.stdout == cold.stdout
     # a corrupted entry is recomputed, not trusted
     entries[0].write_text("garbage")
-    again = spawn(*args)
+    again = spawn(*args, env_extra=env)
     assert again.returncode == 0
     assert again.stdout == cold.stdout
 
@@ -1062,16 +1204,26 @@ def test_cache_directory_from_environment(tmp_path):
     assert any(cache.iterdir())
 
 
-def test_cached_classes_round_trip(tmp_path):
+def test_the_cache_directory_is_no_option(capsys, tmp_path):
+    # the directory comes from COMPONENT_LATTICE_CACHE alone
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(SPECS / "one_vertex.json"), "--suite", "associativity", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cached_classes_round_trip(tmp_path, monkeypatch):
     quiver = lm.load_quiver({"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"]]})
-    lm.set_cache_dir(str(tmp_path))
+    # the directory is read when a sweep runs, so one set after import counts
+    monkeypatch.setenv("COMPONENT_LATTICE_CACHE", str(tmp_path / "classes"))
     try:
         lm.iso_classes.cache_clear()
         fresh = lm.iso_classes(quiver, (1, 1), 3)
+        assert any((tmp_path / "classes").iterdir())
         lm.iso_classes.cache_clear()
         loaded = lm.iso_classes(quiver, (1, 1), 3)
     finally:
-        lm.set_cache_dir(None)
         lm.iso_classes.cache_clear()
     assert loaded.reps == fresh.reps
     assert loaded.orbit_sizes == fresh.orbit_sizes

@@ -262,6 +262,25 @@ def test_malformed_quiver_documents_are_rejected(mangle):
         lm.load_quiver(doc)
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ("quiver", "quiver document must be a JSON object"),
+        ({**A2, "extra": 1, "zeta": 2}, "unknown quiver fields: ['extra', 'zeta']"),
+        # unknown fields are reported before missing ones
+        ({"type": "quiver", "vertices": ["u"], "extra": 1}, "unknown quiver fields: ['extra']"),
+        ({"type": "quiver"}, "missing quiver fields: ['arrows', 'vertices']"),
+        # and missing fields before a wrong type
+        ({"type": "linear_quotient", "vertices": ["u"]}, "missing quiver fields: ['arrows']"),
+        ({**A2, "type": "linear_quotient"}, "expected type 'quiver', got 'linear_quotient'"),
+    ],
+)
+def test_load_quiver_prologue_messages(doc, message):
+    with pytest.raises(SpecError) as exc:
+        lm.load_quiver(doc)
+    assert str(exc.value) == message
+
+
 def test_dimension_vectors_are_validated(a2):
     with pytest.raises(SpecError):
         lm.rep_space_dim(a2, (1,))
@@ -365,7 +384,7 @@ def test_class_representatives_are_lex_least(a2):
     ],
 )
 def test_generator_sweep_matches_the_full_group_sweep(monkeypatch, doc, gamma, q):
-    monkeypatch.setattr(lm, "_CACHE_DIR", None)
+    monkeypatch.delenv("COMPONENT_LATTICE_CACHE", raising=False)
     quiver = lm.load_quiver(doc)
     fast = lm.iso_classes.__wrapped__(quiver, gamma, q)
     slow = full_group_iso_classes(quiver, gamma, q)
@@ -388,7 +407,7 @@ def test_a_generating_set_that_is_too_small_is_caught(monkeypatch, doc, gamma):
         return tuple((i, j, a) for i, j, a in full(q, n) if i != j)
 
     monkeypatch.setattr(lm, "_gl_generators", without_diagonal)
-    monkeypatch.setattr(lm, "_CACHE_DIR", None)
+    monkeypatch.delenv("COMPONENT_LATTICE_CACHE", raising=False)
     with pytest.raises(InvariantError):
         lm.iso_classes.__wrapped__(lm.load_quiver(doc), gamma, 3)
 

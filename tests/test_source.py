@@ -25,6 +25,19 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+def test_no_global_statements_in_the_package():
+    # state a global statement rebinds is shared by every caller in the
+    # process and outlives the call that set it; a setting is read where
+    # it is used instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert not found, found
+
+
 def test_no_floats_in_the_package():
     # the core is exact: a float literal or a float() call anywhere in it
     # would round where every comparison relies on equality being exact
@@ -86,7 +99,7 @@ def test_no_command_loads_hashlib(tmp_path):
         ["faces", str(specs / "a2_gl2.json")],
         ["closure", str(specs / "a2_gl2.json"), "--face", "0,1"],
         ["verify", str(specs / "a2_quiver.json"), "--suite", "associativity", "--q", "2",
-         "--max-dim", "2", "--cache-dir", str(tmp_path)],
+         "--max-dim", "2"],
     ]
     code = (
         "import contextlib, io, json, sys, complat.cli\n"
@@ -98,7 +111,7 @@ def test_no_command_loads_hashlib(tmp_path):
         "        seen.append([argv[0], complat.cli.main(argv), hashing()])\n"
         "print(json.dumps(seen))\n"
     )
-    env = {"PYTHONPATH": str(ROOT / "src")}
+    env = {"PYTHONPATH": str(ROOT / "src"), "COMPONENT_LATTICE_CACHE": str(tmp_path)}
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
     )

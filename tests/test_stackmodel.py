@@ -32,6 +32,7 @@ from complat.arrangement import (
 )
 from complat.errors import CapExceeded, InvariantError, SpecError
 from complat.category import FiniteCategory
+from complat.jsonio import jsonable
 from complat.qlinalg import (
     canonical_covector_signed,
     covector_times_mat,
@@ -187,6 +188,25 @@ def test_load_spec_rejects_malformed(mangle):
     mangle(doc)
     with pytest.raises(SpecError):
         load_spec(doc)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([A2_GL2], "spec document must be a JSON object"),
+        ({**A2_GL2, "extra": 1, "zeta": 2}, "unknown spec fields: ['extra', 'zeta']"),
+        # unknown fields are reported before missing ones
+        ({k: v for k, v in A2_GL2.items() if k != "roots"} | {"extra": 1}, "unknown spec fields: ['extra']"),
+        ({k: v for k, v in A2_GL2.items() if k not in ("roots", "rank")}, "missing spec fields: ['rank', 'roots']"),
+        # and missing fields before a wrong type
+        ({"type": "quiver"}, "missing spec fields: ['rank', 'roots', 'weights', 'weyl_generators']"),
+        ({**A2_GL2, "type": "quiver"}, "expected type 'linear_quotient', got 'quiver'"),
+    ],
+)
+def test_load_spec_prologue_messages(doc, message):
+    with pytest.raises(SpecError) as exc:
+        load_spec(doc)
+    assert str(exc.value) == message
 
 
 def test_load_spec_rejects_symmetry_violations():
@@ -700,6 +720,18 @@ def test_special_cones_sharing_their_sign_data_are_an_invariant_error(a2gl2, mon
         enumerate_special_cones(a2gl2)
 
 
+def test_a_special_cone_whose_closure_moves_its_rays_is_an_invariant_error(a2gl2, monkeypatch):
+    # a closure that sees only the first ray loses the others of every
+    # cone with two or more
+    closure = sm.special_cone_closure
+    monkeypatch.setattr(sm, "special_cone_closure", lambda spec, rays: closure(spec, rays[:1]))
+    with pytest.raises(InvariantError) as exc:
+        enumerate_special_cones(a2gl2)
+    assert str(exc.value) == (
+        "special cone with rays ((-1, -1), (0, -1), (1, 1)) has closure rays ((-1, -1), (1, 1))"
+    )
+
+
 def test_cone_closure_is_idempotent_and_extensive(anyspec):
     rng = random.Random(23)
     arr = global_arrangement(anyspec)
@@ -880,14 +912,33 @@ def test_a_chamber_whose_samples_select_different_restrictions_is_reported(a2gl2
     report = constancy_check(a2gl2, fl, samples=2, seed=0)
     assert len(calls) == 4
     assert report["ok"] is False
-    # the witness is the chamber's two samples, the second of which selected less
-    assert report["discrepancies"] == [
+    # the witness is the chamber's two samples, the second of which selected
+    # less: both on the line x = 0, whose cone is the half-line y <= 0 for
+    # the first and the whole line for the second
+    component = {"face_dim": 1, "fixed_weights": [[1, 0]], "levi_roots": []}
+    attractor = {
+        "carrier_dim": 1,
+        "carrier_basis": [["0", "1"]],
+        "cone_dim": 1,
+        "ambient_rays": [[0, -1]],
+        "attractor_weights": [[1, 0]],
+        "parabolic_roots": [[1, -1]],
+        "levi": component,
+    }
+    assert jsonable(report["discrepancies"]) == [
         {
             "signs": [-1],
             "samples": 2,
             "component_signatures": 1,
             "attractor_signatures": 2,
             "witness": [[0, -50], [0, -6]],
+            "witness_signatures": [
+                {"component": component, "attractor": attractor},
+                {
+                    "component": component,
+                    "attractor": {**attractor, "ambient_rays": [[0, -1], [0, 1]], "parabolic_roots": []},
+                },
+            ],
         }
     ]
 
