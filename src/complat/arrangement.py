@@ -29,10 +29,11 @@ reads each chamber's rays off that state, once per arrangement.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, InvariantError
 from .qlinalg import (
@@ -60,13 +61,9 @@ CELL_COVECTOR_CAP = 20
 SignVector = tuple[int, ...]
 
 
-class _ArrangementFields(NamedTuple):
-    covectors: tuple[IntVec, ...]
-    dim: int
-
-
-class HyperplaneArrangement(_ArrangementFields):
-    """Ordered, duplicate-free list of canonical covectors in Q^dim."""
+class HyperplaneArrangement(namedtuple("HyperplaneArrangement", "covectors dim")):
+    """Ordered, duplicate-free list of canonical covectors in Q^dim:
+    covectors, a tuple of IntVec, and dim, an int."""
 
     __slots__ = ()
 
@@ -129,12 +126,12 @@ def restrict(arr: HyperplaneArrangement, space: Subspace) -> HyperplaneArrangeme
     return from_vectors(vecs, space.dim)
 
 
-class Flat(NamedTuple):
-    """Intersection of hyperplanes: the subspace plus the maximal set of
-    hyperplane indices containing it, a closed set of the matroid."""
+class Flat(namedtuple("Flat", "subspace hyperplanes")):
+    """Intersection of hyperplanes: the subspace (a Subspace) plus the
+    maximal set of hyperplane indices containing it (an IntVec), a closed
+    set of the matroid."""
 
-    subspace: Subspace
-    hyperplanes: IntVec
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

@@ -9,18 +9,19 @@ The composable pairs are exactly the entries of the rows."""
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Callable, Hashable, Sequence
 
 from .errors import InvariantError
 
 
-class FiniteCategory(NamedTuple):
-    """A finite category whose morphisms are referred to by index."""
+class FiniteCategory(namedtuple("FiniteCategory", "objects morphisms identities then")):
+    """A finite category whose morphisms are referred to by index: tuples
+    of objects and of morphisms, the index of each object's identity, and
+    then, one dict per morphism i with then[i][j] = i then j for each
+    morphism j out of i's target, ascending."""
 
-    objects: tuple
-    morphisms: tuple
-    identities: tuple[int, ...]
-    then: tuple[dict[int, int], ...]  # then[i][j] = i then j, for j out of i's target, ascending
+    __slots__ = ()
 
     def compose(self, first: int, then: int) -> int:
         return self.then[first][then]

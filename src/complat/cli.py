@@ -6,6 +6,12 @@ Three subcommands over JSON documents (linear_quotient or quiver):
   closure  special closure of a face (--face) or of a cone (--ray)
   verify   run a verification suite (--suite)
 
+The arguments are parsed, and --help is written, from one option table
+per command (_COMMANDS), not by argparse, which costs every command its
+gettext and locale imports. Options keep argparse's forms (--opt value,
+--opt=value, unique prefixes, before or after the spec) and its usage
+errors (exit 2); an option's value may start with -, as in --face -3,0.
+
 Output is canonical JSON by default (sorted keys, rationals as "num/den"
 strings) and always carries the sha256 digest of the parsed input
 document. Exit codes: 0 success, 1 a verified property failed, 2 invalid
@@ -16,13 +22,13 @@ report was written (128 + SIGPIPE).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Optional, Sequence
 
 from . import linmoduli as lm
 from . import stackmodel as sm
@@ -177,7 +183,40 @@ def _cmd_verify(args) -> dict:
     return {**base, "max_total": args.max_dim, "ok": all(c["ok"] for c in checks), "checks": checks}
 
 
-_COMMANDS = {"faces": _cmd_faces, "closure": _cmd_closure, "verify": _cmd_verify}
+_OUTPUT = ("--output", ("json", "text"), "json", None)
+
+# Per command: its function, its help line and its options, each (flag,
+# kind, default, help). kind is int, a tuple of choices, or list for a
+# repeatable option whose values collect in order; a default of ... makes
+# the option required. The parser and --help read this table alone.
+_COMMANDS = {
+    "faces": (
+        _cmd_faces,
+        "enumerate special faces",
+        (_OUTPUT, ("--max-dim", int, 3, "total dimension bound for quiver documents")),
+    ),
+    "closure": (
+        _cmd_closure,
+        "special closure of a face or a cone",
+        (
+            _OUTPUT,
+            ("--face", list, None, "spanning vector of the face as comma-separated rationals; repeatable"),
+            ("--ray", list, None, "generating ray of the cone; repeatable"),
+        ),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run a verification suite",
+        (
+            _OUTPUT,
+            ("--suite", ("constancy", "hall", "associativity", "finiteness", "crosscheck"), ..., None),
+            ("--samples", int, 100, "samples per chamber"),
+            ("--seed", int, 0, None),
+            ("--q", int, 2, "field size for counting suites"),
+            ("--max-dim", int, 3, "total dimension bound for quiver suites"),
+        ),
+    ),
+}
 
 
 def _inline(value) -> Optional[str]:
@@ -220,55 +259,149 @@ def _emit(report: dict, mode: str) -> None:
         print("\n".join(_text_lines(jsonable(report))))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="complat",
-        description="Component lattices of quotient stacks: faces, closures, verification.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "spec", help="path to a JSON document (linear_quotient or quiver), or - for stdin"
-    )
-    common.add_argument("--output", choices=("json", "text"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_faces = sub.add_parser("faces", parents=[common], help="enumerate special faces")
-    p_faces.add_argument(
-        "--max-dim", type=int, default=3, help="total dimension bound for quiver documents"
-    )
-    p_closure = sub.add_parser(
-        "closure", parents=[common], help="special closure of a face or a cone"
-    )
-    p_closure.add_argument(
-        "--face",
-        action="append",
-        metavar="VEC",
-        help="spanning vector of the face as comma-separated rationals; repeatable",
-    )
-    p_closure.add_argument(
-        "--ray", action="append", metavar="VEC", help="generating ray of the cone; repeatable"
-    )
-    p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p_verify.add_argument(
-        "--suite",
-        required=True,
-        choices=("constancy", "hall", "associativity", "finiteness", "crosscheck"),
-    )
-    p_verify.add_argument("--samples", type=int, default=100, help="samples per chamber")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--q", type=int, default=2, help="field size for counting suites")
-    p_verify.add_argument(
-        "--max-dim", type=int, default=3, help="total dimension bound for quiver suites"
-    )
-    return parser
+_DESCRIPTION = "Component lattices of quotient stacks: faces, closures, verification."
+_SPEC_HELP = "path to a JSON document (linear_quotient or quiver), or - for stdin"
+_HELP = ("-h", "--help")
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _metavar(flag: str, kind) -> str:
+    if kind is list:
+        return "VEC"
+    if kind is int:
+        return _dest(flag).upper()
+    return "{" + ",".join(kind) + "}"
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: complat [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = ["usage: complat", command, "[-h]"]
+    for flag, kind, default, _ in _COMMANDS[command][2]:
+        word = f"{flag} {_metavar(flag, kind)}"
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words + ["spec"])
+
+
+def _fail(command: Optional[str], message: str) -> NoReturn:
+    """A usage error: the usage line and the message on stderr, exit 2."""
+    prog = "complat" if command is None else f"complat {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(command: Optional[str]) -> NoReturn:
+    """--help: the usage line, then one line per command, or per argument of
+    the command with its help; exit 0."""
+    if command is None:
+        lines = [_DESCRIPTION, "", "commands:"]
+        rows = [(name, entry[1]) for name, entry in _COMMANDS.items()]
+    else:
+        lines = [_COMMANDS[command][1], "", "arguments:"]
+        rows = [("spec", _SPEC_HELP), ("-h, --help", "show this help message and exit")]
+        rows += [(f"{flag} {_metavar(flag, kind)}", text or "") for flag, kind, _, text in _COMMANDS[command][2]]
+    for name, text in rows:
+        gap = " " * (22 - len(name)) if len(name) < 21 else "\n" + " " * 24
+        lines.append(f"  {name}{gap}{text}".rstrip())
+    print("\n".join([_usage(command), "", *lines]))
+    raise SystemExit(0)
+
+
+def _is_flag(token: str) -> bool:
+    """A leading - marks an option, except on - itself (stdin) and on a
+    negative number, as in argparse."""
+    return token[:1] == "-" and token != "-" and not token[1:].replace(".", "", 1).isdigit()
+
+
+def _lookup(command: Optional[str], flag: str, flags: Sequence[str]) -> Optional[str]:
+    """The flag of flags that flag names: itself, or the one long flag it
+    abbreviates; None if there is none."""
+    if flag in flags:
+        return flag
+    hits = [f for f in flags if flag.startswith("--") and f.startswith(flag)]
+    if len(hits) > 1:
+        _fail(command, f"ambiguous option: {flag} could match {', '.join(hits)}")
+    return hits[0] if hits else None
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> SimpleNamespace:
+    """The command, its spec and one field per option of its table entry.
+
+    Options come before or after the spec, as --opt value or --opt=value,
+    by any unique prefix; an option takes the next token as its value even
+    when it starts with -, and -- makes every later token positional. A
+    usage error exits 2 (SystemExit) and --help exits 0, each with argparse's
+    wording."""
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    command = None
+    for token in tokens:
+        if not _is_flag(token):
+            command = token
+            break
+        if _lookup(None, token, _HELP) is None:
+            _fail(None, f"unrecognized arguments: {token}")
+        _help(None)
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    options = {flag: (kind, default) for flag, kind, default, _ in _COMMANDS[command][2]}
+    values = {"command": command, "spec": None}
+    values.update((_dest(flag), None if default is ... else default) for flag, (_, default) in options.items())
+    extras = []
+    positional_only = False
+    for token in tokens:
+        if token == "--" and not positional_only:
+            positional_only = True
+            continue
+        if positional_only or not _is_flag(token):
+            if values["spec"] is None:
+                values["spec"] = token
+            else:
+                extras.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        flag = _lookup(command, flag, (*_HELP, *options))
+        if flag is None:
+            extras.append(token)
+            continue
+        if flag in _HELP:
+            _help(command)
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                _fail(command, f"argument {flag}: expected one argument")
+        kind = options[flag][0]
+        if kind is list:
+            value = [*(values[_dest(flag)] or ()), value]
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(command, f"argument {flag}: invalid int value: {value!r}")
+        elif value not in kind:
+            _fail(command, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+        values[_dest(flag)] = value
+    required = ["spec", *(flag for flag, (_, default) in options.items() if default is ...)]
+    missing = [name for name in required if values[_dest(name)] is None]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         for flag in ("samples", "max_dim"):
             if getattr(args, flag, 1) < 1:
                 raise SpecError(f"--{flag.replace('_', '-')} must be at least 1")
-        report = _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command][0](args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,10 +29,10 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .category import FiniteCategory, check_laws
 from .errors import CapExceeded, InvariantError, SpecError
@@ -232,12 +232,11 @@ def all_subspaces(q: int, n: int) -> tuple[GFSubspace, ...]:
 # -- quivers and representations -------------------------------------------------
 
 
-class Quiver(NamedTuple):
-    """A finite quiver; arrows are (source, target) vertex indices and may
-    repeat or loop."""
+class Quiver(namedtuple("Quiver", "vertices arrows")):
+    """A finite quiver: a tuple of vertex names, and a tuple of arrows, each
+    a (source, target) pair of vertex indices; arrows may repeat or loop."""
 
-    vertices: tuple[str, ...]
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def n_vertices(self) -> int:
@@ -445,19 +444,16 @@ def _cache_store(classes: "IsoClasses") -> None:
         pass
 
 
-class IsoClasses(NamedTuple):
-    """The isomorphism classes of representations of one dimension vector:
-    lexicographically least representatives, orbit and automorphism-group
-    sizes, and a lookup from every representation to its class index."""
+class IsoClasses(
+    namedtuple("IsoClasses", "quiver gamma q reps orbit_sizes aut_orders group_order class_of")
+):
+    """The isomorphism classes of representations of one dimension vector
+    gamma of the quiver over F_q: lexicographically least representatives
+    (a tuple of Rep), orbit and automorphism-group sizes (tuples of int),
+    the order of the group, and class_of, a dict from every representation
+    to its class index."""
 
-    quiver: Quiver
-    gamma: DimVector
-    q: int
-    reps: tuple[Rep, ...]
-    orbit_sizes: tuple[int, ...]
-    aut_orders: tuple[int, ...]
-    group_order: int
-    class_of: dict
+    __slots__ = ()
 
 
 def _end_dim(quiver: Quiver, F: GF, gamma: DimVector, rep: Rep) -> int:
@@ -840,13 +836,12 @@ def multiset_decompositions(gamma: Sequence[int]) -> tuple[tuple[DimVector, ...]
     return tuple(sorted(rec(gamma, gamma)))
 
 
-class LmsMorphism(NamedTuple):
-    """An ordered refinement: for each source index, the ordered tuple of
+class LmsMorphism(namedtuple("LmsMorphism", "source target orders")):
+    """An ordered refinement from object index source to object index
+    target: orders holds, for each source index, the ordered tuple of
     target indices whose dimension vectors sum to it."""
 
-    source: int
-    target: int
-    orders: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def hall_category_lms(n_vertices: int, max_total: int) -> FiniteCategory:

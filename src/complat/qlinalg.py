@@ -34,11 +34,12 @@ relies on these comparisons being exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Scalar = int | Fraction
 Vec = tuple[Fraction, ...]
@@ -181,19 +182,15 @@ def row_rank(rows: Iterable[Sequence[Scalar]]) -> int:
     return len(echelon(rows, len(rows[0]) if rows else 0))
 
 
-class _SubspaceFields(NamedTuple):
-    rows: tuple[IntVec, ...]
-    ambient_dim: int
-
-
-class Subspace(_SubspaceFields):
-    """A linear subspace of Q^n, stored once as integer rows: L times its
-    reduced row echelon basis, each row L at its pivot and zero at the
-    other rows' pivots, with no factor common to all entries, so L is the
-    lcm of the basis' denominators. Construct through span()/kernel(); the
-    constructor validates this form so that structural equality means
-    equality of subspaces. The scale L, the pivots and the Fraction basis
-    are derived; instances keep a __dict__ for the cached ones.
+class Subspace(namedtuple("Subspace", "rows ambient_dim")):
+    """A linear subspace of Q^n (n is ambient_dim), stored once as integer
+    rows (a tuple of IntVec): L times its reduced row echelon basis, each
+    row L at its pivot and zero at the other rows' pivots, with no factor
+    common to all entries, so L is the lcm of the basis' denominators.
+    Construct through span()/kernel(); the constructor validates this form
+    so that structural equality means equality of subspaces. The scale L,
+    the pivots and the Fraction basis are derived; instances keep a
+    __dict__ for the cached ones.
     """
 
     def __new__(cls, rows: tuple[IntVec, ...], ambient_dim: int):

@@ -36,15 +36,14 @@ deterministic.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 from .arrangement import (
     Flat,
     HyperplaneArrangement,
-    SignVector,
     cells,
     chamber_rays,
     flat_cut_out,
@@ -83,15 +82,10 @@ CONE_CONSTRAINT_CAP = 12
 Matrix = tuple[IntVec, ...]
 
 
-class _SpecFields(NamedTuple):
-    rank: int
-    weights: tuple[IntVec, ...]
-    roots: tuple[IntVec, ...]
-    weyl_group: tuple[Matrix, ...]
-
-
-class QuotientStackSpec(_SpecFields):
-    """Combinatorial model of V/G on a rank-n maximal torus.
+class QuotientStackSpec(namedtuple("QuotientStackSpec", "rank weights roots weyl_group")):
+    """Combinatorial model of V/G on a rank-n maximal torus: the rank n,
+    the weights and the roots (tuples of IntVec) and the Weyl group (a
+    tuple of Matrix).
 
     The hash is that of the field tuple, computed once per instance:
     tuples do not cache theirs, and every spec-keyed cache looks it up,
@@ -202,29 +196,22 @@ def load_spec(doc: dict) -> QuotientStackSpec:
     return QuotientStackSpec(rank, weights, roots, group)
 
 
-class ComponentSignature(NamedTuple):
-    """Isomorphism data of a graded point: the face dimension, the multiset
-    of weights fixed by the face, and the roots of its Levi."""
+class ComponentSignature(namedtuple("ComponentSignature", "face_dim fixed_weights levi_roots")):
+    """Isomorphism data of a graded point: the face dimension (an int), the
+    multiset of weights fixed by the face, and the roots of its Levi (each
+    a tuple of IntVec)."""
 
-    face_dim: int
-    fixed_weights: tuple[IntVec, ...]
-    levi_roots: tuple[IntVec, ...]
-
-
-class _AttractorFields(NamedTuple):
-    flat: Flat
-    ambient_rays: tuple[IntVec, ...]
-    attractor_weights: tuple[IntVec, ...]
-    parabolic_roots: tuple[IntVec, ...]
-    levi_part: ComponentSignature
+    __slots__ = ()
 
 
-class AttractorSignature(_AttractorFields):
-    """Isomorphism data of a filtered point: the carrier flat and the
+class AttractorSignature(
+    namedtuple("AttractorSignature", "flat ambient_rays attractor_weights parabolic_roots levi_part")
+):
+    """Isomorphism data of a filtered point: the carrier Flat and the
     cone's canonical ambient rays, which determine the cone, the weights
     with nonnegative pairing (the attractor) and the roots of the
-    parabolic, plus the signature of the cone's span, whose face_dim is
-    the cone's dimension."""
+    parabolic (each a tuple of IntVec), plus the ComponentSignature of the
+    cone's span, whose face_dim is the cone's dimension."""
 
     __slots__ = ()
 
@@ -344,7 +331,10 @@ def weyl_permutations(spec: QuotientStackSpec) -> tuple[tuple[tuple[int, int], .
 def _weyl_orbits(perms: Sequence, members: Sequence, act, what: str) -> list:
     """(first member, orbit) for each orbit on members of the group given
     by its signed permutations, in the members' order; act(perm, m) moves m
-    by a signed permutation, and every image must be a member again."""
+    by a signed permutation, and every image must be a member again. The
+    orbits of a group partition the members, so an orbit that misses its
+    own member or meets an earlier one means the permutations are no group
+    and the orbit sizes would be wrong."""
     known = set(members)
     seen: set = set()
     out = []
@@ -353,20 +343,23 @@ def _weyl_orbits(perms: Sequence, members: Sequence, act, what: str) -> list:
             orbit = {act(perm, m) for perm in perms}
             if not orbit <= known:
                 raise InvariantError(f"weyl image {min(orbit - known)} of the {what} {m} is no {what}")
+            if m not in orbit or not seen.isdisjoint(orbit):
+                raise InvariantError(f"the weyl orbit of the {what} {m} is no orbit of a group")
             seen |= orbit
             out.append((m, orbit))
     return out
 
 
-class _Chamber(NamedTuple):
+class _Chamber(namedtuple("_Chamber", "mirrors walls omega images")):
     """A chamber C of the mirrors of W_r, the subgroup of W generated by
     the reflections whose mirrors are hyperplanes of the global arrangement
-    (weyl_reflection_chamber)."""
+    (weyl_reflection_chamber): the covector indices of the mirrors; the
+    walls, the simple roots (the mirrors bounding C, oriented >= 0 on C,
+    as IntVec); omega, the signed permutations of the elements g with
+    gC = C; and images, per element g the mirrors (as bits of an int)
+    positive on gC."""
 
-    mirrors: tuple[int, ...]  # covector indices of the mirrors
-    walls: tuple[IntVec, ...]  # the simple roots: the mirrors bounding C, oriented >= 0 on C
-    omega: tuple  # the signed permutations of the elements g with gC = C
-    images: tuple[int, ...]  # per element g, the mirrors (as bits) positive on gC
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -416,13 +409,12 @@ def weyl_reflection_chamber(spec: QuotientStackSpec) -> _Chamber:
     return _Chamber(mirrors, walls, omega, images)
 
 
-class FaceOrbit(NamedTuple):
+class FaceOrbit(namedtuple("FaceOrbit", "flat orbit_size signature")):
     """A Weyl orbit of special faces, named by its representative: the
-    orbit member with the lexicographically least basis."""
+    orbit member with the lexicographically least basis, a Flat; its size
+    and the representative's ComponentSignature."""
 
-    flat: Flat
-    orbit_size: int
-    signature: ComponentSignature
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -446,13 +438,12 @@ def enumerate_special_faces(spec: QuotientStackSpec) -> tuple[FaceOrbit, ...]:
     return tuple(FaceOrbit(by_set[h], len(o), component_signature(spec, by_set[h].subspace)) for h, o in orbits)
 
 
-class CellOrbit(NamedTuple):
+class CellOrbit(namedtuple("CellOrbit", "cell orbit_size")):
     """A Weyl orbit of relatively open cells of the global arrangement,
     named by its representative: the least member in the closed chamber of
-    weyl_reflection_chamber."""
+    weyl_reflection_chamber, a SignVector; and its size."""
 
-    cell: SignVector
-    orbit_size: int
+    __slots__ = ()
 
 
 def cell_orbits(spec: QuotientStackSpec) -> tuple[CellOrbit, ...]:
@@ -608,12 +599,12 @@ def _cone_of(spec: QuotientStackSpec, flat: Flat, ineqs: tuple[IntVec, ...]) -> 
     return AttractorSignature(flat, ambient, attractor, parabolic, levi)
 
 
-class ConeOrbit(NamedTuple):
+class ConeOrbit(namedtuple("ConeOrbit", "signature orbit_size")):
     """A Weyl orbit of special cones, named by its representative: the
-    member with the least ambient ray tuple."""
+    AttractorSignature of the member with the least ambient ray tuple; and
+    its size."""
 
-    signature: AttractorSignature
-    orbit_size: int
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -791,21 +782,20 @@ def surjection_invariance_check(
 # -- Hall category -------------------------------------------------------------
 
 
-class HallMorphism(NamedTuple):
+class HallMorphism(namedtuple("HallMorphism", "source target embedding chamber")):
     """A morphism of the Hall category: a Weyl-twisted embedding of one
     special-face representative in another, together with a chamber of the
     sub-arrangement of target hyperplanes containing the embedded source.
 
-    The embedding is a source-dim x target-dim integer matrix in the bases
-    of the two representatives, times the scale L of the source's rows
-    (an identity is L times the identity matrix). The chamber's coordinates
-    are the target covectors vanishing on the image (_embedded_arrangement).
+    source and target are object indices. The embedding is a source-dim x
+    target-dim integer matrix (a tuple of IntVec) in the bases of the two
+    representatives, times the scale L of the source's rows (an identity
+    is L times the identity matrix). The chamber is a SignVector whose
+    coordinates are the target covectors vanishing on the image
+    (_embedded_arrangement).
     """
 
-    source: int
-    target: int
-    embedding: tuple[IntVec, ...]
-    chamber: SignVector
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

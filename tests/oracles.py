@@ -5,6 +5,7 @@ Each oracle recomputes a quantity by a different route than the library
 counting), so agreement is meaningful.
 """
 
+import argparse
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -841,3 +842,39 @@ def fubini_number(n):
     for m in range(1, n + 1):
         a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
     return a[n]
+
+
+def argparse_cli_parser():
+    """The command line as argparse parsed it before cli's own table
+    parser: the same options, choices, int types, defaults and help
+    strings, built independently of cli's table. Its parse_args gives a
+    Namespace with the fields cli._parse_args must give."""
+    parser = argparse.ArgumentParser(
+        prog="complat",
+        description="Component lattices of quotient stacks: faces, closures, verification.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("spec", help="path to a JSON document (linear_quotient or quiver), or - for stdin")
+    common.add_argument("--output", choices=("json", "text"), default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_faces = sub.add_parser("faces", parents=[common], help="enumerate special faces")
+    p_faces.add_argument("--max-dim", type=int, default=3, help="total dimension bound for quiver documents")
+    p_closure = sub.add_parser("closure", parents=[common], help="special closure of a face or a cone")
+    p_closure.add_argument(
+        "--face",
+        action="append",
+        metavar="VEC",
+        help="spanning vector of the face as comma-separated rationals; repeatable",
+    )
+    p_closure.add_argument("--ray", action="append", metavar="VEC", help="generating ray of the cone; repeatable")
+    p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p_verify.add_argument(
+        "--suite",
+        required=True,
+        choices=("constancy", "hall", "associativity", "finiteness", "crosscheck"),
+    )
+    p_verify.add_argument("--samples", type=int, default=100, help="samples per chamber")
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--q", type=int, default=2, help="field size for counting suites")
+    p_verify.add_argument("--max-dim", type=int, default=3, help="total dimension bound for quiver suites")
+    return parser

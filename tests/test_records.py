@@ -1,7 +1,8 @@
-"""The package's value types are NamedTuple records: equality, hash and
-order are those of the field tuple, fields cannot be assigned, and the
-three validating types check their fields in the constructor, which
-_make and _replace go through."""
+"""The package's value types are collections.namedtuple records:
+equality, hash and order are those of the field tuple, fields cannot be
+assigned, only the two types with cached derived values keep a __dict__,
+and the three validating types check their fields in the constructor,
+which _make and _replace go through."""
 
 import json
 from fractions import Fraction as F
@@ -112,6 +113,15 @@ def test_records_hash_and_sort_as_their_field_tuples(name):
     first = records[0]
     with pytest.raises(AttributeError):
         setattr(first, type(first)._fields[0], None)
+
+
+def test_only_the_records_with_cached_values_keep_a_dict():
+    # a __dict__ slot costs every instance memory; Subspace and the spec
+    # cache derived values (pivots, basis, the hash) in theirs
+    assert hasattr(Subspace(((1, 0),), 2), "__dict__") and hasattr(_spec("a2_gl2"), "__dict__")
+    for name, (records, _) in _records().items():
+        assert not hasattr(records[0], "__dict__"), name
+    assert not hasattr(HyperplaneArrangement(((1, 0),), 2), "__dict__")
 
 
 def test_a_spec_hashes_as_its_field_tuple_with_tuple_equality_and_order():

@@ -74,9 +74,9 @@ def test_every_traced_name_is_a_function_of_its_module():
 
 def test_the_cli_imports_every_layer_and_neither_dataclasses_nor_inspect():
     # start-up is most of a short command: dataclasses pulls in inspect,
-    # ast, dis and tokenize, so the value types are NamedTuple records;
-    # perfbench/tracer.py hooks every layer module, so cli loads them all;
-    # -S keeps site-packages start-up hooks out of the count
+    # ast, dis and tokenize, so the value types are collections.namedtuple
+    # records; perfbench/tracer.py hooks every layer module, so cli loads
+    # them all; -S keeps site-packages start-up hooks out of the count
     code = (
         "import json, sys, complat.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m in "
@@ -90,10 +90,10 @@ def test_the_cli_imports_every_layer_and_neither_dataclasses_nor_inspect():
     assert layers <= loaded, layers - loaded
 
 
-def test_no_command_loads_hashlib(tmp_path):
-    # hashlib loads OpenSSL's libcrypto, a few ms and MB of every short
-    # command, so jsonio digests with the interpreter's built-in sha256;
-    # the counting command digests cache keys too, so it gets a cache
+def _loaded_by_each_command(watch, env):
+    """Which modules of watch are loaded after `import complat.cli` and
+    after each of a faces, a closure and a counting verify command run in
+    process, with each command's exit code, in a fresh python -S."""
     specs = ROOT / "specs"
     commands = [
         ["faces", str(specs / "a2_gl2.json")],
@@ -103,18 +103,52 @@ def test_no_command_loads_hashlib(tmp_path):
     ]
     code = (
         "import contextlib, io, json, sys, complat.cli\n"
-        "def hashing():\n"
-        "    return sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules)\n"
-        "seen = [['import', 0, hashing()]]\n"
+        "watch = json.loads(sys.argv[2])\n"
+        "def loaded():\n"
+        "    return sorted(m for m in watch if m in sys.modules)\n"
+        "seen = [['import', 0, loaded()]]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        seen.append([argv[0], complat.cli.main(argv), hashing()])\n"
+        "        seen.append([argv[0], complat.cli.main(argv), loaded()])\n"
         "print(json.dumps(seen))\n"
     )
-    env = {"PYTHONPATH": str(ROOT / "src"), "COMPONENT_LATTICE_CACHE": str(tmp_path)}
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code, json.dumps(commands), json.dumps(watch)],
+        env={"PYTHONPATH": str(ROOT / "src"), **env},
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    seen = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_no_command_loads_hashlib(tmp_path):
+    # hashlib loads OpenSSL's libcrypto, a few ms and MB of every short
+    # command, so jsonio digests with the interpreter's built-in sha256;
+    # the counting command digests cache keys too, so it gets a cache
+    seen = _loaded_by_each_command(["hashlib", "_hashlib"], {"COMPONENT_LATTICE_CACHE": str(tmp_path)})
     assert seen == [[name, 0, []] for name in ("import", "faces", "closure", "verify")], seen
     assert any(tmp_path.iterdir()), "the counting command wrote no cache entry"
+
+
+def test_no_command_loads_argparse_gettext_or_locale():
+    # argparse imports gettext, its parsers look up every message there and
+    # its first help string imports locale: about 5 ms of every short
+    # command, so cli parses with its own option table
+    seen = _loaded_by_each_command(["argparse", "gettext", "locale"], {})
+    assert seen == [[name, 0, []] for name in ("import", "faces", "closure", "verify")], seen
+
+
+def test_no_record_derives_from_typing_namedtuple():
+    # typing.NamedTuple compiles a ForwardRef for every string annotation
+    # when its class is made, about 4 ms of every command's import, so the
+    # records are collections.namedtuple classes with field types in their
+    # docstrings
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.ClassDef) and any("NamedTuple" in ast.unparse(base) for base in node.bases))
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "NamedTuple" for alias in node.names))
+    ]
+    assert not found, found

@@ -32,6 +32,7 @@ from complat.arrangement import (
 )
 from complat.errors import CapExceeded, InvariantError, SpecError
 from complat.category import FiniteCategory
+from complat.cli import main
 from complat.jsonio import jsonable
 from complat.qlinalg import (
     canonical_covector_signed,
@@ -265,6 +266,28 @@ def test_braid_weyl_groups_are_symmetric_groups(n):
 def test_shipped_specs_keep_their_weyl_orders():
     orders = {name: len(_named_spec(name).weyl_group) for name in LINEAR_SPECS}
     assert orders == SHIPPED_WEYL_ORDERS
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda perms: (*perms, ((0, 1), (0, 1), (1, 1))),  # a non-group permutation added: orbits meet
+        lambda perms: perms[:1],  # the identity dropped: an orbit misses its member
+    ],
+    ids=["extra", "no-identity"],
+)
+def test_weyl_orbits_of_no_group_break_an_invariant(a2gl2, monkeypatch, capsys, change):
+    # orbits under a set of signed permutations that is no group would
+    # have wrong sizes; the first flat of a2_gl2 in flats' order is (2,)
+    perms = sm.weyl_permutations
+    assert perms(a2gl2)[1] == ((0, 1), (1, 1), (2, 1))  # the identity
+    monkeypatch.setattr(sm, "weyl_permutations", lambda spec: change(perms(spec)))
+    message = "the weyl orbit of the flat (2,) is no orbit of a group"
+    with pytest.raises(InvariantError) as err:
+        sm.enumerate_special_faces(a2gl2)
+    assert str(err.value) == message
+    assert main(["faces", str(SPECS / "a2_gl2.json")]) == 4
+    assert capsys.readouterr() == ("", f"invariant broken: {message}\n")
 
 
 def test_sparse_weyl_products_match_dense_mat_mul():
