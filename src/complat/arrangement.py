@@ -30,10 +30,10 @@ reads each chamber's rays off that state, once per arrangement.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, InvariantError
 from .qlinalg import (
@@ -434,7 +434,9 @@ def tits_compose(x: SignVector, y: SignVector) -> SignVector:
     """x ↑ y: keep x where nonzero, else fall back to y.
 
     On realizable sign vectors this is the face composition: the cell
-    reached from x by an infinitesimal step toward y.
+    reached from x by an infinitesimal step toward y. Nothing in the
+    package calls it: it stays as the paper-level statement that cells
+    compose as faces do, which only the tests exercise.
     """
     if len(x) != len(y):
         raise ValueError("sign vectors of different lengths")

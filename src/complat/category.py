@@ -10,7 +10,7 @@ The composable pairs are exactly the entries of the rows."""
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 
 from .errors import InvariantError
 

@@ -26,9 +26,9 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import NoReturn, Optional, Sequence
 
 from . import linmoduli as lm
 from . import stackmodel as sm
@@ -219,7 +219,7 @@ _COMMANDS = {
 }
 
 
-def _inline(value) -> Optional[str]:
+def _inline(value) -> str | None:
     """Compact form for a scalar, a vector, or a list of vectors."""
     if not isinstance(value, (dict, list)):
         return str(value)
@@ -276,7 +276,7 @@ def _metavar(flag: str, kind) -> str:
     return "{" + ",".join(kind) + "}"
 
 
-def _usage(command: Optional[str]) -> str:
+def _usage(command: str | None) -> str:
     if command is None:
         return "usage: complat [-h] {" + ",".join(_COMMANDS) + "} ..."
     words = ["usage: complat", command, "[-h]"]
@@ -286,14 +286,14 @@ def _usage(command: Optional[str]) -> str:
     return " ".join(words + ["spec"])
 
 
-def _fail(command: Optional[str], message: str) -> NoReturn:
+def _fail(command: str | None, message: str):
     """A usage error: the usage line and the message on stderr, exit 2."""
     prog = "complat" if command is None else f"complat {command}"
     print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 
-def _help(command: Optional[str]) -> NoReturn:
+def _help(command: str | None):
     """--help: the usage line, then one line per command, or per argument of
     the command with its help; exit 0."""
     if command is None:
@@ -316,7 +316,7 @@ def _is_flag(token: str) -> bool:
     return token[:1] == "-" and token != "-" and not token[1:].replace(".", "", 1).isdigit()
 
 
-def _lookup(command: Optional[str], flag: str, flags: Sequence[str]) -> Optional[str]:
+def _lookup(command: str | None, flag: str, flags: Sequence[str]) -> str | None:
     """The flag of flags that flag names: itself, or the one long flag it
     abbreviates; None if there is none."""
     if flag in flags:
@@ -327,7 +327,7 @@ def _lookup(command: Optional[str], flag: str, flags: Sequence[str]) -> Optional
     return hits[0] if hits else None
 
 
-def _parse_args(argv: Optional[Sequence[str]]) -> SimpleNamespace:
+def _parse_args(argv: Sequence[str] | None) -> SimpleNamespace:
     """The command, its spec and one field per option of its table entry.
 
     Options come before or after the spec, as --opt value or --opt=value,
@@ -395,7 +395,7 @@ def _parse_args(argv: Optional[Sequence[str]]) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         for flag in ("samples", "max_dim"):

@@ -9,12 +9,12 @@ matrix per vertex, each a row operation on the arrows into its vertex and
 a column operation on those out of it), and Hall numbers count actual
 subrepresentations. Each representation's subrepresentations of one
 dimension vector are enumerated once per process, and that enumeration is
-shared by the Hall tables, which count them by the classes of sub and
-quotient so a Hall product is a sparse sum, and by the flag tables that
-check associativity, which count chains directly and never read a Hall
-table or a product. Everything is guarded by caps and enumerated in
-lexicographic order, so results are deterministic and independent of the
-process.
+shared by the Hall tables, keyed by the classes of quotient and sub so a
+Hall product reads one entry per pair of its factors' classes, and by the
+flag tables that check associativity, keyed by the classes of a chain's
+three layers, which count chains directly and never read a Hall table or
+a product. Everything is guarded by caps and enumerated in lexicographic
+order, so results are deterministic and independent of the process.
 
 The combinatorial side mirrors the geometry of the moduli of objects: the
 special faces of the stack of representations with dimension vector gamma
@@ -30,9 +30,9 @@ import itertools
 import json
 import os
 from collections import Counter, namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
 
 from .category import FiniteCategory, check_laws
 from .errors import CapExceeded, InvariantError, SpecError
@@ -267,11 +267,14 @@ def load_quiver(doc: dict) -> Quiver:
     return Quiver(tuple(verts), tuple(arrows))
 
 
+def _is_entry(x) -> bool:
+    """A dimension vector entry: a nonnegative int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _check_gamma(quiver: Quiver, gamma: Sequence[int]) -> DimVector:
     gamma = tuple(gamma)
-    if len(gamma) != quiver.n_vertices or any(
-        not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in gamma
-    ):
+    if len(gamma) != quiver.n_vertices or not all(map(_is_entry, gamma)):
         raise SpecError(f"dimension vector must be {quiver.n_vertices} nonnegative ints")
     return gamma
 
@@ -369,7 +372,7 @@ def _act(quiver: Quiver, F: GF, v: int, op: ElementaryOp, rep: Rep) -> Rep:
     return tuple(out)
 
 
-def _cache_path(quiver: Quiver, gamma: DimVector, q: int) -> Optional[str]:
+def _cache_path(quiver: Quiver, gamma: DimVector, q: int) -> str | None:
     """Where the class data of a sweep persists across processes: in the
     directory COMPONENT_LATTICE_CACHE names when this is called, or nowhere
     when it is unset or empty.
@@ -396,7 +399,7 @@ def _deep_rep(data) -> Rep:
     return tuple(tuple(tuple(int(x) for x in row) for row in m) for m in data)
 
 
-def _cache_load(quiver: Quiver, gamma: DimVector, q: int) -> Optional["IsoClasses"]:
+def _cache_load(quiver: Quiver, gamma: DimVector, q: int) -> IsoClasses | None:
     path = _cache_path(quiver, gamma, q)
     if path is None:
         return None
@@ -628,7 +631,7 @@ def count_subreps_by_dim(quiver: Quiver, q: int, ref: ClassRef) -> dict[DimVecto
     gamma, idx = ref
     classes = iso_classes(quiver, gamma, q)
     counts = {
-        sub: sum(1 for _ in subrep_spaces(quiver, classes.reps[idx], gamma, q, sub))
+        sub: len(_subreps(quiver, q, classes.reps[idx], gamma, sub))
         for sub in itertools.product(*(range(g + 1) for g in gamma))
     }
     return {sub: n for sub, n in counts.items() if n}
@@ -664,45 +667,36 @@ def _subreps(quiver: Quiver, q: int, rep: Rep, gamma: DimVector, sub: DimVector)
 
 
 @lru_cache(maxsize=None)
-def _hall_table(quiver: Quiver, q: int, gamma: DimVector, sub: DimVector) -> tuple[Counter, ...]:
-    """For each class of gamma, its subrepresentations of dimension vector
-    sub counted by (quotient class, sub class), each an index into the
-    classes of its own dimension vector, read from the enumeration _subreps
-    shares with the flag tables. One table serves every convolution of
-    classes of these dimension vectors; callers must not mutate it."""
+def _hall_table(quiver: Quiver, q: int, gamma: DimVector, sub: DimVector) -> dict[tuple[int, int], Counter]:
+    """The subrepresentations of dimension vector sub of each class of
+    gamma, keyed by (quotient class, sub class), each an index into the
+    classes of its own dimension vector, and counted by the class of gamma,
+    from the enumeration _subreps shares with the flag tables. One table
+    serves every convolution of these classes; callers must not mutate it."""
     quot = tuple(g - k for g, k in zip(gamma, sub))
     whole = iso_classes(quiver, gamma, q)
     subs = iso_classes(quiver, sub, q)
     quots = iso_classes(quiver, quot, q)
     where = f"Hall table of gamma={list(gamma)} sub={list(sub)} q={q}"
-    table = []
-    for rep in whole.reps:
-        counts: Counter = Counter()
+    table: dict = {}
+    for li, rep in enumerate(whole.reps):
         for low, top in _subreps(quiver, q, rep, gamma, sub):
             sc = _class_index(subs, low, where)
-            qc = _class_index(quots, top, where)
-            counts[qc, sc] += 1
-        table.append(counts)
-    return tuple(table)
+            table.setdefault((_class_index(quots, top, where), sc), Counter())[li] += 1
+    return table
 
 
 def hall_product(quiver: Quiver, q: int, f: dict, g: dict) -> dict:
     """Convolution of class functions: (f*g)(L) = sum over subreps S of L
     of f(L/S) * g(S). f and g map ClassRef -> value; zero results are
-    dropped. The counts come from the table of each pair of dimension
-    vectors (_hall_table), so a call is a sparse sum over the class pairs
-    that occur."""
-    out: dict = {}
-    for df in sorted({ref[0] for ref in f}):
-        for dg in sorted({ref[0] for ref in g}):
+    dropped. Each pair of factor entries reads the one entry of the Hall
+    table of their dimension vectors (_hall_table) that their classes key."""
+    out: Counter = Counter()
+    for (df, qc), x in f.items():
+        for (dg, sc), y in g.items():
             gamma = tuple(a + b for a, b in zip(df, dg))
-            for li, counts in enumerate(_hall_table(quiver, q, gamma, dg)):
-                total = 0
-                for (qc, sc), n in counts.items():
-                    total += f.get((df, qc), 0) * g.get((dg, sc), 0) * n
-                if total:
-                    ref = (gamma, li)
-                    out[ref] = out.get(ref, 0) + total
+            for li, n in _hall_table(quiver, q, gamma, dg).get((qc, sc), {}).items():
+                out[gamma, li] += x * y * n
     return {k: v for k, v in out.items() if v}
 
 
@@ -758,9 +752,9 @@ def verify_counting_hall(quiver: Quiver, q: int, max_total: int) -> dict:
             sides = {"left": sorted(left.items()), "right": sorted(right.items())}
             return {"ok": False, "triple": (ra, rb, rc), **sides}
         gamma = tuple(x + y + z for x, y, z in zip(ra[0], rb[0], rc[0]))
-        whole = iso_classes(quiver, gamma, q)
-        for li in range(len(whole.reps)):
-            flags = _count_flags(quiver, q, li, ra, rb, rc)
+        row = _flag_table(quiver, q, ra[0], rb[0], rc[0]).get((ra[1], rb[1], rc[1]), {})
+        for li in range(len(iso_classes(quiver, gamma, q).reps)):
+            flags = row.get(li, 0)
             if flags != left.get((gamma, li), 0):
                 return {"ok": False, "triple": (ra, rb, rc), "class": (gamma, li), "flags": flags}
             flag_checks += 1
@@ -770,14 +764,14 @@ def verify_counting_hall(quiver: Quiver, q: int, max_total: int) -> dict:
 @lru_cache(maxsize=None)
 def _flag_table(
     quiver: Quiver, q: int, da: DimVector, db: DimVector, dc: DimVector
-) -> tuple[Counter, ...]:
-    """For each class L of da + db + dc, its chains S1 <= S2 <= L with S1
-    of dimension vector dc and S2/S1 of db, counted by the classes (a, b, c)
-    of L/S2, S2/S1 and S1. Inner subspaces are enumerated inside S2 written
-    in its own basis, which identifies them with subspaces of L: the inner
-    read of _subreps is keyed on that literal S2, never on its class
-    representative. The chains are counted directly, never through
-    _hall_table or a product; they share only the enumeration."""
+) -> dict[tuple[int, int, int], Counter]:
+    """The chains S1 <= S2 <= L in each class L of da + db + dc, with S1 of
+    dimension vector dc and S2/S1 of db, keyed by the classes (a, b, c) of
+    L/S2, S2/S1 and S1 and counted by the class of L. Inner subspaces are
+    enumerated inside S2 in its own basis, which identifies them with
+    subspaces of L: the inner read of _subreps is keyed on that literal S2,
+    never on its class representative. Chains are counted directly, never
+    through _hall_table or a product; callers must not mutate the table."""
     mid_gamma = tuple(b + c for b, c in zip(db, dc))
     gamma = tuple(a + m for a, m in zip(da, mid_gamma))
     whole = iso_classes(quiver, gamma, q)
@@ -785,26 +779,14 @@ def _flag_table(
     subs_c = iso_classes(quiver, dc, q)
     quots_b = iso_classes(quiver, db, q)
     where = f"flag table of gamma={list(gamma)} q={q}"
-    table = []
-    for rep in whole.reps:
-        counts: Counter = Counter()
+    table: dict = {}
+    for li, rep in enumerate(whole.reps):
         for mid, top in _subreps(quiver, q, rep, gamma, mid_gamma):
             a = _class_index(quots_a, top, where)
             for low, between in _subreps(quiver, q, mid, mid_gamma, dc):
                 c = _class_index(subs_c, low, where)
-                b = _class_index(quots_b, between, where)
-                counts[a, b, c] += 1
-        table.append(counts)
-    return tuple(table)
-
-
-def _count_flags(quiver: Quiver, q: int, li: int, ra: ClassRef, rb: ClassRef, rc: ClassRef) -> int:
-    """Chains S1 <= S2 <= L, for L the class li of the total dimension
-    vector, with S1 of class rc, S2/S1 of class rb and L/S2 of class ra.
-    Read from the flag table of the three dimension vectors, which counts
-    chains once per triple of dimension vectors, from the subrepresentations
-    enumerated once per process, and never through a Hall table."""
-    return _flag_table(quiver, q, ra[0], rb[0], rc[0])[li].get((ra[1], rb[1], rc[1]), 0)
+                table.setdefault((a, _class_index(quots_b, between, where), c), Counter())[li] += 1
+    return table
 
 
 # -- decomposition combinatorics ---------------------------------------------------
@@ -814,7 +796,7 @@ def multiset_decompositions(gamma: Sequence[int]) -> tuple[tuple[DimVector, ...]
     """All multisets of nonzero dimension vectors summing to gamma, each
     as a tuple with parts in nonincreasing order."""
     gamma = tuple(gamma)
-    if any(not isinstance(x, int) or x < 0 for x in gamma):
+    if not all(map(_is_entry, gamma)):
         raise SpecError("dimension vector entries must be nonnegative ints")
 
     def nonzero_parts(bound):

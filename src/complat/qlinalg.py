@@ -35,11 +35,11 @@ relies on these comparisons being exact.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
 
 Scalar = int | Fraction
 Vec = tuple[Fraction, ...]
@@ -302,7 +302,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return kernel(cov, a.ambient_dim)
 
 
-def restrict_covector(w: Sequence[Scalar], space: Subspace) -> Optional[IntVec]:
+def restrict_covector(w: Sequence[Scalar], space: Subspace) -> IntVec | None:
     """The functional w pulled back to basis coordinates of the subspace.
 
     Returns the canonical primitive covector, or None when w vanishes on

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Literal, Sequence
 
 from .arrangement import (
     Flat,
@@ -765,7 +765,9 @@ def surjection_invariance_check(
 ) -> bool:
     """Precomposing a face with a surjection onto its source must change
     neither the signature nor the closure. The composite map's face is the
-    span of its rows."""
+    span of its rows. Nothing in the package calls it: it stays as the
+    paper-level statement that a graded point's data depends on its face
+    alone, which only the tests exercise."""
     k = face.dim
     proj = [qvec(row) for row in projection]
     if any(len(row) != k for row in proj):
@@ -915,7 +917,7 @@ def verify_hall_category(cat: FiniteCategory) -> dict:
     return {**check_laws(cat), "pairs": sum(map(len, cat.then))}
 
 
-def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategory) -> Literal[True] | dict:
+def hall_composition_weight_identity(spec: QuotientStackSpec, cat: FiniteCategory) -> bool | dict:
     """Check, on every composable pair, that the composite's one-sided
     tangent data splits into the part the first chamber sees and the part
     that degenerates to the second:

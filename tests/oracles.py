@@ -676,6 +676,25 @@ def direct_flag_count(quiver, q, gamma, rep, ra, rb, rc):
     return count
 
 
+def filtered_point_count(quiver, parts, q):
+    """The point count of the stack of filtered representations of type
+    parts = (gamma_1, ..., gamma_k), gamma_1 the innermost sub, read off the
+    linear quotient model: the cocharacter lam is k - i on the slots of
+    part i, its special cone closure has the weights and roots that are
+    >= 0 on lam, and a filtered point is a representation in the attractor,
+    up to the parabolic, the Levi prod GL(gamma_{i,v}) times a unipotent
+    group of q^(parabolic roots - levi roots) points."""
+    from complat.linmoduli import quotient_spec_doc
+    from complat.stackmodel import load_spec, special_cone_closure
+
+    gamma = tuple(map(sum, zip(*parts)))
+    lam = [len(parts) - i for v in range(len(gamma)) for i, part in enumerate(parts, 1) for _ in range(part[v])]
+    sig = special_cone_closure(load_spec(quotient_spec_doc(quiver, gamma)), [lam])
+    levi = prod(gl_order(n, q) for part in parts for n in part)
+    unipotent = len(sig.parabolic_roots) - len(sig.levi_part.levi_roots)
+    return Fraction(q ** len(sig.attractor_weights), levi * q**unipotent)
+
+
 def assignment_search_category(n_vertices, max_total):
     """The category of ordered tuples of nonzero dimension vectors of total
     at most max_total, built by search: for every ordered pair of objects,

@@ -20,6 +20,7 @@ from oracles import (
     burnside_class_count,
     direct_flag_count,
     direct_hall_product,
+    filtered_point_count,
     full_group_iso_classes,
     gaussian_binomial,
     general_linear,
@@ -549,9 +550,9 @@ def test_hall_tables_match_products_enumerated_per_call(doc, q, max_total):
         direct = direct_hall_product(quiver, q, {ra: 1}, {rb: 1})
         assert lm.hall_product(quiver, q, {ra: 1}, {rb: 1}) == direct
         gamma = tuple(x + y for x, y in zip(ra[0], rb[0]))
-        table = lm._hall_table(quiver, q, gamma, rb[0])
-        for li, counts in enumerate(table):
-            assert counts[ra[1], rb[1]] == direct.get((gamma, li), 0)
+        row = lm._hall_table(quiver, q, gamma, rb[0]).get((ra[1], rb[1]), Counter())
+        for li in range(len(lm.iso_classes(quiver, gamma, q).reps)):
+            assert row[li] == direct.get((gamma, li), 0)
 
 
 @pytest.mark.parametrize("doc,q,max_total", TABLE_CASES, ids=TABLE_IDS)
@@ -562,9 +563,10 @@ def test_flag_tables_match_chains_enumerated_per_class_triple(doc, q, max_total)
         if sum(ra[0]) + sum(rb[0]) + sum(rc[0]) > max_total:
             continue
         gamma = tuple(x + y + z for x, y, z in zip(ra[0], rb[0], rc[0]))
+        row = lm._flag_table(quiver, q, ra[0], rb[0], rc[0]).get((ra[1], rb[1], rc[1]), Counter())
         for li, rep in enumerate(lm.iso_classes(quiver, gamma, q).reps):
             expected = direct_flag_count(quiver, q, gamma, rep, ra, rb, rc)
-            assert lm._count_flags(quiver, q, li, ra, rb, rc) == expected
+            assert row[li] == expected
 
 
 def test_a_wrong_hall_table_is_caught_by_the_flag_counts(monkeypatch, fresh_memos, a2):
@@ -577,13 +579,60 @@ def test_a_wrong_hall_table_is_caught_by_the_flag_counts(monkeypatch, fresh_memo
         out = table(quiver, q, gamma, sub)
         if (gamma, sub) != ((1, 1), (0, 1)):
             return out
-        return (out[0] + Counter({(0, 0): 1}),) + out[1:]
+        return {**out, (0, 0): out[0, 0] + Counter({0: 1})}
 
     monkeypatch.setattr(lm, "_hall_table", bumped)
     report = lm.verify_counting_hall(a2, 2, 2)
     assert report["ok"] is False
     assert report["class"] == ((1, 1), 0)
     assert report["flags"] == 1
+
+
+@pytest.mark.parametrize(
+    "doc,q,max_total,checked,over_cap",
+    [
+        (ONE_VERTEX, 2, 4, 10, 0),
+        (A2, 2, 4, 85, 0),
+        (JORDAN, 2, 3, 4, 0),
+        (A3, 2, 3, 72, 0),
+        (ONE_VERTEX, 3, 3, 4, 0),
+        (A2, 3, 3, 24, 0),
+        (JORDAN, 3, 3, 1, 3),
+        (A3, 3, 3, 72, 0),
+    ],
+    ids=["one_vertex-q2", "a2-q2", "jordan-q2", "a3-q2", "one_vertex-q3", "a2-q3", "jordan-q3", "a3-q3"],
+)
+def test_filtered_points_counted_by_tables_match_the_attractor_count(doc, q, max_total, checked, over_cap):
+    # the stack of filtered points of type (gamma_1, ..., gamma_k) counted
+    # two ways: the classes X of gamma, each weighted by 1/|Aut X| and by
+    # its chains of type gamma in the Hall (k = 2) or flag (k = 3) table,
+    # against the attractor over the parabolic of the linear quotient model
+    quiver = lm.load_quiver(doc)
+    vectors = [v for total in range(1, max_total + 1) for v in lm.dim_vectors(quiver.n_vertices, total)]
+    splits = [
+        parts
+        for k in (2, 3)
+        for parts in itertools.product(vectors, repeat=k)
+        if sum(map(sum, parts)) <= max_total
+    ]
+    skipped = 0
+    for parts in splits:
+        gamma = tuple(map(sum, zip(*parts)))
+        try:
+            classes = lm.iso_classes(quiver, gamma, q)
+        except CapExceeded:
+            skipped += 1
+            continue
+        if len(parts) == 2:
+            table = lm._hall_table(quiver, q, gamma, parts[0])
+        else:
+            table = lm._flag_table(quiver, q, parts[2], parts[1], parts[0])
+        chains = Counter()
+        for row in table.values():
+            chains.update(row)
+        counted = sum(Fraction(chains[li], aut) for li, aut in enumerate(classes.aut_orders))
+        assert counted == filtered_point_count(quiver, parts, q), parts
+    assert (len(splits) - skipped, skipped) == (checked, over_cap)
 
 
 def test_each_subrepresentation_and_pair_product_is_computed_once_per_run(monkeypatch, fresh_memos, a2):
@@ -649,6 +698,17 @@ def test_multiset_decompositions_of_small_vectors():
         by_parts[len(d)] = by_parts.get(len(d), 0) + 1
     assert by_parts == {1: 1, 2: 2, 3: 1}
     assert lm.multiset_decompositions((0, 0)) == ((),)
+
+
+@pytest.mark.parametrize(
+    "gamma", [(True, 1), (1, -1), (1.0, 1), ("1", 1)], ids=["bool", "negative", "float", "str"]
+)
+def test_multiset_decompositions_reject_what_a_dimension_vector_rejects(a2, gamma):
+    # bool is a subclass of int, and (True, 1) would pass for (1, 1)
+    with pytest.raises(SpecError):
+        lm.multiset_decompositions(gamma)
+    with pytest.raises(SpecError):
+        lm.rep_space_dim(a2, gamma)
 
 
 def test_every_decomposition_sums_back_to_gamma():

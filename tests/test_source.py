@@ -134,8 +134,10 @@ def test_no_command_loads_hashlib(tmp_path):
 def test_no_command_loads_argparse_gettext_or_locale():
     # argparse imports gettext, its parsers look up every message there and
     # its first help string imports locale: about 5 ms of every short
-    # command, so cli parses with its own option table
-    seen = _loaded_by_each_command(["argparse", "gettext", "locale"], {})
+    # command, so cli parses with its own option table; typing is about a
+    # third of importing the package, so annotations take their generic
+    # types from collections.abc
+    seen = _loaded_by_each_command(["argparse", "gettext", "locale", "typing"], {})
     assert seen == [[name, 0, []] for name in ("import", "faces", "closure", "verify")], seen
 
 
@@ -152,3 +154,27 @@ def test_no_record_derives_from_typing_namedtuple():
         or (isinstance(node, ast.ImportFrom) and any(alias.name == "NamedTuple" for alias in node.names))
     ]
     assert not found, found
+
+
+def test_every_mutant_applies_to_the_source_and_names_existing_tests():
+    # tests/mutants.py re-runs the recorded mutation checks: a replacement
+    # that no longer matches the source, or a test id that no longer
+    # exists, would leave its mutant checking nothing
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tests" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    ids = [m.id for m in mutants.MUTANTS]
+    assert len(ids) >= 10 and len(set(ids)) == len(ids), ids
+    stale = [m.id for m in mutants.MUTANTS if (SRC / m.file).read_text().count(m.old) != 1 or m.old == m.new]
+    assert not stale, stale
+    assert all(m.tests for m in mutants.MUTANTS)
+    tests = sorted({t for m in mutants.MUTANTS for t in m.tests})
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    missing = sorted(set(tests) - set(out.stdout.splitlines()))
+    assert out.returncode == 0 and not missing, (missing, out.stdout[-2000:], out.stderr[-2000:])
