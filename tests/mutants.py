@@ -49,6 +49,7 @@ MUTANTS = (
             "tests/test_linmoduli.py::test_filtered_points_counted_by_tables_match_the_attractor_count[a2-q2]",
             "tests/test_linmoduli.py::test_hall_tables_match_products_enumerated_per_call[a2-q2]",
             "tests/test_linmoduli.py::test_convolution_is_associative_on_one_vertex",
+            "tests/test_demos.py::test_a_demo_runs_to_exit_0[04_finite_field_counts]",
         ),
     ),
     Mutant(
@@ -147,6 +148,44 @@ MUTANTS = (
         "    return isinstance(x, int) and x >= 0\n",
         (
             "tests/test_linmoduli.py::test_multiset_decompositions_reject_what_a_dimension_vector_rejects[bool]",
+        ),
+    ),
+    Mutant(
+        "flats-skips-the-index-map",
+        "arrangement.py",
+        "    return tuple(Flat(f.subspace, tuple(sorted(order[k] for k in f.hyperplanes))) for f in built)\n",
+        "    return built\n",
+        (
+            "tests/test_arrangement.py::test_flats_of_reordered_covectors_share_one_lattice_with_the_hyperplanes_mapped[random]",
+            "tests/test_arrangement.py::test_flats_are_the_kernels_of_covector_subsets_on_random_arrangements",
+        ),
+    ),
+    Mutant(
+        "face-orbits-keyed-by-covectors",
+        "linmoduli.py",
+        "@lru_cache(maxsize=None)\ndef _flat_orbits_by_dim(",
+        (
+            "def _by_covectors(count):\n"
+            "    memo = {}\n"
+            "\n"
+            "    def counted(spec):\n"
+            "        from .stackmodel import global_arrangement\n"
+            "\n"
+            "        key = global_arrangement(spec)\n"
+            "        if key not in memo:\n"
+            "            memo[key] = count(spec)\n"
+            "        return memo[key]\n"
+            "\n"
+            "    counted.cache_clear = memo.clear\n"
+            "    return counted\n"
+            "\n"
+            "\n"
+            "@_by_covectors\n"
+            "def _flat_orbits_by_dim("
+        ),
+        (
+            "tests/test_linmoduli.py::test_each_crosscheck_entry_matches_one_computed_with_emptied_memos[a2]",
+            "tests/test_linmoduli.py::test_flat_orbits_by_dim_count_the_slot_partitions_with_connected_blocks[a2]",
         ),
     ),
 )

@@ -454,6 +454,60 @@ def integer_partitions(n):
     return out
 
 
+def set_partitions(items):
+    """Every partition of the list items into nonempty blocks, each a list,
+    the first item's block first."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[first]] + partition
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1 :]
+
+
+def connected_flat_orbits(quiver, gamma):
+    """{number of blocks: count} of the orbits of the flats of the linear
+    quotient model of gamma under its Weyl group, counted on slot
+    partitions instead of the arrangement. Every covector of the model is
+    e_i - e_j for two slots joined by a root (one vertex) or a weight (an
+    arrow between their vertices), so the arrangement is graphic and its
+    flats of dimension k are the partitions of the slots into k blocks that
+    each span a connected subgraph: blocks whose vertex support is
+    connected in the quiver with its arrows undirected. The product of
+    symmetric groups S_{gamma_v} permutes slots within each vertex, so two
+    such partitions share an orbit iff their blocks have the same multiset
+    of dimension vectors."""
+    neighbours = {v: set() for v in range(len(gamma))}
+    for s, t in quiver.arrows:
+        neighbours[s].add(t)
+        neighbours[t].add(s)
+
+    def connected(support):
+        start = min(support)
+        reached, frontier = {start}, [start]
+        while frontier:
+            frontier = [u for v in frontier for u in neighbours[v] & support if u not in reached]
+            reached.update(frontier)
+        return reached == support
+
+    slots = [v for v, g in enumerate(gamma) for _ in range(g)]
+
+    def dimension_vector(block):
+        return tuple(sum(slots[i] == v for i in block) for v in range(len(gamma)))
+
+    orbits = {
+        tuple(sorted(map(dimension_vector, partition)))
+        for partition in set_partitions(list(range(len(slots))))
+        if all(connected({slots[i] for i in block}) for block in partition)
+    }
+    out = {}
+    for orbit in orbits:
+        out[len(orbit)] = out.get(len(orbit), 0) + 1
+    return out
+
+
 def jordan_class_count(n, q):
     """Isomorphism classes of n-dimensional representations of the Jordan
     quiver (one vertex, one loop) over F_q, that is similarity classes of

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import complat
 from complat import arrangement, cli
 from complat import linmoduli as lm
 from complat import stackmodel as sm
@@ -28,6 +29,8 @@ from tests.test_stackmodel import SKEW3, braid_spec
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
+# a child process runs the package the tests imported
+PACKAGE_PATH = str(Path(complat.__file__).resolve().parent.parent)
 
 
 @pytest.fixture(autouse=True)
@@ -115,7 +118,7 @@ def test_document_digest_is_hashlibs_sha256_of_the_canonical_form():
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
     )
     assert json.loads(fallback.stdout) == [True] + expected
 
@@ -957,7 +960,7 @@ def test_a_class_mass_off_the_stacky_count_exits_4(capsys, monkeypatch, fresh_me
     assert result.stderr == err
 
 
-def test_a_weyl_image_off_the_flats_exits_4(capsys, monkeypatch):
+def test_a_weyl_image_off_the_flats_exits_4(capsys, monkeypatch, fresh_memos):
     # one more "element" sends the flat {x = 0} (hyperplane 2) to the
     # hyperplanes 0 and 1, y = 0 and x = y, which meet in no line
     perms = sm.weyl_permutations
@@ -1329,7 +1332,7 @@ def test_the_benchmark_tracer_still_hooks_both_categories(tmp_path, argv, triple
         capture_output=True,
         text=True,
         cwd=REPO,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)

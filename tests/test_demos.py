@@ -1,5 +1,6 @@
 """The demos run as their docstrings say: from the repository root, each
-in a fresh process with the package's src on PYTHONPATH, to exit 0."""
+in a fresh process, to exit 0. The child's PYTHONPATH is the directory the
+tests imported complat from, so it runs the same package."""
 
 import os
 import subprocess
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import complat
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE_PATH = str(Path(complat.__file__).resolve().parent.parent)
 
 
 def test_every_demo_is_collected():
@@ -24,7 +28,7 @@ def test_a_demo_runs_to_exit_0(demo):
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
         timeout=120,
     )
     assert result.returncode == 0, result.stderr

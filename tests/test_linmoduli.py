@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from complat import arrangement
 from complat import linmoduli as lm
+from complat import stackmodel as sm
 from complat.category import FiniteCategory
 from complat.errors import CapExceeded, InvariantError, SpecError
 
@@ -18,6 +20,7 @@ from oracles import (
     act,
     assignment_search_category,
     burnside_class_count,
+    connected_flat_orbits,
     direct_flag_count,
     direct_hall_product,
     filtered_point_count,
@@ -43,6 +46,7 @@ A2 = {"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"]]}
 KRONECKER = {"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"], ["u", "v"]]}
 JORDAN = {"type": "quiver", "vertices": ["v"], "arrows": [["v", "v"]]}
 A3 = {"type": "quiver", "vertices": ["a", "b", "c"], "arrows": [["a", "b"], ["b", "c"]]}
+NO_ARROWS = {"type": "quiver", "vertices": ["u", "v"], "arrows": []}
 
 
 @pytest.fixture(scope="module")
@@ -843,6 +847,44 @@ def test_cross_check_matches_dimension_to_part_count(a2):
     report = lm.cross_check_special_faces(a2, (2, 1))
     assert report["flat_orbits_by_dim"] == {"1": 1, "2": 2, "3": 1}
     assert report["decompositions_by_parts"] == {"1": 1, "2": 2, "3": 1}
+
+
+def _gammas(quiver, max_total):
+    return [g for total in range(1, max_total + 1) for g in lm.dim_vectors(quiver.n_vertices, total)]
+
+
+@pytest.mark.parametrize(
+    "doc,max_total",
+    [(ONE_VERTEX, 5), (A2, 5), (JORDAN, 4), (A3, 4), (NO_ARROWS, 4)],
+    ids=["one_vertex", "a2", "jordan", "a3", "no_arrows"],
+)
+def test_flat_orbits_by_dim_count_the_slot_partitions_with_connected_blocks(doc, max_total):
+    # the model's own count, ok or not: on A3 the decompositions differ
+    # from it wherever a part's support is disconnected, as at (1, 0, 1)
+    quiver = lm.load_quiver(doc)
+    for gamma in _gammas(quiver, max_total):
+        want = {str(k): v for k, v in sorted(connected_flat_orbits(quiver, gamma).items())}
+        assert lm.cross_check_special_faces(quiver, gamma)["flat_orbits_by_dim"] == want, gamma
+
+
+@pytest.mark.parametrize("doc,max_total", [(A2, 5), (A3, 4)], ids=["a2", "a3"])
+def test_each_crosscheck_entry_matches_one_computed_with_emptied_memos(doc, max_total, fresh_memos):
+    # a pass builds one lattice of flats per covector set and counts flat
+    # orbits once per quotient model; a2's (4, 1) and (5, 0) share their
+    # covectors but not their Weyl group
+    quiver = lm.load_quiver(doc)
+    gammas = _gammas(quiver, max_total)
+    cold = []
+    for gamma in gammas:
+        fresh_memos()
+        cold.append(lm.cross_check_special_faces(quiver, gamma))
+    fresh_memos()
+    for gamma, report in zip(gammas, cold):
+        assert lm.cross_check_special_faces(quiver, gamma) == report, gamma
+    specs = {sm.load_spec(lm.quotient_spec_doc(quiver, gamma)) for gamma in gammas}
+    assert lm._flat_orbits_by_dim.cache_info().misses == len(specs) < len(gammas)
+    covector_sets = {sm.global_arrangement(spec) for spec in specs}
+    assert arrangement._sorted_flats.cache_info().misses == len(covector_sets) < len(specs)
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_the_one_pass_kernel_matches_the_two_pass_route():
     assert dims == set(range(7)) and scaled > 300
 
 
-def test_kernel_output_goes_through_the_subspace_check(monkeypatch):
+def test_kernel_output_goes_through_the_subspace_check(monkeypatch, fresh_memos):
     # with every row doubled the rows share a factor, which the
     # constructor refuses
     monkeypatch.setattr(qlinalg, "lcm", lambda *xs: 2 * lcm(*xs))

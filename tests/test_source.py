@@ -9,8 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import complat
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "complat"
+# a child process runs the package the tests imported
+PACKAGE_PATH = str(Path(complat.__file__).resolve().parent.parent)
 
 
 def test_no_assert_statements_in_the_package():
@@ -82,7 +86,7 @@ def test_the_cli_imports_every_layer_and_neither_dataclasses_nor_inspect():
         "print(json.dumps(sorted(m for m in sys.modules if m in "
         "('dataclasses', 'inspect') or m.startswith('complat.'))))"
     )
-    env = {"PYTHONPATH": str(ROOT / "src")}
+    env = {"PYTHONPATH": PACKAGE_PATH}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = set(json.loads(out.stdout))
     assert not loaded & {"dataclasses", "inspect"}, loaded
@@ -114,7 +118,7 @@ def _loaded_by_each_command(watch, env):
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, json.dumps(commands), json.dumps(watch)],
-        env={"PYTHONPATH": str(ROOT / "src"), **env},
+        env={"PYTHONPATH": PACKAGE_PATH, **env},
         capture_output=True,
         text=True,
         check=True,
@@ -172,7 +176,7 @@ def test_every_mutant_applies_to_the_source_and_names_existing_tests():
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *tests],
         cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src")},
+        env={"PYTHONPATH": PACKAGE_PATH},
         capture_output=True,
         text=True,
     )

@@ -276,7 +276,7 @@ def test_shipped_specs_keep_their_weyl_orders():
     ],
     ids=["extra", "no-identity"],
 )
-def test_weyl_orbits_of_no_group_break_an_invariant(a2gl2, monkeypatch, capsys, change):
+def test_weyl_orbits_of_no_group_break_an_invariant(a2gl2, monkeypatch, capsys, fresh_memos, change):
     # orbits under a set of signed permutations that is no group would
     # have wrong sizes; the first flat of a2_gl2 in flats' order is (2,)
     perms = sm.weyl_permutations
@@ -734,7 +734,7 @@ def test_weyl_action_on_cones_matches_the_saturation_route(a2gl2, bgl3):
             seen |= images
 
 
-def test_special_cones_sharing_their_sign_data_are_an_invariant_error(a2gl2, monkeypatch):
+def test_special_cones_sharing_their_sign_data_are_an_invariant_error(a2gl2, monkeypatch, fresh_memos):
     # with no covectors to tell them apart, every cone of the plane has the
     # empty key
     empty = HyperplaneArrangement((), 2)
