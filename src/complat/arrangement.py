@@ -150,24 +150,14 @@ def closure(arr: HyperplaneArrangement, hyperplanes: Iterable[int]) -> Flat:
     return Flat(sub, _through(arr, sub.rows))
 
 
+@lru_cache(maxsize=None)
 def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
     """All flats, including the ambient space, by decreasing dimension,
-    then basis. The lattice depends only on the set of covectors, not on
-    their order, so it is built once per set (_sorted_flats, on the
-    covectors sorted) and each flat's hyperplane indices are mapped back to
-    arr's order; subspaces are canonical, so the order of the flats is the
-    same whatever the order of the covectors."""
-    order = sorted(range(arr.size), key=arr.covectors.__getitem__)
-    built = _sorted_flats(HyperplaneArrangement(tuple(arr.covectors[i] for i in order), arr.dim))
-    return tuple(Flat(f.subspace, tuple(sorted(order[k] for k in f.hyperplanes))) for f in built)
-
-
-@lru_cache(maxsize=None)
-def _sorted_flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
-    """flats() of an arrangement with sorted covectors, memoized per
-    arrangement like flat_cut_out. Built rank by rank: the covers of a flat
-    F are the closures of F + (i,), i outside F, and they partition the
-    hyperplanes outside F; skipping the i of known covers makes every
+    then basis. Memoized per arrangement, like flat_cut_out: the covectors
+    of global_arrangement come sorted, so quotient models with the same set
+    of covectors share one lattice. Built rank by rank: the covers of a
+    flat F are the closures of F + (i,), i outside F, and they partition
+    the hyperplanes outside F; skipping the i of known covers makes every
     closure taken a new flat. The basis is the integer rows over their
     scale L, so the sort key is the rows when L is 1, as int and Fraction
     compare exactly."""

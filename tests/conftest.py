@@ -13,7 +13,7 @@ MEMOS = (
     lm._hall_table,
     lm._flag_table,
     lm._flat_orbits_by_dim,
-    arrangement._sorted_flats,
+    arrangement.flats,
 )
 
 

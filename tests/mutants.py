@@ -151,16 +151,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "flats-skips-the-index-map",
-        "arrangement.py",
-        "    return tuple(Flat(f.subspace, tuple(sorted(order[k] for k in f.hyperplanes))) for f in built)\n",
-        "    return built\n",
-        (
-            "tests/test_arrangement.py::test_flats_of_reordered_covectors_share_one_lattice_with_the_hyperplanes_mapped[random]",
-            "tests/test_arrangement.py::test_flats_are_the_kernels_of_covector_subsets_on_random_arrangements",
-        ),
-    ),
-    Mutant(
         "face-orbits-keyed-by-covectors",
         "linmoduli.py",
         "@lru_cache(maxsize=None)\ndef _flat_orbits_by_dim(",

@@ -2,7 +2,10 @@
 
 Each oracle recomputes a quantity by a different route than the library
 (enumeration instead of incremental geometry, product formulas instead of
-counting), so agreement is meaningful.
+counting), so agreement is meaningful. PACKAGE_PATH, shared by the tests
+that start a child process, is the directory the tests imported complat
+from: as the child's PYTHONPATH it runs the same package, a mutated copy
+included.
 """
 
 import argparse
@@ -10,8 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, lcm, prod
+from pathlib import Path
 from typing import NamedTuple
 
+import complat
 from complat.arrangement import (
     _checked_witness,
     cells,
@@ -46,6 +51,8 @@ from complat.stackmodel import (
     global_arrangement,
     weyl_permutations,
 )
+
+PACKAGE_PATH = str(Path(complat.__file__).resolve().parent.parent)
 
 
 def vec_scale(c, v):

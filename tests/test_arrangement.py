@@ -8,7 +8,6 @@ import pytest
 
 import complat.arrangement as arrangement
 from complat.arrangement import (
-    HyperplaneArrangement,
     canonical_rays,
     cells,
     chambers,
@@ -259,34 +258,6 @@ def test_flats_are_the_kernels_of_covector_subsets_on_random_arrangements():
 )
 def test_flats_are_the_kernels_of_covector_subsets(arr):
     _assert_flats_match_the_oracle(arr)
-
-
-@pytest.mark.parametrize(
-    "arrs",
-    [
-        pytest.param([BRAID4], id="braid4"),
-        pytest.param([BRAID5], id="braid5"),
-        pytest.param(_seeded_random_arrangements(), id="random"),
-    ],
-)
-def test_flats_of_reordered_covectors_share_one_lattice_with_the_hyperplanes_mapped(arrs, fresh_memos):
-    # the lattice is built once per set of covectors: any order of them
-    # gives the same subspaces in the same order, each flat naming its
-    # hyperplanes by their indices in that order
-    rng = random.Random(33)
-    for arr in arrs:
-        listed = flats(arr)
-        for _ in range(3):
-            order = rng.sample(range(arr.size), arr.size)
-            shuffled = HyperplaneArrangement(tuple(arr.covectors[i] for i in order), arr.dim)
-            got = flats(shuffled)
-            assert [f.subspace for f in got] == [f.subspace for f in listed], shuffled
-            assert [tuple(sorted(order[i] for i in f.hyperplanes)) for f in got] == [
-                f.hyperplanes for f in listed
-            ], shuffled
-            _assert_flats_match_the_oracle(shuffled)
-    built = {(tuple(sorted(arr.covectors)), arr.dim) for arr in arrs}
-    assert arrangement._sorted_flats.cache_info().misses == len(built)
 
 
 def test_minimal_flat_containing():

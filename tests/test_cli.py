@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-import complat
 from complat import arrangement, cli
 from complat import linmoduli as lm
 from complat import stackmodel as sm
@@ -24,13 +23,11 @@ from complat.cli import main
 from complat.errors import InvariantError
 from complat.jsonio import canonical_json, document_digest, jsonable
 from complat.qlinalg import span, vec_neg
-from oracles import fubini_number
+from oracles import PACKAGE_PATH, fubini_number
 from tests.test_stackmodel import SKEW3, braid_spec
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
-# a child process runs the package the tests imported
-PACKAGE_PATH = str(Path(complat.__file__).resolve().parent.parent)
 
 
 @pytest.fixture(autouse=True)

@@ -13,13 +13,10 @@ from pathlib import Path
 
 import pytest
 
-import complat
 from complat import cli
-from oracles import argparse_cli_parser
+from oracles import PACKAGE_PATH, argparse_cli_parser
 
 REPO = Path(__file__).resolve().parent.parent
-# a child process runs the package the tests imported
-PACKAGE_PATH = str(Path(complat.__file__).resolve().parent.parent)
 sys.path.insert(0, str(REPO / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402

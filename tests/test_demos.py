@@ -9,11 +9,10 @@ from pathlib import Path
 
 import pytest
 
-import complat
+from oracles import PACKAGE_PATH
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-PACKAGE_PATH = str(Path(complat.__file__).resolve().parent.parent)
 
 
 def test_every_demo_is_collected():

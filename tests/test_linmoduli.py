@@ -884,7 +884,7 @@ def test_each_crosscheck_entry_matches_one_computed_with_emptied_memos(doc, max_
     specs = {sm.load_spec(lm.quotient_spec_doc(quiver, gamma)) for gamma in gammas}
     assert lm._flat_orbits_by_dim.cache_info().misses == len(specs) < len(gammas)
     covector_sets = {sm.global_arrangement(spec) for spec in specs}
-    assert arrangement._sorted_flats.cache_info().misses == len(covector_sets) < len(specs)
+    assert arrangement.flats.cache_info().misses == len(covector_sets) < len(specs)
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -9,12 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import complat
+from oracles import PACKAGE_PATH
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "complat"
-# a child process runs the package the tests imported
-PACKAGE_PATH = str(Path(complat.__file__).resolve().parent.parent)
 
 
 def test_no_assert_statements_in_the_package():
