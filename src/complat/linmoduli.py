@@ -4,17 +4,19 @@ combinatorics of dimension vectors.
 The counting side is exact and brute-force: field arithmetic is
 table-driven, every representation of a dimension vector is enumerated,
 isomorphism classes come from an orbit sweep that closes each orbit under
-a generating set of the base-change group (transvections plus one diagonal
-matrix per vertex, each a row operation on the arrows into its vertex and
-a column operation on those out of it), and Hall numbers count actual
-subrepresentations. Each representation's subrepresentations of one
-dimension vector are enumerated once per process, and that enumeration is
-shared by the Hall tables, keyed by the classes of quotient and sub so a
-Hall product reads one entry per pair of its factors' classes, and by the
-flag tables that check associativity, keyed by the classes of a chain's
-three layers, which count chains directly and never read a Hall table or
-a product. Everything is guarded by caps and enumerated in lexicographic
-order, so results are deterministic and independent of the process.
+a generating set of the base-change group (at each vertex the transvection
+I + E_01, the cycle of the basis and one diagonal matrix, each a row
+operation on the arrows into its vertex and a column operation on those
+out of it, made on representations packed one int per matrix row), and
+Hall numbers count actual subrepresentations. Each representation's
+subrepresentations of one dimension vector are enumerated once per
+process, and that enumeration is shared by the Hall tables, keyed by the
+classes of quotient and sub so a Hall product reads one entry per pair of
+its factors' classes, and by the flag tables that check associativity,
+keyed by the classes of a chain's three layers, which count chains
+directly and never read a Hall table or a product. Everything is guarded
+by caps and enumerated in lexicographic order, so results are
+deterministic and independent of the process.
 
 The combinatorial side mirrors the geometry of the moduli of objects: the
 special faces of the stack of representations with dimension vector gamma
@@ -30,9 +32,10 @@ import itertools
 import json
 import os
 from collections import Counter, namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .category import FiniteCategory, check_laws
 from .errors import CapExceeded, InvariantError, SpecError
@@ -46,6 +49,10 @@ Rep = tuple[GFMatrix, ...]
 GFSubspace = tuple[GFMatrix, tuple[int, ...]]  # RREF rows plus their pivot columns
 ClassRef = tuple[DimVector, int]
 ElementaryOp = tuple[int, int, int]  # (i, j, a): the identity matrix with entry (i, j) set to a
+GLOp = ElementaryOp | str  # an ElementaryOp, or CYCLE
+PackedRep = tuple[int, ...]  # a Rep as one int per matrix row (see _pack)
+
+CYCLE = "cycle"  # the n-cycle permutation matrix, e_k -> e_(k+1 mod n)
 
 # irreducible polynomials (coefficients low to high, monic) for the
 # supported non-prime field sizes
@@ -303,20 +310,6 @@ def stacky_count(quiver: Quiver, gamma: Sequence[int], q: int) -> Fraction:
     return Fraction(q ** rep_space_dim(quiver, gamma), denom)
 
 
-def _all_matrices(q: int, n_rows: int, n_cols: int) -> Iterator[GFMatrix]:
-    rows = itertools.product(range(q), repeat=n_cols)
-    for flat in itertools.product(rows, repeat=n_rows):
-        yield flat
-
-
-def all_reps(quiver: Quiver, gamma: Sequence[int], q: int) -> Iterator[Rep]:
-    """Every representation, lexicographically."""
-    gamma = _check_gamma(quiver, gamma)
-    per_arrow = [tuple(_all_matrices(q, gamma[t], gamma[s])) for s, t in quiver.arrows]
-    for combo in itertools.product(*per_arrow):
-        yield combo
-
-
 def _primitive_element(F: GF) -> int:
     """The least element generating the multiplicative group of F."""
 
@@ -330,46 +323,158 @@ def _primitive_element(F: GF) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gl_generators(q: int, n: int) -> tuple[ElementaryOp, ...]:
-    """A generating set of GL_n(F_q) as elementary operations.
+def _gl_generators(q: int, n: int) -> tuple[GLOp, ...]:
+    """A generating set of GL_n(F_q) of at most three elements.
 
-    The transvections I + E_ij, as (i, j, 1) for i != j, and
-    diag(w, 1, ..., 1) for a primitive element w, as (0, 0, w); the
-    diagonal is left out for q = 2, where it is the identity.
-    Conjugating I + E_1j by powers of diag(w, 1, ..., 1) gives
-    I + w^k*E_1j (likewise for E_i1), and products of these give
-    I + a*E_1j for every a in F_q, since sums of powers of w cover F_q.
-    Commutators of those give every I + a*E_ij, which generate SL_n(F_q);
-    the diagonal adds the determinants.
+    The transvection I + E_01 as the elementary operation (0, 1, 1), the
+    n-cycle permutation matrix e_k -> e_(k+1 mod n) as CYCLE, and
+    diag(w, 1, ..., 1) for a primitive element w as (0, 0, w); the
+    diagonal is left out for q = 2, where it is the identity, and for
+    n = 1 it is all there is. Conjugating I + E_01 by powers of the cycle
+    gives every I + E_k,k+1 (indices mod n), and commutators
+    [I + E_ij, I + E_jk] = I + E_ik of those give every I + E_ij with
+    i != j. Conjugating by powers of diag(w, 1, ..., 1) gives
+    I + w^k E_0j (likewise for E_i0), products of these give I + a E_0j
+    for every a in F_q, since sums of powers of w span F_q, and commutators
+    carry every a to every I + a E_ij; these generate SL_n(F_q), and the
+    diagonal adds the determinants (Steinberg 1962; Waterhouse 1989).
     """
-    out = [(i, j, 1) for i in range(n) for j in range(n) if i != j]
+    out: list[GLOp] = [(0, 1, 1), CYCLE] if n > 1 else []
     if n and q > 2:
         out.append((0, 0, _primitive_element(gf(q))))
     return tuple(out)
 
 
-def _act(quiver: Quiver, F: GF, v: int, op: ElementaryOp, rep: Rep) -> Rep:
-    """The base change by one elementary operation g at vertex v: the row
-    operation g m on each arrow into v, the column operation m g^-1 on each
-    arrow out of v, both on a loop. Other arrows and empty matrices pass
-    through unchanged.
+# -- packed representations ----------------------------------------------------------
+#
+# The sweep holds a representation as a PackedRep: one int per matrix row,
+# over the arrows in order, whose base-q digits are the row's entries with
+# the first column most significant. Every matrix of an arrow has the same
+# number of rows and every row of it the same length, so integer order on
+# packed rows is the lexicographic order of the nested tuples, and packed
+# representations sort as their Reps do. A base change then moves whole
+# rows: a row operation is a reorder of the flat tuple or one table lookup
+# per row, a column operation one table lookup per row. Tables are built on
+# first use by a sweep that needs them, never at import, and none has more
+# entries than that sweep visits representations.
 
-    With g = I + c*E_ij and g^-1 = I + d*E_ij, g m adds c times row j to
-    row i and m g^-1 adds d times column i to column j: c = a and d = -a
-    for i != j, and c = a - 1 and d = 1/a - 1 for i == j.
-    """
-    i, j, a = op
-    c, d = (a, F.neg(a)) if i != j else (F.sub(a, 1), F.sub(F.inv(a), 1))
-    add, times_c, times_d = F._add, F._mul[c], F._mul[d]
+
+def _pack_row(q: int, row: Sequence[int]) -> int:
+    x = 0
+    for a in row:
+        x = x * q + a
+    return x
+
+
+def _pack(q: int, rep: Rep) -> PackedRep:
+    return tuple(_pack_row(q, row) for m in rep for row in m)
+
+
+@lru_cache(maxsize=None)
+def _row_digits(q: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Every row of this length over F_q, indexed by its packed int."""
+    return tuple(itertools.product(range(q), repeat=width))
+
+
+def _unpacker(quiver: Quiver, gamma: DimVector, q: int) -> Callable[[PackedRep], Rep]:
+    """The function taking a packed representation of gamma to its Rep."""
+    blocks = []
+    start = 0
+    for s, t in quiver.arrows:
+        rows = _row_digits(q, gamma[s]) if gamma[t] else ()
+        blocks.append((start, start + gamma[t], rows.__getitem__))
+        start += gamma[t]
+    return lambda rep: tuple(tuple(map(digits, rep[lo:hi])) for lo, hi, digits in blocks)
+
+
+def _packed_reps(quiver: Quiver, gamma: DimVector, q: int) -> Iterator[PackedRep]:
+    """Every representation of gamma packed, lexicographically."""
+    return itertools.product(*(range(q ** gamma[s]) for s, t in quiver.arrows for _ in range(gamma[t])))
+
+
+@lru_cache(maxsize=None)
+def _column_table(q: int, n: int, op: GLOp) -> tuple[int, ...]:
+    """The column operation m g^-1 of op's matrix g on each packed row of
+    length n, indexed by the row. With g = I + a E_ij (i != j) column j
+    loses a times column i; with g = diag at (i, i), column i is scaled by
+    1/a; with the cycle, column c takes column c - 1."""
+    F = gf(q)
     out = []
-    for m, (s, t) in zip(rep, quiver.arrows):
-        if m and m[0]:
-            if t == v:
-                m = m[:i] + (tuple(add[x][times_c[y]] for x, y in zip(m[i], m[j])),) + m[i + 1 :]
-            if s == v:
-                m = tuple(r[:j] + (add[r[j]][times_d[r[i]]],) + r[j + 1 :] for r in m)
-        out.append(m)
+    for row in _row_digits(q, n):
+        r = list(row)
+        if op == CYCLE:
+            r = r[-1:] + r[:-1]
+        else:
+            i, j, a = op
+            if i != j:
+                r[j] = F.sub(r[j], F.mul(a, r[i]))
+            else:
+                r[i] = F.mul(F.inv(a), r[i])
+        out.append(_pack_row(q, r))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _scale_table(q: int, width: int, a: int) -> tuple[int, ...]:
+    """a times each packed row of this length, indexed by the row."""
+    times_a = gf(q)._mul[a]
+    return tuple(_pack_row(q, [times_a[x] for x in row]) for row in _row_digits(q, width))
+
+
+@lru_cache(maxsize=None)
+def _add_table(q: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """x + y for packed rows x and y of this length, indexed [x][y]."""
+    add, rows = gf(q)._add, _row_digits(q, width)
+    return tuple(tuple(_pack_row(q, [add[u][v] for u, v in zip(x, y)]) for y in rows) for x in rows)
+
+
+def _packed_act(
+    quiver: Quiver, gamma: DimVector, q: int, v: int, op: GLOp
+) -> Callable[[PackedRep], PackedRep]:
+    """The base change by op's matrix g at vertex v, as a function on packed
+    representations of gamma: the row operation g m on each arrow into v,
+    the column operation m g^-1 on each arrow out of v, both on a loop.
+    Other arrows, and arrows with no rows, pass through unchanged.
+
+    The image is built in three steps: the cycle reorders the rows of each
+    arrow into v; each row of an arrow out of v goes through the column
+    table (on a loop, row i composed with its scaling by diag(a) at
+    (i, i)); last, for I + a E_ij, row i of each arrow into v adds a times
+    row j, so a loop gets g (m g^-1)."""
+    gather: list[int] = []
+    maps: dict[int, tuple[int, ...]] = {}
+    adds = []
+    for s, t in quiver.arrows:
+        rows = list(range(len(gather), len(gather) + gamma[t]))
+        gather.extend(rows)
+        if rows and s == v:
+            columns = _column_table(q, gamma[v], op)
+            maps.update((p, columns) for p in rows)
+        if rows and t == v and gamma[s]:
+            if op == CYCLE:
+                gather[rows[0] : rows[-1] + 1] = rows[-1:] + rows[:-1]
+                continue
+            i, j, a = op
+            scale = _scale_table(q, gamma[s], a)
+            if i != j:
+                adds.append((rows[i], rows[j], _add_table(q, gamma[s]), scale))
+            elif rows[i] in maps:
+                maps[rows[i]] = tuple(scale[x] for x in maps[rows[i]])
+            else:
+                maps[rows[i]] = scale
+    pick = itemgetter(*gather) if gather != sorted(gather) else None
+    maps_ = tuple(maps.items())
+    adds_ = tuple(adds)
+
+    def image(rep: PackedRep) -> PackedRep:
+        rows = list(pick(rep) if pick else rep)
+        for p, table in maps_:
+            rows[p] = table[rows[p]]
+        for i, j, add, times_a in adds_:
+            rows[i] = add[rows[i]][times_a[rows[j]]]
+        return tuple(rows)
+
+    return image
 
 
 def _cache_path(quiver: Quiver, gamma: DimVector, q: int) -> str | None:
@@ -483,14 +588,17 @@ def _end_dim(quiver: Quiver, F: GF, gamma: DimVector, rep: Rep) -> int:
 def iso_classes(quiver: Quiver, gamma: DimVector, q: int) -> IsoClasses:
     """Orbit sweep of the base-change action by generators.
 
-    Representations are visited lexicographically; each one not yet
-    classified starts a new class and its orbit is closed breadth-first
-    under a generating set of the group: each elementary generator of
-    GL(gamma_v, F_q) at each vertex v, applied by _act as row and column
-    operations on the arrows at v. The work is (number of representations)
-    x (number of generators). The cap is still checked against (number of
-    representations) x (group order) before starting, so the same requests
-    are refused as by a sweep over the whole group.
+    Representations are visited lexicographically, packed (see _pack); each
+    one not yet classified starts a new class and its orbit is closed
+    breadth-first under a generating set of the group: the three generators
+    of GL(gamma_v, F_q) from _gl_generators at each vertex v (I + E_01, the
+    n-cycle and diag(w, 1, ..., 1); only the diagonal when gamma_v = 1),
+    applied by _packed_act as a row reorder or lookup per row. The work is
+    (number of representations) x (at most 3 per vertex). The cap is still
+    checked against (number of representations) x (group order) before
+    starting, so the same requests are refused as by a sweep over the
+    whole group. The result holds Reps, not packed ones: each
+    representation is unpacked once, at the end.
 
     Each class is checked explicitly, so the checks also run under
     python -O: its representative is the lex-least member, its orbit size
@@ -513,41 +621,43 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int) -> IsoClasses:
     cached = _cache_load(quiver, gamma, q)
     if cached is not None:
         return cached
-    generators = [(v, op) for v, n in enumerate(gamma) for op in _gl_generators(q, n)]
+    generators = [
+        _packed_act(quiver, gamma, q, v, op) for v, n in enumerate(gamma) for op in _gl_generators(q, n)
+    ]
+    unpack = _unpacker(quiver, gamma, q)
     where = f"gamma={list(gamma)} q={q}"
-    class_of: dict = {}
+    class_of: dict[PackedRep, int] = {}
     reps: list[Rep] = []
     orbit_sizes: list[int] = []
     aut_orders: list[int] = []
-    for rep in all_reps(quiver, gamma, q):
+    for rep in _packed_reps(quiver, gamma, q):
         if rep in class_of:
             continue
         idx = len(reps)
+        class_of[rep] = idx
         orbit = [rep]
-        seen = {rep}
         for member in orbit:  # the list grows while it is scanned
-            for v, op in generators:
-                image = _act(quiver, F, v, op, member)
-                if image not in seen:
-                    seen.add(image)
+            for act in generators:
+                image = act(member)
+                if image not in class_of:
+                    class_of[image] = idx
                     orbit.append(image)
-        for member in orbit:
-            class_of[member] = idx
+        first = unpack(rep)
         if min(orbit) != rep:
-            raise InvariantError(f"{where}: {rep} is not lex-least in its orbit")
+            raise InvariantError(f"{where}: {first} is not lex-least in its orbit")
         if group_order % len(orbit):
             raise InvariantError(
-                f"{where}: orbit of {rep} has {len(orbit)} members, "
+                f"{where}: orbit of {first} has {len(orbit)} members, "
                 f"which does not divide the group order {group_order}"
             )
         aut_order = group_order // len(orbit)
-        end_size = q ** _end_dim(quiver, F, gamma, rep)
+        end_size = q ** _end_dim(quiver, F, gamma, first)
         if aut_order > end_size:
             raise InvariantError(
-                f"{where}: orbit of {rep} has {len(orbit)} members, so |Aut| = {aut_order} "
+                f"{where}: orbit of {first} has {len(orbit)} members, so |Aut| = {aut_order} "
                 f"exceeds the {end_size} elements of its endomorphism algebra"
             )
-        reps.append(rep)
+        reps.append(first)
         orbit_sizes.append(len(orbit))
         aut_orders.append(aut_order)
     mass = sum(Fraction(1, a) for a in aut_orders)
@@ -557,7 +667,14 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int) -> IsoClasses:
             f"{stacky_count(quiver, gamma, q)}"
         )
     out = IsoClasses(
-        quiver, gamma, q, tuple(reps), tuple(orbit_sizes), tuple(aut_orders), group_order, class_of
+        quiver,
+        gamma,
+        q,
+        tuple(reps),
+        tuple(orbit_sizes),
+        tuple(aut_orders),
+        group_order,
+        {unpack(rep): idx for rep, idx in class_of.items()},
     )
     _cache_store(out)
     return out
@@ -967,6 +1084,16 @@ def quotient_spec_doc(quiver: Quiver, gamma: Sequence[int]) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _quotient_model(doc_json: str):
+    """The loaded quotient model of a canonical_json quotient_spec_doc.
+    Memoized on the document's text: dimension vectors such as (n, 0) and
+    (0, n) of a2_quiver give the same document, which is loaded once."""
+    from .stackmodel import load_spec
+
+    return load_spec(json.loads(doc_json))
+
+
+@lru_cache(maxsize=None)
 def _flat_orbits_by_dim(spec) -> tuple[tuple[int, int], ...]:
     """(dimension, number of Weyl orbits of flats of that dimension) of a
     quotient model, by dimension. Memoized per spec, not per arrangement:
@@ -981,14 +1108,12 @@ def cross_check_special_faces(quiver: Quiver, gamma: Sequence[int]) -> dict:
     """Compare the two models of the special faces of the representations
     with dimension vector gamma: flats of the linear quotient model up to
     its Weyl group, against multiset decompositions of gamma. A flat of
-    dimension k must correspond to a decomposition into k parts. The flat
-    orbits are counted once per quotient model (_flat_orbits_by_dim):
-    dimension vectors such as (n, 0) and (0, n) of a2_quiver load the same
-    one."""
-    from .stackmodel import load_spec
-
+    dimension k must correspond to a decomposition into k parts. Each
+    distinct quotient model is loaded once (_quotient_model) and its flat
+    orbits counted once (_flat_orbits_by_dim)."""
     gamma = _check_gamma(quiver, gamma)
-    by_dim = dict(_flat_orbits_by_dim(load_spec(quotient_spec_doc(quiver, gamma))))
+    spec = _quotient_model(canonical_json(quotient_spec_doc(quiver, gamma)))
+    by_dim = dict(_flat_orbits_by_dim(spec))
     decomps = multiset_decompositions(gamma)
     by_parts = Counter(len(d) for d in decomps)
     return {

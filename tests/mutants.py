@@ -128,8 +128,30 @@ MUTANTS = (
         "    if n and q > 2:\n",
         "    if False:\n",
         (
-            "tests/test_linmoduli.py::test_generators_close_to_the_whole_general_linear_group[3-2]",
+            "tests/test_linmoduli.py::test_generators_close_to_the_whole_general_linear_group[3-1]",
+            "tests/test_linmoduli.py::test_generators_close_to_the_whole_general_linear_group[4-2]",
             "tests/test_linmoduli.py::test_class_counts_match_the_burnside_oracle[doc4-gamma4-3-2]",
+        ),
+    ),
+    Mutant(
+        "gl-generators-without-cycle",
+        "linmoduli.py",
+        "    out: list[GLOp] = [(0, 1, 1), CYCLE] if n > 1 else []\n",
+        "    out: list[GLOp] = [(0, 1, 1)] if n > 1 else []\n",
+        (
+            "tests/test_linmoduli.py::test_generators_close_to_the_whole_general_linear_group[2-2]",
+            "tests/test_linmoduli.py::test_generators_close_to_the_whole_general_linear_group[3-3]",
+            "tests/test_linmoduli.py::test_class_counts_match_the_burnside_oracle[doc11-gamma11-2-6]",
+        ),
+    ),
+    Mutant(
+        "packed-act-without-columns-out-of-v",
+        "linmoduli.py",
+        "        if rows and s == v:\n",
+        "        if rows and s == v == t:\n",
+        (
+            "tests/test_linmoduli.py::test_an_elementary_operation_acts_as_conjugation_by_its_matrix[doc1-gamma1-2]",
+            "tests/test_linmoduli.py::test_an_elementary_operation_acts_as_conjugation_by_its_matrix[doc2-gamma2-3]",
         ),
     ),
     Mutant(

@@ -584,15 +584,27 @@ def naive_gf_inverse(F, m):
         power = following
 
 
+def all_matrices(q, n_rows, n_cols):
+    """Every n_rows x n_cols matrix over F_q as a tuple of row tuples,
+    lexicographically."""
+    return product(product(range(q), repeat=n_cols), repeat=n_rows)
+
+
+def all_reps(quiver, gamma, q):
+    """Every representation of gamma as a tuple of matrices, one per arrow
+    s -> t with gamma[t] rows of gamma[s] entries, lexicographically."""
+    return product(*(tuple(all_matrices(q, gamma[t], gamma[s])) for s, t in quiver.arrows))
+
+
 @lru_cache(maxsize=None)
 def general_linear(q, n):
     """All of GL_n(F_q) as (matrix, inverse) pairs, lexicographically, by
     filtering every n x n matrix for invertibility."""
-    from complat.linmoduli import _all_matrices, gf
+    from complat.linmoduli import gf
 
     F = gf(q)
     return tuple(
-        (m, naive_gf_inverse(F, m)) for m in _all_matrices(q, n, n) if gf_invertible(F, m)
+        (m, naive_gf_inverse(F, m)) for m in all_matrices(q, n, n) if gf_invertible(F, m)
     )
 
 
@@ -609,7 +621,7 @@ def burnside_class_count(quiver, gamma, q):
     """Number of isomorphism classes of representations by Burnside's
     lemma: average over the base-change group of the number of fixed
     representations. No orbits are ever built."""
-    from complat.linmoduli import all_reps, gf
+    from complat.linmoduli import gf
 
     F = gf(q)
     per_vertex = [general_linear(q, g) for g in gamma]
@@ -626,7 +638,7 @@ def burnside_class_count(quiver, gamma, q):
 def full_group_iso_classes(quiver, gamma, q):
     """Isomorphism classes by acting with every element of the base-change
     group on the lex-least representation of each class not yet seen."""
-    from complat.linmoduli import IsoClasses, all_reps, gf
+    from complat.linmoduli import IsoClasses, gf
 
     F = gf(q)
     per_vertex = [general_linear(q, g) for g in gamma]

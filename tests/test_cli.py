@@ -915,8 +915,8 @@ def _associativity_exit(capsys, spec, q):
 def test_a_sweep_from_a_representative_that_is_not_lex_least_exits_4(capsys, monkeypatch, fresh_memos):
     # visited in reverse order, the first representation of a class is its
     # greatest: over F_3 the nonzero maps u -> v form one orbit of two
-    reps = lm.all_reps
-    monkeypatch.setattr(lm, "all_reps", lambda quiver, gamma, q: reversed(list(reps(quiver, gamma, q))))
+    reps = lm._packed_reps
+    monkeypatch.setattr(lm, "_packed_reps", lambda quiver, gamma, q: reversed(list(reps(quiver, gamma, q))))
     err = _associativity_exit(capsys, "a2_quiver.json", 3)
     assert err == "invariant broken: gamma=[1, 1] q=3: (((2,),),) is not lex-least in its orbit\n"
 
@@ -924,12 +924,14 @@ def test_a_sweep_from_a_representative_that_is_not_lex_least_exits_4(capsys, mon
 def test_an_orbit_size_not_dividing_the_group_order_exits_4(capsys, monkeypatch, fresh_memos):
     # the zero map u -> v moved onto the map 1 joins the orbit of the two
     # nonzero maps: 3 members, against the 4 elements of GL_1(F_3)^2
-    act, zero = lm._act, (((0,),),)
+    # (packed, the zero map is (0,) and the map 1 is (1,))
+    act, zero = lm._packed_act, (0,)
 
-    def merging(quiver, F, v, op, member):
-        return (((1,),),) if quiver.arrows and member == zero else act(quiver, F, v, op, member)
+    def merging(quiver, gamma, q, v, op):
+        image = act(quiver, gamma, q, v, op)
+        return lambda member: (1,) if gamma == (1, 1) and member == zero else image(member)
 
-    monkeypatch.setattr(lm, "_act", merging)
+    monkeypatch.setattr(lm, "_packed_act", merging)
     err = _associativity_exit(capsys, "a2_quiver.json", 3)
     assert err == (
         "invariant broken: gamma=[1, 1] q=3: orbit of (((0,),),) has 3 members, "

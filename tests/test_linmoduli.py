@@ -15,9 +15,11 @@ from complat import linmoduli as lm
 from complat import stackmodel as sm
 from complat.category import FiniteCategory
 from complat.errors import CapExceeded, InvariantError, SpecError
+from complat.jsonio import canonical_json
 
 from oracles import (
     act,
+    all_reps,
     assignment_search_category,
     burnside_class_count,
     connected_flat_orbits,
@@ -168,19 +170,24 @@ def test_general_linear_enumeration_matches_the_order_formula():
 
 
 def _matrix_of(n, op):
-    """The n x n matrix of an elementary operation (i, j, a): the identity
-    with entry (i, j) set to a."""
+    """The n x n matrix of a generator: for an elementary operation
+    (i, j, a) the identity with entry (i, j) set to a, for CYCLE the
+    permutation matrix taking e_k to e_(k+1 mod n)."""
+    if op == lm.CYCLE:
+        return tuple(tuple(int(r == (c + 1) % n) for c in range(n)) for r in range(n))
     i, j, a = op
     return tuple(tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n))
 
 
 @pytest.mark.parametrize(
-    "q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2), (5, 1), (8, 2), (9, 2)]
+    "q,n",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 1), (8, 2), (9, 2)],
 )
 def test_generators_close_to_the_whole_general_linear_group(q, n):
     F = lm.gf(q)
     ident = _matrix_of(n, (0, 0, 1))
     generators = [_matrix_of(n, op) for op in lm._gl_generators(q, n)]
+    assert len(generators) <= 3
     group = [ident]
     seen = {ident}
     for g in group:
@@ -204,25 +211,48 @@ LOOP_AND_TWO_CYCLE = {
     "doc,gamma", [(JORDAN, (3,)), (KRONECKER, (2, 3)), (LOOP_AND_TWO_CYCLE, (2, 3, 0))]
 )
 def test_an_elementary_operation_acts_as_conjugation_by_its_matrix(doc, gamma, q):
-    # every operation (i, j, a) with a nonzero, the generators among them,
-    # at every vertex, on seeded random representations; w has dimension 0
+    # every operation (i, j, a) with a nonzero and the cycle, the
+    # generators among them, at every vertex, on packed seeded random
+    # representations; w has dimension 0
     quiver = lm.load_quiver(doc)
     F = lm.gf(q)
     rng = random.Random(20261018 + q)
     identity = [_matrix_of(n, (0, 0, 1)) for n in gamma]
+    unpack = lm._unpacker(quiver, gamma, q)
     for v, n in enumerate(gamma):
         ops = [(i, j, a) for i in range(n) for j in range(n) for a in range(1, q)]
+        ops += [lm.CYCLE] if n > 1 else []
         assert set(lm._gl_generators(q, n)) <= set(ops)
         for op in ops:
             g = _matrix_of(n, op)
             pairs = [(m, m) for m in identity]
             pairs[v] = (g, naive_gf_inverse(F, g))
+            image = lm._packed_act(quiver, gamma, q, v, op)
             for _ in range(3):
                 rep = tuple(
                     tuple(tuple(rng.randrange(q) for _ in range(gamma[s])) for _ in range(gamma[t]))
                     for s, t in quiver.arrows
                 )
-                assert lm._act(quiver, F, v, op, rep) == act(quiver, F, pairs, rep)
+                packed = lm._pack(q, rep)
+                assert unpack(image(packed)) == act(quiver, F, pairs, rep)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize(
+    "doc,gamma", [(JORDAN, (2,)), (KRONECKER, (1, 2)), (LOOP_AND_TWO_CYCLE, (1, 1, 0))]
+)
+def test_packing_round_trips_and_keeps_the_lexicographic_order(doc, gamma, q):
+    # every representation of these small dimension vectors, with the
+    # empty matrix of v -> w and the empty row of w -> u: packed in the
+    # oracle's lexicographic order, they are what _packed_reps yields,
+    # strictly increasing, and they unpack back
+    quiver = lm.load_quiver(doc)
+    reps = list(all_reps(quiver, gamma, q))
+    packed = [lm._pack(q, rep) for rep in reps]
+    assert packed == list(lm._packed_reps(quiver, gamma, q))
+    assert all(a < b for a, b in zip(packed, packed[1:]))
+    assert all(a < b for a, b in zip(reps, reps[1:]))
+    assert list(map(lm._unpacker(quiver, gamma, q), packed)) == reps
 
 
 def test_matrix_kernels_match_the_schoolbook_loops():
@@ -404,17 +434,63 @@ def test_generator_sweep_matches_the_full_group_sweep(monkeypatch, doc, gamma, q
     "doc,gamma", [(A2, (1, 1)), (A2, (2, 2)), (KRONECKER, (1, 1)), (JORDAN, (2,))]
 )
 def test_a_generating_set_that_is_too_small_is_caught(monkeypatch, doc, gamma):
-    # Without diag(w, 1, ..., 1) only determinant-one base changes act, and
-    # over F_3 some orbits of these dimension vectors split in two.
+    # Without diag(w, 1, ..., 1) only base changes whose determinant is a
+    # power of the cycle's, +-1, act: over F_4, where -1 = 1, that is
+    # SL_n, and some orbits of these dimension vectors split. (Over F_3
+    # the swap's determinant -1 generates the units, so at n = 2 the set
+    # without the diagonal still generates GL_2.)
     full = lm._gl_generators
 
     def without_diagonal(q, n):
-        return tuple((i, j, a) for i, j, a in full(q, n) if i != j)
+        return tuple(op for op in full(q, n) if op == lm.CYCLE or op[0] != op[1])
 
     monkeypatch.setattr(lm, "_gl_generators", without_diagonal)
     monkeypatch.delenv("COMPONENT_LATTICE_CACHE", raising=False)
     with pytest.raises(InvariantError):
-        lm.iso_classes.__wrapped__(lm.load_quiver(doc), gamma, 3)
+        lm.iso_classes.__wrapped__(lm.load_quiver(doc), gamma, 4)
+
+
+@pytest.mark.parametrize("n,q,classes", [(4, 2, 34), (3, 3, 39)])
+def test_the_jordan_sweep_one_size_over_the_cap_counts_the_similarity_classes(monkeypatch, jordan, n, q, classes):
+    monkeypatch.setattr(lm, "SWEEP_CAP", q ** (n * n) * gl_order(n, q))
+    monkeypatch.delenv("COMPONENT_LATTICE_CACHE", raising=False)
+    swept = lm.iso_classes.__wrapped__(jordan, (n,), q)
+    assert len(swept.reps) == classes == jordan_class_count(n, q)
+    assert len(swept.class_of) == q ** (n * n)
+
+
+@pytest.mark.parametrize(
+    "doc,gamma,q",
+    [
+        (JORDAN, (1,), 2),
+        (JORDAN, (2,), 3),
+        (A2, (1, 1), 3),
+        (A2, (3, 0), 2),
+        (A2, (0, 3), 2),
+        (A2, (2, 1), 3),
+        (A2, (1, 2), 4),
+        (KRONECKER, (1, 2), 2),
+        (LOOP_AND_TWO_CYCLE, (1, 1, 0), 3),
+        (LOOP_AND_TWO_CYCLE, (0, 2, 1), 2),
+    ],
+)
+def test_no_sweep_table_has_more_entries_than_the_sweep_has_representations(monkeypatch, doc, gamma, q):
+    # the row-add table of a row of c entries has q^(2c) of them, and the
+    # unpacking table of an arrow with no rows would have q^c for nothing
+    quiver = lm.load_quiver(doc)
+    entries = []
+    for name in ("_row_digits", "_column_table", "_scale_table", "_add_table"):
+        build = getattr(lm, name).__wrapped__
+
+        def counted(*args, build=build, square=name == "_add_table"):
+            table = build(*args)
+            entries.append(len(table) ** (1 + square))
+            return table
+
+        monkeypatch.setattr(lm, name, counted)
+    monkeypatch.delenv("COMPONENT_LATTICE_CACHE", raising=False)
+    lm.iso_classes.__wrapped__(quiver, gamma, q)
+    assert max(entries, default=0) <= q ** lm.rep_space_dim(quiver, gamma)
 
 
 def test_oversized_sweeps_are_refused(one_vertex):
@@ -885,6 +961,19 @@ def test_each_crosscheck_entry_matches_one_computed_with_emptied_memos(doc, max_
     assert lm._flat_orbits_by_dim.cache_info().misses == len(specs) < len(gammas)
     covector_sets = {sm.global_arrangement(spec) for spec in specs}
     assert arrangement.flats.cache_info().misses == len(covector_sets) < len(specs)
+
+
+@pytest.mark.parametrize("doc,max_total", [(A2, 5), (A3, 4)], ids=["a2", "a3"])
+def test_a_crosscheck_pass_loads_each_distinct_quotient_model_once(doc, max_total, monkeypatch, fresh_memos):
+    quiver = lm.load_quiver(doc)
+    gammas = _gammas(quiver, max_total)
+    load, loaded = sm.load_spec, []
+    monkeypatch.setattr(sm, "load_spec", lambda d: loaded.append(canonical_json(d)) or load(d))
+    for gamma in gammas:
+        lm.cross_check_special_faces(quiver, gamma)
+    documents = {canonical_json(lm.quotient_spec_doc(quiver, gamma)) for gamma in gammas}
+    assert sorted(loaded) == sorted(documents)
+    assert len(documents) < len(gammas)
 
 
 # -- determinism ---------------------------------------------------------------------
