@@ -2,8 +2,9 @@
 
 Everything here is exact: isomorphism classes come from an orbit sweep
 that closes each orbit under generators of the base-change group (at
-each vertex the transvection I + E_01, the cycle of the basis and one
-diagonal matrix, acting on matrix rows packed as base-q integers),
+each vertex the transvection I + E_01, the cycle of the basis and, where
+their determinants do not give every unit, one diagonal matrix, acting
+on matrix rows packed as base-q integers),
 automorphism orders from |GL| divided by the orbit sizes, and the
 stacky count sum(1/|Aut|) always collapses to the closed form
 q^(sum of arrow blocks) / product |GL|. Subobject counts of the

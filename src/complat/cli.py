@@ -22,7 +22,7 @@ report was written (128 + SIGPIPE).
 
 from __future__ import annotations
 
-import gc
+import atexit
 import json
 import os
 import sys
@@ -425,13 +425,17 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> None:
     """Process entry of the `complat` command: exit with the code of main().
 
-    The heap is frozen first, so interpreter finalization skips the full
-    collections that would walk every reference cycle through module
-    globals. atexit handlers and the final flush still run; main() leaves
-    gc alone, so in-process callers see no change."""
+    Once main() returns, the atexit handlers run and stdout and stderr are
+    flushed, as at a normal exit; then os._exit ends the process, skipping
+    the interpreter teardown that would free every module and object the
+    command built. A SystemExit from the parser (--help, usage errors) or
+    an uncaught exception takes the normal exit. main() returns its code
+    and leaves the process alone, so in-process callers see no change."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ The counting side is exact and brute-force: field arithmetic is
 table-driven, every representation of a dimension vector is enumerated,
 isomorphism classes come from an orbit sweep that closes each orbit under
 a generating set of the base-change group (at each vertex the transvection
-I + E_01, the cycle of the basis and one diagonal matrix, each a row
-operation on the arrows into its vertex and a column operation on those
-out of it, made on representations packed one int per matrix row), and
+I + E_01, the cycle of the basis and, where their determinants do not
+already give every unit, one diagonal matrix, each a row operation on
+the arrows into its vertex and a column operation on those out of it,
+made on representations packed one int per matrix row), and
 Hall numbers count actual subrepresentations. Each representation's
 subrepresentations of one dimension vector are enumerated once per
 process, and that enumeration is shared by the Hall tables, keyed by the
@@ -328,19 +329,24 @@ def _gl_generators(q: int, n: int) -> tuple[GLOp, ...]:
 
     The transvection I + E_01 as the elementary operation (0, 1, 1), the
     n-cycle permutation matrix e_k -> e_(k+1 mod n) as CYCLE, and
-    diag(w, 1, ..., 1) for a primitive element w as (0, 0, w); the
-    diagonal is left out for q = 2, where it is the identity, and for
-    n = 1 it is all there is. Conjugating I + E_01 by powers of the cycle
-    gives every I + E_k,k+1 (indices mod n), and commutators
-    [I + E_ij, I + E_jk] = I + E_ik of those give every I + E_ij with
-    i != j. Conjugating by powers of diag(w, 1, ..., 1) gives
-    I + w^k E_0j (likewise for E_i0), products of these give I + a E_0j
-    for every a in F_q, since sums of powers of w span F_q, and commutators
-    carry every a to every I + a E_ij; these generate SL_n(F_q), and the
-    diagonal adds the determinants (Steinberg 1962; Waterhouse 1989).
+    diag(w, 1, ..., 1) for a primitive element w as (0, 0, w). Conjugating
+    I + E_01 by powers of the cycle gives every I + E_k,k+1 (indices mod
+    n), and commutators [I + E_ij, I + E_jk] = I + E_ik of those give
+    every I + E_ij with i != j. Conjugating by powers of diag(w, 1, ..., 1)
+    gives I + w^k E_0j (likewise for E_i0), products of these give
+    I + a E_0j for every a in F_q, since sums of powers of w span F_q, and
+    commutators carry every a to every I + a E_ij; these generate
+    SL_n(F_q), and the diagonal adds the determinants (Steinberg 1962;
+    Waterhouse 1989). Over a prime field the powers of I + E_ij already
+    give every I + a E_ij, so the transvection and the cycle generate
+    SL_n(F_q) and, with it, every g whose determinant is a power of the
+    cycle's, (-1)^(n-1). The diagonal is therefore left out where that
+    power generates F_q^x: at q = 2, where the diagonal is the identity,
+    and at q = 3 for even n, where the cycle's determinant is -1. For
+    n = 1 the diagonal is all there is.
     """
     out: list[GLOp] = [(0, 1, 1), CYCLE] if n > 1 else []
-    if n and q > 2:
+    if n and q > 2 and (q, n % 2) != (3, 0):
         out.append((0, 0, _primitive_element(gf(q))))
     return tuple(out)
 
@@ -590,9 +596,11 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int) -> IsoClasses:
 
     Representations are visited lexicographically, packed (see _pack); each
     one not yet classified starts a new class and its orbit is closed
-    breadth-first under a generating set of the group: the three generators
-    of GL(gamma_v, F_q) from _gl_generators at each vertex v (I + E_01, the
-    n-cycle and diag(w, 1, ..., 1); only the diagonal when gamma_v = 1),
+    breadth-first under a generating set of the group: the at most three
+    generators of GL(gamma_v, F_q) from _gl_generators at each vertex v
+    (I + E_01, the n-cycle and diag(w, 1, ..., 1), the diagonal left out
+    where the cycle's determinant already generates F_q^x; only the
+    diagonal when gamma_v = 1),
     applied by _packed_act as a row reorder or lookup per row. The work is
     (number of representations) x (at most 3 per vertex). The cap is still
     checked against (number of representations) x (group order) before

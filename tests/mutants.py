@@ -125,7 +125,7 @@ MUTANTS = (
     Mutant(
         "gl-generators-without-omega",
         "linmoduli.py",
-        "    if n and q > 2:\n",
+        "    if n and q > 2 and (q, n % 2) != (3, 0):\n",
         "    if False:\n",
         (
             "tests/test_linmoduli.py::test_generators_close_to_the_whole_general_linear_group[3-1]",
@@ -198,6 +198,28 @@ MUTANTS = (
         (
             "tests/test_linmoduli.py::test_each_crosscheck_entry_matches_one_computed_with_emptied_memos[a2]",
             "tests/test_linmoduli.py::test_flat_orbits_by_dim_count_the_slot_partitions_with_connected_blocks[a2]",
+        ),
+    ),
+    Mutant(
+        "run-exits-0",
+        "cli.py",
+        "    os._exit(code)\n",
+        "    os._exit(0)\n",
+        (
+            "tests/test_cli.py::test_each_exit_code_reaches_the_parent_through_python_m[failed]",
+            "tests/test_cli.py::test_each_exit_code_reaches_the_parent_through_python_m[bad-input]",
+            "tests/test_cli.py::test_each_exit_code_reaches_the_parent_through_python_m[cap]",
+            "tests/test_cli.py::test_a_report_larger_than_the_stdout_buffer_comes_out_whole",
+            "tests/test_cli.py::test_the_process_entry_runs_the_atexit_handlers",
+        ),
+    ),
+    Mutant(
+        "run-skips-atexit",
+        "cli.py",
+        "    atexit._run_exitfuncs()\n",
+        "",
+        (
+            "tests/test_cli.py::test_the_process_entry_runs_the_atexit_handlers",
         ),
     ),
 )

@@ -1291,9 +1291,10 @@ def test_subprocess_output_is_stable_across_processes(capsys, tmp_path):
 
 
 def test_the_script_and_python_m_share_one_entry_and_main_leaves_gc_alone(capsys):
-    # the entry freezes the heap before exit, so finalization skips the
-    # collections over module globals; main() must not, as tests, demos
-    # and the benchmark tracer call it in process
+    # the entry runs the atexit handlers, flushes and ends the process with
+    # os._exit, past interpreter teardown; main() must leave the process
+    # and its collector alone, as tests, demos and the benchmark tracer
+    # call it in process
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]
     guard = next(
@@ -1306,6 +1307,78 @@ def test_the_script_and_python_m_share_one_entry_and_main_leaves_gc_alone(capsys
     assert gc.get_freeze_count() == 0
     code, _, _ = run_cli(capsys, "faces", SPECS / "a2_gl2.json")
     assert code == 0 and gc.get_freeze_count() == 0
+
+
+def test_the_process_entry_runs_the_atexit_handlers(capsys, tmp_path):
+    # os._exit skips interpreter teardown, not the handlers a caller
+    # registered before the command ran; they write after the report
+    a3 = tmp_path / "a3_quiver.json"
+    a3.write_text(json.dumps(A3_QUIVER))
+    argv = ["verify", str(a3), "--suite", "crosscheck", "--max-dim", "2"]
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('atexit handler ran', file=sys.stderr))\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "from complat import cli\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert result.returncode == code == 1
+    assert result.stdout == out
+    assert result.stderr == err + "atexit handler ran\n"
+
+
+def test_a_report_larger_than_the_stdout_buffer_comes_out_whole(capsys, tmp_path):
+    # the final flush runs before os._exit, whether stdout is a pipe or a
+    # file; the A3 census at max-dim 4 is more than the 8 KiB buffer
+    a3 = tmp_path / "a3_quiver.json"
+    a3.write_text(json.dumps(A3_QUIVER))
+    argv = ("verify", a3, "--suite", "crosscheck", "--max-dim", 4)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err == "" and len(out.encode()) > 8192
+    piped = spawn(*argv)
+    assert piped.returncode == code and piped.stdout == out and piped.stderr == ""
+    report = tmp_path / "report.json"
+    with open(report, "w") as fh:
+        written = subprocess.run(
+            [sys.executable, "-m", "complat.cli", *map(str, argv)], stdout=fh, cwd=REPO
+        )
+    assert written.returncode == code
+    assert report.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [
+        (("faces", SPECS / "a2_gl2.json"), 0),
+        (("verify", "A3", "--suite", "crosscheck", "--max-dim", 2), 1),
+        (("verify", SPECS / "a2_gl2.json", "--suite", "constancy", "--samples", 0), 2),
+        (("verify", SPECS / "a2_gl2.json", "--suite", "nope"), 2),
+        (("faces", "INFINITE_WEYL"), 3),
+    ],
+    ids=["ok", "failed", "bad-input", "usage", "cap"],
+)
+def test_each_exit_code_reaches_the_parent_through_python_m(capsys, tmp_path, argv, exit_code):
+    # main()'s codes leave through os._exit; a usage error's SystemExit
+    # from the parser takes the normal exit, with the same stderr
+    docs = {"A3": A3_QUIVER, "INFINITE_WEYL": INFINITE_WEYL}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [tmp_path / a if a in docs else a for a in argv]
+    result = spawn(*argv)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    except SystemExit as exc:
+        code, (out, err) = exc.code, capsys.readouterr()
+    assert result.returncode == code == exit_code
+    assert (result.stdout, result.stderr) == (out, err)
 
 
 # -- the external tracer of the benchmark ----------------------------------------------

@@ -179,15 +179,74 @@ def _matrix_of(n, op):
     return tuple(tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n))
 
 
-@pytest.mark.parametrize(
-    "q,n",
-    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 1), (8, 2), (9, 2)],
-)
+def _generated_order_lower_bound(F, generators, rng, draws=24, length=48):
+    """A lower bound on the order of the group the n x n generators
+    generate, by a stabilizer chain along the basis: the product over k of
+    the orbit length of e_k under a subgroup fixing e_0, ..., e_(k-1).
+    Level 0 is the generators; level k + 1 is sifted from random words in
+    level k, each word g times the inverse of a transversal element taking
+    e_k where g does. Every subgroup lies in the true stabilizer, so every
+    factor is at most the true one; only the identity fixes a basis, so
+    the bound is the order once the draws generate each stabilizer."""
+    n = len(generators[0])
+    ident = _matrix_of(n, (0, 0, 1))
+    level, bound = list(generators), 1
+    for k in range(n):
+        # each image of e_k with an element taking e_k there: g takes e_k
+        # to its column k
+        transversal = {ident[k]: ident}
+        queue = [ident[k]]
+        for x in queue:
+            for s in level:
+                u = naive_gf_mat_mul(F, s, transversal[x])
+                y = tuple(row[k] for row in u)
+                if y not in transversal:
+                    transversal[y] = u
+                    queue.append(y)
+        bound *= len(transversal)
+        following = []
+        for _ in range(draws if level else 0):
+            g = ident
+            for _ in range(length):
+                g = naive_gf_mat_mul(F, g, rng.choice(level))
+            image = tuple(row[k] for row in g)
+            h = naive_gf_mat_mul(F, naive_gf_inverse(F, transversal[image]), g)
+            if h != ident:
+                following.append(h)
+        level = following
+    return bound
+
+
+# the generators _gl_generators returns for each (q, n): no diagonal at
+# q = 2, nor at q = 3 for even n, where the cycle's determinant is -1
+GENERATOR_COUNTS = {
+    (2, 1): 0,
+    (2, 2): 2,
+    (2, 3): 2,
+    (2, 4): 2,
+    (3, 1): 1,
+    (3, 2): 2,
+    (3, 3): 3,
+    (3, 4): 2,
+    (4, 2): 3,
+    (5, 1): 1,
+    (8, 2): 3,
+    (9, 2): 3,
+}
+
+
+@pytest.mark.parametrize("q,n", GENERATOR_COUNTS)
 def test_generators_close_to_the_whole_general_linear_group(q, n):
     F = lm.gf(q)
     ident = _matrix_of(n, (0, 0, 1))
     generators = [_matrix_of(n, op) for op in lm._gl_generators(q, n)]
-    assert len(generators) <= 3
+    assert len(generators) == GENERATOR_COUNTS[q, n]
+    if gl_order(n, q) > 10**5:
+        # GL_4(F_3) has 24,261,120 elements, too many to list; the group
+        # the generators generate lies inside it, so a lower bound on its
+        # order that reaches |GL_n(F_q)| shows it is all of it
+        assert _generated_order_lower_bound(F, generators, random.Random(20261020)) == gl_order(n, q)
+        return
     group = [ident]
     seen = {ident}
     for g in group:
@@ -437,8 +496,8 @@ def test_a_generating_set_that_is_too_small_is_caught(monkeypatch, doc, gamma):
     # Without diag(w, 1, ..., 1) only base changes whose determinant is a
     # power of the cycle's, +-1, act: over F_4, where -1 = 1, that is
     # SL_n, and some orbits of these dimension vectors split. (Over F_3
-    # the swap's determinant -1 generates the units, so at n = 2 the set
-    # without the diagonal still generates GL_2.)
+    # the cycle's determinant -1 generates the units at even n, so
+    # _gl_generators leaves the diagonal out there.)
     full = lm._gl_generators
 
     def without_diagonal(q, n):

@@ -53,6 +53,25 @@ def test_no_floats_in_the_package():
     assert not found, found
 
 
+def test_only_the_process_entry_ends_the_process():
+    # tests, demos and the benchmark tracer call main() and the library in
+    # process, so a library path that ended the interpreter or froze its
+    # heap would end or change the caller's process; cli.run, the process
+    # entry, is the one place that may
+    ending = {"os._exit", "sys.exit", "gc.freeze"}
+    found, in_run = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for scope in ast.parse(path.read_text(), filename=str(path)).body:
+            entry = path.name == "cli.py" and isinstance(scope, ast.FunctionDef) and scope.name == "run"
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in ending:
+                    (in_run if entry else found).append(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.ImportFrom) and {f"{node.module}.{a.name}" for a in node.names} & ending:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+    assert len(in_run) == 1, in_run
+
+
 def test_every_traced_name_is_a_function_of_its_module():
     # perfbench/tracer.py looks up each name of LAYERS and COUNTED with
     # getattr on its complat module when it installs its hooks, so renaming
