@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -181,7 +180,11 @@ def flats(arr: HyperplaneArrangement) -> tuple[Flat, ...]:
 
 def _basis_key(f: Flat) -> tuple:
     scale, entries = f.subspace.scale, [x for row in f.subspace.rows for x in row]
-    return -f.dim, tuple(entries) if scale == 1 else tuple(Fraction(x, scale) for x in entries)
+    if scale == 1:
+        return -f.dim, tuple(entries)
+    from fractions import Fraction
+
+    return -f.dim, tuple(Fraction(x, scale) for x in entries)
 
 
 def minimal_flat_containing(arr: HyperplaneArrangement, vectors: Sequence[Sequence[Scalar]]) -> Flat:

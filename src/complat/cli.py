@@ -12,6 +12,10 @@ gettext and locale imports. Options keep argparse's forms (--opt value,
 --opt=value, unique prefixes, before or after the spec) and its usage
 errors (exit 2); an option's value may start with -, as in --face -3,0.
 
+The layers a command runs (qlinalg, arrangement, stackmodel, linmoduli)
+load on first use, so a counting command never executes the geometric
+ones; no module imports fractions until a Fraction is built or parsed.
+
 Output is canonical JSON by default (sorted keys, rationals as "num/den"
 strings) and always carries the sha256 digest of the parsed input
 document. Exit codes: 0 success, 1 a verified property failed, 2 invalid
@@ -23,21 +27,49 @@ report was written (128 + SIGPIPE).
 from __future__ import annotations
 
 import atexit
+import importlib.util
 import json
 import os
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 from types import SimpleNamespace
 
-from . import linmoduli as lm
-from . import stackmodel as sm
-from .arrangement import flats
 from .errors import CapExceeded, InvariantError, SpecError
 from .jsonio import document_digest, jsonable, load_document
 
 
+def _layer(name: str):
+    """The module complat.<name>, registered but not executed: it is put in
+    sys.modules and on the package, and its code runs on the first access
+    to one of its attributes (importlib.util.LazyLoader). A module already
+    imported is returned as it is.
+
+    perfbench/tracer.py reads sys.modules["complat.<layer>"] for every
+    layer before main runs, which a lazy module satisfies: the tracer's
+    getattr loads it. Once a benchmark change lets the tracer skip modules
+    a command never loaded, plain imports inside the commands can replace
+    this helper."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+_layer("qlinalg")  # run by the other layers only; registered for the tracer
+arrangement = _layer("arrangement")
+sm = _layer("stackmodel")
+lm = _layer("linmoduli")
+
+
 def _parse_vector(text: str, rank: int) -> tuple[Fraction, ...]:
+    from fractions import Fraction
+
     try:
         vec = tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
@@ -142,7 +174,7 @@ def _cmd_verify(args) -> dict:
         if args.suite == "constancy":
             reports = [
                 sm.constancy_check(spec, fl, samples=args.samples, seed=args.seed)
-                for fl in flats(sm.global_arrangement(spec))
+                for fl in arrangement.flats(sm.global_arrangement(spec))
             ]
             discrepancies = [d for r in reports for d in r["discrepancies"]]
             return {

@@ -4,13 +4,15 @@ prologue every input document passes.
 Serialization is deterministic (sorted keys, no whitespace wobble) and
 exact: rationals become "num/den" strings, floats are refused. jsonable
 alone renders reports, so they hold tuples, Fractions and records as is.
+It looks Fraction up only once the fractions module is loaded, since no
+Fraction can exist before, so rendering a report without one loads none of
+fractions, decimal and numbers.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 from .errors import SpecError
 
@@ -28,8 +30,6 @@ except ImportError:
 def jsonable(obj):
     """Rewrite tuples, Fractions and nested containers into plain JSON
     values; anything inexact or unknown is an error."""
-    if isinstance(obj, Fraction):
-        return str(obj)
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (list, tuple)):
@@ -41,6 +41,9 @@ def jsonable(obj):
                 raise TypeError(f"non-string key {k!r}")
             out[k] = jsonable(v)
         return out
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(obj, fractions.Fraction):
+        return str(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 

@@ -34,8 +34,8 @@ import json
 import os
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import itemgetter
 
 from .category import FiniteCategory, check_laws
@@ -299,16 +299,33 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
+def _stacky_terms(quiver: Quiver, gamma: Sequence[int], q: int) -> tuple[int, int]:
+    """(q^dim, |G|): the number of representations with this dimension
+    vector over F_q and the order of the base-change group, the numerator
+    and denominator of the stacky count."""
+    gamma = _check_gamma(quiver, gamma)
+    gf(q)
+    group_order = 1
+    for g in gamma:
+        group_order *= gl_order(g, q)
+    return q ** rep_space_dim(quiver, gamma), group_order
+
+
 def stacky_count(quiver: Quiver, gamma: Sequence[int], q: int) -> Fraction:
     """Groupoid cardinality of representations with this dimension vector:
     the point count of the space divided by the order of the base-change
     group."""
-    gamma = _check_gamma(quiver, gamma)
-    gf(q)
-    denom = 1
-    for g in gamma:
-        denom *= gl_order(g, q)
-    return Fraction(q ** rep_space_dim(quiver, gamma), denom)
+    from fractions import Fraction
+
+    return Fraction(*_stacky_terms(quiver, gamma, q))
+
+
+def _mass_is_stacky_count(aut_orders: Sequence[int], points: int, group_order: int) -> bool:
+    """Whether the class mass, the sum of 1/a over aut_orders, equals the
+    stacky count points / group_order, in integers: with M the lcm of the
+    aut_orders, sum (M // a) * group_order == points * M."""
+    m = lcm(*aut_orders)
+    return sum(m // a for a in aut_orders) * group_order == points * m
 
 
 def _primitive_element(F: GF) -> int:
@@ -528,7 +545,7 @@ def _cache_load(quiver: Quiver, gamma: DimVector, q: int) -> IsoClasses | None:
             int(data["group_order"]),
             {_deep_rep(r): int(i) for r, i in data["class_of"]},
         )
-        if sum(Fraction(1, a) for a in classes.aut_orders) != stacky_count(quiver, gamma, q):
+        if not _mass_is_stacky_count(classes.aut_orders, *_stacky_terms(quiver, gamma, q)):
             return None
         if len(classes.class_of) != sum(classes.orbit_sizes):
             return None
@@ -613,15 +630,13 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int) -> IsoClasses:
     divides the group order, and the automorphism order it implies fits
     inside the endomorphism algebra (an orbit closed under too few
     generators comes out too small and fails this). The mass of the
-    classes, each weighted by 1/|Aut|, must equal the stacky count.
+    classes, each weighted by 1/|Aut|, must equal the stacky count, which
+    _mass_is_stacky_count checks in integers.
     Failures raise InvariantError.
     """
     gamma = _check_gamma(quiver, gamma)
+    n_reps, group_order = _stacky_terms(quiver, gamma, q)
     F = gf(q)
-    n_reps = q ** rep_space_dim(quiver, gamma)
-    group_order = 1
-    for g in gamma:
-        group_order *= gl_order(g, q)
     if n_reps * group_order > SWEEP_CAP:
         raise CapExceeded(
             f"orbit sweep of {n_reps} representations x group of {group_order} exceeds cap {SWEEP_CAP}"
@@ -668,8 +683,10 @@ def iso_classes(quiver: Quiver, gamma: DimVector, q: int) -> IsoClasses:
         reps.append(first)
         orbit_sizes.append(len(orbit))
         aut_orders.append(aut_order)
-    mass = sum(Fraction(1, a) for a in aut_orders)
-    if mass != stacky_count(quiver, gamma, q):
+    if not _mass_is_stacky_count(aut_orders, n_reps, group_order):
+        from fractions import Fraction
+
+        mass = sum(Fraction(1, a) for a in aut_orders)
         raise InvariantError(
             f"{where}: class mass {mass} differs from the stacky count "
             f"{stacky_count(quiver, gamma, q)}"

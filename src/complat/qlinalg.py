@@ -25,8 +25,10 @@ Conventions shared by the whole package:
   hyperplanes compare equal bitwise.
 
 Fractions remain only in the RREF basis derived for printing
-(``Subspace.basis``), in ``rref`` and in ``determinant``, which runs when
-a spec is loaded.
+(``Subspace.basis``), in ``rref``, ``qvec`` and ``dot``. Each of them
+imports ``fractions`` (which loads ``decimal`` and ``numbers``) when it
+builds a Fraction, so a command that never does loads none of them;
+``determinant``, which runs when a spec is loaded, is fraction-free.
 
 No floats anywhere. Denominators grow as they like; everything downstream
 relies on these comparisons being exact.
@@ -36,24 +38,27 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-Scalar = int | Fraction
-Vec = tuple[Fraction, ...]
+# Annotation aliases. Annotations are never evaluated (see the __future__
+# import), so these stay strings and naming Fraction in them loads nothing.
+Scalar = "int | Fraction"
+Vec = "tuple[Fraction, ...]"
 IntVec = tuple[int, ...]
-
-ZERO = Fraction(0)
 
 
 def qvec(entries: Iterable[Scalar]) -> Vec:
     """Coerce a sequence of ints/Fractions to a tuple of Fractions."""
+    from fractions import Fraction
+
     return tuple(Fraction(e) for e in entries)
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
+    from fractions import Fraction
+
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     total = 0
@@ -172,6 +177,8 @@ def rref(rows: Iterable[Sequence[Scalar]], width: int) -> tuple[tuple[Vec, ...],
     Returns (nonzero rows, pivot columns). The output is the canonical
     representative of the row space: unique regardless of input order.
     """
+    from fractions import Fraction
+
     ech = echelon(rows, width)
     return tuple(tuple(Fraction(x, e[p]) for x in e) for p, e in ech), tuple(p for p, _ in ech)
 
@@ -233,6 +240,8 @@ class Subspace(namedtuple("Subspace", "rows ambient_dim")):
     def basis(self) -> tuple[Vec, ...]:
         """The reduced row echelon basis, the rows divided by L, in
         Fractions: for printing and for the reference methods below."""
+        from fractions import Fraction
+
         scale = self.scale
         return tuple(tuple(Fraction(x, scale) for x in row) for row in self.rows)
 
@@ -325,24 +334,28 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> tup
     return tuple(covector_times_mat(row, b) for row in a)
 
 
-def determinant(m: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
+def determinant(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix by Bareiss' fraction-free
+    elimination (Bareiss 1968). After step k every entry below and right
+    of the pivots is a (k + 1) x (k + 1) minor of the row-swapped matrix,
+    so dividing by the previous pivot is exact and every entry stays an
+    integer."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    mat = [list(qvec(r)) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        sel = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if sel is None:
-            return ZERO
-        if sel != col:
-            mat[col], mat[sel] = mat[sel], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col]:
-                c = mat[i][col] * inv
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[col])]
-    return det
+    mat = [list(r) for r in m]
+    flip, prev = 1, 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            sel = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if sel is None:
+                return 0
+            mat[k], mat[sel] = mat[sel], mat[k]
+            flip = -flip
+        top, pivot = mat[k], mat[k][k]
+        for row in mat[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - a * top[j]) // prev
+        prev = pivot
+    return flip * mat[-1][-1] if n else 1

@@ -700,7 +700,6 @@ def constancy_check(
     arr_f = restricted_arrangement(spec, carrier)
     rng = random.Random(seed)
     report = {
-        "flat_basis": carrier.basis,
         "seed": seed,
         "samples_per_chamber": samples,
         "chambers": [],

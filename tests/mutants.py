@@ -201,6 +201,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "class-mass-without-group-order",
+        "linmoduli.py",
+        "    return sum(m // a for a in aut_orders) * group_order == points * m\n",
+        "    return sum(m // a for a in aut_orders) == points * m\n",
+        (
+            "tests/test_linmoduli.py::test_the_integer_class_mass_identity_on_small_quivers",
+            "tests/test_linmoduli.py::test_class_data_on_the_two_vertex_path",
+        ),
+    ),
+    Mutant(
+        "bareiss-without-exact-division",
+        "qlinalg.py",
+        "                row[j] = (pivot * row[j] - a * top[j]) // prev\n",
+        "                row[j] = (pivot * row[j] - a * top[j]) // 1\n",
+        (
+            "tests/test_qlinalg.py::test_bareiss_determinant_matches_the_fraction_oracle",
+        ),
+    ),
+    Mutant(
         "run-exits-0",
         "cli.py",
         "    os._exit(code)\n",

@@ -136,6 +136,28 @@ def fraction_rref(rows, width):
     return out, tuple(pivots)
 
 
+def fraction_determinant(m):
+    """Exact determinant by Gaussian elimination over Fractions: the
+    product of the pivots, negated once per row swap, 0 at a column with
+    no pivot."""
+    n = len(m)
+    mat = [list(qvec(r)) for r in m]
+    det = Fraction(1)
+    for col in range(n):
+        sel = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if sel is None:
+            return Fraction(0)
+        if sel != col:
+            mat[col], mat[sel] = mat[sel], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for i in range(col + 1, n):
+            if mat[i][col]:
+                c = mat[i][col] / mat[col][col]
+                mat[i] = [a - c * b for a, b in zip(mat[i], mat[col])]
+    return det
+
+
 def fraction_kernel(covectors, width):
     """RREF basis of the common kernel, by Fraction back-substitution into
     fraction_rref: a free column f gives the vector with 1 at f and minus

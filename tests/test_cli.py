@@ -939,16 +939,27 @@ def test_an_orbit_size_not_dividing_the_group_order_exits_4(capsys, monkeypatch,
     )
 
 
+# the stacky count points / |G| made one more: (points + |G|) / |G|. The mass
+# check reads the two integers, not the Fraction stacky_count builds from
+# them for the message
 STACKY_COUNT_OFF_BY_ONE = (
     "from complat import linmoduli as lm\n"
-    "count = lm.stacky_count\n"
-    "lm.stacky_count = lambda quiver, gamma, q: count(quiver, gamma, q) + 1\n"
+    "terms = lm._stacky_terms\n"
+    "def off_by_one(quiver, gamma, q):\n"
+    "    points, group_order = terms(quiver, gamma, q)\n"
+    "    return points + group_order, group_order\n"
+    "lm._stacky_terms = off_by_one\n"
 )
 
 
 def test_a_class_mass_off_the_stacky_count_exits_4(capsys, monkeypatch, fresh_memos):
-    count = lm.stacky_count
-    monkeypatch.setattr(lm, "stacky_count", lambda quiver, gamma, q: count(quiver, gamma, q) + 1)
+    terms = lm._stacky_terms
+
+    def off_by_one(quiver, gamma, q):
+        points, group_order = terms(quiver, gamma, q)
+        return points + group_order, group_order
+
+    monkeypatch.setattr(lm, "_stacky_terms", off_by_one)
     err = _associativity_exit(capsys, "one_vertex.json", 2)
     assert err == "invariant broken: gamma=[0] q=2: class mass 1 differs from the stacky count 2\n"
     result = _spawn_optimized(
@@ -1054,6 +1065,16 @@ def test_an_infinite_weyl_group_exits_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "faces", doc)
     assert code == 3 and out == ""
     assert err == "cap exceeded: weyl group larger than cap 100000\n"
+
+
+def test_a_weyl_generator_that_is_not_unimodular_exits_2(capsys, tmp_path):
+    # with no weights and no roots, diag(2, 1) preserves both; only its
+    # determinant 2, not +-1, refuses it
+    doc = tmp_path / "doubling.json"
+    doc.write_text(json.dumps({**INFINITE_WEYL, "weyl_generators": [[[2, 0], [0, 1]]]}))
+    code, out, err = run_cli(capsys, "faces", doc)
+    assert code == 2 and out == ""
+    assert err == "error: weyl generator ((2, 0), (0, 1)) is not unimodular\n"
 
 
 # 21 pairwise independent weights in rank 3 and no Weyl generators: one

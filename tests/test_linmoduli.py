@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from complat import arrangement
 from complat import linmoduli as lm
@@ -450,6 +452,55 @@ def test_class_data_on_the_two_vertex_path(a2):
     assert classes.aut_orders == (4, 2)
     assert classes.group_order == 4
     assert sum(Fraction(1, a) for a in classes.aut_orders) == lm.stacky_count(a2, (1, 1), 3)
+
+
+@st.composite
+def small_quivers(draw):
+    """Quiver documents with 1 to 3 vertices and at most 3 arrows, loops,
+    repeated arrows and 2-cycles included."""
+    names = "uvw"[: draw(st.integers(1, 3))]
+    ends = st.sampled_from(names)
+    arrows = draw(st.lists(st.lists(ends, min_size=2, max_size=2), max_size=3))
+    return {"type": "quiver", "vertices": list(names), "arrows": arrows}
+
+
+# a sweep this small also runs the Burnside oracle, which acts with every
+# group element on every representation
+BURNSIDE_BUDGET = 20_000
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_quivers(), st.sampled_from((2, 3)))
+@example({"type": "quiver", "vertices": ["u", "v", "w"], "arrows": [["u", "v"]]}, 3)  # an isolated vertex
+@example({"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "u"], ["u", "v"]]}, 2)  # a loop beside an arrow
+@example({"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"], ["v", "u"]]}, 3)  # a 2-cycle
+@example({"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"]] * 3}, 2)  # a triple arrow
+def test_the_integer_class_mass_identity_on_small_quivers(doc, q):
+    # per dimension vector of total <= 3: a sweep over the cap exits loud,
+    # and exactly those are over it; every other sweep passed the integer
+    # mass check, which must agree with the Fraction identity
+    # sum 1/|Aut| == stacky_count, also on masses off by a class; its class
+    # count must match Burnside's where that oracle is affordable
+    quiver = lm.load_quiver(doc)
+    over_cap = capped = 0
+    for total in range(1, 4):
+        for gamma in lm.dim_vectors(quiver.n_vertices, total):
+            points, group_order = lm._stacky_terms(quiver, gamma, q)
+            over_cap += points * group_order > lm.SWEEP_CAP
+            try:
+                classes = lm.iso_classes(quiver, gamma, q)
+            except CapExceeded:
+                capped += 1
+                continue
+            count = lm.stacky_count(quiver, gamma, q)
+            auts = classes.aut_orders
+            for masses in (auts, auts[1:], auts + auts[:1], tuple(2 * a for a in auts)):
+                fraction_identity = sum(Fraction(1, a) for a in masses) == count
+                assert lm._mass_is_stacky_count(masses, points, group_order) is fraction_identity, (gamma, masses)
+                assert fraction_identity is (masses is auts)
+            if points * group_order <= BURNSIDE_BUDGET:
+                assert burnside_class_count(quiver, gamma, q) == len(classes.reps), gamma
+    assert capped == over_cap
 
 
 def test_class_representatives_are_lex_least(a2):

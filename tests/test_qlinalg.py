@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import complat.qlinalg as qlinalg
@@ -33,6 +33,7 @@ from oracles import (
     contains_vector,
     coords_in,
     fraction_canonical_rays,
+    fraction_determinant,
     fraction_kernel,
     fraction_rref,
     lift,
@@ -280,6 +281,25 @@ def test_determinant_and_mat_mul():
     assert determinant([[1, 2], [3, 4]]) == -2
     assert determinant([[1, 1], [1, 1]]) == 0
     assert mat_mul([[1, 2]], [[0, 1], [1, 0]]) == ((F(2), F(1)),)
+
+
+def integer_matrices(n):
+    """n x n integer matrices with many zero entries, so that leading
+    pivots vanish and singular matrices are common."""
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 7))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 6).flatmap(integer_matrices))
+@example([[0, 1], [1, 0]])  # zero leading pivot: one swap
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])  # zero pivots at two steps
+@example([[1, 2, 3], [2, 4, 6], [1, 0, 1]])  # singular: two proportional rows
+@example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])  # singular: a column with no pivot
+@example([[2, 1, 0], [1, 2, 1], [0, 1, 2]])  # the previous pivot 2 divides exactly
+def test_bareiss_determinant_matches_the_fraction_oracle(m):
+    got = determinant(m)
+    assert type(got) is int and got == fraction_determinant(m)
 
 
 def test_rref_pivots():

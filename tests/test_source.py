@@ -96,41 +96,51 @@ def test_every_traced_name_is_a_function_of_its_module():
 def test_the_cli_imports_every_layer_and_neither_dataclasses_nor_inspect():
     # start-up is most of a short command: dataclasses pulls in inspect,
     # ast, dis and tokenize, so the value types are collections.namedtuple
-    # records; perfbench/tracer.py hooks every layer module, so cli loads
-    # them all; -S keeps site-packages start-up hooks out of the count
+    # records. perfbench/tracer.py looks up every layer module in
+    # sys.modules before main runs, so cli registers them all; their code
+    # runs on first use (importlib.util.LazyLoader), so importing cli
+    # executes none of the layers but jsonio. -S keeps site-packages
+    # start-up hooks out of the count
     code = (
         "import json, sys, complat.cli; "
-        "print(json.dumps(sorted(m for m in sys.modules if m in "
-        "('dataclasses', 'inspect') or m.startswith('complat.'))))"
+        "print(json.dumps({m: type(sys.modules[m]) is type(sys) for m in sys.modules if m in "
+        "('dataclasses', 'inspect') or m.startswith('complat.')}))"
     )
     env = {"PYTHONPATH": PACKAGE_PATH}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(json.loads(out.stdout))
-    assert not loaded & {"dataclasses", "inspect"}, loaded
-    layers = {"complat." + m for m in ("qlinalg", "arrangement", "stackmodel", "linmoduli", "jsonio")}
-    assert layers <= loaded, layers - loaded
+    loaded = json.loads(out.stdout)
+    assert not loaded.keys() & {"dataclasses", "inspect"}, loaded
+    layers = {"complat." + m for m in ("qlinalg", "arrangement", "stackmodel", "linmoduli")}
+    assert layers <= loaded.keys(), layers - loaded.keys()
+    assert {m for m in layers | {"complat.jsonio"} if loaded.get(m)} == {"complat.jsonio"}, loaded
+
+
+# one command of each kind, in the order they run in one process: the
+# counting and hall suites before the commands that render or parse
+# rationals
+COMMANDS = {
+    "associativity": ["verify", "a2_quiver.json", "--suite", "associativity", "--q", "2", "--max-dim", "2"],
+    "hall": ["verify", "a2_gl2.json", "--suite", "hall"],
+    "closure": ["closure", "a2_gl2.json", "--face", "0,1"],
+    "faces": ["faces", "a2_gl2.json"],
+}
 
 
 def _loaded_by_each_command(watch, env):
-    """Which modules of watch are loaded after `import complat.cli` and
-    after each of a faces, a closure and a counting verify command run in
-    process, with each command's exit code, in a fresh python -S."""
-    specs = ROOT / "specs"
-    commands = [
-        ["faces", str(specs / "a2_gl2.json")],
-        ["closure", str(specs / "a2_gl2.json"), "--face", "0,1"],
-        ["verify", str(specs / "a2_quiver.json"), "--suite", "associativity", "--q", "2",
-         "--max-dim", "2"],
-    ]
+    """Which modules of watch are loaded, their code executed, after
+    `import complat.cli` and after each of COMMANDS runs in process, with
+    each command's exit code, in a fresh python -S. A lazy module that is
+    registered but not executed does not count."""
+    commands = [[name, argv[0], str(ROOT / "specs" / argv[1]), *argv[2:]] for name, argv in COMMANDS.items()]
     code = (
         "import contextlib, io, json, sys, complat.cli\n"
         "watch = json.loads(sys.argv[2])\n"
         "def loaded():\n"
-        "    return sorted(m for m in watch if m in sys.modules)\n"
+        "    return sorted(m for m in watch if type(sys.modules.get(m)) is type(sys))\n"
         "seen = [['import', 0, loaded()]]\n"
-        "for argv in json.loads(sys.argv[1]):\n"
+        "for name, *argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        seen.append([argv[0], complat.cli.main(argv), loaded()])\n"
+        "        seen.append([name, complat.cli.main(argv), loaded()])\n"
         "print(json.dumps(seen))\n"
     )
     out = subprocess.run(
@@ -148,7 +158,7 @@ def test_no_command_loads_hashlib(tmp_path):
     # command, so jsonio digests with the interpreter's built-in sha256;
     # the counting command digests cache keys too, so it gets a cache
     seen = _loaded_by_each_command(["hashlib", "_hashlib"], {"COMPONENT_LATTICE_CACHE": str(tmp_path)})
-    assert seen == [[name, 0, []] for name in ("import", "faces", "closure", "verify")], seen
+    assert seen == [[name, 0, []] for name in ("import", *COMMANDS)], seen
     assert any(tmp_path.iterdir()), "the counting command wrote no cache entry"
 
 
@@ -159,7 +169,50 @@ def test_no_command_loads_argparse_gettext_or_locale():
     # third of importing the package, so annotations take their generic
     # types from collections.abc
     seen = _loaded_by_each_command(["argparse", "gettext", "locale", "typing"], {})
-    assert seen == [[name, 0, []] for name in ("import", "faces", "closure", "verify")], seen
+    assert seen == [[name, 0, []] for name in ("import", *COMMANDS)], seen
+
+
+def test_each_command_executes_only_the_layers_it_runs_and_fractions_only_for_rationals():
+    # fractions imports decimal and numbers, and stackmodel imports random
+    # (which -S leaves unloaded otherwise): a few ms of every command that
+    # loads them. A counting suite runs linmoduli alone, the hall suite the
+    # geometric layers but no Fraction; closure parses its vectors and
+    # faces prints its bases as rationals, so fractions loads there
+    numbers = ["decimal", "fractions", "numbers"]
+    geometric = ["complat.arrangement", "complat.qlinalg", "complat.stackmodel", "random"]
+    seen = _loaded_by_each_command([*numbers, *geometric, "complat.linmoduli"], {})
+    assert seen == [
+        ["import", 0, []],
+        ["associativity", 0, ["complat.linmoduli"]],
+        ["hall", 0, sorted([*geometric, "complat.linmoduli"])],
+        ["closure", 0, sorted([*numbers, *geometric, "complat.linmoduli"])],
+        ["faces", 0, sorted([*numbers, *geometric, "complat.linmoduli"])],
+    ], seen
+
+
+def _run_at_import(tree):
+    """The statements a module runs when it is imported: its body and the
+    bodies of its if, try, with and class blocks, but no function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
+
+
+def test_no_module_imports_fractions_at_top_level():
+    # fractions imports decimal and numbers, 2.5 to 4 ms of every command's
+    # start-up, so it is imported only inside the functions that build or
+    # parse a Fraction; jsonio looks the class up only once it is loaded
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in _run_at_import(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "fractions" for a in node.names))
+    ]
+    assert not found, found
 
 
 def test_no_record_derives_from_typing_namedtuple():
