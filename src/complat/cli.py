@@ -21,7 +21,7 @@ strings) and always carries the sha256 digest of the parsed input
 document. Exit codes: 0 success, 1 a verified property failed, 2 invalid
 input, 3 an enumeration cap was exceeded, 4 an internal invariant broke
 (a bug in complat, not in the input), 141 stdout was closed before the
-report was written (128 + SIGPIPE).
+report or the help was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -325,9 +325,16 @@ def _fail(command: str | None, message: str):
     raise SystemExit(2)
 
 
+def _closed_stdout() -> int:
+    """The reader is gone: stdout to devnull, so the shutdown flush cannot
+    raise again, and the exit code a shell gives a filter SIGPIPE killed."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 141
+
+
 def _help(command: str | None):
     """--help: the usage line, then one line per command, or per argument of
-    the command with its help; exit 0."""
+    the command with its help; exit 0, or 141 if stdout is closed."""
     if command is None:
         lines = [_DESCRIPTION, "", "commands:"]
         rows = [(name, entry[1]) for name, entry in _COMMANDS.items()]
@@ -338,7 +345,11 @@ def _help(command: str | None):
     for name, text in rows:
         gap = " " * (22 - len(name)) if len(name) < 21 else "\n" + " " * 24
         lines.append(f"  {name}{gap}{text}".rstrip())
-    print("\n".join([_usage(command), "", *lines]))
+    try:
+        print("\n".join([_usage(command), "", *lines]))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise SystemExit(_closed_stdout()) from None
     raise SystemExit(0)
 
 
@@ -447,10 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(report, args.output)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader is gone: stdout to devnull, so the shutdown flush cannot
-        # raise again, and the exit code a shell gives a filter SIGPIPE killed
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        return _closed_stdout()
     return 0 if report.get("ok", True) else 1
 
 

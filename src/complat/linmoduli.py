@@ -2,22 +2,24 @@
 combinatorics of dimension vectors.
 
 The counting side is exact and brute-force: field arithmetic is
-table-driven, every representation of a dimension vector is enumerated,
-isomorphism classes come from an orbit sweep that closes each orbit under
-a generating set of the base-change group (at each vertex the transvection
-I + E_01, the cycle of the basis and, where their determinants do not
-already give every unit, one diagonal matrix, each a row operation on
-the arrows into its vertex and a column operation on those out of it,
-made on representations packed one int per matrix row), and
-Hall numbers count actual subrepresentations. Each representation's
-subrepresentations of one dimension vector are enumerated once per
-process, and that enumeration is shared by the Hall tables, keyed by the
-classes of quotient and sub so a Hall product reads one entry per pair of
-its factors' classes, and by the flag tables that check associativity,
-keyed by the classes of a chain's three layers, which count chains
-directly and never read a Hall table or a product. Everything is guarded
-by caps and enumerated in lexicographic order, so results are
-deterministic and independent of the process.
+table-driven, with one elimination over F_q (gf_reduce, which tests
+membership in a subspace, reduces modulo one and takes ranks), every
+representation of a dimension vector is enumerated, isomorphism classes
+come from an orbit sweep that closes each orbit under a generating set
+of the base-change group (at each vertex the transvection I + E_01, the
+cycle of the basis and, where their determinants do not already give
+every unit, one diagonal matrix, each a row operation on the arrows into
+its vertex and a column operation on those out of it, made on
+representations packed one int per matrix row), and Hall numbers count
+actual subrepresentations. Each representation's subrepresentations of
+one dimension vector are enumerated once per process, and that
+enumeration is shared by the Hall tables, keyed by the classes of
+quotient and sub so a Hall product reads one entry per pair of its
+factors' classes, and by the flag tables that check associativity, keyed
+by the classes of a chain's three layers, which count chains directly
+and never read a Hall table or a product. Everything is guarded by caps
+and enumerated in lexicographic order, so results are deterministic and
+independent of the process.
 
 The combinatorial side mirrors the geometry of the moduli of objects: the
 special faces of the stack of representations with dimension vector gamma
@@ -81,59 +83,35 @@ class GF:
             raise SpecError(f"field size must be at least 2, got {q}")
         if q * q > SWEEP_CAP:
             raise CapExceeded(f"field size {q}: its {q} x {q} arithmetic tables exceed cap {SWEEP_CAP}")
-        p = next((d for d in range(2, q + 1) if q % d == 0), q)
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m != 1:
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        weights = [1]  # the element x^i is weights[i] = p^i, for q = p^k and i < k
+        while weights[-1] * p < q:
+            weights.append(weights[-1] * p)
+        if weights[-1] * p != q:
             raise SpecError(f"field size must be a prime power, got {q}")
-        if k > 1 and q not in _IRREDUCIBLE:
+        if len(weights) > 1 and q not in _IRREDUCIBLE:
             raise SpecError(f"unsupported field size {q}")
         self.q = q
         self.p = p
-
-        def digits(a):
-            out = []
-            for _ in range(k):
-                out.append(a % p)
-                a //= p
-            return out
-
-        def undigits(cs):
-            a = 0
-            for c in reversed(cs):
-                a = a * p + c
-            return a
-
-        def poly_mul(a, b):
-            da, db = digits(a), digits(b)
-            prod = [0] * (2 * k - 1)
-            for i, x in enumerate(da):
-                if x:
-                    for j, y in enumerate(db):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            if k > 1:
-                red = _IRREDUCIBLE[q]
-                for i in range(len(prod) - 1, k - 1, -1):
-                    c = prod[i]
-                    if c:
-                        prod[i] = 0
-                        for j, cj in enumerate(red[:-1]):
-                            prod[i - k + j] = (prod[i - k + j] - c * cj) % p
-            return undigits(prod[:k])
-
-        self._add = tuple(
-            tuple(undigits([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q))
-            for a in range(q)
+        self._add = add = tuple(
+            tuple(sum((a // w + b // w) % p * w for w in weights) for b in range(q)) for a in range(q)
         )
-        self._mul = tuple(tuple(poly_mul(a, b) for b in range(q)) for a in range(q))
-        self._neg = tuple(undigits([(-x) % p for x in digits(a)]) for a in range(q))
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = next(b for b in range(1, q) if self._mul[a][b] == 1)
-        self._inv = tuple(inv)
+        # c * x^k for c in F_p: x^k is minus the irreducible's lower terms
+        wrap = [sum(-c * r % p * w for r, w in zip(_IRREDUCIBLE.get(q, ()), weights)) for c in range(p)]
+        top = weights[-1]  # x^(k-1)
+        mul = []
+        for a in range(q):
+            # a * b by linearity in b: with shifted = a * x^i,
+            # row[b] = row[b - p^i] + shifted for p^i <= b < p^(i+1)
+            row, shifted = [0], a
+            for w in weights:
+                for b in range(w, p * w):
+                    row.append(add[row[b - w]][shifted])
+                shifted = add[shifted % top * p][wrap[shifted // top]]  # times x
+            mul.append(tuple(row))
+        self._mul = tuple(mul)
+        self._neg = tuple(row.index(0) for row in add)
+        self._inv = (0, *(row.index(1) for row in mul[1:]))
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -177,33 +155,13 @@ def gf_mat_vec(F: GF, m: GFMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def gf_rref(F: GF, rows: Sequence[Sequence[int]], width: int) -> GFSubspace:
-    work = [list(r) for r in rows]
-    out: list[list[int]] = []
-    pivots: list[int] = []
-    col = 0
-    r = 0
-    while col < width:
-        pr = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pr is None:
-            col += 1
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        c = F.inv(work[r][col])
-        work[r] = [F.mul(c, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        col += 1
-    out = work[:r]
-    return tuple(tuple(row) for row in out), tuple(pivots)
-
-
 def gf_reduce(F: GF, rows: GFMatrix, pivots: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    """v minus its projection onto the RREF rows; zero iff v is in the span."""
+    """v minus its projection onto the rows; zero iff v is in their span.
+
+    The one elimination over F_q. Each row must have a 1 at its pivot
+    column and every later row a 0 there: RREF rows qualify, and so do rows
+    stored in turn as gf_reduce leaves them, each scaled to a 1 at its first
+    nonzero column (as _end_dim does)."""
     w = list(v)
     for row, p in zip(rows, pivots):
         c = w[p]
@@ -604,7 +562,16 @@ def _end_dim(quiver: Quiver, F: GF, gamma: DimVector, rep: Rep) -> int:
                     x = offsets[s] + k * gamma[s] + c
                     row[x] = F.sub(row[x], m[r][k])
                 equations.append(row)
-    return offsets[-1] - len(gf_rref(F, equations, offsets[-1])[1])
+    rows: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for equation in equations:  # the rank by forward elimination
+        rest = gf_reduce(F, rows, pivots, equation)
+        pivot = next((j for j, x in enumerate(rest) if x), None)
+        if pivot is not None:
+            c = F.inv(rest[pivot])
+            rows.append(tuple(F.mul(c, x) for x in rest))
+            pivots.append(pivot)
+    return offsets[-1] - len(pivots)
 
 
 @lru_cache(maxsize=None)

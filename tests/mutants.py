@@ -123,6 +123,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "end-rank-stores-unreduced-rows",
+        "linmoduli.py",
+        "            rows.append(tuple(F.mul(c, x) for x in rest))\n",
+        "            rows.append(tuple(F.mul(c, x) for x in equation))\n",
+        (
+            "tests/test_linmoduli.py::test_the_integer_class_mass_identity_on_small_quivers",
+            "tests/test_linmoduli.py::test_class_counts_match_the_burnside_oracle[doc11-gamma11-2-6]",
+        ),
+    ),
+    Mutant(
+        "field-x-shift-without-reduction",
+        "linmoduli.py",
+        "                shifted = add[shifted % top * p][wrap[shifted // top]]  # times x\n",
+        "                shifted = shifted % top * p  # times x\n",
+        (
+            "tests/test_linmoduli.py::test_field_tables_match_their_frozen_digests",
+            "tests/test_linmoduli.py::test_field_axioms_hold_on_every_table[4]",
+            "tests/test_linmoduli.py::test_order_nine_field_squares_x_to_minus_one",
+        ),
+    ),
+    Mutant(
         "gl-generators-without-omega",
         "linmoduli.py",
         "    if n and q > 2 and (q, n % 2) != (3, 0):\n",

@@ -580,14 +580,52 @@ def gl_order(n, q):
 
 
 def gf_invertible(F, m):
-    """Whether the square matrix m over F has full rank."""
-    from complat.linmoduli import gf_rref
-
+    """Whether the square matrix m over F has full rank, by Gaussian
+    elimination on F.add, F.mul and F.inv: each step takes the first row
+    with a nonzero leading entry as pivot, clears that column from the
+    other rows and drops the column; a step with no such row means the
+    rank is short."""
     n = len(m)
     if any(len(row) != n for row in m):
         return False
-    _, pivots = gf_rref(F, m, n)
-    return len(pivots) == n
+    rows = [tuple(row) for row in m]
+    while rows:
+        pick = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pick is None:
+            return False
+        pivot = rows.pop(pick)
+        minus_inverse = F.neg(F.inv(pivot[0]))
+        rows = [
+            tuple(F.add(x, F.mul(F.mul(row[0], minus_inverse), y)) for x, y in zip(row[1:], pivot[1:]))
+            for row in rows
+        ]
+    return True
+
+
+def endomorphism_counts(quiver, F, gamma, rep):
+    """(|End|, |Aut|) of a representation by brute force. Every tuple
+    (phi_v) of gamma_v x gamma_v matrices over F with phi_t m = m phi_s on
+    every arrow s -> t with matrix m is an endomorphism; it is an
+    automorphism when every phi_v is in general_linear. Both sides are
+    tabulated per arrow and matrix by naive_gf_mat_mul, and every tuple
+    compares them."""
+    mats = [tuple(all_matrices(F.q, g, g)) for g in gamma]
+    invertible = [{m for m, _ in general_linear(F.q, g)} for g in gamma]
+    sides = [
+        (
+            s,
+            t,
+            {phi: naive_gf_mat_mul(F, phi, m) for phi in mats[t]},
+            {phi: naive_gf_mat_mul(F, m, phi) for phi in mats[s]},
+        )
+        for m, (s, t) in zip(rep, quiver.arrows)
+    ]
+    ends = auts = 0
+    for phis in product(*mats):
+        if all(left[phis[t]] == right[phis[s]] for s, t, left, right in sides):
+            ends += 1
+            auts += all(phi in group for phi, group in zip(phis, invertible))
+    return ends, auts
 
 
 def naive_gf_inverse(F, m):

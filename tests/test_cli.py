@@ -1166,14 +1166,19 @@ def test_a_cell_enumeration_over_its_cap_exits_3_under_python_O(tmp_path):
     assert result.stderr == "cap exceeded: cells: 21 covectors exceeds cap 20\n"
 
 
-def test_a_closed_stdout_exits_141_without_a_traceback():
+@pytest.mark.parametrize(
+    "argv",
+    [["faces", str(SPECS / "a2_quiver.json")], ["--help"], ["faces", "--help"]],
+    ids=["report", "help", "command-help"],
+)
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
     # the read end is closed before the child writes, as when a filter such
     # as head -c 10 has already exited; 141 is 128 + SIGPIPE
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "complat.cli", "faces", str(SPECS / "a2_quiver.json")],
+            [sys.executable, "-m", "complat.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,

@@ -1,6 +1,7 @@
 """Field tables, orbit sweeps, Hall convolution, and decomposition
 combinatorics of dimension vectors."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -27,6 +28,7 @@ from oracles import (
     connected_flat_orbits,
     direct_flag_count,
     direct_hall_product,
+    endomorphism_counts,
     filtered_point_count,
     full_group_iso_classes,
     gaussian_binomial,
@@ -94,6 +96,58 @@ def test_field_axioms_hold_on_every_table(q):
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
 
 
+# sha256 of repr((F._add, F._mul, F._neg, F._inv)) for every supported field
+# size below 100, recorded at 54b4b75, before the product table was built
+# by linearity: the field axioms hold under any relabelling of the
+# elements, but every class representative, and so every class index in a
+# report, depends on the labelling
+FIELD_TABLE_DIGESTS = {
+    2: "812654297d8cea11a08c54f9698b1fc73e660062c8b3233908d08aa5357d7cd2",
+    3: "3a00ae07cc847f67084cc2ad0455804fa2cf9a9778564e27952463a5ccf80965",
+    4: "fc915ea057558dc46256b90b596bb643e2da60e0a4f10b1f3f3a03fbc4c4ada1",
+    5: "a9c82df1c0cb5f4b41928eb94bfb5b64430036b9a0e179514de751c71c27f346",
+    7: "92f129a958c26dda80b38471ba5f33f8480d472483ef5949c13a6ce71bd965c8",
+    8: "5d0de2dd9286c7f0db1851655590c0233dcad9e4aacc016806fdc3483fd402f6",
+    9: "8dd32fc375ac31906d4b20479d2cd34049fabf584c404637c5e6c6fe36bac558",
+    11: "c363085bb01243c06642f641d736d2dc78c30b8016b844c7b3f10ebf0e88aa31",
+    13: "6078e7f293d79f169922f432595391a1c27527d7e8a2090ad5e64ee35a6b23d2",
+    16: "f7929955b6c012210e1fda380e21aa82ba3eda1f7e65f305f5f5944d5f0e44be",
+    17: "f78813ce299514e6fc18f6d1af03be71f4096ab67680dc550935c8ae97746232",
+    19: "41ac35dd3eaf56bc409a9a08a5a8937b069e7bad67cb012ff5bc31215da5b76f",
+    23: "755acd1e15ed1940349b3c7b180fa640509f14fcda5d6c1bef635fc17cb82604",
+    25: "1283d5a175d1644953498f0809e5e2bf0eb8c6839deca53321b840280e3acf39",
+    27: "0124f8aaf7c4cb4287a4e53b2e37d38e057e76ab9fcb23e3b24a8c18e6ce290e",
+    29: "5b754a8aa1af41240af6ed17c93b5a6a4e1f39f92bc74c52c6961073586a95ff",
+    31: "9a4f7bc3b6ae57303dfe8af2152f5c5ef1e5c62250986a598bcdfebef039a2d3",
+    37: "1da36fd3cb7973ab3367bcabffe8ec2e2751920f861b6d486df6b1ad892d49ac",
+    41: "fcf6feb8bd2eba8496dfec4c2f0b89917ae37557dcff27bd7b961d3165a7a544",
+    43: "666fa9a6af7f1d05812c3157b783a440a09d7e97fbda634c9e7ba1164bf7c908",
+    47: "4f6055a7b1b4930ed574815b716f2f0e70109c83d5a82b40d2840cb4bcbeaae7",
+    53: "f3d68aefd5980ace612d3697c71c0dc064f05999da63855cd3cc8400e31cfc07",
+    59: "8da1417f7c37c98531bd4f64f6ed34923455d613bdac775945754daf45df8f52",
+    61: "8289c89d83e259426870cd29415873eddfb112749502156e81e0327bcb638b41",
+    67: "97225e3588e919ac76df28b11a7ced035284ee6bd336b36cde22ac46b7e0d648",
+    71: "71c8c84333002a4da060617dcc19d6a1afcd9c24306d5d2f1887cb9e830fd230",
+    73: "c6d0ffccc25ce590f9a8e1d569a3c67fd521633072ba1376ee7b0c6b6db5f0bd",
+    79: "14ffc1efe43f21a3a1c7259aa831926825e58a77e322b22d93367bd28833d17c",
+    83: "f4136fa6fba0e0ec3302486f0099ad53babd6c203006232ef9c2da6b685dd3cc",
+    89: "b79939f41495e24e819af7e8f54f73094b2e987c1bd237779bc071727886b112",
+    97: "ebdd93d02023cc0b4ba61a1af0bf67c36eb73212e51ab38d42a4df838cdfb69e",
+}
+
+
+def test_field_tables_match_their_frozen_digests():
+    digests = {}
+    for q in range(100):
+        try:
+            F = lm.GF(q)
+        except SpecError:
+            continue
+        tables = repr((F._add, F._mul, F._neg, F._inv)).encode()
+        digests[q] = hashlib.sha256(tables).hexdigest()
+    assert digests == FIELD_TABLE_DIGESTS
+
+
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_frobenius_is_additive(q):
     F = lm.gf(q)
@@ -138,11 +192,16 @@ def test_singular_matrices_have_no_inverse():
 
 
 def test_row_reduction_detects_membership():
+    # RREF rows, and rows as the rank loop of _end_dim stores them: each
+    # with a 1 at its pivot and every later row 0 there, pivots unsorted
     F = lm.gf(2)
-    rows, pivots = lm.gf_rref(F, [(1, 1, 0), (0, 0, 1)], 3)
-    assert pivots == (0, 2)
+    rows, pivots = ((1, 1, 0), (0, 0, 1)), (0, 2)
     assert not any(lm.gf_reduce(F, rows, pivots, (1, 1, 1)))
-    assert any(lm.gf_reduce(F, rows, pivots, (0, 1, 0)))
+    assert lm.gf_reduce(F, rows, pivots, (0, 1, 0)) == (0, 1, 0)
+    F = lm.gf(3)
+    rows, pivots = ((0, 1, 2), (1, 0, 0)), (1, 0)
+    assert not any(lm.gf_reduce(F, rows, pivots, (1, 2, 1)))
+    assert lm.gf_reduce(F, rows, pivots, (2, 1, 1)) == (0, 0, 2)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
@@ -479,14 +538,19 @@ def test_the_integer_class_mass_identity_on_small_quivers(doc, q):
     # per dimension vector of total <= 3: a sweep over the cap exits loud,
     # and exactly those are over it; every other sweep passed the integer
     # mass check, which must agree with the Fraction identity
-    # sum 1/|Aut| == stacky_count, also on masses off by a class; its class
-    # count must match Burnside's where that oracle is affordable
+    # sum 1/|Aut| == stacky_count, also on masses off by a class; where the
+    # brute-force oracles are affordable, its class count must match
+    # Burnside's, and each class's |End| = q^_end_dim and |Aut| must match
+    # a count of every tuple of vertex matrices; each sweep over that
+    # budget is counted as skipped, and every other one is checked
     quiver = lm.load_quiver(doc)
-    over_cap = capped = 0
+    F = lm.gf(q)
+    over_cap = capped = over_budget = skipped = 0
     for total in range(1, 4):
         for gamma in lm.dim_vectors(quiver.n_vertices, total):
             points, group_order = lm._stacky_terms(quiver, gamma, q)
             over_cap += points * group_order > lm.SWEEP_CAP
+            over_budget += points * group_order > BURNSIDE_BUDGET
             try:
                 classes = lm.iso_classes(quiver, gamma, q)
             except CapExceeded:
@@ -498,9 +562,15 @@ def test_the_integer_class_mass_identity_on_small_quivers(doc, q):
                 fraction_identity = sum(Fraction(1, a) for a in masses) == count
                 assert lm._mass_is_stacky_count(masses, points, group_order) is fraction_identity, (gamma, masses)
                 assert fraction_identity is (masses is auts)
-            if points * group_order <= BURNSIDE_BUDGET:
-                assert burnside_class_count(quiver, gamma, q) == len(classes.reps), gamma
+            if points * group_order > BURNSIDE_BUDGET:
+                skipped += 1
+                continue
+            assert burnside_class_count(quiver, gamma, q) == len(classes.reps), gamma
+            for rep, aut in zip(classes.reps, auts):
+                end = q ** lm._end_dim(quiver, F, gamma, rep)
+                assert endomorphism_counts(quiver, F, gamma, rep) == (end, aut), (gamma, rep)
     assert capped == over_cap
+    assert capped + skipped == over_budget
 
 
 def test_class_representatives_are_lex_least(a2):
