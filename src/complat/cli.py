@@ -11,6 +11,12 @@ per command (_COMMANDS), not by argparse, which costs every command its
 gettext and locale imports. Options keep argparse's forms (--opt value,
 --opt=value, unique prefixes, before or after the spec) and its usage
 errors (exit 2); an option's value may start with -, as in --face -3,0.
+The tokens are read in one pass: the first positional is the command, and
+-h/--help is the only option before it. -- makes every later token
+positional, the command included, so complat -- faces s.json runs faces
+and complat -- alone lacks its command (exit 2). As in argparse, -h/--help
+given a value (--help=x) is a usage error, -1. is an option and not a
+number, and a token holding a space is positional.
 
 The layers a command runs (qlinalg, arrangement, stackmodel, linmoduli)
 load on first use, so a counting command never executes the geometric
@@ -79,10 +85,9 @@ def _parse_vector(text: str, rank: int) -> tuple[Fraction, ...]:
     return vec
 
 
-def _cmd_faces(args) -> dict:
-    doc = load_document(args.spec)
-    digest = document_digest(doc)
+def _cmd_faces(args, doc: dict, digest: str) -> dict:
     kind = doc.get("type")
+    base = {"command": "faces", "type": kind, "spec_digest": digest}
     if kind == "linear_quotient":
         spec = sm.load_spec(doc)
         entries = [
@@ -97,9 +102,7 @@ def _cmd_faces(args) -> dict:
         ]
         corbits = sm.cell_orbits(spec)
         return {
-            "command": "faces",
-            "type": kind,
-            "spec_digest": digest,
+            **base,
             "count": len(entries),
             "face_orbits": entries,
             "cells": sum(o.orbit_size for o in corbits),
@@ -115,9 +118,7 @@ def _cmd_faces(args) -> dict:
                 decs = lm.multiset_decompositions(gamma)
                 by_gamma.append({"gamma": gamma, "count": len(decs), "decompositions": decs})
         return {
-            "command": "faces",
-            "type": kind,
-            "spec_digest": digest,
+            **base,
             "max_total": args.max_dim,
             "count": sum(e["count"] for e in by_gamma),
             "by_gamma": by_gamma,
@@ -126,9 +127,7 @@ def _cmd_faces(args) -> dict:
     raise SpecError(f"unsupported document type {kind!r}")
 
 
-def _cmd_closure(args) -> dict:
-    doc = load_document(args.spec)
-    digest = document_digest(doc)
+def _cmd_closure(args, doc: dict, digest: str) -> dict:
     if doc.get("type") != "linear_quotient":
         raise SpecError("closure requires a linear_quotient document")
     spec = sm.load_spec(doc)
@@ -136,14 +135,13 @@ def _cmd_closure(args) -> dict:
     face_vecs = [_parse_vector(t, spec.rank) for t in (args.face or [])]
     if bool(rays) == bool(face_vecs):
         raise SpecError("give vectors with exactly one of --face or --ray")
+    base = {"command": "closure", "input": "face" if face_vecs else "cone", "spec_digest": digest}
     if face_vecs:
         face = sm.span(face_vecs, spec.rank)
         flat = sm.special_face_closure(spec, face)
         sig = sm.component_signature(spec, flat.subspace)
         return {
-            "command": "closure",
-            "input": "face",
-            "spec_digest": digest,
+            **base,
             "face_dim": face.dim,
             "is_special": sm.is_special(spec, face),
             "central_rank": sm.central_rank(spec, face),
@@ -154,18 +152,11 @@ def _cmd_closure(args) -> dict:
             "ok": True,
         }
     sig = sm.special_cone_closure(spec, rays)
-    return {
-        "command": "closure",
-        "input": "cone",
-        "spec_digest": digest,
-        **sm.cone_fields(sig),
-        "ok": True,
-    }
+    return {**base, **sm.cone_fields(sig), "ok": True}
 
 
-def _cmd_verify(args) -> dict:
-    doc = load_document(args.spec)
-    base = {"command": "verify", "suite": args.suite, "spec_digest": document_digest(doc)}
+def _cmd_verify(args, doc: dict, digest: str) -> dict:
+    base = {"command": "verify", "suite": args.suite, "spec_digest": digest}
     kind = doc.get("type")
     if args.suite in ("constancy", "hall"):
         if kind != "linear_quotient":
@@ -252,36 +243,29 @@ _COMMANDS = {
 
 
 def _inline(value) -> str | None:
-    """Compact form for a scalar, a vector, or a list of vectors."""
+    """Compact form for a scalar, a vector, or a list of vectors; None for a
+    dict or a list too long to fit on one line."""
     if not isinstance(value, (dict, list)):
         return str(value)
     if isinstance(value, list):
         parts = [_inline(v) for v in value]
-        if all(p is not None for p in parts) and sum(len(p) for p in parts) < 60:
-            return "(" + ", ".join(parts) + ")" if value else "()"
+        if None not in parts and sum(map(len, parts)) < 60:
+            return f"({', '.join(parts)})"
     return None
 
 
-def _text_lines(value, indent: int = 0):
+def _text_lines(value: dict | list, indent: int = 0):
+    """The text layout of a dict (key: value) or a list (- item): each entry
+    on one line when it fits, else its label and then its entries, indented."""
     pad = "  " * indent
-    if isinstance(value, dict):
-        for k, v in value.items():
-            flat = _inline(v)
-            if flat is not None:
-                yield f"{pad}{k}: {flat}"
-            else:
-                yield f"{pad}{k}:"
-                yield from _text_lines(v, indent + 1)
-    elif isinstance(value, list):
-        for item in value:
-            flat = _inline(item)
-            if flat is not None:
-                yield f"{pad}- {flat}"
-            else:
-                yield f"{pad}-"
-                yield from _text_lines(item, indent + 1)
-    else:
-        yield f"{pad}{value}"
+    entries = ((f"{k}:", v) for k, v in value.items()) if isinstance(value, dict) else (("-", v) for v in value)
+    for label, item in entries:
+        flat = _inline(item)
+        if flat is not None:
+            yield f"{pad}{label} {flat}"
+        else:
+            yield f"{pad}{label}"
+            yield from _text_lines(item, indent + 1)
 
 
 def _emit(report: dict, mode: str) -> None:
@@ -353,72 +337,60 @@ def _help(command: str | None):
     raise SystemExit(0)
 
 
-def _is_flag(token: str) -> bool:
-    """A leading - marks an option, except on - itself (stdin) and on a
-    negative number, as in argparse."""
-    return token[:1] == "-" and token != "-" and not token[1:].replace(".", "", 1).isdigit()
-
-
-def _lookup(command: str | None, flag: str, flags: Sequence[str]) -> str | None:
-    """The flag of flags that flag names: itself, or the one long flag it
-    abbreviates; None if there is none."""
-    if flag in flags:
-        return flag
-    hits = [f for f in flags if flag.startswith("--") and f.startswith(flag)]
-    if len(hits) > 1:
-        _fail(command, f"ambiguous option: {flag} could match {', '.join(hits)}")
-    return hits[0] if hits else None
-
-
 def _parse_args(argv: Sequence[str] | None) -> SimpleNamespace:
-    """The command, its spec and one field per option of its table entry.
+    """The command, its spec and one field per option of its table entry,
+    read in one pass over the tokens.
 
-    Options come before or after the spec, as --opt value or --opt=value,
-    by any unique prefix; an option takes the next token as its value even
-    when it starts with -, and -- makes every later token positional. A
-    usage error exits 2 (SystemExit) and --help exits 0, each with argparse's
-    wording."""
-    tokens = iter(sys.argv[1:] if argv is None else argv)
-    command = None
-    for token in tokens:
-        if not _is_flag(token):
-            command = token
-            break
-        if _lookup(None, token, _HELP) is None:
-            _fail(None, f"unrecognized arguments: {token}")
-        _help(None)
-    if command is None:
-        _fail(None, "the following arguments are required: command")
-    if command not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    options = {flag: (kind, default) for flag, kind, default, _ in _COMMANDS[command][2]}
-    values = {"command": command, "spec": None}
-    values.update((_dest(flag), None if default is ... else default) for flag, (_, default) in options.items())
-    extras = []
+    The first positional is the command, and -h/--help is the only option
+    before it. After it, options come before or after the spec, as --opt
+    value or --opt=value, by any unique prefix; an option takes the next
+    token as its value even when it starts with -. As in argparse, a token
+    that starts with - is an option unless it is - itself (stdin) or, naming
+    no option, is a negative number (-1, -1.5, -.5, but not -1.) or holds a
+    space. -- makes every later token positional, the command included. A
+    usage error exits 2 (SystemExit) and --help exits 0, each with
+    argparse's wording."""
+    command, options, values, extras = None, dict.fromkeys(_HELP), {}, []
     positional_only = False
+    tokens = iter(sys.argv[1:] if argv is None else argv)
     for token in tokens:
         if token == "--" and not positional_only:
             positional_only = True
             continue
-        if positional_only or not _is_flag(token):
-            if values["spec"] is None:
+        flag, eq, value = token.partition("=")
+        hits = [flag] if flag in options else [f for f in options if flag[:2] == "--" and f.startswith(flag)]
+        whole, dot, decimals = token[1:].partition(".")
+        number = (whole + decimals).isdecimal() and (decimals or not dot)
+        if positional_only or token[:1] != "-" or token == "-" or not hits and (number or " " in token):
+            if command is None:
+                if token not in _COMMANDS:
+                    choices = ", ".join(map(repr, _COMMANDS))
+                    _fail(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+                command, table = token, _COMMANDS[token][2]
+                options.update((flag, kind) for flag, kind, _, _ in table)
+                values = {"command": command, "spec": ..., **{_dest(flag): default for flag, _, default, _ in table}}
+            elif values["spec"] is ...:
                 values["spec"] = token
             else:
                 extras.append(token)
             continue
-        flag, eq, value = token.partition("=")
-        flag = _lookup(command, flag, (*_HELP, *options))
-        if flag is None:
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(hits)}")
+        if not hits:
+            if command is None:
+                _fail(None, f"unrecognized arguments: {token}")
             extras.append(token)
             continue
+        flag = hits[0]
         if flag in _HELP:
+            if eq:
+                _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
             _help(command)
         if not eq:
             value = next(tokens, None)
             if value is None:
                 _fail(command, f"argument {flag}: expected one argument")
-        kind = options[flag][0]
+        kind = options[flag]
         if kind is list:
             value = [*(values[_dest(flag)] or ()), value]
         elif kind is int:
@@ -429,8 +401,9 @@ def _parse_args(argv: Sequence[str] | None) -> SimpleNamespace:
         elif value not in kind:
             _fail(command, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
         values[_dest(flag)] = value
-    required = ["spec", *(flag for flag, (_, default) in options.items() if default is ...)]
-    missing = [name for name in required if values[_dest(name)] is None]
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    missing = [name for name in ("spec", *options) if values.get(_dest(name)) is ...]
     if missing:
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     if extras:
@@ -444,7 +417,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for flag in ("samples", "max_dim"):
             if getattr(args, flag, 1) < 1:
                 raise SpecError(f"--{flag.replace('_', '-')} must be at least 1")
-        report = _COMMANDS[args.command][0](args)
+        doc = load_document(args.spec)
+        report = _COMMANDS[args.command][0](args, doc, document_digest(doc))
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

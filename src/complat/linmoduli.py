@@ -403,10 +403,11 @@ def _scale_table(q: int, width: int, a: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _add_table(q: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """x + y for packed rows x and y of this length, indexed [x][y]."""
-    add, rows = gf(q)._add, _row_digits(q, width)
-    return tuple(tuple(_pack_row(q, [add[u][v] for u, v in zip(x, y)]) for y in rows) for x in rows)
+def _add_table(q: int, width: int, a: int) -> tuple[tuple[int, ...], ...]:
+    """x + a y for packed rows x and y of this length, indexed [x][y]."""
+    F, rows = gf(q), _row_digits(q, width)
+    add, times_a = F._add, F._mul[a]
+    return tuple(tuple(_pack_row(q, [add[u][times_a[v]] for u, v in zip(x, y)]) for y in rows) for x in rows)
 
 
 def _packed_act(
@@ -421,7 +422,8 @@ def _packed_act(
     arrow into v; each row of an arrow out of v goes through the column
     table (on a loop, row i composed with its scaling by diag(a) at
     (i, i)); last, for I + a E_ij, row i of each arrow into v adds a times
-    row j, so a loop gets g (m g^-1)."""
+    row j, so a loop gets g (m g^-1). That sum is one lookup in the table
+    of x + a y."""
     gather: list[int] = []
     maps: dict[int, tuple[int, ...]] = {}
     adds = []
@@ -436,13 +438,11 @@ def _packed_act(
                 gather[rows[0] : rows[-1] + 1] = rows[-1:] + rows[:-1]
                 continue
             i, j, a = op
-            scale = _scale_table(q, gamma[s], a)
             if i != j:
-                adds.append((rows[i], rows[j], _add_table(q, gamma[s]), scale))
-            elif rows[i] in maps:
-                maps[rows[i]] = tuple(scale[x] for x in maps[rows[i]])
+                adds.append((rows[i], rows[j], _add_table(q, gamma[s], a)))
             else:
-                maps[rows[i]] = scale
+                scale = _scale_table(q, gamma[s], a)
+                maps[rows[i]] = tuple(scale[x] for x in maps[rows[i]]) if rows[i] in maps else scale
     pick = itemgetter(*gather) if gather != sorted(gather) else None
     maps_ = tuple(maps.items())
     adds_ = tuple(adds)
@@ -451,8 +451,8 @@ def _packed_act(
         rows = list(pick(rep) if pick else rep)
         for p, table in maps_:
             rows[p] = table[rows[p]]
-        for i, j, add, times_a in adds_:
-            rows[i] = add[rows[i]][times_a[rows[j]]]
+        for i, j, add in adds_:
+            rows[i] = add[rows[i]][rows[j]]
         return tuple(rows)
 
     return image

@@ -262,6 +262,27 @@ MUTANTS = (
             "tests/test_cli.py::test_the_process_entry_runs_the_atexit_handlers",
         ),
     ),
+    Mutant(
+        "add-table-ignores-its-multiple",
+        "linmoduli.py",
+        "    return tuple(tuple(_pack_row(q, [add[u][times_a[v]] for u, v in zip(x, y)]) for y in rows) for x in rows)\n",
+        "    return tuple(tuple(_pack_row(q, [add[u][v] for u, v in zip(x, y)]) for y in rows) for x in rows)\n",
+        (
+            "tests/test_linmoduli.py::test_an_elementary_operation_acts_as_conjugation_by_its_matrix[doc0-gamma0-3]",
+            "tests/test_linmoduli.py::test_an_elementary_operation_acts_as_conjugation_by_its_matrix[doc1-gamma1-4]",
+        ),
+    ),
+    Mutant(
+        "double-dash-matches-help-before-the-command",
+        "cli.py",
+        '        if token == "--" and not positional_only:\n',
+        '        if token == "--" and command is not None and not positional_only:\n',
+        (
+            "tests/test_cli_parser.py::test_the_parser_matches_argparse_where_it_once_differed[double-dash-alone]",
+            "tests/test_cli_parser.py::test_a_value_starting_with_a_dash_is_the_one_listed_difference[argv3-fields3]",
+            "tests/test_cli_parser.py::test_a_leading_double_dash_runs_the_command",
+        ),
+    ),
 )
 
 # runs pytest on the arguments after checking that complat comes from the copy

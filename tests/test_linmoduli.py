@@ -7,6 +7,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -573,6 +574,47 @@ def test_the_integer_class_mass_identity_on_small_quivers(doc, q):
     assert capped + skipped == over_budget
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(small_quivers(), st.sampled_from((2, 3)))
+@example({"type": "quiver", "vertices": ["u", "v", "w"], "arrows": [["u", "v"]]}, 3)  # an isolated vertex
+@example({"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "u"], ["u", "v"]]}, 2)  # a loop beside an arrow
+@example({"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"], ["v", "u"]]}, 3)  # a 2-cycle
+@example({"type": "quiver", "vertices": ["u", "v"], "arrows": [["u", "v"]] * 3}, 2)  # a triple arrow
+def test_the_counting_identities_on_small_quivers(doc, q):
+    # up to total 3: per dimension vector, the crosscheck's flat orbits are
+    # the oracle's slot partitions with connected blocks; per split into two
+    # or three parts, the Hall and flag tables count the filtered points of
+    # the attractor; per bound, verify_counting_hall finds the convolution
+    # associative. A sweep over the cap raises CapExceeded: exactly the
+    # splits and bounds that need one are counted as capped, and every other
+    # one is checked
+    quiver = lm.load_quiver(doc)
+    gammas = _gammas(quiver, 3)
+    over_cap = {g for g in gammas if prod(lm._stacky_terms(quiver, g, q)) > lm.SWEEP_CAP}
+    for gamma in gammas:
+        want = {str(k): v for k, v in sorted(connected_flat_orbits(quiver, gamma).items())}
+        assert lm.cross_check_special_faces(quiver, gamma)["flat_orbits_by_dim"] == want, gamma
+    splits = _splits(gammas, 3)
+    capped = 0
+    for parts in splits:
+        try:
+            counted = _filtered_points_by_tables(quiver, parts, q)
+        except CapExceeded:
+            capped += 1
+            continue
+        assert counted == filtered_point_count(quiver, parts, q), parts
+    assert capped == sum(tuple(map(sum, zip(*parts))) in over_cap for parts in splits)
+    capped_bounds = []
+    for max_total in (1, 2, 3):
+        try:
+            report = lm.verify_counting_hall(quiver, q, max_total)
+        except CapExceeded:
+            capped_bounds.append(max_total)
+            continue
+        assert report["ok"], (max_total, report)
+    assert capped_bounds == [m for m in (1, 2, 3) if any(sum(g) <= m for g in over_cap)]
+
+
 def test_class_representatives_are_lex_least(a2):
     classes = lm.iso_classes(a2, (2, 1), 2)
     for rep, idx in classes.class_of.items():
@@ -864,35 +906,46 @@ def test_a_wrong_hall_table_is_caught_by_the_flag_counts(monkeypatch, fresh_memo
 )
 def test_filtered_points_counted_by_tables_match_the_attractor_count(doc, q, max_total, checked, over_cap):
     # the stack of filtered points of type (gamma_1, ..., gamma_k) counted
-    # two ways: the classes X of gamma, each weighted by 1/|Aut X| and by
-    # its chains of type gamma in the Hall (k = 2) or flag (k = 3) table,
-    # against the attractor over the parabolic of the linear quotient model
+    # two ways: by the Hall (k = 2) or flag (k = 3) tables, against the
+    # attractor over the parabolic of the linear quotient model
     quiver = lm.load_quiver(doc)
-    vectors = [v for total in range(1, max_total + 1) for v in lm.dim_vectors(quiver.n_vertices, total)]
-    splits = [
+    splits = _splits(_gammas(quiver, max_total), max_total)
+    skipped = 0
+    for parts in splits:
+        try:
+            counted = _filtered_points_by_tables(quiver, parts, q)
+        except CapExceeded:
+            skipped += 1
+            continue
+        assert counted == filtered_point_count(quiver, parts, q), parts
+    assert (len(splits) - skipped, skipped) == (checked, over_cap)
+
+
+def _splits(vectors, max_total):
+    """The tuples of two or three of vectors whose total is at most max_total."""
+    return [
         parts
         for k in (2, 3)
         for parts in itertools.product(vectors, repeat=k)
         if sum(map(sum, parts)) <= max_total
     ]
-    skipped = 0
-    for parts in splits:
-        gamma = tuple(map(sum, zip(*parts)))
-        try:
-            classes = lm.iso_classes(quiver, gamma, q)
-        except CapExceeded:
-            skipped += 1
-            continue
-        if len(parts) == 2:
-            table = lm._hall_table(quiver, q, gamma, parts[0])
-        else:
-            table = lm._flag_table(quiver, q, parts[2], parts[1], parts[0])
-        chains = Counter()
-        for row in table.values():
-            chains.update(row)
-        counted = sum(Fraction(chains[li], aut) for li, aut in enumerate(classes.aut_orders))
-        assert counted == filtered_point_count(quiver, parts, q), parts
-    assert (len(splits) - skipped, skipped) == (checked, over_cap)
+
+
+def _filtered_points_by_tables(quiver, parts, q):
+    """The filtered points of type parts = (gamma_1, ..., gamma_k) read off
+    the tables: the classes X of their sum, each weighted by 1/|Aut X| and by
+    its chains of that type in the Hall (k = 2) or flag (k = 3) table.
+    Raises CapExceeded when the sweep of the sum is over the cap."""
+    gamma = tuple(map(sum, zip(*parts)))
+    classes = lm.iso_classes(quiver, gamma, q)
+    if len(parts) == 2:
+        table = lm._hall_table(quiver, q, gamma, parts[0])
+    else:
+        table = lm._flag_table(quiver, q, parts[2], parts[1], parts[0])
+    chains = Counter()
+    for row in table.values():
+        chains.update(row)
+    return sum(Fraction(chains[li], aut) for li, aut in enumerate(classes.aut_orders))
 
 
 def test_each_subrepresentation_and_pair_product_is_computed_once_per_run(monkeypatch, fresh_memos, a2):
