@@ -15,8 +15,15 @@ The tokens are read in one pass: the first positional is the command, and
 -h/--help is the only option before it. -- makes every later token
 positional, the command included, so complat -- faces s.json runs faces
 and complat -- alone lacks its command (exit 2). As in argparse, -h/--help
-given a value (--help=x) is a usage error, -1. is an option and not a
-number, and a token holding a space is positional.
+given a value (--help=x, or -hx) is a usage error, -1. is an option and not
+a number, and a token holding a space is positional.
+
+A usage error prints the usage line of the command it concerns, and the
+top-level one when there is no command yet. The exception is the one
+argparse makes: arguments left over (an unknown option or an extra
+positional, before or after the command) are reported together, last,
+under the top-level usage line. An unknown option is collected, not
+refused at once, so complat --bogus -h still prints the help.
 
 The layers a command runs (qlinalg, arrangement, stackmodel, linmoduli)
 load on first use, so a counting command never executes the geometric
@@ -347,9 +354,11 @@ def _parse_args(argv: Sequence[str] | None) -> SimpleNamespace:
     token as its value even when it starts with -. As in argparse, a token
     that starts with - is an option unless it is - itself (stdin) or, naming
     no option, is a negative number (-1, -1.5, -.5, but not -1.) or holds a
-    space. -- makes every later token positional, the command included. A
-    usage error exits 2 (SystemExit) and --help exits 0, each with
-    argparse's wording."""
+    space; -h with a value attached (-hx) is -h given that value. -- makes
+    every later token positional, the command included. Tokens that name no
+    option and positionals past the spec are collected and reported last,
+    under the top-level usage line. A usage error exits 2 (SystemExit) and
+    --help exits 0, each with argparse's wording."""
     command, options, values, extras = None, dict.fromkeys(_HELP), {}, []
     positional_only = False
     tokens = iter(sys.argv[1:] if argv is None else argv)
@@ -358,6 +367,8 @@ def _parse_args(argv: Sequence[str] | None) -> SimpleNamespace:
             positional_only = True
             continue
         flag, eq, value = token.partition("=")
+        if flag not in options and token[:2] == "-h":
+            flag, eq, value = "-h", "=", token[2:]
         hits = [flag] if flag in options else [f for f in options if flag[:2] == "--" and f.startswith(flag)]
         whole, dot, decimals = token[1:].partition(".")
         number = (whole + decimals).isdecimal() and (decimals or not dot)
@@ -377,8 +388,6 @@ def _parse_args(argv: Sequence[str] | None) -> SimpleNamespace:
         if len(hits) > 1:
             _fail(command, f"ambiguous option: {token} could match {', '.join(hits)}")
         if not hits:
-            if command is None:
-                _fail(None, f"unrecognized arguments: {token}")
             extras.append(token)
             continue
         flag = hits[0]
@@ -407,7 +416,7 @@ def _parse_args(argv: Sequence[str] | None) -> SimpleNamespace:
     if missing:
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     if extras:
-        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(**values)
 
 

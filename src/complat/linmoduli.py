@@ -70,7 +70,9 @@ _IRREDUCIBLE = {
 
 
 class GF:
-    """Arithmetic tables for a finite field of order q.
+    """A finite field of order q, as its four tables: add[a][b], mul[a][b],
+    neg[a] and inv[a], with inv[0] = 0. The tables are the whole interface:
+    every caller indexes them, and GF defines no arithmetic methods.
 
     Elements are the integers 0..q-1. For a prime power p^k the element
     sum(c_i * p^i) stands for the polynomial sum(c_i * x^i) modulo a fixed
@@ -93,7 +95,7 @@ class GF:
             raise SpecError(f"unsupported field size {q}")
         self.q = q
         self.p = p
-        self._add = add = tuple(
+        self.add = add = tuple(
             tuple(sum((a // w + b // w) % p * w for w in weights) for b in range(q)) for a in range(q)
         )
         # c * x^k for c in F_p: x^k is minus the irreducible's lower terms
@@ -109,30 +111,9 @@ class GF:
                     row.append(add[row[b - w]][shifted])
                 shifted = add[shifted % top * p][wrap[shifted // top]]  # times x
             mul.append(tuple(row))
-        self._mul = tuple(mul)
-        self._neg = tuple(row.index(0) for row in add)
-        self._inv = (0, *(row.index(1) for row in mul[1:]))
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        return self._inv[a]
-
-    @property
-    def elements(self) -> range:
-        return range(self.q)
+        self.mul = tuple(mul)
+        self.neg = tuple(row.index(0) for row in add)
+        self.inv = (0, *(row.index(1) for row in mul[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +125,7 @@ def gf(q: int) -> GF:
 
 
 def gf_mat_vec(F: GF, m: GFMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    add, mul = F._add, F._mul
+    add, mul = F.add, F.mul
     out = []
     for row in m:
         acc = 0
@@ -166,16 +147,16 @@ def gf_reduce(F: GF, rows: GFMatrix, pivots: Sequence[int], v: Sequence[int]) ->
     for row, p in zip(rows, pivots):
         c = w[p]
         if c:
+            times = F.mul[F.neg[c]]
             for j, x in enumerate(row):
                 if x:
-                    w[j] = F.sub(w[j], F.mul(c, x))
+                    w[j] = F.add[w[j]][times[x]]
     return tuple(w)
 
 
 @lru_cache(maxsize=None)
 def all_subspaces(q: int, n: int) -> tuple[GFSubspace, ...]:
     """Every subspace of F_q^n as an RREF row basis with its pivots."""
-    F = gf(q)
     out: list[GFSubspace] = []
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):
@@ -185,7 +166,7 @@ def all_subspaces(q: int, n: int) -> tuple[GFSubspace, ...]:
                 for j in range(pivots[i] + 1, n)
                 if j not in pivots
             ]
-            for values in itertools.product(F.elements, repeat=len(free)):
+            for values in itertools.product(range(q), repeat=len(free)):
                 rows = [[0] * n for _ in range(k)]
                 for i in range(k):
                     rows[i][pivots[i]] = 1
@@ -292,7 +273,7 @@ def _primitive_element(F: GF) -> int:
     def order(w):
         k, x = 1, w
         while x != 1:
-            k, x = k + 1, F.mul(x, w)
+            k, x = k + 1, F.mul[x][w]
         return k
 
     return next(w for w in range(1, F.q) if order(w) == F.q - 1)
@@ -388,9 +369,9 @@ def _column_table(q: int, n: int, op: GLOp) -> tuple[int, ...]:
         else:
             i, j, a = op
             if i != j:
-                r[j] = F.sub(r[j], F.mul(a, r[i]))
+                r[j] = F.add[r[j]][F.mul[F.neg[a]][r[i]]]
             else:
-                r[i] = F.mul(F.inv(a), r[i])
+                r[i] = F.mul[F.inv[a]][r[i]]
         out.append(_pack_row(q, r))
     return tuple(out)
 
@@ -398,7 +379,7 @@ def _column_table(q: int, n: int, op: GLOp) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _scale_table(q: int, width: int, a: int) -> tuple[int, ...]:
     """a times each packed row of this length, indexed by the row."""
-    times_a = gf(q)._mul[a]
+    times_a = gf(q).mul[a]
     return tuple(_pack_row(q, [times_a[x] for x in row]) for row in _row_digits(q, width))
 
 
@@ -406,7 +387,7 @@ def _scale_table(q: int, width: int, a: int) -> tuple[int, ...]:
 def _add_table(q: int, width: int, a: int) -> tuple[tuple[int, ...], ...]:
     """x + a y for packed rows x and y of this length, indexed [x][y]."""
     F, rows = gf(q), _row_digits(q, width)
-    add, times_a = F._add, F._mul[a]
+    add, times_a = F.add, F.mul[a]
     return tuple(tuple(_pack_row(q, [add[u][times_a[v]] for u, v in zip(x, y)]) for y in rows) for x in rows)
 
 
@@ -557,10 +538,10 @@ def _end_dim(quiver: Quiver, F: GF, gamma: DimVector, rep: Rep) -> int:
                 row = [0] * offsets[-1]
                 for k in range(gamma[t]):  # (phi_t m)[r][c]
                     x = offsets[t] + r * gamma[t] + k
-                    row[x] = F.add(row[x], m[k][c])
+                    row[x] = F.add[row[x]][m[k][c]]
                 for k in range(gamma[s]):  # (m phi_s)[r][c]
                     x = offsets[s] + k * gamma[s] + c
-                    row[x] = F.sub(row[x], m[r][k])
+                    row[x] = F.add[row[x]][F.neg[m[r][k]]]
                 equations.append(row)
     rows: list[tuple[int, ...]] = []
     pivots: list[int] = []
@@ -568,8 +549,8 @@ def _end_dim(quiver: Quiver, F: GF, gamma: DimVector, rep: Rep) -> int:
         rest = gf_reduce(F, rows, pivots, equation)
         pivot = next((j for j, x in enumerate(rest) if x), None)
         if pivot is not None:
-            c = F.inv(rest[pivot])
-            rows.append(tuple(F.mul(c, x) for x in rest))
+            scale = F.mul[F.inv[rest[pivot]]]
+            rows.append(tuple(scale[x] for x in rest))
             pivots.append(pivot)
     return offsets[-1] - len(pivots)
 
@@ -1076,23 +1057,17 @@ def quotient_spec_doc(quiver: Quiver, gamma: Sequence[int]) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _quotient_model(doc_json: str):
-    """The loaded quotient model of a canonical_json quotient_spec_doc.
-    Memoized on the document's text: dimension vectors such as (n, 0) and
-    (0, n) of a2_quiver give the same document, which is loaded once."""
-    from .stackmodel import load_spec
+def _flat_orbits_by_dim(doc_json: str) -> tuple[tuple[int, int], ...]:
+    """(dimension, number of Weyl orbits of flats of that dimension) of the
+    quotient model a canonical_json quotient_spec_doc describes, by
+    dimension. Memoized on the document's text, and the model is loaded
+    only on a miss: dimension vectors such as (n, 0) and (0, n) of
+    a2_quiver give the same document, so that model is loaded and counted
+    once. Not memoized per arrangement: a2_quiver's (4, 1) and (5, 0) share
+    their covectors but not their Weyl group."""
+    from .stackmodel import enumerate_special_faces, load_spec
 
-    return load_spec(json.loads(doc_json))
-
-
-@lru_cache(maxsize=None)
-def _flat_orbits_by_dim(spec) -> tuple[tuple[int, int], ...]:
-    """(dimension, number of Weyl orbits of flats of that dimension) of a
-    quotient model, by dimension. Memoized per spec, not per arrangement:
-    a2_quiver's (4, 1) and (5, 0) share their covectors but not their Weyl
-    group."""
-    from .stackmodel import enumerate_special_faces
-
+    spec = load_spec(json.loads(doc_json))
     return tuple(sorted(Counter(o.dim for o in enumerate_special_faces(spec)).items()))
 
 
@@ -1101,11 +1076,10 @@ def cross_check_special_faces(quiver: Quiver, gamma: Sequence[int]) -> dict:
     with dimension vector gamma: flats of the linear quotient model up to
     its Weyl group, against multiset decompositions of gamma. A flat of
     dimension k must correspond to a decomposition into k parts. Each
-    distinct quotient model is loaded once (_quotient_model) and its flat
-    orbits counted once (_flat_orbits_by_dim)."""
+    distinct quotient model is loaded and its flat orbits counted once
+    (_flat_orbits_by_dim, memoized on the model's document)."""
     gamma = _check_gamma(quiver, gamma)
-    spec = _quotient_model(canonical_json(quotient_spec_doc(quiver, gamma)))
-    by_dim = dict(_flat_orbits_by_dim(spec))
+    by_dim = dict(_flat_orbits_by_dim(canonical_json(quotient_spec_doc(quiver, gamma))))
     decomps = multiset_decompositions(gamma)
     by_parts = Counter(len(d) for d in decomps)
     return {

@@ -12,7 +12,6 @@ MEMOS = (
     lm._subreps,
     lm._hall_table,
     lm._flag_table,
-    lm._quotient_model,
     lm._flat_orbits_by_dim,
     arrangement.flats,
 )

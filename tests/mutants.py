@@ -125,8 +125,8 @@ MUTANTS = (
     Mutant(
         "end-rank-stores-unreduced-rows",
         "linmoduli.py",
-        "            rows.append(tuple(F.mul(c, x) for x in rest))\n",
-        "            rows.append(tuple(F.mul(c, x) for x in equation))\n",
+        "            rows.append(tuple(scale[x] for x in rest))\n",
+        "            rows.append(tuple(scale[x] for x in equation))\n",
         (
             "tests/test_linmoduli.py::test_the_integer_class_mass_identity_on_small_quivers",
             "tests/test_linmoduli.py::test_class_counts_match_the_burnside_oracle[doc11-gamma11-2-6]",
@@ -201,12 +201,12 @@ MUTANTS = (
             "def _by_covectors(count):\n"
             "    memo = {}\n"
             "\n"
-            "    def counted(spec):\n"
-            "        from .stackmodel import global_arrangement\n"
+            "    def counted(doc_json):\n"
+            "        from .stackmodel import global_arrangement, load_spec\n"
             "\n"
-            "        key = global_arrangement(spec)\n"
+            "        key = global_arrangement(load_spec(json.loads(doc_json)))\n"
             "        if key not in memo:\n"
-            "            memo[key] = count(spec)\n"
+            "            memo[key] = count(doc_json)\n"
             "        return memo[key]\n"
             "\n"
             "    counted.cache_clear = memo.clear\n"
@@ -273,6 +273,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "reduce-without-negation",
+        "linmoduli.py",
+        "            times = F.mul[F.neg[c]]\n",
+        "            times = F.mul[c]\n",
+        (
+            # -c = c in characteristic 2: only an odd q can tell
+            "tests/test_linmoduli.py::test_row_reduction_detects_membership",
+            "tests/test_linmoduli.py::test_filtered_points_counted_by_tables_match_the_attractor_count[a2-q3]",
+            "tests/test_linmoduli.py::test_counting_reports_of_the_benchmark_configurations[a2_quiver-3-3-expected1]",
+        ),
+    ),
+    Mutant(
+        "aut-orders-swapped",
+        "linmoduli.py",
+        "    out = IsoClasses(\n",
+        "    aut_orders[0], aut_orders[-1] = aut_orders[-1], aut_orders[0]\n    out = IsoClasses(\n",
+        (
+            "tests/test_linmoduli.py::test_reineke_formula_gives_the_semistable_count[a2]",
+            "tests/test_linmoduli.py::test_reineke_formula_gives_the_semistable_count[a3]",
+            "tests/test_linmoduli.py::test_the_harder_narasimhan_strata_sum_to_the_stacky_count[a2]",
+            "tests/test_linmoduli.py::test_the_harder_narasimhan_strata_sum_to_the_stacky_count[a3]",
+        ),
+    ),
+    Mutant(
         "double-dash-matches-help-before-the-command",
         "cli.py",
         '        if token == "--" and not positional_only:\n',
@@ -281,6 +305,17 @@ MUTANTS = (
             "tests/test_cli_parser.py::test_the_parser_matches_argparse_where_it_once_differed[double-dash-alone]",
             "tests/test_cli_parser.py::test_a_value_starting_with_a_dash_is_the_one_listed_difference[argv3-fields3]",
             "tests/test_cli_parser.py::test_a_leading_double_dash_runs_the_command",
+        ),
+    ),
+    Mutant(
+        "leftover-arguments-under-the-command-usage",
+        "cli.py",
+        "        _fail(None, f\"unrecognized arguments: {' '.join(extras)}\")\n",
+        "        _fail(command, f\"unrecognized arguments: {' '.join(extras)}\")\n",
+        (
+            "tests/test_cli_parser.py::test_the_parser_matches_argparse_where_it_once_differed[extra-positional]",
+            "tests/test_cli_parser.py::test_the_parser_matches_argparse_where_it_once_differed[positional-after-double-dash]",
+            "tests/test_cli_parser.py::test_usage_errors_exit_2_with_an_error_line[unknown-option]",
         ),
     ),
 )

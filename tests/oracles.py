@@ -11,8 +11,9 @@ included.
 import argparse
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import comb, factorial, lcm, prod
+from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -581,10 +582,10 @@ def gl_order(n, q):
 
 def gf_invertible(F, m):
     """Whether the square matrix m over F has full rank, by Gaussian
-    elimination on F.add, F.mul and F.inv: each step takes the first row
-    with a nonzero leading entry as pivot, clears that column from the
-    other rows and drops the column; a step with no such row means the
-    rank is short."""
+    elimination on the tables F.add, F.mul, F.neg and F.inv: each step
+    takes the first row with a nonzero leading entry as pivot, clears that
+    column from the other rows and drops the column; a step with no such
+    row means the rank is short."""
     n = len(m)
     if any(len(row) != n for row in m):
         return False
@@ -594,9 +595,9 @@ def gf_invertible(F, m):
         if pick is None:
             return False
         pivot = rows.pop(pick)
-        minus_inverse = F.neg(F.inv(pivot[0]))
+        minus_inverse = F.neg[F.inv[pivot[0]]]
         rows = [
-            tuple(F.add(x, F.mul(F.mul(row[0], minus_inverse), y)) for x, y in zip(row[1:], pivot[1:]))
+            tuple(F.add[x][F.mul[F.mul[row[0]][minus_inverse]][y]] for x, y in zip(row[1:], pivot[1:]))
             for row in rows
         ]
     return True
@@ -734,8 +735,8 @@ def sample_sign_vectors(arr, rng, count):
 
 
 def naive_gf_mat_mul(F, a, b):
-    """a times b by the schoolbook triple loop over F.add and F.mul. A
-    matrix with no rows has no columns either, as in complat."""
+    """a times b by the schoolbook triple loop over the tables F.add and
+    F.mul. A matrix with no rows has no columns either, as in complat."""
     cols = len(b[0]) if b else 0
     out = []
     for i in range(len(a)):
@@ -743,19 +744,20 @@ def naive_gf_mat_mul(F, a, b):
         for j in range(cols):
             acc = 0
             for k in range(len(b)):
-                acc = F.add(acc, F.mul(a[i][k], b[k][j]))
+                acc = F.add[acc][F.mul[a[i][k]][b[k][j]]]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
 
 def naive_gf_mat_vec(F, m, v):
-    """m times v by the schoolbook double loop over F.add and F.mul."""
+    """m times v by the schoolbook double loop over the tables F.add and
+    F.mul."""
     out = []
     for row in m:
         acc = 0
         for k in range(len(v)):
-            acc = F.add(acc, F.mul(row[k], v[k]))
+            acc = F.add[acc][F.mul[row[k]][v[k]]]
         out.append(acc)
     return tuple(out)
 
@@ -826,6 +828,127 @@ def filtered_point_count(quiver, parts, q):
     levi = prod(gl_order(n, q) for part in parts for n in part)
     unipotent = len(sig.parabolic_roots) - len(sig.levi_part.levi_roots)
     return Fraction(q ** len(sig.attractor_weights), levi * q**unipotent)
+
+
+
+def euler_form(quiver, d, e):
+    """The Euler form <d, e> = sum over vertices of d_v e_v minus the sum over
+    arrows s -> t of d_s e_t: dim Hom(X, Y) - dim Ext^1(X, Y) for any X of
+    dimension vector d and Y of e."""
+    return sum(x * y for x, y in zip(d, e)) - sum(d[s] * e[t] for s, t in quiver.arrows)
+
+
+def stacky_point_count(quiver, gamma, q):
+    """The stacky count of all representations of gamma, by the product
+    formula q^(sum over arrows s -> t of gamma_s gamma_t) / prod_v
+    |GL_(gamma_v)(F_q)|."""
+    arrows = sum(gamma[s] * gamma[t] for s, t in quiver.arrows)
+    return Fraction(q**arrows, prod(gl_order(n, q) for n in gamma))
+
+
+def ordered_decompositions(gamma):
+    """Every tuple of nonzero dimension vectors summing to gamma, each part
+    a vector below gamma, in lexicographic order of the parts."""
+    if not any(gamma):
+        yield ()
+        return
+    for first in product(*(range(g + 1) for g in gamma)):
+        if any(first):
+            for rest in ordered_decompositions(tuple(g - f for g, f in zip(gamma, first))):
+                yield (first, *rest)
+
+
+def exceeds_slope(theta, d, e):
+    """Whether mu(d) > mu(e) for the slope mu(d) = theta.d / |d| of nonzero
+    dimension vectors, |d| the sum of d's entries, compared in integers."""
+    return sum(map(mul, theta, d)) * sum(e) > sum(map(mul, theta, e)) * sum(d)
+
+
+def semistable_count(quiver, gamma, theta, q):
+    """A^ss(gamma) at the stability theta by brute force: the sum of
+    1/|Aut X| over the classes X of gamma (from iso_classes) that are
+    theta-semistable.
+
+    X is semistable when no nonzero proper subrepresentation has a larger
+    slope than X, that is mu(d) <= mu(gamma) for the dimension vector d of
+    every subrepresentation (King 1994, in slope form). So the count reads
+    only whether _subreps finds a subrepresentation of some dimension
+    vector of larger slope, never how many."""
+    from complat.linmoduli import _subreps, iso_classes
+
+    classes = iso_classes(quiver, gamma, q)
+    larger = [
+        d
+        for d in product(*(range(g + 1) for g in gamma))
+        if 0 < sum(d) < sum(gamma) and exceeds_slope(theta, d, gamma)
+    ]
+    return sum(
+        (
+            Fraction(1, aut)
+            for rep, aut in zip(classes.reps, classes.aut_orders)
+            if not any(_subreps(quiver, q, rep, gamma, d) for d in larger)
+        ),
+        Fraction(0),
+    )
+
+
+def harder_narasimhan_types(gamma, theta):
+    """The Harder-Narasimhan types of gamma at theta: the ordered
+    decompositions gamma = gamma_1 + ... + gamma_k, gamma_1 the innermost
+    sub, with mu(gamma_1) > ... > mu(gamma_k).
+
+    Every representation X has a unique filtration 0 = X_0 < X_1 < ... <
+    X_k = X whose subquotients X_i / X_(i-1) are semistable, of dimension
+    vector gamma_i, with strictly decreasing slopes (Reineke 2003). Being
+    unique, it is kept by every automorphism of X, so the stack of
+    representations of gamma is the disjoint union over these types of the
+    stacks of filtered points of each type whose subquotients are
+    semistable. Taking subquotients maps the stack of filtered points of
+    type (gamma_1, ..., gamma_k) onto prod_i of the stacks of gamma_i, with
+    fibres of q^(-sum_(i<j) <gamma_j, gamma_i>) points whatever the
+    subquotients (the fibre is the stack of iterated extensions, Ext^1
+    modulo Hom). So the stratum of a type counts F(gamma_1, ..., gamma_k)
+    prod_i A^ss(gamma_i) / P(gamma_i), with F its filtered_point_count and P
+    the stacky count, and these strata sum to P(gamma): the
+    Harder-Narasimhan recursion."""
+    return [
+        parts
+        for parts in ordered_decompositions(gamma)
+        if all(exceeds_slope(theta, a, b) for a, b in zip(parts, parts[1:]))
+    ]
+
+
+def reineke_semistable_count(quiver, gamma, theta, q):
+    """A^ss(gamma) at theta in closed form, with no enumeration of
+    representations (Reineke 2003): the sum over ordered
+    decompositions gamma = gamma_1 + ... + gamma_k into nonzero parts with
+    mu(gamma_1 + ... + gamma_i) > mu(gamma) for every i < k of
+
+        (-1)^(k-1) q^(-sum_(i<j) <gamma_j, gamma_i>) prod_i P(gamma_i),
+
+    P the stacky count and <,> the Euler form.
+
+    Derivation: expand each P(gamma_i) on the right by the
+    Harder-Narasimhan recursion (harder_narasimhan_types), where a type
+    (d_1, ..., d_m) of gamma_i contributes q^(-sum_(l<l') <d_l', d_l>) prod_l
+    A^ss(d_l), F being that twist times prod_l P(d_l). The Euler form is
+    bilinear, so the twists of the blocks and the cross terms between them
+    add up to the twist of the concatenated sequence. Every term is then
+    q^(-twist(delta)) prod A^ss(delta_l) for one ordered sequence delta of
+    nonzero vectors summing to gamma, with the sign (-1)^(k-1) of one way to
+    cut delta into k consecutive blocks of strictly decreasing slopes whose
+    partial block sums, all but the last, have slope larger than mu(gamma).
+    Reineke's combinatorial lemma is that these signs sum to 1 for the
+    one-part delta = (gamma) and to 0 for every other delta, which leaves
+    A^ss(gamma)."""
+    total = Fraction(0)
+    for parts in ordered_decompositions(gamma):
+        heads = list(accumulate(parts, lambda a, b: tuple(map(add, a, b))))
+        if all(exceeds_slope(theta, head, gamma) for head in heads[:-1]):
+            twist = sum(euler_form(quiver, parts[j], parts[i]) for i, j in combinations(range(len(parts)), 2))
+            points = prod(stacky_point_count(quiver, part, q) for part in parts)
+            total += (-1) ** (len(parts) - 1) * Fraction(q) ** -twist * points
+    return total
 
 
 def assignment_search_category(n_vertices, max_total):

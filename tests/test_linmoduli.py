@@ -7,6 +7,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from oracles import (
     general_linear,
     gl_order,
     hall_number,
+    harder_narasimhan_types,
     integer_partitions,
     jordan_class_count,
     kostant_partition_count,
@@ -44,6 +46,8 @@ from oracles import (
     naive_gf_mat_vec,
     record_composite,
     refinements_out_of,
+    reineke_semistable_count,
+    semistable_count,
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -82,23 +86,25 @@ def jordan():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27])
 def test_field_axioms_hold_on_every_table(q):
     F = lm.gf(q)
-    els = list(F.elements)
-    for a in els:
-        assert F.add(a, 0) == a and F.mul(a, 1) == a
-        assert F.add(a, F.neg(a)) == 0
+    add, mul = F.add, F.mul
+    assert F.inv[0] == 0
+    for a in range(q):
+        assert add[a][0] == a and mul[a][1] == a
+        assert add[a][F.neg[a]] == 0
         if a:
-            assert F.mul(a, F.inv(a)) == 1
-    for a, b in itertools.product(els, repeat=2):
-        assert F.add(a, b) == F.add(b, a)
-        assert F.mul(a, b) == F.mul(b, a)
-    for a, b, c in itertools.product(els, repeat=3):
-        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
-        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+            assert mul[a][F.inv[a]] == 1
+    for a, b in itertools.product(range(q), repeat=2):
+        assert add[a][b] == add[b][a]
+        assert mul[a][b] == mul[b][a]
+    for a, b, c in itertools.product(range(q), repeat=3):
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
-# sha256 of repr((F._add, F._mul, F._neg, F._inv)) for every supported field
-# size below 100, recorded at 54b4b75, before the product table was built
+# sha256 of repr((F.add, F.mul, F.neg, F.inv)) for every supported field
+# size below 100, recorded at 54b4b75 (the tables were then named _add,
+# _mul, _neg and _inv), before the product table was built
 # by linearity: the field axioms hold under any relabelling of the
 # elements, but every class representative, and so every class index in a
 # report, depends on the labelling
@@ -144,7 +150,7 @@ def test_field_tables_match_their_frozen_digests():
             F = lm.GF(q)
         except SpecError:
             continue
-        tables = repr((F._add, F._mul, F._neg, F._inv)).encode()
+        tables = repr((F.add, F.mul, F.neg, F.inv)).encode()
         digests[q] = hashlib.sha256(tables).hexdigest()
     assert digests == FIELD_TABLE_DIGESTS
 
@@ -156,27 +162,27 @@ def test_frobenius_is_additive(q):
     def power(a, n):
         out = 1
         for _ in range(n):
-            out = F.mul(out, a)
+            out = F.mul[out][a]
         return out
 
-    for a, b in itertools.product(F.elements, repeat=2):
-        assert power(F.add(a, b), F.p) == F.add(power(a, F.p), power(b, F.p))
+    for a, b in itertools.product(range(q), repeat=2):
+        assert power(F.add[a][b], F.p) == F.add[power(a, F.p)][power(b, F.p)]
 
 
 def test_order_four_field_matches_the_polynomial_presentation():
     # elements 2 and 3 are x and x+1 with x^2 = x + 1
     F = lm.gf(4)
-    assert F.mul(2, 2) == 3
-    assert F.mul(2, 3) == 1
-    assert F.mul(3, 3) == 2
+    assert F.mul[2][2] == 3
+    assert F.mul[2][3] == 1
+    assert F.mul[3][3] == 2
     for a in (1, 2, 3):
-        assert F.mul(F.mul(a, a), a) == 1  # the unit group has order 3
+        assert F.mul[F.mul[a][a]][a] == 1  # the unit group has order 3
 
 
 def test_order_nine_field_squares_x_to_minus_one():
     F = lm.gf(9)
-    assert F.mul(3, 3) == 2  # x^2 = -1 = 2
-    assert F.add(1, F.add(1, 1)) == 0
+    assert F.mul[3][3] == 2  # x^2 = -1 = 2
+    assert F.add[1][F.add[1][1]] == 0
 
 
 @pytest.mark.parametrize("q", [0, 1, 6, 12, 49])
@@ -988,6 +994,90 @@ def test_counting_reports_of_the_benchmark_configurations(spec, q, max_total, ex
     report = lm.verify_counting_hall(quiver, q, max_total)
     classes, triples, flag_checks = expected
     assert report == {"ok": True, "classes": classes, "triples": triples, "flag_checks": flag_checks}
+
+
+# -- stability: semistable counts, Harder-Narasimhan strata, walls -------------------
+
+# (quiver, total dimension bound) at q = 2, with the number of dimension
+# vectors, of chambers summed over them, and of the dimension vectors whose
+# semistable count differs between two of their chambers
+STABILITY_CASES = [(A2, 4, (14, 20, 2)), (A3, 4, (34, 78, 5))]
+STABILITY_IDS = ["a2", "a3"]
+
+
+@lru_cache(maxsize=None)
+def _chamber_points(gamma):
+    """{chamber: interior points} of the arrangement in theta-space with
+    covectors |gamma| d - |d| gamma for 0 < d < gamma: theta is positive on
+    one exactly when mu(d) > mu(gamma), so every chamber fixes which
+    dimension vectors destabilize. The points of a chamber are the sum of
+    its pointed rays, then three with random positive weights on those rays
+    plus a random vector of its lineality space (which holds (1, ..., 1))."""
+    n, size = len(gamma), sum(gamma)
+    covectors = [
+        tuple(size * x - sum(d) * g for x, g in zip(d, gamma))
+        for d in itertools.product(*(range(g + 1) for g in gamma))
+        if 0 < sum(d) < size
+    ]
+    arr = arrangement.from_vectors(covectors, n)
+    rng = random.Random(repr(gamma))
+    out = {}
+    for chamber, rays in arrangement.chamber_rays(arr).items():
+        lin, pointed = arrangement.split_rays(rays)
+        weights = [[1] * len(pointed) + [0] * len(lin)]
+        weights += [[rng.randint(1, 4) for _ in pointed] + [rng.randint(-3, 3) for _ in lin] for _ in range(3)]
+        points = [tuple(sum(c * r[i] for c, r in zip(w, pointed + lin)) for i in range(n)) for w in weights]
+        assert all(arrangement.sign_vector_of(arr, theta) == chamber for theta in points), (gamma, chamber)
+        out[chamber] = points
+    return out
+
+
+@pytest.mark.parametrize("doc,max_total,expected", STABILITY_CASES, ids=STABILITY_IDS)
+def test_the_semistable_count_is_constant_on_each_chamber_of_the_walls(doc, max_total, expected):
+    quiver = lm.load_quiver(doc)
+    gammas = _gammas(quiver, max_total)
+    chambers = varying = 0
+    for gamma in gammas:
+        counts = set()
+        for chamber, points in _chamber_points(gamma).items():
+            values = {semistable_count(quiver, gamma, theta, 2) for theta in points}
+            assert len(values) == 1, (gamma, chamber, values)
+            counts |= values
+            chambers += 1
+        varying += len(counts) > 1
+    assert (len(gammas), chambers, varying) == expected
+
+
+@pytest.mark.parametrize("doc,max_total,expected", STABILITY_CASES, ids=STABILITY_IDS)
+def test_reineke_formula_gives_the_semistable_count(doc, max_total, expected):
+    quiver = lm.load_quiver(doc)
+    for gamma in _gammas(quiver, max_total):
+        for theta in itertools.chain(*_chamber_points(gamma).values()):
+            assert reineke_semistable_count(quiver, gamma, theta, 2) == semistable_count(quiver, gamma, theta, 2), (
+                gamma,
+                theta,
+            )
+
+
+@pytest.mark.parametrize("doc,max_total,expected", STABILITY_CASES, ids=STABILITY_IDS)
+def test_the_harder_narasimhan_strata_sum_to_the_stacky_count(doc, max_total, expected):
+    # each stratum counts F(gamma_1, ..., gamma_k) prod A^ss(gamma_i) /
+    # stacky_count(gamma_i), F the filtered points of the quotient model
+    quiver = lm.load_quiver(doc)
+    filtered = lru_cache(maxsize=None)(lambda parts: filtered_point_count(quiver, parts, 2))
+    strata = 0
+    for gamma in _gammas(quiver, max_total):
+        for points in _chamber_points(gamma).values():
+            theta = points[0]
+            types = harder_narasimhan_types(gamma, theta)
+            total = sum(
+                filtered(parts)
+                * prod(semistable_count(quiver, g, theta, 2) / lm.stacky_count(quiver, g, 2) for g in parts)
+                for parts in types
+            )
+            assert total == lm.stacky_count(quiver, gamma, 2), (gamma, theta)
+            strata += len(types)
+    assert strata > expected[1]  # some chamber has more than one stratum
 
 
 # -- decompositions and the refinement category -------------------------------------
